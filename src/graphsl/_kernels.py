@@ -1,63 +1,23 @@
-"""Hot assembly kernels with a numba fast path and a numpy fallback.
+"""Hot assembly kernels: per-cell quadrature sums and the triplet scatter.
 
-The per-cell quadrature accumulation and the triplet scatter dominate
-assembly time on large meshes.  Both exist in two interchangeable
-implementations: plain numpy (always available) and numba ``@njit``
-(default when numba imports).  Set ``GRAPHSL_NUMBA=0`` to force the numpy
-path; the benchmark under ``benchmarks/`` times both.
-
-Both paths accumulate in the same sample order so results agree closely;
-each path is individually deterministic.
+Both run once per assembly over the samples of every meshed edge, laid
+out cell after cell.  ``np.bincount`` adds each cell's samples in the
+order they appear, so the sums do not depend on how many edges share a
+call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("GRAPHSL_NUMBA", "1")
-_HAVE_NUMBA = False
-if _env != "0":
-    try:
-        from numba import njit as _njit
 
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        _HAVE_NUMBA = False
-
-
-def _accumulate_loop(cell_idx, tloc, wq, pv, qv, wv, ncells):
+def accumulate(cell_idx, tloc, wq, pv, qv, wv, ncells):
     """Per-cell quadrature sums for the three local 2x2 matrices.
 
     Returns seven arrays of length ncells: the cell integral of p, the
     entries of the local potential matrix (q00, q01, q11), and of the local
     mass matrix (m00, m01, m11), with linear hat basis values 1-t and t.
     """
-    ip = np.zeros(ncells)
-    q00 = np.zeros(ncells)
-    q01 = np.zeros(ncells)
-    q11 = np.zeros(ncells)
-    m00 = np.zeros(ncells)
-    m01 = np.zeros(ncells)
-    m11 = np.zeros(ncells)
-    for k in range(cell_idx.shape[0]):
-        c = cell_idx[k]
-        t = tloc[k]
-        b0 = 1.0 - t
-        b1 = t
-        wk = wq[k]
-        ip[c] += wk * pv[k]
-        q00[c] += wk * qv[k] * b0 * b0
-        q01[c] += wk * qv[k] * b0 * b1
-        q11[c] += wk * qv[k] * b1 * b1
-        m00[c] += wk * wv[k] * b0 * b0
-        m01[c] += wk * wv[k] * b0 * b1
-        m11[c] += wk * wv[k] * b1 * b1
-    return ip, q00, q01, q11, m00, m01, m11
-
-
-def _accumulate_numpy(cell_idx, tloc, wq, pv, qv, wv, ncells):
     b0 = 1.0 - tloc
     b1 = tloc
     ip = np.bincount(cell_idx, weights=wq * pv, minlength=ncells)
@@ -70,64 +30,20 @@ def _accumulate_numpy(cell_idx, tloc, wq, pv, qv, wv, ncells):
     return ip, q00, q01, q11, m00, m01, m11
 
 
-def _triplets_loop(d0, d1, hcell, ip, q00, q01, q11, m00, m01, m11):
+def triplets(d0, d1, hcell, ip, q00, q01, q11, m00, m01, m11):
     """Scatter local matrices to COO triplets, skipping constrained dofs.
 
     Entry order per cell is (00, 01, 10, 11); symmetric off-diagonal values
     are written from the same accumulated number, so assembled matrices are
     bitwise symmetric.
     """
-    ncells = d0.shape[0]
-    rows = np.empty(4 * ncells, dtype=np.int64)
-    cols = np.empty(4 * ncells, dtype=np.int64)
-    vp = np.empty(4 * ncells)
-    vq = np.empty(4 * ncells)
-    vm = np.empty(4 * ncells)
-    n = 0
-    for c in range(ncells):
-        a = d0[c]
-        b = d1[c]
-        s = ip[c] / (hcell[c] * hcell[c])
-        if a >= 0:
-            rows[n] = a
-            cols[n] = a
-            vp[n] = s
-            vq[n] = q00[c]
-            vm[n] = m00[c]
-            n += 1
-        if a >= 0 and b >= 0:
-            rows[n] = a
-            cols[n] = b
-            vp[n] = -s
-            vq[n] = q01[c]
-            vm[n] = m01[c]
-            n += 1
-            rows[n] = b
-            cols[n] = a
-            vp[n] = -s
-            vq[n] = q01[c]
-            vm[n] = m01[c]
-            n += 1
-        if b >= 0:
-            rows[n] = b
-            cols[n] = b
-            vp[n] = s
-            vq[n] = q11[c]
-            vm[n] = m11[c]
-            n += 1
-    return rows[:n].copy(), cols[:n].copy(), vp[:n].copy(), vq[:n].copy(), vm[:n].copy()
-
-
-def _triplets_numpy(d0, d1, hcell, ip, q00, q01, q11, m00, m01, m11):
-    ncells = d0.shape[0]
     s = ip / (hcell * hcell)
     rows = np.stack([d0, d0, d1, d1], axis=1)
     cols = np.stack([d0, d1, d0, d1], axis=1)
     vp = np.stack([s, -s, -s, s], axis=1)
     vq = np.stack([q00, q01, q01, q11], axis=1)
     vm = np.stack([m00, m01, m01, m11], axis=1)
-    keep = (rows >= 0) & (cols >= 0)
-    keep = keep.ravel()
+    keep = ((rows >= 0) & (cols >= 0)).ravel()
     return (
         rows.ravel()[keep].astype(np.int64),
         cols.ravel()[keep].astype(np.int64),
@@ -137,36 +53,6 @@ def _triplets_numpy(d0, d1, hcell, ip, q00, q01, q11, m00, m01, m11):
     )
 
 
-if _HAVE_NUMBA:
-    accumulate = _njit(cache=True)(_accumulate_loop)
-    triplets = _njit(cache=True)(_triplets_loop)
-    _BACKEND = "numba"
-else:
-    accumulate = _accumulate_numpy
-    triplets = _triplets_numpy
-    _BACKEND = "numpy"
-
-# exported for tests and the benchmark
-accumulate_numpy = _accumulate_numpy
-triplets_numpy = _triplets_numpy
-accumulate_loop = _accumulate_loop
-triplets_loop = _triplets_loop
-
-
 def backend() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return _BACKEND
-
-
-def warmup() -> None:
-    """Trigger jit compilation on tiny inputs so timings stay honest."""
-    cell_idx = np.zeros(2, dtype=np.int64)
-    tloc = np.array([0.25, 0.75])
-    ones = np.ones(2)
-    out = accumulate(cell_idx, tloc, ones, ones, ones, ones, 1)
-    triplets(
-        np.array([0], dtype=np.int64),
-        np.array([1], dtype=np.int64),
-        np.ones(1),
-        *[np.asarray(a[:1]) for a in out],
-    )
+    """Name of the kernel implementation, kept for run reports."""
+    return "numpy"

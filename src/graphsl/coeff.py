@@ -309,12 +309,15 @@ def _panels(a: float, b: float, breakpoints, panel: float):
     return out
 
 
-def edge_integral(field: CoefficientField, edge_id: str, which: str, a: float = 0.0, b=None):
+def edge_integral(
+    field: CoefficientField, edge_id: str, which: str, a: float = 0.0, b=None, power: float = 1.0
+):
     """Integral of a coefficient (or derived quantity) over [a, b] on an edge.
 
-    ``which`` is one of ``p, 1/p, q, q+, q-, |q|, w``.  Exact for constants
-    and piecewise tables; composite Gauss quadrature otherwise.  Nonfinite
-    results raise IntegrabilityError.
+    ``which`` is one of ``p, 1/p, q, q+, q-, |q|, w``; the integrand is that
+    quantity raised to ``power``.  Exact for constants and piecewise tables;
+    composite Gauss quadrature otherwise.  Nonfinite results raise
+    IntegrabilityError.
     """
     edge = field.graph.edge(edge_id)
     if b is None:
@@ -330,6 +333,12 @@ def edge_integral(field: CoefficientField, edge_id: str, which: str, a: float = 
         raise CoefficientError(f"unknown integrand {which!r}")
     name, transform_name = WHICH[which]
     transform = _TRANSFORMS[transform_name]
+    if power != 1.0:
+        base = transform
+
+        def transform(v):
+            return np.power(base(v), power)
+
     spec = field.spec(edge_id, name)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -416,17 +425,7 @@ def _inv_p_power_integral(field, edge_id) -> float:
         with np.errstate(divide="ignore"):
             vals = np.divide(1.0, spec.evaluate(xs))
         return float(np.max(np.abs(vals)))
-    if field.eta == 1.0:
-        return edge_integral(field, edge_id, "1/p")
-    spec = field.spec(edge_id, "p")
-    nodes, weights = _gauss_rule(field.quad_order)
-    total = 0.0
-    for lo, hi in _panels(0.0, edge.length, spec.breakpoints(edge.length), field.quad_panel):
-        xs = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        with np.errstate(divide="ignore"):
-            vals = np.power(np.divide(1.0, spec.evaluate(xs)), field.eta)
-        total += 0.5 * (hi - lo) * float(np.dot(weights, vals))
-    return total
+    return edge_integral(field, edge_id, "1/p", power=field.eta)
 
 
 def validate_hypotheses(

@@ -16,7 +16,7 @@ cut offset and constraining it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import mmwrite
@@ -76,6 +76,63 @@ class GraphMesh:
         mask = dofs >= 0
         out[mask] = f[dofs[mask]]
         return out
+
+    def restrict(self, edge_ids, dirichlet_vertices=frozenset()) -> tuple["GraphMesh", np.ndarray]:
+        """Submesh on ``edge_ids`` with ``dirichlet_vertices`` constrained.
+
+        Returns the submesh and the parent dofs it keeps, in increasing
+        order (submesh dof k is parent dof ``kept[k]``); cells, offsets and
+        dof labels are the parent's.  Raises MeshError when a free vertex of
+        the submesh touches a meshed edge outside ``edge_ids``, since its
+        parent row then carries that edge's entries.
+        """
+        inside = set(edge_ids)
+        selected = sorted(inside)
+        if not selected:
+            raise MeshError("empty edge selection")
+        vertices = set()
+        for eid in selected:
+            if eid not in self.edge_dofs:
+                raise MeshError(f"edge {eid!r} is not in the parent mesh")
+            e = self.graph.edge(eid)
+            vertices.update((e.src, e.dst))
+        dirichlet = frozenset(dirichlet_vertices)
+        for v in dirichlet:
+            if v not in vertices:
+                raise MeshError(f"constrained vertex {v!r} not in meshed subgraph")
+        keep = np.zeros(self.n_free, dtype=bool)
+        for v in sorted(vertices):
+            if v in dirichlet or self.vertex_dof[v] < 0:
+                continue
+            for eid in self.graph.adjacency[v]:
+                if eid in self.edge_dofs and eid not in inside:
+                    raise MeshError(
+                        f"free vertex {v!r} touches meshed edge {eid!r} outside the restriction"
+                    )
+            keep[self.vertex_dof[v]] = True
+        for eid in selected:
+            interior = self.edge_dofs[eid][1:-1]
+            keep[interior[interior >= 0]] = True
+        kept = np.flatnonzero(keep)
+        # one spare slot so that parent dof -1 (and any dropped dof) maps to -1
+        renumber = np.full(self.n_free + 1, -1, dtype=np.int64)
+        renumber[kept] = np.arange(len(kept))
+        vertex_dof = {v: int(renumber[self.vertex_dof[v]]) for v in sorted(vertices)}
+        sub = GraphMesh(
+            graph=self.graph,
+            edge_ids=tuple(selected),
+            h=self.h,
+            constraints=DirichletTruncationSpec(
+                vertices=frozenset(v for v, d in vertex_dof.items() if d < 0),
+                cut_points=tuple(c for c in self.constraints.cut_points if c[0] in inside),
+            ),
+            edge_offsets={eid: self.edge_offsets[eid] for eid in selected},
+            edge_dofs={eid: renumber[self.edge_dofs[eid]] for eid in selected},
+            vertex_dof=vertex_dof,
+            n_free=len(kept),
+            dof_labels=[self.dof_labels[k] for k in kept],
+        )
+        return sub, kept
 
 
 def _cell_count(length: float, h: float) -> int:
@@ -275,10 +332,28 @@ class AssembledForms:
     def pencil(self):
         return (self.stiffness + self.potential).tocsr(), self.mass
 
-    def cell_data(self) -> dict:
-        return self._cell_data  # populated by assemble
+    def restrict(self, edge_ids, dirichlet_vertices=frozenset(), domain: str = "graph") -> "AssembledForms":
+        """Forms of the problem on ``edge_ids`` with Dirichlet vertices.
 
-    _cell_data: dict = dataclass_field(default_factory=dict, repr=False)
+        The matrices are principal submatrices of these on the dofs that
+        :meth:`GraphMesh.restrict` keeps.  Every kept row only gathers cells
+        of the selected edges, so they equal a direct assembly on the
+        submesh entry for entry.
+        """
+        mesh, kept = self.mesh.restrict(edge_ids, dirichlet_vertices)
+        if mesh.n_free == 0:
+            raise MeshError("mesh has no free degrees of freedom")
+
+        def principal(mat):
+            return mat[kept][:, kept]
+
+        return AssembledForms(
+            stiffness=principal(self.stiffness),
+            potential=principal(self.potential),
+            mass=principal(self.mass),
+            mesh=mesh,
+            domain=domain,
+        )
 
 
 def assemble(mesh: GraphMesh, field: CoefficientField, domain: str = "graph") -> AssembledForms:
@@ -287,8 +362,7 @@ def assemble(mesh: GraphMesh, field: CoefficientField, domain: str = "graph") ->
     Raises CoefficientError if p or w is nonpositive at any quadrature
     sample; the mass matrix is then positive definite by construction.
     """
-    rows_l, cols_l, vp_l, vq_l, vm_l = [], [], [], [], []
-    cell_data = {}
+    samples = []
     for eid in mesh.edge_ids:
         data = edge_sample_data(mesh, field, eid)
         if np.any(data.p <= 0.0) or not np.all(np.isfinite(data.p)):
@@ -297,36 +371,33 @@ def assemble(mesh: GraphMesh, field: CoefficientField, domain: str = "graph") ->
             raise CoefficientError(f"w must be positive and finite on edge {eid!r}")
         if not np.all(np.isfinite(data.q)):
             raise CoefficientError(f"q must be finite on edge {eid!r}")
-        acc = _kernels.accumulate(
-            data.cell_idx, data.tloc, data.wq, data.p, data.q, data.w, len(data.hcell)
-        )
-        rows, cols, vp, vq, vm = _kernels.triplets(data.d0, data.d1, data.hcell, *acc)
-        rows_l.append(rows)
-        cols_l.append(cols)
-        vp_l.append(vp)
-        vq_l.append(vq)
-        vm_l.append(vm)
-        cell_data[eid] = (data, acc)
+        samples.append(data)
     n = mesh.n_free
     if n == 0:
         raise MeshError("mesh has no free degrees of freedom")
-    rows = np.concatenate(rows_l)
-    cols = np.concatenate(cols_l)
 
-    def make(values_list):
-        mat = coo_matrix((np.concatenate(values_list), (rows, cols)), shape=(n, n)).tocsr()
+    def joined(name):
+        return np.concatenate([getattr(data, name) for data in samples])
+
+    first_cell = np.cumsum([0] + [len(data.hcell) for data in samples])
+    cell_idx = np.concatenate([data.cell_idx + c for data, c in zip(samples, first_cell)])
+    acc = _kernels.accumulate(
+        cell_idx, joined("tloc"), joined("wq"), joined("p"), joined("q"), joined("w"), int(first_cell[-1])
+    )
+    rows, cols, vp, vq, vm = _kernels.triplets(joined("d0"), joined("d1"), joined("hcell"), *acc)
+
+    def make(values):
+        mat = coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
         mat.sum_duplicates()
         return mat
 
-    forms = AssembledForms(
-        stiffness=make(vp_l),
-        potential=make(vq_l),
-        mass=make(vm_l),
+    return AssembledForms(
+        stiffness=make(vp),
+        potential=make(vq),
+        mass=make(vm),
         mesh=mesh,
         domain=domain,
     )
-    forms._cell_data.update(cell_data)
-    return forms
 
 
 def form_value(mesh: GraphMesh, field: CoefficientField, f: np.ndarray) -> float:
@@ -373,10 +444,10 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
     if mesh.vertex_dof[vertex] < 0:
         raise MeshError(f"vertex {vertex!r} is constrained; flux balance does not apply")
     total = 0.0
-    for eid in mesh.edge_ids:
-        e = mesh.graph.edge(eid)
-        if vertex not in (e.src, e.dst):
+    for eid in mesh.graph.adjacency[vertex]:
+        if eid not in mesh.edge_offsets:
             continue
+        e = mesh.graph.edge(eid)
         offsets = mesh.edge_offsets[eid]
         vals = mesh.edge_values(f, eid)
         if vertex == e.src:
@@ -387,7 +458,7 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
             delta = float(offsets[-1] - offsets[-2])
             pbar = edge_integral(field, eid, "p", float(offsets[-2]), float(offsets[-1])) / delta
             total += pbar * (vals[-2] - vals[-1]) / delta
-    return abs(total)
+    return float(abs(total))
 
 
 def write_matrix_market(forms: AssembledForms, directory, prefix: str = "") -> list[str]:

@@ -33,7 +33,6 @@ from .eig import smallest_eigenpair
 from .errors import HypothesisError, IntegrabilityError, SolverError
 from .fem import (
     AssembledForms,
-    DirichletTruncationSpec,
     GraphMesh,
     assemble,
     build_mesh,
@@ -75,13 +74,18 @@ def dirichlet_vertices(g: MetricGraph, edge_ids, include_host_boundary: bool) ->
     return frozenset(cut)
 
 
-def _solve_level(g, field, edge_ids, h, include_host_boundary, domain, tol):
-    spec = DirichletTruncationSpec(
-        vertices=dirichlet_vertices(g, edge_ids, include_host_boundary)
+def _assemble_union(g, field, domains, h) -> AssembledForms:
+    """One unconstrained mesh and assembly over every edge the domains use."""
+    edges = frozenset().union(*domains)
+    return assemble(build_mesh(g, h, edges=edges), field)
+
+
+def _solve_domain(forms, g, edge_ids, include_host_boundary, domain, tol):
+    """Smallest eigenpair of the Dirichlet problem on one piece of ``forms``."""
+    piece = forms.restrict(
+        edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary), domain
     )
-    mesh = build_mesh(g, h, edges=edge_ids, constraints=spec)
-    forms = assemble(mesh, field, domain=domain)
-    return smallest_eigenpair(forms, tol=tol), forms
+    return smallest_eigenpair(piece, tol=tol)
 
 
 # --- inf spectrum -------------------------------------------------------------
@@ -123,18 +127,19 @@ def inf_spectrum(
     the reported estimate.
     """
     _check_bc(bc)
-    if levels is None:
-        levels = range(len(exhaustion.levels))
-    rows: list[LevelEstimate] = []
-    prev = math.inf
+    levels = list(range(len(exhaustion.levels)) if levels is None else levels)
     for n in levels:
         if n < 0 or n > exhaustion.max_level:
             raise SolverError(f"level {n} outside exhaustion range 0..{exhaustion.max_level}")
-        edge_ids = exhaustion.levels[n]
-        if not edge_ids:
-            continue
-        result, _ = _solve_level(
-            g, field, edge_ids, h, bc == BC_DIRICHLET, f"level-{n}", tol
+    levels = [n for n in levels if exhaustion.levels[n]]
+    if not levels:
+        raise SolverError("no nonempty exhaustion level was requested")
+    forms = _assemble_union(g, field, [exhaustion.levels[n] for n in levels], h)
+    rows: list[LevelEstimate] = []
+    prev = math.inf
+    for n in levels:
+        result = _solve_domain(
+            forms, g, exhaustion.levels[n], bc == BC_DIRICHLET, f"level-{n}", tol
         )
         if result.value > prev + 10.0 * tol:
             raise SolverError(
@@ -143,8 +148,6 @@ def inf_spectrum(
             )
         rows.append(LevelEstimate(n, result.value, result.residual, len(result.vector)))
         prev = result.value
-    if not rows:
-        raise SolverError("no nonempty exhaustion level was requested")
     error_proxy = abs(rows[-2].value - rows[-1].value) if len(rows) > 1 else math.inf
     top = rows[-1].level
     touched = exhaustion.haloes[top] >= frozenset(e.id for e in g.edges)
@@ -184,6 +187,18 @@ class PositiveSolutionCert:
     forms: AssembledForms = dataclass_field(repr=False, default=None)
 
 
+def _level_forms(g, field, exhaustion, level, h, tol):
+    """Free forms on one level and the bottom of its Dirichlet problem."""
+    if level < 0 or level > exhaustion.max_level:
+        raise SolverError(f"level {level} outside exhaustion range")
+    edge_ids = exhaustion.levels[level]
+    if not edge_ids:
+        raise SolverError(f"exhaustion level {level} contains no edges")
+    forms = _assemble_union(g, field, [edge_ids], h)
+    bottom = _solve_domain(forms, g, edge_ids, True, f"level-{level}", tol).value
+    return forms, bottom
+
+
 def positive_solution(
     g: MetricGraph,
     field: CoefficientField,
@@ -192,7 +207,6 @@ def positive_solution(
     level: int,
     h: float = 0.05,
     tol: float = 1e-6,
-    _known_bottom: float | None = None,
 ) -> PositiveSolutionCert:
     """Construct the positive solution certificate on one exhaustion level.
 
@@ -201,26 +215,23 @@ def positive_solution(
     normalizes to one at the root.  A nonpositive nodal value would violate
     the discrete minimum principle and raises SolverError.
     """
-    if level < 0 or level > exhaustion.max_level:
-        raise SolverError(f"level {level} outside exhaustion range")
-    edge_ids = exhaustion.levels[level]
-    if not edge_ids:
-        raise SolverError(f"exhaustion level {level} contains no edges")
-    bottom = _known_bottom
-    if bottom is None:
-        result, _ = _solve_level(g, field, edge_ids, h, True, f"level-{level}", tol)
-        bottom = result.value
+    forms, bottom = _level_forms(g, field, exhaustion, level, h, tol)
     if not (lam < bottom - tol):
         raise SolverError(
             f"trial value {lam} is not below the Dirichlet bottom {bottom} by {tol}"
         )
+    return _certificate(g, field, exhaustion, forms, lam, level, bottom)
+
+
+def _certificate(g, field, exhaustion, forms, lam, level, bottom) -> PositiveSolutionCert:
+    """Solve the lifted boundary problem on the free forms of a level."""
+    edge_ids = exhaustion.levels[level]
     boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
     if not boundary:
         raise SolverError(
             "level has no boundary vertices; the lifted boundary problem is empty"
         )
-    mesh = build_mesh(g, h, edges=edge_ids, constraints=None)
-    forms = assemble(mesh, field, domain=f"level-{level}-free")
+    mesh = forms.mesh
     K, M = forms.pencil()
     A = (K - lam * M).tocsc()
     bdofs = np.array(sorted(mesh.vertex_dof[v] for v in boundary), dtype=np.int64)
@@ -301,18 +312,10 @@ def ap_check(
     refutation when above by more than ``tol``, and indeterminate inside
     the band.
     """
-    if level < 0 or level > exhaustion.max_level:
-        raise SolverError(f"level {level} outside exhaustion range")
-    edge_ids = exhaustion.levels[level]
-    if not edge_ids:
-        raise SolverError(f"exhaustion level {level} contains no edges")
-    result, _ = _solve_level(g, field, edge_ids, h, True, f"level-{level}", tol)
-    bottom = result.value
+    forms, bottom = _level_forms(g, field, exhaustion, level, h, tol)
     margin = lam - bottom
     if lam < bottom - tol:
-        cert = positive_solution(
-            g, field, exhaustion, lam, level, h=h, tol=tol, _known_bottom=bottom
-        )
+        cert = _certificate(g, field, exhaustion, forms, lam, level, bottom)
         return APResult("certificate", lam, level, bottom, margin, cert)
     if lam > bottom + tol:
         return APResult("refutation", lam, level, bottom, margin, None)
@@ -393,16 +396,21 @@ def persson_limit(
     for n in inner_levels:
         if not [N for N in outer_levels if N > n]:
             raise SolverError(f"no outer level exceeds inner level {n}")
+    annuli = {}
+    for n in inner_levels:
+        for N in [N for N in outer_levels if N > n]:
+            annuli[n, N] = _annulus_edges(exhaustion, n, N)
+            if not annuli[n, N]:
+                raise SolverError(f"annulus between levels {n} and {N} is empty")
+    # built before the sweeps start, so worker threads only read it
+    forms = _assemble_union(g, field, annuli.values(), h)
 
     def sweep(n: int) -> list[PerssonRow]:
         out = []
         prev = None
         for N in [N for N in outer_levels if N > n]:
-            edge_ids = _annulus_edges(exhaustion, n, N)
-            if not edge_ids:
-                raise SolverError(f"annulus between levels {n} and {N} is empty")
-            result, _ = _solve_level(
-                g, field, edge_ids, h, bc == BC_DIRICHLET, f"annulus-{n}-{N}", tol
+            result = _solve_domain(
+                forms, g, annuli[n, N], bc == BC_DIRICHLET, f"annulus-{n}-{N}", tol
             )
             value = result.value
             if prev is not None and value > prev + 10.0 * tol:

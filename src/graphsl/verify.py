@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import _kernels, expressions
+from . import expressions
 from .coeff import load_coefficients
 from .eig import dense_reference, smallest_eigenpair
 from .errors import EvaluationError
@@ -220,33 +220,6 @@ def check_matrix_symmetry(rng) -> tuple[bool, str]:
     return worst == 0, f"{worst} of 3 matrices asymmetric"
 
 
-def check_kernel_paths(rng) -> tuple[bool, str]:
-    """Loop and vectorized assembly kernels emit identical triplets."""
-    ncells = 60
-    nq = 10
-    cell_idx = np.repeat(np.arange(ncells, dtype=np.int64), nq)
-    tloc = rng.uniform(0.0, 1.0, size=ncells * nq)
-    wq = rng.uniform(0.01, 0.2, size=ncells * nq)
-    pv = rng.uniform(0.5, 3.0, size=ncells * nq)
-    qv = rng.normal(size=ncells * nq)
-    wv = rng.uniform(0.5, 3.0, size=ncells * nq)
-    acc_a = _kernels.accumulate_loop(cell_idx, tloc, wq, pv, qv, wv, ncells)
-    acc_b = _kernels.accumulate_numpy(cell_idx, tloc, wq, pv, qv, wv, ncells)
-    for a, b in zip(acc_a, acc_b):
-        if not np.array_equal(a, b):
-            return False, "accumulation differs between loop and numpy paths"
-    d0 = np.arange(ncells, dtype=np.int64)
-    d1 = d0 + 1
-    d0[3] = -1  # one constrained endpoint exercises the skip branch
-    hcell = rng.uniform(0.05, 0.5, size=ncells)
-    tri_a = _kernels.triplets_loop(d0, d1, hcell, *acc_a)
-    tri_b = _kernels.triplets_numpy(d0, d1, hcell, *acc_b)
-    for a, b in zip(tri_a, tri_b):
-        if not np.array_equal(a, b):
-            return False, "triplet emission differs between paths"
-    return True, f"{len(tri_a[0])} triplets identical (backend: {_kernels.backend()})"
-
-
 def check_compact_perturbation(rng) -> tuple[bool, str]:
     """q supported on the first edge leaves outer annulus pencils bitwise equal."""
     g = load_graph(path(8))
@@ -279,7 +252,6 @@ CHECKS = [
     ("sobolev-inequality", check_sobolev_inequality),
     ("persson-monotone", check_persson_monotone),
     ("matrix-symmetry", check_matrix_symmetry),
-    ("kernel-paths-agree", check_kernel_paths),
     ("compact-perturbation", check_compact_perturbation),
 ]
 

@@ -1,15 +1,6 @@
 import numpy as np
 import pytest
 
-from graphsl import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jit path (or no-op on the numpy fallback) so that timed
-    # assertions never pay compilation cost
-    _kernels.warmup()
-
 
 @pytest.fixture
 def rng():

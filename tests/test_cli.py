@@ -300,6 +300,21 @@ def test_positive_solution_lists_nodes(capsys):
     assert min(values) == pytest.approx(1 / math.cosh(0.5), rel=1e-2)
 
 
+def test_positive_solution_kirchhoff_comment_is_a_number(capsys):
+    code, out, err = run(
+        capsys,
+        "positive-solution",
+        "--graph", HALFLINE,
+        "--lambda", "-1.0",
+        "--level", "3",
+        "--h", "0.25",
+    )
+    assert code == 0
+    prefix = "# max-kirchhoff-residual: "
+    line = next(line for line in out.splitlines() if line.startswith(prefix))
+    assert float(line[len(prefix):]) > 0
+
+
 def test_positive_solution_above_bottom_fails(capsys):
     code, out, err = run(
         capsys,

@@ -6,7 +6,7 @@ import pytest
 from graphsl.coeff import load_coefficients
 from graphsl.eig import smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
-from graphsl.families import path, star
+from graphsl.families import path, star, tree
 from graphsl.fem import (
     DirichletTruncationSpec,
     assemble,
@@ -16,7 +16,8 @@ from graphsl.fem import (
     mass_value,
     write_matrix_market,
 )
-from graphsl.graph import load_graph
+from graphsl.graph import build_exhaustion, load_graph
+from graphsl.spectral import dirichlet_vertices
 
 
 def unit_interval():
@@ -222,6 +223,71 @@ def test_coefficient_scaling_is_exact():
     a = smallest_eigenpair(base, tol=1e-10).value
     b = smallest_eigenpair(scaled, tol=1e-10).value
     assert b == pytest.approx(a, rel=1e-12)
+
+
+# --- restriction ------------------------------------------------------------------
+
+
+def assert_same_forms(a, b):
+    """Raw CSR arrays (unsorted, as stored) and the dof maps agree exactly."""
+    for name in ("stiffness", "potential", "mass"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(x, part), getattr(y, part)), (name, part)
+    assert a.mesh.dof_labels == b.mesh.dof_labels
+    assert a.mesh.vertex_dof == b.mesh.vertex_dof
+    assert a.mesh.edge_ids == b.mesh.edge_ids
+    for eid in a.mesh.edge_ids:
+        assert np.array_equal(a.mesh.edge_dofs[eid], b.mesh.edge_dofs[eid])
+
+
+def test_restrict_equals_direct_assembly():
+    """Levels, annuli and certificate blocks are slices of one assembly."""
+    g = load_graph(tree(3))
+    ex = build_exhaustion(g, "n0", 3)
+    field = load_coefficients(
+        {"default": {"p": {"piecewise": [[0.0, 1.0], [0.4, 2.5]]}, "q": {"expr": "-0.5+0.3*sin(3*x)"}}},
+        g,
+    )
+    h = 0.15
+    parent = assemble(build_mesh(g, h, edges=ex.levels[3]), field)
+
+    def direct(edges, vertices):
+        spec = DirichletTruncationSpec(vertices=vertices)
+        return assemble(build_mesh(g, h, edges=edges, constraints=spec), field)
+
+    pieces = [ex.levels[n] for n in (1, 2, 3)]
+    pieces += [ex.levels[N] - ex.levels[n] for n, N in ((1, 2), (1, 3), (2, 3))]
+    for edges in pieces:
+        for host in (True, False):
+            vertices = dirichlet_vertices(g, edges, host)
+            assert_same_forms(parent.restrict(edges, vertices), direct(edges, vertices))
+
+    # certificate: the free forms of a level, whose interior block is the
+    # level's Dirichlet pencil
+    level = ex.levels[2]
+    free = direct(level, frozenset())
+    boundary = dirichlet_vertices(g, level, True)
+    inner = direct(level, boundary)
+    assert_same_forms(free.restrict(level, boundary), inner)
+    bdofs = sorted(free.mesh.vertex_dof[v] for v in boundary)
+    idofs = np.setdiff1d(np.arange(free.n), bdofs)
+    for name in ("stiffness", "potential", "mass"):
+        block = getattr(free, name)[np.ix_(idofs, idofs)]
+        assert (block != getattr(inner, name)).nnz == 0
+
+
+def test_restrict_rejects_free_vertex_on_cut_edge():
+    g = load_graph(tree(2))
+    ex = build_exhaustion(g, "n0", 2)
+    parent = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), load_coefficients({}, g))
+    with pytest.raises(MeshError, match="touches meshed edge"):
+        parent.restrict(ex.levels[1])
+    with pytest.raises(MeshError, match="not in the parent mesh"):
+        assemble(build_mesh(g, 0.25, edges=ex.levels[1]), load_coefficients({}, g)).restrict(
+            ex.levels[2]
+        )
 
 
 # --- kirchhoff flux checks ---------------------------------------------------------

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 
 from graphsl import _kernels
@@ -22,61 +18,15 @@ def synthetic_batch(rng, ncells=60, nq=4):
     return cell_idx, tloc, wq, pv, qv, wv, hcell, d0, d1
 
 
-def test_loop_and_numpy_accumulate_bitwise_equal(rng):
-    cell_idx, tloc, wq, pv, qv, wv, hcell, d0, d1 = synthetic_batch(rng)
-    a = _kernels.accumulate_loop(cell_idx, tloc, wq, pv, qv, wv, len(hcell))
-    b = _kernels.accumulate_numpy(cell_idx, tloc, wq, pv, qv, wv, len(hcell))
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def test_loop_and_numpy_triplets_bitwise_equal(rng):
-    cell_idx, tloc, wq, pv, qv, wv, hcell, d0, d1 = synthetic_batch(rng)
-    acc = _kernels.accumulate_loop(cell_idx, tloc, wq, pv, qv, wv, len(hcell))
-    a = _kernels.triplets_loop(d0, d1, hcell, *acc)
-    b = _kernels.triplets_numpy(d0, d1, hcell, *acc)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def test_active_backend_matches_fallback(rng):
-    cell_idx, tloc, wq, pv, qv, wv, hcell, d0, d1 = synthetic_batch(rng)
-    acc_active = _kernels.accumulate(cell_idx, tloc, wq, pv, qv, wv, len(hcell))
-    acc_numpy = _kernels.accumulate_numpy(cell_idx, tloc, wq, pv, qv, wv, len(hcell))
-    for x, y in zip(acc_active, acc_numpy):
-        assert np.array_equal(np.asarray(x), y)
-    tri_active = _kernels.triplets(d0, d1, hcell, *[np.asarray(v) for v in acc_active])
-    tri_numpy = _kernels.triplets_numpy(d0, d1, hcell, *acc_numpy)
-    for x, y in zip(tri_active, tri_numpy):
-        assert np.array_equal(np.asarray(x), y)
-
-
 def test_constrained_dofs_never_emitted(rng):
     cell_idx, tloc, wq, pv, qv, wv, hcell, d0, d1 = synthetic_batch(rng)
     d1[-1] = -1
-    acc = _kernels.accumulate_loop(cell_idx, tloc, wq, pv, qv, wv, len(hcell))
-    rows, cols, vp, vq, vm = _kernels.triplets_loop(d0, d1, hcell, *acc)
+    acc = _kernels.accumulate(cell_idx, tloc, wq, pv, qv, wv, len(hcell))
+    rows, cols, vp, vq, vm = _kernels.triplets(d0, d1, hcell, *acc)
     assert rows.min() >= 0 and cols.min() >= 0
     # each interior cell contributes 4 entries, the two clipped cells 1 each
     assert len(rows) == 4 * (len(hcell) - 2) + 2
 
 
 def test_backend_reports_known_name():
-    assert _kernels.backend() in {"numba", "numpy"}
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, GRAPHSL_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from graphsl import _kernels; print(_kernels.backend())"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_warmup_is_idempotent():
-    _kernels.warmup()
-    _kernels.warmup()
+    assert _kernels.backend() == "numpy"

@@ -32,6 +32,41 @@ def star3():
     return g, build_exhaustion(g, "c", 1)
 
 
+# --- one mesh and one assembly per entry point -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, f, ex: inf_spectrum(g, f, ex, h=0.1, levels=[1, 2, 3]),
+        lambda g, f, ex: persson_limit(g, f, ex, [1, 2], [4, 6, 8], h=0.1, workers=1),
+        lambda g, f, ex: persson_limit(g, f, ex, [1, 2], [4, 6, 8], h=0.1, workers=4),
+        lambda g, f, ex: ap_check(g, f, ex, -1.0, 3, h=0.1),
+        lambda g, f, ex: positive_solution(g, f, ex, -1.0, 3, h=0.1),
+    ],
+    ids=["spectrum", "persson-1", "persson-4", "ap-check", "positive-solution"],
+)
+def test_entry_builds_one_mesh_and_one_assembly(halfline, monkeypatch, call):
+    import graphsl.spectral as spectral
+
+    calls = {"build_mesh": 0, "assemble": 0}
+
+    def counting(name):
+        original = getattr(spectral, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counting(name))
+    g, ex = halfline
+    call(g, load_coefficients({}, g), ex)
+    assert calls == {"build_mesh": 1, "assemble": 1}
+
+
 # --- truncation sweep ---------------------------------------------------------
 
 
