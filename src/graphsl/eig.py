@@ -3,12 +3,20 @@
 The iterative path is shift-inverted Lanczos with M-orthogonal restarts
 (ARPACK via scipy), seeded with a deterministic all-ones start vector and
 a sparse LU factorization of K - shift*M whose solves get one iterative
-refinement pass.  The shift defaults to a certified lower bound of the
-pencil spectrum computed from diagonal dominance of K - lambda*M along a
-scalar search, so the eigenvalue nearest the shift is the smallest one.
-The Ritz vector ARPACK returns is polished by one inverse-iteration step
-with the shift's LU, y = (K - shift*M)^{-1} M x, and the returned value is
-the Rayleigh quotient of y.
+refinement pass.  The shift defaults to just below a Gershgorin lower
+bound of the pencil spectrum.  The Ritz vector ARPACK returns is polished
+by one inverse-iteration step with the shift's LU,
+y = (K - shift*M)^{-1} M x, and the returned value is the Rayleigh
+quotient of y.
+
+That the returned value is the *smallest* eigenvalue is then proved, not
+assumed from where the shift was put.  With delta = max(tol, 1e-12) *
+max(1, |value|), K - (value - delta) M is factored once as P^T L D L^T P
+(SuperLU restricted to diagonal pivots).  By Sylvester's law of inertia
+the number of nonpositive pivots in D is the number of eigenvalues at or
+below value - delta, so all pivots positive proves that none lies there;
+otherwise the solve raises SolverError.  The shift's LU is released
+before this factorization, so two factors are never alive at once.
 
 Two accuracy measures are reported.  The residual ||K x - lambda M x|| /
 ||M x|| is unscaled: with unit roundoff u its floor is about
@@ -47,15 +55,20 @@ class EigenResult:
     recomputed from the returned pair; it is unscaled, with a rounding
     floor that grows like h^-2.  ``backward_error`` is the scale-free
     ||K x - value * M x|| / ((||K||_1 + |value| ||M||_1) ||x||).
-    ``iterations`` counts applications of the inverted operator, the
-    polish included (0 on the dense path).  ``history`` holds (apply
-    index, Rayleigh quotient) rows when the solve was run verbose.
+    ``certified_lower`` is value - delta with delta = max(tol, 1e-12) *
+    max(1, |value|): no eigenvalue of the pencil lies below it, proved by
+    an inertia count on the Lanczos path and read from the full LAPACK
+    spectrum on the dense path.  ``iterations`` counts applications of
+    the inverted operator, the polish included (0 on the dense path).
+    ``history`` holds (apply index, Rayleigh quotient) rows when the solve
+    was run verbose.
     """
 
     value: float
     vector: np.ndarray
     residual: float
     backward_error: float
+    certified_lower: float
     iterations: int
     converged: bool
     shift: float
@@ -67,23 +80,6 @@ def _row_abs_offdiag(mat) -> np.ndarray:
     diag = mat.diagonal()
     total = np.asarray(abs(mat).sum(axis=1)).ravel()
     return total - np.abs(diag)
-
-
-def _scaled_dominant(mat) -> bool:
-    """Sufficient positive semidefiniteness test.
-
-    Checks weak diagonal dominance of D^{-1/2} (mat) D^{-1/2}: positive
-    diagonal and off-diagonal row sums at most one.
-    """
-    d = mat.diagonal()
-    if np.any(d <= 0):
-        return False
-    coo = mat.tocoo()
-    off = coo.row != coo.col
-    inv_sqrt = 1.0 / np.sqrt(d)
-    sums = np.zeros(mat.shape[0])
-    np.add.at(sums, coo.row[off], np.abs(coo.data[off]) * inv_sqrt[coo.row[off]] * inv_sqrt[coo.col[off]])
-    return bool(np.all(sums <= 1.0 + 1e-14))
 
 
 def _mass_lower_bound(M) -> float:
@@ -105,48 +101,24 @@ def _mass_lower_bound(M) -> float:
 
 
 def pencil_lower_bound(K, M) -> float:
-    """Lower bound for the smallest eigenvalue of K x = lambda M x.
+    """Gershgorin lower bound for the smallest eigenvalue of K x = lambda M x.
 
-    Combines a Rayleigh-quotient bound from Gershgorin intervals of K and M
-    with a scalar search for the largest lambda at which K - lambda*M is
-    provably positive semidefinite by scaled diagonal dominance.
+    With alpha the lower Gershgorin bound of K, the Rayleigh quotient is
+    at least alpha divided by the upper Gershgorin bound of M when alpha
+    is nonnegative, and alpha divided by a positive lower bound of M's
+    spectrum otherwise.  One pass over each matrix; it only places the
+    default shift, since ``solve_pencil`` proves the smallest eigenvalue
+    by an inertia count.
     """
     K = K.tocsr()
     M = M.tocsr()
-    dk = K.diagonal()
     dm = M.diagonal()
     if np.any(dm <= 0):
         raise SolverError("mass matrix has a nonpositive diagonal entry")
-    rk = _row_abs_offdiag(K)
-    rm = _row_abs_offdiag(M)
-    alpha = float(np.min(dk - rk))       # lower Gershgorin bound of K
-    beta = float(np.max(dm + rm))        # upper Gershgorin bound of M
+    alpha = float(np.min(K.diagonal() - _row_abs_offdiag(K)))  # lower Gershgorin bound of K
     if alpha >= 0:
-        base = alpha / beta
-    else:
-        base = alpha / _mass_lower_bound(M)
-    hi = float(np.min(dk / dm))
-    if hi <= base:
-        return base
-    best = base
-
-    def passes(lam: float) -> bool:
-        return _scaled_dominant((K - lam * M).tocsr())
-
-    lo = base
-    if not passes(lo):
-        return base
-    best = lo
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            best = mid
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return best
+        return alpha / float(np.max(dm + _row_abs_offdiag(M)))  # upper Gershgorin bound of M
+    return alpha / _mass_lower_bound(M)
 
 
 def eigen_lower_bound(forms) -> float:
@@ -185,6 +157,98 @@ def _dense_pair(K, M, tol):
     return value, vector
 
 
+def _lanczos_pair(K, M, shift, max_iter, history):
+    """Polished shift-inverted Lanczos pair: (value, vector, shift, applies).
+
+    The shift's LU lives only inside this call, so it is freed before the
+    caller factors again.  ``history`` is None unless the solve is verbose.
+    """
+    n = K.shape[0]
+    sigma = float(shift) if shift is not None else None
+    if sigma is None:
+        lb = pencil_lower_bound(K, M)
+        sigma = lb - 0.01 * max(1.0, abs(lb))
+    lu = None
+    for attempt in range(4):
+        try:
+            A = (K - sigma * M).tocsc()
+            lu = splu(A)
+            if not np.all(np.isfinite(lu.U.diagonal())):
+                raise RuntimeError("singular factor")
+            break
+        except RuntimeError:
+            if attempt == 3:
+                raise SolverError(
+                    f"factorization of K - sigma*M failed after 4 shifts (last {sigma})"
+                )
+            sigma = sigma - max(1.0, abs(sigma))
+    opinv = _CountingInverse(A, lu)
+    if history is not None:
+        Kc = K.tocsr()
+        Mc = M.tocsr()
+
+        def rq(x):
+            num = float(x @ (Kc @ x))
+            den = float(x @ (Mc @ x))
+            return num / den if den else float("nan")
+
+        opinv.rayleigh_log = history
+        opinv._rq = rq
+    v0 = np.ones(n)
+    try:
+        vals, vecs = eigsh(
+            K,
+            k=1,
+            M=M,
+            sigma=sigma,
+            which="LM",
+            v0=v0,
+            OPinv=opinv,
+            maxiter=max_iter,
+            tol=0,
+        )
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"eigensolve did not converge within {max_iter} iterations"
+        ) from exc
+    # one inverse-iteration step with the shift's LU lowers the
+    # residual's rounding floor below that of the raw Ritz pair
+    vector = opinv.matvec(M @ vecs[:, 0])
+    value = float(vector @ (K @ vector)) / float(vector @ (M @ vector))
+    return value, vector, sigma, opinv.count
+
+
+def _certify_smallest(K, M, lower: float) -> None:
+    """Prove by an inertia count that no eigenvalue lies below ``lower``.
+
+    SuperLU in symmetric mode with diagonal pivots only factors
+    P (K - lower*M) P^T = L U with U = D L^T, a congruence to D = diag(U).
+    By Sylvester's law the nonpositive pivots count the eigenvalues at or
+    below ``lower``.  Raises SolverError when any pivot is nonpositive, or
+    when SuperLU left the diagonal (perm_r != perm_c), since no count
+    can then be read from U.
+    """
+    try:
+        lu = splu(
+            (K - lower * M).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SolverError(f"inertia factorization of K - {lower!r}*M failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(
+            f"inertia count of K - {lower!r}*M impossible: symmetric pivoting was refused"
+        )
+    nonpositive = int(np.count_nonzero(~(lu.U.diagonal() > 0)))
+    if nonpositive:
+        raise SolverError(
+            f"K - {lower!r}*M has {nonpositive} nonpositive pivot(s): "
+            "the eigensolve did not find the smallest eigenvalue"
+        )
+
+
 def solve_pencil(
     K,
     M,
@@ -193,7 +257,13 @@ def solve_pencil(
     max_iter: int = 2000,
     verbose: bool = False,
 ) -> EigenResult:
-    """Smallest eigenvalue and M-normalized eigenvector of K x = lambda M x."""
+    """Smallest eigenvalue and M-normalized eigenvector of K x = lambda M x.
+
+    Raises ConvergenceError when the residual stays above ``tol`` and
+    SolverError when the inertia count cannot prove that the returned
+    value is the smallest eigenvalue (for example, an explicit shift above
+    the second eigenvalue).
+    """
     K = csc_matrix(K)
     M = csc_matrix(M)
     n = K.shape[0]
@@ -208,58 +278,9 @@ def solve_pencil(
     if method == "dense":
         value, vector = _dense_pair(K, M, tol)
     else:
-        sigma = float(shift) if shift is not None else None
-        if sigma is None:
-            lb = pencil_lower_bound(K, M)
-            sigma = lb - 0.01 * max(1.0, abs(lb))
-        lu = None
-        for attempt in range(4):
-            try:
-                A = (K - sigma * M).tocsc()
-                lu = splu(A)
-                if not np.all(np.isfinite(lu.U.diagonal())):
-                    raise RuntimeError("singular factor")
-                break
-            except RuntimeError:
-                if attempt == 3:
-                    raise SolverError(
-                        f"factorization of K - sigma*M failed after 4 shifts (last {sigma})"
-                    )
-                sigma = sigma - max(1.0, abs(sigma))
-        opinv = _CountingInverse(A, lu)
-        if verbose:
-            Kc = K.tocsr()
-            Mc = M.tocsr()
-
-            def rq(x):
-                num = float(x @ (Kc @ x))
-                den = float(x @ (Mc @ x))
-                return num / den if den else float("nan")
-
-            opinv.rayleigh_log = history
-            opinv._rq = rq
-        v0 = np.ones(n)
-        try:
-            vals, vecs = eigsh(
-                K,
-                k=1,
-                M=M,
-                sigma=sigma,
-                which="LM",
-                v0=v0,
-                OPinv=opinv,
-                maxiter=max_iter,
-                tol=0,
-            )
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"eigensolve did not converge within {max_iter} iterations"
-            ) from exc
-        # one inverse-iteration step with the shift's LU lowers the
-        # residual's rounding floor below that of the raw Ritz pair
-        vector = opinv.matvec(M @ vecs[:, 0])
-        value = float(vector @ (K @ vector)) / float(vector @ (M @ vector))
-        applications = opinv.count
+        value, vector, sigma, applications = _lanczos_pair(
+            K, M, shift, max_iter, history if verbose else None
+        )
     mx = M @ vector
     norm = float(np.sqrt(vector @ mx))
     if norm <= 0 or not np.isfinite(norm):
@@ -279,14 +300,18 @@ def solve_pencil(
         raise ConvergenceError(
             f"eigensolve residual {residual:.3e} above tolerance {tol:.3e}"
         )
+    certified_lower = value - max(tol, 1e-12) * max(1.0, abs(value))
+    if method != "dense":
+        _certify_smallest(K, M, certified_lower)
     return EigenResult(
         value=value,
         vector=vector,
         residual=residual,
         backward_error=backward_error,
+        certified_lower=certified_lower,
         iterations=applications,
         converged=converged,
-        shift=sigma if method != "dense" else 0.0,
+        shift=sigma,
         method=method,
         history=history,
     )

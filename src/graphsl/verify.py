@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import expressions
 from .coeff import load_coefficients
@@ -242,6 +243,21 @@ def check_compact_perturbation(rng) -> tuple[bool, str]:
     return lam_a == lam_b, f"annulus eigenvalue {lam_a!r} == {lam_b!r}"
 
 
+def check_pencil_inertia(rng) -> tuple[bool, str]:
+    """LAPACK finds no eigenvalue below the certified bound and one within delta above it."""
+    _, _, forms = _star_setup({"default": {"q": -1.5}})
+    res = smallest_eigenpair(forms, tol=1e-10)
+    K, M = forms.pencil()
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    delta = res.value - res.certified_lower
+    below = int(np.count_nonzero(dense < res.certified_lower))
+    within = int(np.count_nonzero(dense < res.value + delta))
+    return (below, within) == (0, 1), (
+        f"dense eigenvalues below value - delta: {below}, below value + delta: {within} "
+        f"(delta {delta:.3e})"
+    )
+
+
 CHECKS = [
     ("expression-round-trip", check_expression_round_trip),
     ("pencil-shift", check_pencil_shift),
@@ -253,6 +269,7 @@ CHECKS = [
     ("persson-monotone", check_persson_monotone),
     ("matrix-symmetry", check_matrix_symmetry),
     ("compact-perturbation", check_compact_perturbation),
+    ("pencil-inertia", check_pencil_inertia),
 ]
 
 

@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+from graphsl import eig
 from graphsl.coeff import load_coefficients
 from graphsl.eig import (
     dense_reference,
@@ -13,9 +16,10 @@ from graphsl.eig import (
     solve_pencil,
 )
 from graphsl.errors import SolverError
-from graphsl.families import path, star
+from graphsl.families import path, star, tree
 from graphsl.fem import DirichletTruncationSpec, assemble, build_mesh
-from graphsl.graph import load_graph
+from graphsl.graph import build_exhaustion, load_graph
+from graphsl.spectral import dirichlet_vertices
 
 
 def dirichlet_forms(g, h, doc=None):
@@ -103,6 +107,8 @@ def test_result_contract():
     backward = np.linalg.norm(K @ res.vector - res.value * mx) / (scale * np.linalg.norm(res.vector))
     assert res.backward_error == pytest.approx(backward, rel=1e-12, abs=1e-18)
     assert res.backward_error <= 1e-15
+    delta = max(1e-9, 1e-12) * max(1.0, abs(res.value))
+    assert res.certified_lower == res.value - delta
     assert res.converged
     assert res.method == "shift-invert-lanczos"
     assert res.iterations > 0
@@ -121,6 +127,7 @@ def test_tiny_pencil_uses_dense_path():
     assert res.method == "dense"
     # single hat at the midpoint: Rayleigh quotient (2/h) / (2h/3) with h=1/2
     assert res.value == pytest.approx(12.0, abs=1e-10)
+    assert res.certified_lower == res.value - 1e-8 * res.value
 
 
 def test_mass_shift_identity():
@@ -156,3 +163,76 @@ def test_negative_spectrum_found_without_hints():
     dv, _ = dense_reference(forms)
     assert res.value < 0
     assert res.value == pytest.approx(dv, rel=1e-10)
+
+
+# --- inertia certificate ---------------------------------------------------------
+
+
+def star_pencil():
+    """star(3) Dirichlet pencil and its dense spectrum (lambda_1 = 2.47, lambda_2 = 9.89)."""
+    K, M = dirichlet_forms(load_graph(star(3)), 0.1).pencil()
+    vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
+    return K, M, vals, vecs
+
+
+def test_explicit_shift_above_the_bottom_is_refused():
+    K, M, vals, _ = star_pencil()
+    shift = vals[0] + 0.8 * (vals[1] - vals[0])   # nearest eigenvalue is lambda_2
+    with pytest.raises(SolverError, match="nonpositive pivot"):
+        solve_pencil(K, M, shift=shift)
+
+
+def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
+    K, M, vals, vecs = star_pencil()
+    monkeypatch.setattr(eig, "eigsh", lambda *args, **kwargs: (vals[1:2], vecs[:, 1:2]))
+    with pytest.raises(SolverError, match="1 nonpositive pivot"):
+        solve_pencil(K, M)
+
+
+def test_certificate_raises_when_symmetric_pivoting_is_refused(monkeypatch):
+    K, M, _, _ = star_pencil()
+    real = eig.splu
+
+    def splu(A, **kwargs):
+        lu = real(A, **kwargs)
+        if "options" not in kwargs:                # the shift's own LU
+            return lu
+        return SimpleNamespace(perm_r=lu.perm_r, perm_c=np.roll(lu.perm_c, 1), U=lu.U)
+
+    monkeypatch.setattr(eig, "splu", splu)
+    with pytest.raises(SolverError, match="symmetric pivoting was refused"):
+        solve_pencil(K, M)
+
+
+def star_piecewise_q():
+    g = load_graph(star(4))
+    return dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
+
+
+def tree_negative_q_level():
+    g = load_graph(tree(3))
+    level = build_exhaustion(g, "n0", 3).levels[2]
+    spec = DirichletTruncationSpec(vertices=dirichlet_vertices(g, level, True))
+    field = load_coefficients({"default": {"q": {"expr": "-4+0.3*sin(2*x)"}}}, g)
+    return assemble(build_mesh(g, 0.05, edges=level, constraints=spec), field)
+
+
+def restricted_annulus():
+    g = load_graph(path(8))
+    ex = build_exhaustion(g, "v00", 6)
+    field = load_coefficients({"default": {"q": {"expr": "1/(1+x)"}}}, g)
+    parent = assemble(build_mesh(g, 0.05, edges=ex.levels[5]), field)
+    annulus = ex.levels[5] - ex.levels[2]
+    return parent.restrict(annulus, dirichlet_vertices(g, annulus, True), "annulus-2-5")
+
+
+@pytest.mark.parametrize("make_forms", [star_piecewise_q, tree_negative_q_level, restricted_annulus])
+def test_inertia_agrees_with_lapack(make_forms):
+    forms = make_forms()
+    res = smallest_eigenpair(forms, tol=1e-10)
+    K, M = forms.pencil()
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    delta = res.value - res.certified_lower
+    assert delta > 0
+    assert np.count_nonzero(dense < res.certified_lower) == 0
+    assert np.count_nonzero(dense < res.value + delta) == 1
