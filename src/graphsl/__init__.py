@@ -34,7 +34,6 @@ from .expressions import evaluate as evaluate_expression
 from .expressions import parse_expression, pretty
 from .fem import (
     AssembledForms,
-    DirichletTruncationSpec,
     GraphMesh,
     assemble,
     build_mesh,
@@ -70,7 +69,6 @@ __all__ = [
     "CoefficientField",
     "ConvergenceError",
     "CutoffFunction",
-    "DirichletTruncationSpec",
     "Edge",
     "EigenResult",
     "EvaluationError",

@@ -26,7 +26,6 @@ from .errors import CoefficientError, EvaluationError, IntegrabilityError
 from .graph import MetricGraph
 
 _FIELD_NAMES = ("p", "q", "w")
-_DEFAULTS = {"p": 1.0, "q": 0.0, "w": 1.0}
 
 # transforms applied on top of a base field when integrating
 _TRANSFORMS = {
@@ -172,6 +171,11 @@ class ShiftedSpec:
         return f"shift({self.inner.describe()}, {self.shift})"
 
 
+# built-in constants, one shared spec per field name so that edges without
+# an entry sample together
+_DEFAULTS = {"p": ConstantSpec(1.0), "q": ConstantSpec(0.0), "w": ConstantSpec(1.0)}
+
+
 def _parse_spec(raw):
     if isinstance(raw, bool):
         raise CoefficientError(f"coefficient value must be numeric, got {raw!r}")
@@ -239,7 +243,7 @@ class CoefficientField:
         default = self._entries.get("default")
         if default is not None and name in default:
             return default[name]
-        return ConstantSpec(_DEFAULTS[name])
+        return _DEFAULTS[name]
 
     def spec(self, edge_id: str, name: str):
         try:
@@ -467,7 +471,8 @@ def validate_hypotheses(
     best_cw = -math.inf
     best_compact = candidates[0]
     for cand in candidates:
-        outside = [e.id for e in g.edges if e.id not in set(cand)]
+        inside = set(cand)
+        outside = [e.id for e in g.edges if e.id not in inside]
         if not outside:
             continue
         cw = min(sampled_min(field, eid, "w") for eid in outside)

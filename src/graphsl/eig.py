@@ -148,7 +148,7 @@ class _CountingInverse(LinearOperator):
         return x
 
 
-def _dense_pair(K, M, tol):
+def _dense_pair(K, M):
     Kd = K.toarray() if issparse(K) else np.asarray(K)
     Md = M.toarray() if issparse(M) else np.asarray(M)
     vals, vecs = scipy.linalg.eigh(Kd, Md)
@@ -276,7 +276,7 @@ def solve_pencil(
     applications = 0
     sigma = 0.0
     if method == "dense":
-        value, vector = _dense_pair(K, M, tol)
+        value, vector = _dense_pair(K, M)
     else:
         value, vector, sigma, applications = _lanczos_pair(
             K, M, shift, max_iter, history if verbose else None
@@ -325,6 +325,4 @@ def smallest_eigenpair(forms, shift=None, tol: float = 1e-8, max_iter: int = 200
 
 def dense_reference(forms) -> tuple[float, np.ndarray]:
     """Dense (LAPACK) smallest eigenpair, as an independent cross-check."""
-    K, M = forms.pencil()
-    vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
-    return float(vals[0]), vecs[:, 0]
+    return _dense_pair(*forms.pencil())

@@ -44,7 +44,7 @@ class IntegrabilityError(GraphslError):
 
 
 class MeshError(GraphslError):
-    """Mesh construction failed (empty selection, bad h, bad cut point)."""
+    """Mesh construction failed (empty selection, bad h, bad constrained vertex)."""
 
 
 class SolverError(GraphslError):

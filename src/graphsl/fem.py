@@ -8,9 +8,10 @@ shared through the vertex, discretize the form
 
 Vertex continuity is built into the degree-of-freedom map, so the natural
 (Kirchhoff) matching conditions come out of the weak form; Dirichlet
-conditions are imposed by eliminating the constrained rows and columns.
-Interior truncation points are realized by inserting a mesh node at the
-cut offset and constraining it.
+conditions at vertices are imposed by eliminating the constrained rows and
+columns.  Every quadrature over a mesh (assembly, the direct form and mass
+values, the ground-state transform) reads the one flat sample set that
+:func:`mesh_samples` builds.
 """
 
 from __future__ import annotations
@@ -28,42 +29,21 @@ from .errors import CoefficientError, MeshError
 from .graph import MetricGraph
 
 
-@dataclass(frozen=True)
-class DirichletTruncationSpec:
-    """Dirichlet constraints for a (sub)graph problem.
+class GraphMesh:
+    """Mesh over a subset of edges with a shared vertex dof map.
 
-    ``vertices`` are constrained vertex ids; ``cut_points`` are
-    ``(edge_id, offset)`` pairs where a node is inserted and constrained.
+    Constrained (Dirichlet) vertices carry dof -1.
     """
 
-    vertices: frozenset = frozenset()
-    cut_points: tuple = ()
-
-    @staticmethod
-    def none() -> "DirichletTruncationSpec":
-        return DirichletTruncationSpec(frozenset(), ())
-
-
-class GraphMesh:
-    """Mesh over a subset of edges with a shared vertex dof map."""
-
-    def __init__(self, graph, edge_ids, h, constraints, edge_offsets, edge_dofs, vertex_dof, n_free, dof_labels):
+    def __init__(self, graph, edge_ids, h, edge_offsets, edge_dofs, vertex_dof, n_free, dof_labels):
         self.graph = graph
         self.edge_ids = edge_ids
         self.h = h
-        self.constraints = constraints
         self.edge_offsets = edge_offsets
         self.edge_dofs = edge_dofs
         self.vertex_dof = vertex_dof
         self.n_free = n_free
         self.dof_labels = dof_labels
-
-    @property
-    def vertices(self) -> frozenset:
-        return frozenset(self.vertex_dof)
-
-    def free_vertices(self) -> list[str]:
-        return [v for v, d in self.vertex_dof.items() if d >= 0]
 
     def value_at_vertex(self, f: np.ndarray, v: str) -> float:
         d = self.vertex_dof[v]
@@ -122,10 +102,6 @@ class GraphMesh:
             graph=self.graph,
             edge_ids=tuple(selected),
             h=self.h,
-            constraints=DirichletTruncationSpec(
-                vertices=frozenset(v for v, d in vertex_dof.items() if d < 0),
-                cut_points=tuple(c for c in self.constraints.cut_points if c[0] in inside),
-            ),
             edge_offsets={eid: self.edge_offsets[eid] for eid in selected},
             edge_dofs={eid: renumber[self.edge_dofs[eid]] for eid in selected},
             vertex_dof=vertex_dof,
@@ -140,21 +116,14 @@ def _cell_count(length: float, h: float) -> int:
     return max(1, math.ceil(length / h - 1e-9))
 
 
-def build_mesh(
-    g: MetricGraph,
-    h: float,
-    edges=None,
-    constraints: DirichletTruncationSpec | None = None,
-) -> GraphMesh:
+def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozenset()) -> GraphMesh:
     """Mesh the selected edges with cells of size at most ``h``.
 
-    ``edges`` is an iterable of edge ids (default: the whole graph).  Cut
-    points on unselected edges are rejected; cut points that coincide with
-    an existing node constrain that node instead of inserting a new one.
+    ``edges`` is an iterable of edge ids (default: the whole graph);
+    ``dirichlet_vertices`` are vertices of the selection that carry no dof.
     """
     if not (isinstance(h, (int, float)) and h > 0):
         raise MeshError(f"mesh size must be positive, got {h!r}")
-    constraints = constraints or DirichletTruncationSpec.none()
     if edges is None:
         selected = [e.id for e in g.edges]
     else:
@@ -169,78 +138,39 @@ def build_mesh(
         e = g.edge(eid)
         vertices.add(e.src)
         vertices.add(e.dst)
-    for v in constraints.vertices:
+    dirichlet = frozenset(dirichlet_vertices)
+    for v in dirichlet:
         if v not in vertices:
             raise MeshError(f"constrained vertex {v!r} not in meshed subgraph")
-    cuts_by_edge: dict[str, list[float]] = {}
-    for eid, offset in constraints.cut_points:
-        if eid not in set(selected):
-            raise MeshError(f"cut point on unselected edge {eid!r}")
-        length = g.edge(eid).length
-        if not (0.0 <= offset <= length):
-            raise MeshError(f"cut offset {offset} outside edge {eid!r}")
-        cuts_by_edge.setdefault(eid, []).append(float(offset))
-
-    edge_offsets: dict[str, np.ndarray] = {}
-    constrained_interior: dict[str, set[int]] = {}
-    for eid in selected:
-        e = g.edge(eid)
-        m = _cell_count(e.length, h)
-        offsets = np.linspace(0.0, e.length, m + 1)
-        constrained_nodes: set[int] = set()
-        for s in sorted(cuts_by_edge.get(eid, [])):
-            tol = 1e-12 * max(1.0, e.length)
-            j = int(np.argmin(np.abs(offsets - s)))
-            if abs(offsets[j] - s) <= tol:
-                if j == 0:
-                    constrained_nodes.add(0)
-                elif j == len(offsets) - 1:
-                    constrained_nodes.add(-1)
-                else:
-                    constrained_nodes.add(j)
-            else:
-                offsets = np.sort(np.append(offsets, s))
-                j = int(np.searchsorted(offsets, s))
-                remap = set()
-                for k in constrained_nodes:
-                    remap.add(k if (k < 0 or k < j) else k + 1)
-                constrained_nodes = remap
-                constrained_nodes.add(j)
-        edge_offsets[eid] = offsets
-        constrained_interior[eid] = constrained_nodes
 
     vertex_dof: dict[str, int] = {}
     next_dof = 0
     dof_labels: list[tuple] = []
     for v in sorted(vertices):
-        if v in constraints.vertices:
+        if v in dirichlet:
             vertex_dof[v] = -1
         else:
             vertex_dof[v] = next_dof
             dof_labels.append(("vertex", v))
             next_dof += 1
+    edge_offsets: dict[str, np.ndarray] = {}
     edge_dofs: dict[str, np.ndarray] = {}
     for eid in selected:
         e = g.edge(eid)
-        offsets = edge_offsets[eid]
+        offsets = np.linspace(0.0, e.length, _cell_count(e.length, h) + 1)
+        interior = len(offsets) - 2
         dofs = np.empty(len(offsets), dtype=np.int64)
-        constrained = constrained_interior[eid]
-        endpoint_constrained = {len(offsets) - 1 if k == -1 else k for k in constrained}
-        dofs[0] = -1 if 0 in endpoint_constrained else vertex_dof[e.src]
-        dofs[-1] = -1 if (len(offsets) - 1) in endpoint_constrained else vertex_dof[e.dst]
-        for j in range(1, len(offsets) - 1):
-            if j in endpoint_constrained:
-                dofs[j] = -1
-            else:
-                dofs[j] = next_dof
-                dof_labels.append((eid, float(offsets[j])))
-                next_dof += 1
+        dofs[0] = vertex_dof[e.src]
+        dofs[-1] = vertex_dof[e.dst]
+        dofs[1:-1] = np.arange(next_dof, next_dof + interior)
+        dof_labels.extend((eid, float(x)) for x in offsets[1:-1])
+        next_dof += interior
+        edge_offsets[eid] = offsets
         edge_dofs[eid] = dofs
     return GraphMesh(
         graph=g,
         edge_ids=tuple(selected),
         h=float(h),
-        constraints=constraints,
         edge_offsets=edge_offsets,
         edge_dofs=edge_dofs,
         vertex_dof=vertex_dof,
@@ -249,66 +179,132 @@ def build_mesh(
     )
 
 
-# --- quadrature sampling ------------------------------------------------------
+# --- quadrature samples -------------------------------------------------------
 
 
-@dataclass
-class EdgeSamples:
-    """Quadrature data for one meshed edge, flattened over all cells."""
+@dataclass(frozen=True)
+class MeshSamples:
+    """Gauss samples over every cell of a mesh, edge after edge.
 
-    edge_id: str
+    Cells follow ``mesh.edge_ids`` and run along each edge; ``d0``, ``d1``
+    and ``hcell`` hold one entry per cell, the other arrays one per sample.
+    A cell cut by a coefficient breakpoint carries one Gauss panel per
+    piece, in order along the edge.
+    """
+
+    mesh: GraphMesh
+    d0: np.ndarray         # dof of the left cell node (-1 constrained)
+    d1: np.ndarray         # dof of the right cell node
     hcell: np.ndarray      # cell lengths
-    d0: np.ndarray         # dof of left cell node (-1 constrained)
-    d1: np.ndarray         # dof of right cell node
     cell_idx: np.ndarray   # sample -> cell
-    xs: np.ndarray         # sample offsets along the edge
+    edge: np.ndarray       # sample -> position in mesh.edge_ids
     tloc: np.ndarray       # sample position within its cell, in [0, 1]
     wq: np.ndarray         # quadrature weights
     p: np.ndarray
     q: np.ndarray
     w: np.ndarray
 
+    def p1(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and slopes at the samples of the hat-function expansion of f."""
+        nodal = np.append(f, 0.0)  # dof -1 reads the appended zero
+        f0, f1 = nodal[self.d0], nodal[self.d1]
+        slope = (f1 - f0) / self.hcell
+        c = self.cell_idx
+        return f0[c] * (1.0 - self.tloc) + f1[c] * self.tloc, slope[c]
 
-def edge_sample_data(mesh: GraphMesh, field: CoefficientField, edge_id: str) -> EdgeSamples:
-    offsets = mesh.edge_offsets[edge_id]
-    dofs = mesh.edge_dofs[edge_id]
-    a = offsets[:-1]
-    hcell = np.diff(offsets)
-    nodes, weights = _gauss_rule(field.quad_order)
-    breaks = [s for s in field.breakpoints(edge_id)]
-    if not breaks:
-        tref = 0.5 * (nodes + 1.0)
-        xs = (a[:, None] + hcell[:, None] * tref[None, :]).ravel()
-        tloc = np.broadcast_to(tref, (len(a), len(tref))).ravel()
-        wq = (hcell[:, None] * 0.5 * weights[None, :]).ravel()
-        cell_idx = np.repeat(np.arange(len(a), dtype=np.int64), len(tref))
-    else:
-        xs_l, tl_l, wq_l, ci_l = [], [], [], []
-        for c in range(len(a)):
-            lo, hi = float(offsets[c]), float(offsets[c + 1])
-            knots = [lo] + [s for s in breaks if lo < s < hi] + [hi]
-            for plo, phi in zip(knots, knots[1:]):
-                px = 0.5 * (phi - plo) * (nodes + 1.0) + plo
-                xs_l.append(px)
-                tl_l.append((px - lo) / (hi - lo))
-                wq_l.append(0.5 * (phi - plo) * weights)
-                ci_l.append(np.full(len(px), c, dtype=np.int64))
-        xs = np.concatenate(xs_l)
-        tloc = np.concatenate(tl_l)
-        wq = np.concatenate(wq_l)
-        cell_idx = np.concatenate(ci_l)
-    return EdgeSamples(
-        edge_id=edge_id,
+    def edge_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge sums of a sample array, in ``mesh.edge_ids`` order."""
+        return np.bincount(self.edge, weights=values, minlength=len(self.mesh.edge_ids))
+
+    def edge_sup(self, f: np.ndarray) -> np.ndarray:
+        """Per-edge maximum of |f| over the nodes, the sup of its expansion."""
+        nodal = np.abs(np.append(f, 0.0))
+        cell_max = np.maximum(nodal[self.d0], nodal[self.d1])
+        out = np.zeros(len(self.mesh.edge_ids))
+        np.maximum.at(out, self.edge, cell_max[self.cell_idx])
+        return out
+
+
+def _sample_field(field: CoefficientField, edge_ids, name: str, edge: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Field ``name`` at ``xs``, one evaluation per distinct spec object.
+
+    The edges sharing a spec are evaluated together, in mesh order, under
+    the id of the first of them.
+    """
+    specs = [field.spec(eid, name) for eid in edge_ids]
+    first: dict = {}
+    for k, spec in enumerate(specs):
+        first.setdefault(spec, k)
+    head = np.array([first[spec] for spec in specs])[edge]  # sample -> first edge of its spec
+    order = np.argsort(head, kind="stable")
+    grouped = head[order]
+    out = np.empty(len(xs))
+    for idx in np.split(order, np.flatnonzero(grouped[1:] != grouped[:-1]) + 1):
+        out[idx] = field.evaluate(edge_ids[head[idx[0]]], name, xs[idx])
+    return out
+
+
+def _all_but_last(sizes) -> np.ndarray:
+    """Positions of every entry but the last of each run of ``sizes``."""
+    keep = np.ones(int(np.sum(sizes)), dtype=bool)
+    keep[np.cumsum(sizes) - 1] = False
+    return np.flatnonzero(keep)
+
+
+def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
+    """Flat quadrature samples of p, q, w over every cell of ``mesh``.
+
+    Uncut cells take the Gauss rule scaled to the cell.  On an edge where
+    p, q or w jumps, every cell is split at the jumps into Gauss panels.
+    """
+    ids = mesh.edge_ids
+    offsets = [mesh.edge_offsets[eid] for eid in ids]
+    breaks = [field.breakpoints(eid) for eid in ids]
+    split = np.array([bool(b) for b in breaks])
+    nodes = np.concatenate(offsets)
+    dofs = np.concatenate([mesh.edge_dofs[eid] for eid in ids])
+    left = _all_but_last([len(o) for o in offsets])  # first node of each cell
+    hcell = nodes[left + 1] - nodes[left]
+
+    # panels run between consecutive knots of an edge: its nodes and its
+    # breakpoints; a panel lies in the cell of the last node at or before it
+    knots = [np.unique(np.concatenate([o, b])) if b else o for o, b in zip(offsets, breaks)]
+    sizes = np.array([len(k) for k in knots])
+    starts = np.cumsum(sizes) - sizes
+    is_node = np.ones(int(sizes.sum()), dtype=bool)
+    for e in np.flatnonzero(split):
+        is_node[starts[e] : starts[e] + sizes[e]] = np.isin(knots[e], offsets[e])
+    panel = _all_but_last(sizes)
+    pedge = np.repeat(np.arange(len(ids)), sizes)[panel]
+    pcell = (np.cumsum(is_node) - 1)[panel] - pedge  # each earlier edge has one spare node
+    all_knots = np.concatenate(knots)
+    plo = all_knots[panel][:, None]
+    width = (all_knots[panel + 1] - all_knots[panel])[:, None]
+
+    gauss, weights = _gauss_rule(field.quad_order)
+    tref = 0.5 * (gauss + 1.0)
+    xs = plo + width * tref
+    tloc = np.tile(tref, (len(panel), 1))
+    # on edges with a jump the points are placed per panel instead; the two
+    # placements round differently, and each kind of edge keeps its own so
+    # that assembled matrices stay bitwise reproducible
+    cut = split[pedge]
+    xs[cut] = 0.5 * width[cut] * (gauss + 1.0) + plo[cut]
+    tloc[cut] = (xs[cut] - nodes[left][pcell[cut], None]) / hcell[pcell[cut], None]
+    xs, tloc = xs.ravel(), tloc.ravel()
+    edge = np.repeat(pedge, len(gauss))
+    return MeshSamples(
+        mesh=mesh,
+        d0=dofs[left],
+        d1=dofs[left + 1],
         hcell=hcell,
-        d0=dofs[:-1].copy(),
-        d1=dofs[1:].copy(),
-        cell_idx=cell_idx,
-        xs=xs,
+        cell_idx=np.repeat(pcell, len(gauss)),
+        edge=edge,
         tloc=tloc,
-        wq=wq,
-        p=field.evaluate(edge_id, "p", xs),
-        q=field.evaluate(edge_id, "q", xs),
-        w=field.evaluate(edge_id, "w", xs),
+        wq=(0.5 * width * weights).ravel(),
+        p=_sample_field(field, ids, "p", edge, xs),
+        q=_sample_field(field, ids, "q", edge, xs),
+        w=_sample_field(field, ids, "w", edge, xs),
     )
 
 
@@ -360,31 +356,29 @@ def assemble(mesh: GraphMesh, field: CoefficientField, domain: str = "graph") ->
     """Assemble stiffness, potential and mass matrices on a mesh.
 
     Raises CoefficientError if p or w is nonpositive at any quadrature
-    sample; the mass matrix is then positive definite by construction.
+    sample, naming the first such edge in mesh order; the mass matrix is
+    then positive definite by construction.
     """
-    samples = []
-    for eid in mesh.edge_ids:
-        data = edge_sample_data(mesh, field, eid)
-        if np.any(data.p <= 0.0) or not np.all(np.isfinite(data.p)):
-            raise CoefficientError(f"p must be positive and finite on edge {eid!r}")
-        if np.any(data.w <= 0.0) or not np.all(np.isfinite(data.w)):
-            raise CoefficientError(f"w must be positive and finite on edge {eid!r}")
-        if not np.all(np.isfinite(data.q)):
-            raise CoefficientError(f"q must be finite on edge {eid!r}")
-        samples.append(data)
+    s = mesh_samples(mesh, field)
+    checks = (
+        ("p", "positive and finite", ~(np.isfinite(s.p) & (s.p > 0.0))),
+        ("w", "positive and finite", ~(np.isfinite(s.w) & (s.w > 0.0))),
+        ("q", "finite", ~np.isfinite(s.q)),
+    )
+    # the first offending edge in mesh order, then its first offending field
+    offending = [
+        (s.edge[np.argmax(bad)], rank, name, demand)
+        for rank, (name, demand, bad) in enumerate(checks)
+        if bad.any()
+    ]
+    if offending:
+        edge, _, name, demand = min(offending)
+        raise CoefficientError(f"{name} must be {demand} on edge {mesh.edge_ids[edge]!r}")
     n = mesh.n_free
     if n == 0:
         raise MeshError("mesh has no free degrees of freedom")
-
-    def joined(name):
-        return np.concatenate([getattr(data, name) for data in samples])
-
-    first_cell = np.cumsum([0] + [len(data.hcell) for data in samples])
-    cell_idx = np.concatenate([data.cell_idx + c for data, c in zip(samples, first_cell)])
-    acc = _kernels.accumulate(
-        cell_idx, joined("tloc"), joined("wq"), joined("p"), joined("q"), joined("w"), int(first_cell[-1])
-    )
-    rows, cols, vp, vq, vm = _kernels.triplets(joined("d0"), joined("d1"), joined("hcell"), *acc)
+    acc = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
+    rows, cols, vp, vq, vm = _kernels.triplets(s.d0, s.d1, s.hcell, *acc)
 
     def make(values):
         mat = coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
@@ -406,30 +400,16 @@ def form_value(mesh: GraphMesh, field: CoefficientField, f: np.ndarray) -> float
     Independent of the assembled matrices; used to cross-check that
     x^T (K_p + K_q) x reproduces the quadrature value of the form.
     """
-    total = 0.0
-    for eid in mesh.edge_ids:
-        data = edge_sample_data(mesh, field, eid)
-        vals = mesh.edge_values(f, eid)
-        v0 = vals[:-1][data.cell_idx]
-        v1 = vals[1:][data.cell_idx]
-        slope = (vals[1:] - vals[:-1]) / data.hcell
-        interp = v0 * (1.0 - data.tloc) + v1 * data.tloc
-        total += float(np.dot(data.wq, data.p * slope[data.cell_idx] ** 2))
-        total += float(np.dot(data.wq, data.q * interp**2))
-    return total
+    s = mesh_samples(mesh, field)
+    value, slope = s.p1(f)
+    return float(np.dot(s.wq, s.p * slope**2 + s.q * value**2))
 
 
 def mass_value(mesh: GraphMesh, field: CoefficientField, f: np.ndarray) -> float:
     """Direct quadrature of integral w |f|^2 for a nodal vector."""
-    total = 0.0
-    for eid in mesh.edge_ids:
-        data = edge_sample_data(mesh, field, eid)
-        vals = mesh.edge_values(f, eid)
-        v0 = vals[:-1][data.cell_idx]
-        v1 = vals[1:][data.cell_idx]
-        interp = v0 * (1.0 - data.tloc) + v1 * data.tloc
-        total += float(np.dot(data.wq, data.w * interp**2))
-    return total
+    s = mesh_samples(mesh, field)
+    value, _ = s.p1(f)
+    return float(np.dot(s.wq, s.w * value**2))
 
 
 def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, vertex: str) -> float:

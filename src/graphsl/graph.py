@@ -334,16 +334,13 @@ class Exhaustion:
 
     ``levels[n]`` holds the ids of edges whose endpoints both lie within
     path distance ``n`` of the root; ``haloes[n]`` additionally holds edges
-    with exactly one endpoint within distance ``n``.  ``cut_points[n]`` lists
-    ``(edge, offset)`` positions where the radius-``n`` ball crosses a halo
-    edge interior, for callers that want ball-exact truncations.
+    with exactly one endpoint within distance ``n``.
     """
 
     graph: MetricGraph
     root: str
     levels: tuple[frozenset, ...]
     haloes: tuple[frozenset, ...]
-    cut_points: tuple[tuple[tuple[str, float], ...], ...]
 
     @property
     def max_level(self) -> int:
@@ -366,27 +363,19 @@ def build_exhaustion(g: MetricGraph, root: str, max_level: int) -> Exhaustion:
     if max_level < 0:
         raise GraphStructureError("max_level must be >= 0")
     dist = g.vertex_distances(root)
-    levels, haloes, cuts = [], [], []
+    levels, haloes = [], []
     for n in range(max_level + 1):
         level = set()
         halo = set()
-        level_cuts = []
         for e in g.edges:
             inside = (dist[e.src] <= n + 1e-12, dist[e.dst] <= n + 1e-12)
             if all(inside):
                 level.add(e.id)
             elif any(inside):
                 halo.add(e.id)
-                if inside[0]:
-                    s = n - dist[e.src]
-                else:
-                    s = e.length - (n - dist[e.dst])
-                if 1e-12 < s < e.length - 1e-12:
-                    level_cuts.append((e.id, float(s)))
         levels.append(frozenset(level))
         haloes.append(frozenset(level | halo))
-        cuts.append(tuple(sorted(level_cuts)))
-    ex = Exhaustion(g, root, tuple(levels), tuple(haloes), tuple(cuts))
+    ex = Exhaustion(g, root, tuple(levels), tuple(haloes))
     for n in range(max_level):
         if not ex.levels[n] <= ex.levels[n + 1]:
             raise GraphStructureError("exhaustion levels failed to nest")

@@ -36,8 +36,8 @@ from .fem import (
     GraphMesh,
     assemble,
     build_mesh,
-    edge_sample_data,
     kirchhoff_residual,
+    mesh_samples,
 )
 from .graph import Exhaustion, MetricGraph
 
@@ -688,22 +688,11 @@ def ground_state_transform_check(
     forms = cert.forms if cert.forms is not None else assemble(mesh, field)
     K, _ = forms.pencil()
     lhs = float(trial @ (K @ trial))
-    y = cert.values
-    gt = trial / y
-    rhs = 0.0
-    for eid in mesh.edge_ids:
-        data = edge_sample_data(mesh, field, eid)
-        yv = mesh.edge_values(y, eid)
-        gv = mesh.edge_values(gt, eid)
-        y0 = yv[:-1][data.cell_idx]
-        y1 = yv[1:][data.cell_idx]
-        g0 = gv[:-1][data.cell_idx]
-        g1 = gv[1:][data.cell_idx]
-        y_interp = y0 * (1.0 - data.tloc) + y1 * data.tloc
-        g_interp = g0 * (1.0 - data.tloc) + g1 * data.tloc
-        g_slope = (gv[1:] - gv[:-1]) / data.hcell
-        rhs += float(np.dot(data.wq, data.p * (g_slope[data.cell_idx] * y_interp) ** 2))
-        rhs += lam * float(np.dot(data.wq, data.w * (g_interp * y_interp) ** 2))
+    s = mesh_samples(mesh, field)
+    y_value, _ = s.p1(cert.values)
+    g_value, g_slope = s.p1(trial / cert.values)
+    rhs = float(np.dot(s.wq, s.p * (g_slope * y_value) ** 2))
+    rhs += lam * float(np.dot(s.wq, s.w * (g_value * y_value) ** 2))
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     return GSTReport(lhs=lhs, rhs=rhs, residual=residual)
 

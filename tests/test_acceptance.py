@@ -17,11 +17,10 @@ from graphsl.coeff import load_coefficients
 from graphsl.eig import dense_reference, smallest_eigenpair, solve_pencil
 from graphsl.families import ladder, path, star, tree
 from graphsl.fem import (
-    DirichletTruncationSpec,
     assemble,
     build_mesh,
-    edge_sample_data,
     kirchhoff_residual,
+    mesh_samples,
 )
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import (
@@ -48,7 +47,7 @@ def _finish(name: str, start: float, budget: float, checks: list):
 
 
 def _dirichlet_bottom(g, doc, h):
-    mesh = build_mesh(g, h, constraints=DirichletTruncationSpec(vertices=g.boundary))
+    mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
     forms = assemble(mesh, load_coefficients(doc, g))
     return smallest_eigenpair(forms, tol=1e-10), mesh, forms
 
@@ -215,7 +214,7 @@ def test_persson_suite():
         mats = []
         for field in (free, well):
             mesh = build_mesh(
-                g, h, edges=edge_ids, constraints=DirichletTruncationSpec(vertices=boundary)
+                g, h, edges=edge_ids, dirichlet_vertices=boundary
             )
             K, M = assemble(mesh, field).pencil()
             mats.append((K, M))
@@ -278,28 +277,19 @@ def test_sobolev_suite():
     constants = [est.constant for est in estimates]
     monotone = all(a >= b for a, b in zip(constants, constants[1:]))
 
-    mesh = build_mesh(g, 0.05, constraints=None)
+    s = mesh_samples(build_mesh(g, 0.05), field)
     rng = np.random.default_rng(271828)
     violations = 0
-    per_edge = {}
-    for eid in mesh.edge_ids:
-        data = edge_sample_data(mesh, field, eid)
-        per_edge[eid] = data
     for _ in range(200):
-        f = rng.normal(size=mesh.n_free)
-        for eid, data in per_edge.items():
-            vals = mesh.edge_values(f, eid)
-            slope = (vals[1:] - vals[:-1]) / data.hcell
-            interp = (
-                vals[:-1][data.cell_idx] * (1.0 - data.tloc)
-                + vals[1:][data.cell_idx] * data.tloc
+        f = rng.normal(size=s.mesh.n_free)
+        value, slope = s.p1(f)
+        grad = s.edge_sums(s.wq * s.p * slope**2)
+        mass = s.edge_sums(s.wq * s.w * value**2)
+        sup2 = s.edge_sup(f) ** 2
+        for est in estimates:
+            violations += int(
+                np.count_nonzero(sup2 > (est.epsilon * grad + est.constant * mass) * (1 + 1e-12))
             )
-            grad = float(np.dot(data.wq, data.p * slope[data.cell_idx] ** 2))
-            mass = float(np.dot(data.wq, data.w * interp**2))
-            sup2 = float(np.max(vals**2))
-            for est in estimates:
-                if sup2 > (est.epsilon * grad + est.constant * mass) * (1 + 1e-12):
-                    violations += 1
     _finish(
         "sobolev-suite",
         start,
@@ -324,7 +314,7 @@ def test_dense_oracle_gate():
     checks = []
     for doc, coeffs, h in cases:
         g = load_graph(doc)
-        mesh = build_mesh(g, h, constraints=DirichletTruncationSpec(vertices=g.boundary))
+        mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
         forms = assemble(mesh, load_coefficients(coeffs, g))
         checks.append(
             (mesh.n_free <= 200, f"case exceeds the 200-dof gate: {mesh.n_free}")

@@ -17,13 +17,13 @@ from graphsl.eig import (
 )
 from graphsl.errors import SolverError
 from graphsl.families import path, star, tree
-from graphsl.fem import DirichletTruncationSpec, assemble, build_mesh
+from graphsl.fem import assemble, build_mesh
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import dirichlet_vertices
 
 
 def dirichlet_forms(g, h, doc=None):
-    mesh = build_mesh(g, h, constraints=DirichletTruncationSpec(vertices=g.boundary))
+    mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
     return assemble(mesh, load_coefficients(doc or {}, g))
 
 
@@ -122,7 +122,7 @@ def test_tiny_pencil_uses_dense_path():
             "root": "a",
         }
     )
-    mesh = build_mesh(g, 0.5, constraints=DirichletTruncationSpec(vertices=g.boundary))
+    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
     res = smallest_eigenpair(assemble(mesh, load_coefficients({}, g)))
     assert res.method == "dense"
     # single hat at the midpoint: Rayleigh quotient (2/h) / (2h/3) with h=1/2
@@ -212,9 +212,8 @@ def star_piecewise_q():
 def tree_negative_q_level():
     g = load_graph(tree(3))
     level = build_exhaustion(g, "n0", 3).levels[2]
-    spec = DirichletTruncationSpec(vertices=dirichlet_vertices(g, level, True))
     field = load_coefficients({"default": {"q": {"expr": "-4+0.3*sin(2*x)"}}}, g)
-    return assemble(build_mesh(g, 0.05, edges=level, constraints=spec), field)
+    return assemble(build_mesh(g, 0.05, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True)), field)
 
 
 def restricted_annulus():

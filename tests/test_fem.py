@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from graphsl.coeff import load_coefficients
+from graphsl.coeff import CoefficientField, edge_integral, load_coefficients
 from graphsl.eig import smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
 from graphsl.families import path, star, tree
 from graphsl.fem import (
-    DirichletTruncationSpec,
     assemble,
     build_mesh,
     form_value,
@@ -30,28 +29,24 @@ def unit_interval():
     )
 
 
-def dirichlet(g):
-    return DirichletTruncationSpec(vertices=g.boundary)
-
-
 # --- meshing --------------------------------------------------------------------
 
 
 def test_unit_edge_half_h_dirichlet_one_dof():
     g = unit_interval()
-    mesh = build_mesh(g, 0.5, constraints=dirichlet(g))
+    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
     assert mesh.n_free == 1
 
 
 def test_star_half_h_dirichlet_four_dofs():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.5, constraints=DirichletTruncationSpec(vertices=g.boundary))
+    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
     assert mesh.n_free == 4  # center + one midpoint per arm
 
 
 def test_free_two_edge_path_seven_dofs():
     g = load_graph(path(2))
-    mesh = build_mesh(g, 1.0 / 3.0, constraints=None)
+    mesh = build_mesh(g, 1.0 / 3.0)
     assert mesh.n_free == 7  # 6 cells + 1
 
 
@@ -62,7 +57,7 @@ def test_cell_sizes_at_most_h():
             "edges": [{"id": "e1", "from": "a", "to": "b", "length": 0.7}],
         }
     )
-    mesh = build_mesh(g, 0.2, constraints=None)
+    mesh = build_mesh(g, 0.2)
     offs = mesh.edge_offsets["e1"]
     assert np.max(np.diff(offs)) <= 0.2 + 1e-12
 
@@ -81,32 +76,13 @@ def test_empty_selection_rejected():
         build_mesh(g, 0.1, edges=[])
 
 
-def test_cut_point_constrains_node():
-    g = unit_interval()
-    spec = DirichletTruncationSpec(cut_points=(("e1", 0.5),))
-    mesh = build_mesh(g, 0.25, constraints=spec)
-    # 5 nodes, midpoint constrained -> 4 free
-    assert mesh.n_free == 4
-    dofs = mesh.edge_dofs["e1"]
-    assert dofs[2] == -1
-
-
-def test_cut_point_inserts_node_off_grid():
-    g = unit_interval()
-    spec = DirichletTruncationSpec(cut_points=(("e1", 0.3),))
-    mesh = build_mesh(g, 0.25, constraints=spec)
-    offs = mesh.edge_offsets["e1"]
-    assert 0.3 in offs
-    assert mesh.edge_dofs["e1"][list(offs).index(0.3)] == -1
-
-
 # --- assembly against hand-computed elements --------------------------------------
 
 
 def test_interval_third_h_interior_matrices():
     """p=w=1, q=0, h=1/3, Dirichlet ends: classical tridiagonal blocks."""
     g = unit_interval()
-    mesh = build_mesh(g, 1.0 / 3.0, constraints=dirichlet(g))
+    mesh = build_mesh(g, 1.0 / 3.0, dirichlet_vertices=g.boundary)
     forms = assemble(mesh, load_coefficients({}, g))
     K = forms.stiffness.toarray()
     M = forms.mass.toarray()
@@ -117,7 +93,7 @@ def test_interval_third_h_interior_matrices():
 
 def test_constant_q_matches_scaled_mass():
     g = load_graph(path(2))
-    mesh = build_mesh(g, 0.2, constraints=None)
+    mesh = build_mesh(g, 0.2)
     forms = assemble(mesh, load_coefficients({"default": {"q": 3.0}}, g))
     np.testing.assert_allclose(
         forms.potential.toarray(), 3.0 * forms.mass.toarray(), rtol=1e-14, atol=1e-16
@@ -126,7 +102,7 @@ def test_constant_q_matches_scaled_mass():
 
 def test_star_center_row():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.5, constraints=DirichletTruncationSpec(vertices=g.boundary))
+    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
     forms = assemble(mesh, load_coefficients({}, g))
     K = forms.stiffness.toarray()
     c = mesh.vertex_dof["c"]
@@ -138,7 +114,7 @@ def test_star_center_row():
 def test_matrices_bitwise_symmetric():
     g = load_graph(star(4))
     doc = {"default": {"p": {"expr": "1+0.3*sin(2*x)"}, "q": {"piecewise": [[0, -1], [0.3, 2]]}}}
-    mesh = build_mesh(g, 0.13, constraints=None)
+    mesh = build_mesh(g, 0.13)
     forms = assemble(mesh, load_coefficients(doc, g))
     for mat in (forms.stiffness, forms.potential, forms.mass):
         a = mat.tocsr()
@@ -152,7 +128,7 @@ def test_matrices_bitwise_symmetric():
 
 def test_constant_kernel_of_stiffness():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.1, constraints=None)
+    mesh = build_mesh(g, 0.1)
     forms = assemble(mesh, load_coefficients({}, g))
     ones = np.ones(mesh.n_free)
     resid = np.abs(forms.stiffness @ ones).max()
@@ -162,7 +138,7 @@ def test_constant_kernel_of_stiffness():
 
 def test_mass_positive_definite():
     g = load_graph(path(2))
-    mesh = build_mesh(g, 0.25, constraints=None)
+    mesh = build_mesh(g, 0.25)
     forms = assemble(mesh, load_coefficients({"default": {"w": 0.7}}, g))
     eigs = np.linalg.eigvalsh(forms.mass.toarray())
     assert eigs.min() > 0
@@ -177,17 +153,68 @@ def test_nonpositive_w_raises():
         assemble(mesh, load_coefficients({"e1": {"p": 0.0}}, g))
 
 
-def test_form_value_matches_matrix_quadratic_form(rng):
-    g = load_graph(star(3))
-    doc = {"default": {"p": 2.0, "q": {"expr": "cos(3*x)"}, "w": {"expr": "1+x"}}}
-    field = load_coefficients(doc, g)
-    mesh = build_mesh(g, 0.1, constraints=None)
+# a loop and a pair of parallel edges, both split on load; the halves read
+# the original edge's tables through a coordinate shift
+SPLIT_GRAPH = {
+    "vertices": ["a", "b"],
+    "edges": [
+        {"id": "loop", "from": "a", "to": "a", "length": 1.3},
+        {"id": "s1", "from": "a", "to": "b", "length": 1.0},
+        {"id": "s2", "from": "a", "to": "b", "length": 1.2},
+    ],
+    "root": "a",
+}
+
+
+@pytest.mark.parametrize(
+    "doc, coeffs",
+    [
+        (star(3), {"default": {"p": 2.0, "q": {"expr": "cos(3*x)"}, "w": {"expr": "1+x"}}}),
+        (star(3), {"default": {"p": {"expr": "1+0.3*x"}, "q": {"piecewise": [[0.0, -1.0], [0.43, 2.5]]}}}),
+        (
+            SPLIT_GRAPH,
+            {
+                "loop": {"p": {"piecewise": [[0.0, 1.0], [0.37, 2.0], [0.9, 1.5]]}},
+                "s2": {"q": {"piecewise": [[0.0, -1.0], [0.55, 0.5]]}},
+                "default": {"w": {"expr": "1+0.2*cos(x)"}},
+            },
+        ),
+    ],
+    ids=["expression", "piecewise-q", "split-edges"],
+)
+def test_form_value_matches_matrix_quadratic_form(rng, doc, coeffs):
+    g = load_graph(doc)
+    field = load_coefficients(coeffs, g)
+    mesh = build_mesh(g, 0.1)
     forms = assemble(mesh, field)
     f = rng.normal(size=mesh.n_free)
     quad = form_value(mesh, field, f)
     matrix = f @ ((forms.stiffness + forms.potential) @ f)
     assert quad == pytest.approx(matrix, rel=1e-12, abs=1e-12)
     assert mass_value(mesh, field, f) == pytest.approx(f @ (forms.mass @ f), rel=1e-12)
+    # the constant function integrates q and w exactly across the breakpoints
+    ones = np.ones(mesh.n_free)
+    for value, which in ((form_value, "q"), (mass_value, "w")):
+        exact = sum(edge_integral(field, e.id, which) for e in g.edges)
+        assert value(mesh, field, ones) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_assemble_evaluates_each_distinct_spec_once(monkeypatch):
+    """Edges that share a coefficient spec are sampled in one call per field."""
+    g = load_graph(tree(3))
+    field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}, "t003": {"p": 2.0}}, g)
+    mesh = build_mesh(g, 0.1)
+    calls = []
+    evaluate = CoefficientField.evaluate
+
+    def counting(self, edge_id, name, x):
+        calls.append(name)
+        return evaluate(self, edge_id, name, x)
+
+    monkeypatch.setattr(CoefficientField, "evaluate", counting)
+    assemble(mesh, field)
+    # p: the t003 entry and the built-in constant; q: the default; w: built-in
+    assert sorted(calls) == ["p", "p", "q", "w"]
 
 
 def test_domain_monotonicity_under_constraints():
@@ -197,7 +224,7 @@ def test_domain_monotonicity_under_constraints():
     values = []
     for vs in [frozenset(), frozenset({"v00"}), frozenset({"v00", "v03"}),
                frozenset({"v00", "v03", "v01"})]:
-        mesh = build_mesh(g, 0.1, constraints=DirichletTruncationSpec(vertices=vs))
+        mesh = build_mesh(g, 0.1, dirichlet_vertices=vs)
         values.append(smallest_eigenpair(assemble(mesh, field), tol=1e-9).value)
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-9
@@ -205,7 +232,7 @@ def test_domain_monotonicity_under_constraints():
 
 def test_q_shift_is_exact():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.2, constraints=DirichletTruncationSpec(vertices=g.boundary))
+    mesh = build_mesh(g, 0.2, dirichlet_vertices=g.boundary)
     base = assemble(mesh, load_coefficients({}, g))
     shifted = assemble(mesh, load_coefficients({"default": {"q": 4.0}}, g))
     a = smallest_eigenpair(base, tol=1e-10).value
@@ -215,7 +242,7 @@ def test_q_shift_is_exact():
 
 def test_coefficient_scaling_is_exact():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.2, constraints=DirichletTruncationSpec(vertices=g.boundary))
+    mesh = build_mesh(g, 0.2, dirichlet_vertices=g.boundary)
     base = assemble(mesh, load_coefficients({"default": {"q": -1.0}}, g))
     scaled = assemble(
         mesh, load_coefficients({"default": {"p": 0.3, "q": -0.3, "w": 0.3}}, g)
@@ -254,8 +281,7 @@ def test_restrict_equals_direct_assembly():
     parent = assemble(build_mesh(g, h, edges=ex.levels[3]), field)
 
     def direct(edges, vertices):
-        spec = DirichletTruncationSpec(vertices=vertices)
-        return assemble(build_mesh(g, h, edges=edges, constraints=spec), field)
+        return assemble(build_mesh(g, h, edges=edges, dirichlet_vertices=vertices), field)
 
     pieces = [ex.levels[n] for n in (1, 2, 3)]
     pieces += [ex.levels[N] - ex.levels[n] for n, N in ((1, 2), (1, 3), (2, 3))]
@@ -296,7 +322,7 @@ def test_restrict_rejects_free_vertex_on_cut_edge():
 def test_kirchhoff_constant_function_zero():
     g = load_graph(star(3))
     field = load_coefficients({}, g)
-    mesh = build_mesh(g, 0.25, constraints=None)
+    mesh = build_mesh(g, 0.25)
     f = np.ones(mesh.n_free)
     assert kirchhoff_residual(mesh, field, f, "c") == 0.0
 
@@ -304,7 +330,7 @@ def test_kirchhoff_constant_function_zero():
 def test_kirchhoff_linear_through_degree_two_vertex():
     g = load_graph(path(2))
     field = load_coefficients({}, g)
-    mesh = build_mesh(g, 0.25, constraints=None)
+    mesh = build_mesh(g, 0.25)
     f = np.empty(mesh.n_free)
     for dof, label in enumerate(mesh.dof_labels):
         if label[0] == "vertex":
@@ -320,7 +346,7 @@ def test_kirchhoff_residual_decreases_under_refinement():
     field = load_coefficients({}, g)
     residuals = []
     for h in (0.1, 0.05):
-        mesh = build_mesh(g, h, constraints=DirichletTruncationSpec(vertices=g.boundary))
+        mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
         result = smallest_eigenpair(assemble(mesh, field), tol=1e-10)
         residuals.append(kirchhoff_residual(mesh, field, result.vector, "c"))
     assert residuals[1] < residuals[0]
@@ -331,7 +357,7 @@ def test_kirchhoff_residual_decreases_under_refinement():
 def test_kirchhoff_rejects_constrained_vertex():
     g = unit_interval()
     field = load_coefficients({}, g)
-    mesh = build_mesh(g, 0.25, constraints=dirichlet(g))
+    mesh = build_mesh(g, 0.25, dirichlet_vertices=g.boundary)
     with pytest.raises(MeshError):
         kirchhoff_residual(mesh, field, np.ones(mesh.n_free), "a")
 
@@ -341,7 +367,7 @@ def test_kirchhoff_rejects_constrained_vertex():
 
 def test_matrix_market_export(tmp_path):
     g = unit_interval()
-    mesh = build_mesh(g, 0.25, constraints=dirichlet(g))
+    mesh = build_mesh(g, 0.25, dirichlet_vertices=g.boundary)
     forms = assemble(mesh, load_coefficients({"e1": {"q": 1.0}}, g))
     write_matrix_market(forms, tmp_path)
     import scipy.io

@@ -168,7 +168,7 @@ def test_loop_split_is_spectrally_neutral():
     """
     from graphsl.coeff import load_coefficients
     from graphsl.eig import smallest_eigenpair, solve_pencil
-    from graphsl.fem import DirichletTruncationSpec, assemble, build_mesh
+    from graphsl.fem import assemble, build_mesh
     import scipy.sparse as sp
 
     doc = {
@@ -181,7 +181,7 @@ def test_loop_split_is_spectrally_neutral():
     }
     g = load_graph(doc)
     field = load_coefficients({}, g)
-    mesh = build_mesh(g, 0.05, constraints=DirichletTruncationSpec(vertices=frozenset({"b"})))
+    mesh = build_mesh(g, 0.05, dirichlet_vertices=frozenset({"b"}))
     lam_split = smallest_eigenpair(assemble(mesh, field), tol=1e-10).value
 
     # hand assembly: loop nodes 0..19 cyclic (node 0 = vertex a), stick
@@ -296,23 +296,6 @@ def test_exhaustion_nesting():
         assert ex.levels[n] <= ex.levels[n + 1]
         assert ex.levels[n] <= ex.haloes[n]
         assert not ex.levels[n] & (ex.haloes[n] - ex.levels[n])
-
-
-def test_exhaustion_cut_points_on_long_edges():
-    doc = {
-        "vertices": ["a", "b", "c"],
-        "edges": [
-            {"id": "e1", "from": "a", "to": "b", "length": 1.5},
-            {"id": "e2", "from": "b", "to": "c", "length": 1.5},
-        ],
-        "root": "a",
-    }
-    g = load_graph(doc)
-    ex = build_exhaustion(g, "a", 2)
-    # radius 1 crosses e1 at offset 1; radius 2 crosses e2 at offset 0.5
-    assert ex.cut_points[1] == (("e1", 1.0),)
-    assert ex.levels[2] == {"e1"}
-    assert ex.cut_points[2] == (("e2", 0.5),)
 
 
 def test_exhaustion_unknown_root():
