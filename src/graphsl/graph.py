@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import GraphFormatError, GraphStructureError
@@ -104,14 +104,18 @@ class MetricGraph:
     def _vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def _check_connected(self) -> None:
+    @cached_property
+    def _lengths(self) -> csr_matrix:
+        """Sparse weighted adjacency: one entry ``length`` per edge (src, dst)."""
         n = len(self.vertices)
-        idx = {v: i for i, v in enumerate(self.vertices)}
+        idx = self._vertex_index
         rows = [idx[e.src] for e in self.edges]
         cols = [idx[e.dst] for e in self.edges]
-        data = np.ones(len(self.edges))
-        adj = coo_matrix((data, (rows, cols)), shape=(n, n))
-        ncomp, labels = connected_components(adj, directed=False)
+        data = [e.length for e in self.edges]
+        return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+    def _check_connected(self) -> None:
+        ncomp, labels = connected_components(self._lengths, directed=False)
         if ncomp > 1:
             comps: dict[int, list[str]] = {}
             for v, lab in zip(self.vertices, labels):
@@ -121,26 +125,14 @@ class MetricGraph:
 
     # -- metric -------------------------------------------------------------
 
-    @cached_property
-    def _distance_matrix(self) -> np.ndarray:
-        n = len(self.vertices)
-        idx = self._vertex_index
-        rows, cols, data = [], [], []
-        for e in self.edges:
-            rows.append(idx[e.src])
-            cols.append(idx[e.dst])
-            data.append(e.length)
-        adj = coo_matrix((data, (rows, cols)), shape=(n, n))
-        return dijkstra(adj, directed=False)
-
-    def vertex_distance(self, u: str, v: str) -> float:
-        idx = self._vertex_index
-        return float(self._distance_matrix[idx[u], idx[v]])
-
     def vertex_distances(self, v: str) -> dict[str, float]:
-        """Path distance from ``v`` to every vertex."""
-        row = self._distance_matrix[self._vertex_index[v]]
-        return {u: float(row[i]) for i, u in enumerate(self.vertices)}
+        """Path distance from ``v`` to every vertex.
+
+        One single-source Dijkstra over the sparse adjacency, O(E log V) time
+        and O(V) memory; no V×V distance matrix is built or kept.
+        """
+        row = dijkstra(self._lengths, directed=False, indices=self._vertex_index[v])
+        return dict(zip(self.vertices, row.tolist()))
 
     def _as_point(self, point):
         if isinstance(point, str):
@@ -174,10 +166,12 @@ class MetricGraph:
         else:
             sy = min(max(float(y[1]), 0.0), ey.length)
             cand_y = [(ey.src, sy), (ey.dst, ey.length - sy)]
+        idx = self._vertex_index
+        rows = dijkstra(self._lengths, directed=False, indices=[idx[u] for u, _ in cand_x])
         best = math.inf
-        for u, tu in cand_x:
+        for row, (_, tu) in zip(rows, cand_x):
             for v, tv in cand_y:
-                best = min(best, tu + self.vertex_distance(u, v) + tv)
+                best = min(best, tu + float(row[idx[v]]) + tv)
         if ex is not None and ey is not None and ex.id == ey.id:
             best = min(best, abs(float(x[1]) - float(y[1])))
         return best
@@ -346,15 +340,6 @@ class Exhaustion:
     def max_level(self) -> int:
         return len(self.levels) - 1
 
-    def level_vertices(self, n: int) -> frozenset:
-        g = self.graph
-        out = set()
-        for eid in self.levels[n]:
-            e = g.edge(eid)
-            out.add(e.src)
-            out.add(e.dst)
-        return frozenset(out)
-
 
 def build_exhaustion(g: MetricGraph, root: str, max_level: int) -> Exhaustion:
     """Build distance-ball levels Gamma_0 .. Gamma_max_level around ``root``."""
@@ -363,19 +348,18 @@ def build_exhaustion(g: MetricGraph, root: str, max_level: int) -> Exhaustion:
     if max_level < 0:
         raise GraphStructureError("max_level must be >= 0")
     dist = g.vertex_distances(root)
-    levels, haloes = [], []
-    for n in range(max_level + 1):
-        level = set()
-        halo = set()
-        for e in g.edges:
-            inside = (dist[e.src] <= n + 1e-12, dist[e.dst] <= n + 1e-12)
-            if all(inside):
-                level.add(e.id)
-            elif any(inside):
-                halo.add(e.id)
-        levels.append(frozenset(level))
-        haloes.append(frozenset(level | halo))
-    ex = Exhaustion(g, root, tuple(levels), tuple(haloes))
+    ends = np.array([(dist[e.src], dist[e.dst]) for e in g.edges])
+    bounds = np.arange(max_level + 1) + 1e-12
+
+    def balls(reach: np.ndarray) -> tuple[frozenset, ...]:
+        # edges with reach <= n + 1e-12, as prefixes of one sort by reach
+        order = np.argsort(reach, kind="stable")
+        ids = [g.edges[i].id for i in order]
+        cuts = np.searchsorted(reach[order], bounds, side="right")
+        return tuple(frozenset(ids[:k]) for k in cuts)
+
+    # level n: both endpoints within n of the root; halo n: at least one
+    ex = Exhaustion(g, root, balls(ends.max(axis=1)), balls(ends.min(axis=1)))
     for n in range(max_level):
         if not ex.levels[n] <= ex.levels[n + 1]:
             raise GraphStructureError("exhaustion levels failed to nest")

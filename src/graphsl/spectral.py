@@ -526,14 +526,12 @@ def cutoff_build(
         breaks = np.asarray(field.breakpoints(eid))
         if breaks.size:
             xs = np.unique(np.concatenate([xs, breaks]))
-        increments = np.zeros(len(xs) - 1)
-        for i in range(len(xs) - 1):
-            lo, hi = xs[i], xs[i + 1]
-            px = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-            integrand = np.sqrt(field.evaluate(eid, "w", px) / field.evaluate(eid, "p", px))
-            if not np.all(np.isfinite(integrand)):
-                raise IntegrabilityError(f"sqrt(w/p) not integrable on edge {eid!r}")
-            increments[i] = 0.5 * (hi - lo) * float(np.dot(weights, integrand))
+        half = 0.5 * (xs[1:] - xs[:-1])
+        px = (half[:, None] * (nodes + 1.0) + xs[:-1, None]).ravel()
+        integrand = np.sqrt(field.evaluate(eid, "w", px) / field.evaluate(eid, "p", px))
+        if not np.all(np.isfinite(integrand)):
+            raise IntegrabilityError(f"sqrt(w/p) not integrable on edge {eid!r}")
+        increments = half * (integrand.reshape(-1, len(nodes)) @ weights)
         cumulative = np.concatenate([[0.0], np.cumsum(increments)])
         total = cumulative[-1]
         if not (total > 0 and math.isfinite(total)):
@@ -541,9 +539,8 @@ def cutoff_build(
         rises_from_src = dist[e.src] <= level + 1e-12
         values = cumulative / total if rises_from_src else 1.0 - cumulative / total
         rate = 1.0 / total
-        pw = np.sqrt(field.evaluate(eid, "p", xs) / field.evaluate(eid, "w", xs))
-        wp = np.sqrt(field.evaluate(eid, "w", xs) / field.evaluate(eid, "p", xs))
-        check_values = pw * wp / total
+        p_xs, w_xs = field.evaluate(eid, "p", xs), field.evaluate(eid, "w", xs)
+        check_values = np.sqrt(p_xs / w_xs) * np.sqrt(w_xs / p_xs) / total
         profiles[eid] = EdgeCutoffProfile(
             edge_id=eid,
             offsets=xs,

@@ -1,12 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import floyd_warshall
 
 from graphsl.errors import GraphFormatError, GraphStructureError
-from graphsl.families import cycle, path, star, tree
+from graphsl.families import cycle, ladder, path, star, tree
 from graphsl.graph import build_exhaustion, load_graph, original_edges
+from graphsl.spectral import subgraph_vertices
 
 
 def interval_doc():
@@ -289,13 +292,39 @@ def test_exhaustion_binary_tree_level_two():
     assert len(ex.levels[3]) == len(g.edges)
 
 
-def test_exhaustion_nesting():
-    g = load_graph(tree(3))
-    ex = build_exhaustion(g, "n0", 3)
+@pytest.mark.parametrize("doc", [tree(3), ladder(4), cycle(7)], ids=["tree3", "ladder4", "cycle7"])
+def test_exhaustion_nesting(doc):
+    g = load_graph(doc)
+    max_level = 4
+    ex = build_exhaustion(g, g.root, max_level)
     for n in range(ex.max_level):
         assert ex.levels[n] <= ex.levels[n + 1]
         assert ex.levels[n] <= ex.haloes[n]
         assert not ex.levels[n] & (ex.haloes[n] - ex.levels[n])
+    # all-pairs reference; unit lengths put vertices exactly on level boundaries
+    n_v = len(g.vertices)
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    adj = np.zeros((n_v, n_v))
+    for e in g.edges:
+        adj[idx[e.src], idx[e.dst]] = e.length
+    dist = floyd_warshall(adj, directed=False)[idx[g.root]]
+    for n in range(max_level + 1):
+        inside = [
+            (dist[idx[e.src]] <= n + 1e-12, dist[idx[e.dst]] <= n + 1e-12) for e in g.edges
+        ]
+        assert ex.levels[n] == {e.id for e, ins in zip(g.edges, inside) if all(ins)}
+        assert ex.haloes[n] == {e.id for e, ins in zip(g.edges, inside) if any(ins)}
+
+
+def test_exhaustion_memory_is_linear_in_edges():
+    g = load_graph(tree(11))
+    tracemalloc.start()
+    try:
+        build_exhaustion(g, g.root, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * len(g.edges)
 
 
 def test_exhaustion_unknown_root():
@@ -307,4 +336,4 @@ def test_exhaustion_unknown_root():
 def test_level_vertices():
     g = load_graph(path(3))
     ex = build_exhaustion(g, "v00", 2)
-    assert ex.level_vertices(2) == {"v00", "v01", "v02"}
+    assert subgraph_vertices(g, ex.levels[2]) == {"v00", "v01", "v02"}

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from graphsl.coeff import load_coefficients
+from graphsl.coeff import CoefficientField, load_coefficients
 from graphsl.errors import SolverError
-from graphsl.families import path, star
+from graphsl.families import path, star, tree
 from graphsl.fem import mesh_samples
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import (
@@ -307,6 +307,24 @@ def test_cutoff_descends_on_mirrored_halo_edges():
     assert right.rises_from_src
     assert left.values[0] == 1.0 and left.values[-1] == 0.0
     assert right.values[0] == 0.0 and right.values[-1] == 1.0
+
+
+def test_cutoff_samples_each_halo_edge_in_one_evaluate_per_coefficient(monkeypatch):
+    g = load_graph(tree(8))
+    ex = build_exhaustion(g, "n0", 5)
+    field = load_coefficients({"default": {"p": {"expr": "1+x"}, "w": {"expr": "2+x*x"}}}, g)
+    calls = []
+    original = CoefficientField.evaluate
+
+    def counted(self, edge_id, name, x):
+        calls.append((edge_id, name))
+        return original(self, edge_id, name, x)
+
+    monkeypatch.setattr(CoefficientField, "evaluate", counted)
+    cut = cutoff_build(g, field, ex, level=5)
+    halo_edges = len(cut.profiles)
+    assert halo_edges == 64
+    assert len(calls) <= 4 * halo_edges
 
 
 # --- edgewise sup bound ------------------------------------------------------------
