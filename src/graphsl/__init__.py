@@ -16,7 +16,7 @@ from .coeff import (
     sampled_min,
     validate_hypotheses,
 )
-from .eig import EigenResult, dense_reference, eigen_lower_bound, smallest_eigenpair, solve_pencil
+from .eig import EigenResult, dense_reference, smallest_eigenpair, solve_pencil
 from .errors import (
     CoefficientError,
     ConvergenceError,
@@ -97,7 +97,6 @@ __all__ = [
     "dense_reference",
     "dirichlet_vertices",
     "edge_integral",
-    "eigen_lower_bound",
     "evaluate_expression",
     "ground_state_transform_check",
     "harnack_probe",

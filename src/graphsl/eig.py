@@ -3,9 +3,14 @@
 The iterative path is shift-inverted Lanczos with M-orthogonal restarts
 (ARPACK via scipy), seeded with a deterministic all-ones start vector and
 a sparse LU factorization of K - shift*M whose solves get one iterative
-refinement pass.  The shift defaults to just below a Gershgorin lower
-bound of the pencil spectrum.  The Ritz vector ARPACK returns is polished
-by one inverse-iteration step with the shift's LU,
+refinement pass.  By default the shift is placed by inertia counts (see
+below): starting just below a Gershgorin lower bound of the pencil
+spectrum, bisection raises it, keeping a count of 0 below it, until it
+lies within max(1, |hi|) / 4 of a Rayleigh-quotient upper bound hi, and
+Lanczos runs with that shift's LDL^T factor.  An explicit shift, or
+SuperLU refusing symmetric pivoting during placement, gives a plain LU at
+the given or the Gershgorin shift.  The Ritz vector ARPACK returns is
+polished by one inverse-iteration step with the shift's factor,
 y = (K - shift*M)^{-1} M x, and the returned value is the Rayleigh
 quotient of y.
 
@@ -15,8 +20,9 @@ max(1, |value|), K - (value - delta) M is factored once as P^T L D L^T P
 (SuperLU restricted to diagonal pivots).  By Sylvester's law of inertia
 the number of nonpositive pivots in D is the number of eigenvalues at or
 below value - delta, so all pivots positive proves that none lies there;
-otherwise the solve raises SolverError.  The shift's LU is released
-before this factorization, so two factors are never alive at once.
+otherwise the solve raises SolverError.  Placement and this proof share
+one counting routine, and every factor is released before the next one
+is made, so two factors are never alive at once.
 
 Two accuracy measures are reported.  The residual ||K x - lambda M x|| /
 ||M x|| is unscaled: with unit roundoff u its floor is about
@@ -50,7 +56,7 @@ class EigenResult:
     """Converged smallest eigenpair with diagnostics.
 
     On the Lanczos path ``vector`` is the Ritz vector after one
-    inverse-iteration polish with the shift's LU, and ``value`` is its
+    inverse-iteration polish with the shift's factor, and ``value`` is its
     Rayleigh quotient.  ``residual`` is ||K x - value * M x|| / ||M x||
     recomputed from the returned pair; it is unscaled, with a rounding
     floor that grows like h^-2.  ``backward_error`` is the scale-free
@@ -60,8 +66,10 @@ class EigenResult:
     an inertia count on the Lanczos path and read from the full LAPACK
     spectrum on the dense path.  ``iterations`` counts applications of
     the inverted operator, the polish included (0 on the dense path).
-    ``history`` holds (apply index, Rayleigh quotient) rows when the solve
-    was run verbose.
+    ``shift`` is the Lanczos shift (0.0 on the dense path); on the default
+    path it is a lower bound on the smallest eigenvalue proved by an
+    inertia count of 0.  ``history`` holds (apply index, Rayleigh quotient)
+    rows when the solve was run verbose.
     """
 
     value: float
@@ -106,9 +114,9 @@ def pencil_lower_bound(K, M) -> float:
     With alpha the lower Gershgorin bound of K, the Rayleigh quotient is
     at least alpha divided by the upper Gershgorin bound of M when alpha
     is nonnegative, and alpha divided by a positive lower bound of M's
-    spectrum otherwise.  One pass over each matrix; it only places the
-    default shift, since ``solve_pencil`` proves the smallest eigenvalue
-    by an inertia count.
+    spectrum otherwise.  One pass over each matrix; it seeds the lower
+    end of the bracket in which ``solve_pencil`` places its default shift,
+    and ``solve_pencil`` proves the smallest eigenvalue by an inertia count.
     """
     K = K.tocsr()
     M = M.tocsr()
@@ -119,12 +127,6 @@ def pencil_lower_bound(K, M) -> float:
     if alpha >= 0:
         return alpha / float(np.max(dm + _row_abs_offdiag(M)))  # upper Gershgorin bound of M
     return alpha / _mass_lower_bound(M)
-
-
-def eigen_lower_bound(forms) -> float:
-    """Certified lower bound for the assembled pencil of ``forms``."""
-    K, M = forms.pencil()
-    return pencil_lower_bound(K, M)
 
 
 class _CountingInverse(LinearOperator):
@@ -157,31 +159,99 @@ def _dense_pair(K, M):
     return value, vector
 
 
+def _inertia(K, M, sigma: float):
+    """Count the eigenvalues at or below ``sigma``: (count, factor).
+
+    SuperLU in symmetric mode with diagonal pivots only factors
+    P (K - sigma*M) P^T = L U with U = D L^T, a congruence to D = diag(U).
+    By Sylvester's law the nonpositive pivots count the eigenvalues at or
+    below ``sigma``.  The factor is returned for reuse as a shift-invert
+    operator.  Raises SolverError when the factorization fails or SuperLU
+    left the diagonal (perm_r != perm_c), since no count can then be read
+    from U.
+    """
+    try:
+        lu = splu(
+            (K - sigma * M).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise SolverError(f"inertia factorization of K - {sigma!r}*M failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(
+            f"inertia count of K - {sigma!r}*M impossible: symmetric pivoting was refused"
+        )
+    return int(np.count_nonzero(~(lu.U.diagonal() > 0))), lu
+
+
+def _place_shift(K, M, lo: float):
+    """Raise the Gershgorin shift ``lo`` by inertia bisection: (shift, factor).
+
+    A count of 0 proves ``lo``.  The upper end hi is the Rayleigh quotient
+    of two inverse-iteration steps from the all-ones vector with lo's
+    factor.  Each midpoint's count then moves lo up (0) or hi down (above
+    0) until hi - lo <= max(1, |hi|) / 4.  A factor is dropped before the
+    next one is made, and the final lo is factored again if its factor was
+    dropped.  Returns None when a count cannot be read or ``lo`` counts
+    above 0.
+    """
+    try:
+        count, lu = _inertia(K, M, lo)
+        if count:
+            return None
+        y = np.ones(K.shape[0])
+        for _ in range(2):
+            y = lu.solve(M @ y)
+        hi = float(y @ (K @ y)) / float(y @ (M @ y))
+        while hi - lo > 0.25 * max(1.0, abs(hi)):
+            mid = 0.5 * (lo + hi)
+            lu = None
+            count, lu = _inertia(K, M, mid)
+            if count:
+                hi, lu = mid, None
+            else:
+                lo = mid
+        if lu is None:
+            lu = _inertia(K, M, lo)[1]
+    except SolverError:
+        return None
+    return lo, lu
+
+
 def _lanczos_pair(K, M, shift, max_iter, history):
     """Polished shift-inverted Lanczos pair: (value, vector, shift, applies).
 
-    The shift's LU lives only inside this call, so it is freed before the
-    caller factors again.  ``history`` is None unless the solve is verbose.
+    Without an explicit ``shift`` the shift is placed by ``_place_shift``,
+    falling back to a plain LU at the Gershgorin shift.  The shift's
+    factor lives only inside this call, so it is freed before the caller
+    factors again.  ``history`` is None unless the solve is verbose.
     """
     n = K.shape[0]
-    sigma = float(shift) if shift is not None else None
-    if sigma is None:
+    placed = None
+    if shift is None:
         lb = pencil_lower_bound(K, M)
-        sigma = lb - 0.01 * max(1.0, abs(lb))
-    lu = None
-    for attempt in range(4):
-        try:
-            A = (K - sigma * M).tocsc()
-            lu = splu(A)
-            if not np.all(np.isfinite(lu.U.diagonal())):
-                raise RuntimeError("singular factor")
-            break
-        except RuntimeError:
-            if attempt == 3:
-                raise SolverError(
-                    f"factorization of K - sigma*M failed after 4 shifts (last {sigma})"
-                )
-            sigma = sigma - max(1.0, abs(sigma))
+        shift = lb - 0.01 * max(1.0, abs(lb))
+        placed = _place_shift(K, M, shift)
+    if placed is not None:
+        sigma, lu = placed
+        A = (K - sigma * M).tocsc()
+    else:
+        sigma = float(shift)
+        for attempt in range(4):
+            try:
+                A = (K - sigma * M).tocsc()
+                lu = splu(A)
+                if not np.all(np.isfinite(lu.U.diagonal())):
+                    raise RuntimeError("singular factor")
+                break
+            except RuntimeError:
+                if attempt == 3:
+                    raise SolverError(
+                        f"factorization of K - sigma*M failed after 4 shifts (last {sigma})"
+                    )
+                sigma = sigma - max(1.0, abs(sigma))
     opinv = _CountingInverse(A, lu)
     if history is not None:
         Kc = K.tocsr()
@@ -211,42 +281,11 @@ def _lanczos_pair(K, M, shift, max_iter, history):
         raise ConvergenceError(
             f"eigensolve did not converge within {max_iter} iterations"
         ) from exc
-    # one inverse-iteration step with the shift's LU lowers the
+    # one inverse-iteration step with the shift's factor lowers the
     # residual's rounding floor below that of the raw Ritz pair
     vector = opinv.matvec(M @ vecs[:, 0])
     value = float(vector @ (K @ vector)) / float(vector @ (M @ vector))
     return value, vector, sigma, opinv.count
-
-
-def _certify_smallest(K, M, lower: float) -> None:
-    """Prove by an inertia count that no eigenvalue lies below ``lower``.
-
-    SuperLU in symmetric mode with diagonal pivots only factors
-    P (K - lower*M) P^T = L U with U = D L^T, a congruence to D = diag(U).
-    By Sylvester's law the nonpositive pivots count the eigenvalues at or
-    below ``lower``.  Raises SolverError when any pivot is nonpositive, or
-    when SuperLU left the diagonal (perm_r != perm_c), since no count
-    can then be read from U.
-    """
-    try:
-        lu = splu(
-            (K - lower * M).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise SolverError(f"inertia factorization of K - {lower!r}*M failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(
-            f"inertia count of K - {lower!r}*M impossible: symmetric pivoting was refused"
-        )
-    nonpositive = int(np.count_nonzero(~(lu.U.diagonal() > 0)))
-    if nonpositive:
-        raise SolverError(
-            f"K - {lower!r}*M has {nonpositive} nonpositive pivot(s): "
-            "the eigensolve did not find the smallest eigenvalue"
-        )
 
 
 def solve_pencil(
@@ -302,7 +341,12 @@ def solve_pencil(
         )
     certified_lower = value - max(tol, 1e-12) * max(1.0, abs(value))
     if method != "dense":
-        _certify_smallest(K, M, certified_lower)
+        nonpositive = _inertia(K, M, certified_lower)[0]
+        if nonpositive:
+            raise SolverError(
+                f"K - {certified_lower!r}*M has {nonpositive} nonpositive pivot(s): "
+                "the eigensolve did not find the smallest eigenvalue"
+            )
     return EigenResult(
         value=value,
         vector=vector,

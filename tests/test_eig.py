@@ -10,7 +10,6 @@ from graphsl import eig
 from graphsl.coeff import load_coefficients
 from graphsl.eig import (
     dense_reference,
-    eigen_lower_bound,
     pencil_lower_bound,
     smallest_eigenpair,
     solve_pencil,
@@ -74,10 +73,9 @@ def test_explicit_shift_matches_default():
 def test_lower_bound_is_below_dense_minimum():
     g = load_graph(star(4))
     forms = dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
-    lb = eigen_lower_bound(forms)
+    lb = pencil_lower_bound(*forms.pencil())
     value, _ = dense_reference(forms)
     assert lb <= value
-    assert lb == pytest.approx(pencil_lower_bound(*forms.pencil()))
 
 
 def test_dense_and_iterative_agree():
@@ -225,7 +223,21 @@ def restricted_annulus():
     return parent.restrict(annulus, dirichlet_vertices(g, annulus, True), "annulus-2-5")
 
 
-@pytest.mark.parametrize("make_forms", [star_piecewise_q, tree_negative_q_level, restricted_annulus])
+def tree_level(depth, h):
+    """Dirichlet pencil of the whole of tree(depth) with q = -1 + 0.3 sin 2x."""
+    g = load_graph(tree(depth))
+    level = build_exhaustion(g, "n0", depth).levels[depth]
+    field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}, g)
+    return assemble(build_mesh(g, h, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True)), field)
+
+
+def tree5_level():
+    return tree_level(5, 0.1)   # 589 dofs; Gershgorin shift -5.24 against lambda_1 = -0.51
+
+
+@pytest.mark.parametrize(
+    "make_forms", [star_piecewise_q, tree_negative_q_level, restricted_annulus, tree5_level]
+)
 def test_inertia_agrees_with_lapack(make_forms):
     forms = make_forms()
     res = smallest_eigenpair(forms, tol=1e-10)
@@ -235,3 +247,42 @@ def test_inertia_agrees_with_lapack(make_forms):
     assert delta > 0
     assert np.count_nonzero(dense < res.certified_lower) == 0
     assert np.count_nonzero(dense < res.value + delta) == 1
+    # the placed shift is a lower bound, and within a quarter of the scale
+    # of the value whenever the Gershgorin start was further away
+    assert np.count_nonzero(dense < res.shift) == 0
+    lb = pencil_lower_bound(K, M)
+    start = lb - 0.01 * max(1.0, abs(lb))
+    assert res.shift >= start
+    scale = 0.25 * max(1.0, abs(res.value))
+    if res.value - start > scale:
+        assert res.value - res.shift <= scale
+
+
+def test_one_factorization_alive_at_a_time(monkeypatch):
+    # SuperLU objects take no weakrefs, so a proxy counts live factors
+    live = [0]
+    alive_at_call = []
+    real = eig.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+            live[0] += 1
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+        def __del__(self):
+            live[0] -= 1
+
+    def splu(A, **kwargs):
+        alive_at_call.append(live[0])
+        return Counted(real(A, **kwargs))
+
+    monkeypatch.setattr(eig, "splu", splu)
+    forms = tree_level(8, 0.1)
+    lb = pencil_lower_bound(*forms.pencil())
+    res = smallest_eigenpair(forms, tol=1e-10)
+    assert res.shift > lb + 0.25 * max(1.0, abs(res.value))   # the shift was bisected
+    assert len(alive_at_call) >= 4
+    assert alive_at_call == [0] * len(alive_at_call)
