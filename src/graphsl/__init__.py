@@ -13,7 +13,6 @@ from .coeff import (
     HypothesisReport,
     edge_integral,
     load_coefficients,
-    sampled_min,
     validate_hypotheses,
 )
 from .eig import EigenResult, dense_reference, smallest_eigenpair, solve_pencil
@@ -109,7 +108,6 @@ __all__ = [
     "persson_limit",
     "positive_solution",
     "pretty",
-    "sampled_min",
     "smallest_eigenpair",
     "sobolev_constant",
     "solve_pencil",

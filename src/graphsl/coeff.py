@@ -6,18 +6,18 @@ constant table ``{"piecewise": [[start, value], ...]}`` over the edge
 coordinate, or an expression ``{"expr": "..."}`` in the edge coordinate x.
 
 Integrals over edge segments are exact for constants and piecewise tables
-and use composite Gauss quadrature (panels split at table breakpoints) for
-expressions.  Structural requirements on the triple — p and w positive,
-1/p integrable to some power, q with uniformly integrable negative part —
-are checked by :func:`validate_hypotheses`, which reports rather than
-raises so the CLI can decide whether to block.
+and use composite Gauss quadrature for expressions; :func:`edge_integrals`
+computes many at once, with one evaluation per distinct specification.
+Structural requirements on the triple — p and w positive, 1/p integrable
+to some power, q with uniformly integrable negative part — are checked by
+:func:`validate_hypotheses`, which reports rather than raises so the CLI
+can decide whether to block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,30 +27,24 @@ from .graph import MetricGraph
 
 _FIELD_NAMES = ("p", "q", "w")
 
-# transforms applied on top of a base field when integrating
-_TRANSFORMS = {
-    "id": lambda v: v,
-    "recip": lambda v: np.divide(1.0, v),
-    "pos": lambda v: np.maximum(v, 0.0),
-    "neg": lambda v: np.maximum(-np.asarray(v), 0.0),
-    "abs": lambda v: np.abs(v),
-}
-
+# integrands: the field each one samples and the transform applied to it
 WHICH = {
-    "p": ("p", "id"),
-    "1/p": ("p", "recip"),
-    "q": ("q", "id"),
-    "q+": ("q", "pos"),
-    "q-": ("q", "neg"),
-    "|q|": ("q", "abs"),
-    "w": ("w", "id"),
+    "p": ("p", lambda v: v),
+    "1/p": ("p", lambda v: np.divide(1.0, v)),
+    "q": ("q", lambda v: v),
+    "q+": ("q", lambda v: np.maximum(v, 0.0)),
+    "q-": ("q", lambda v: np.maximum(-np.asarray(v), 0.0)),
+    "|q|": ("q", lambda v: np.abs(v)),
+    "w": ("w", lambda v: v),
 }
 
 
-@lru_cache(maxsize=16)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+# composite Gauss quadrature for expressions: 5 points per panel, panels no
+# longer than QUAD_PANEL
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
+QUAD_PANEL = 0.25
+# grid intervals per edge for the sampled infimum of w and supremum of 1/p
+ESSINF_SAMPLES = 512
 
 
 # --- specifications ----------------------------------------------------------
@@ -67,7 +61,7 @@ class ConstantSpec:
     def breakpoints(self, length: float) -> tuple[float, ...]:
         return ()
 
-    def exact_integral(self, transform, a: float, b: float) -> float:
+    def exact_integral(self, transform, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return float(transform(self.value)) * (b - a)
 
     def describe(self) -> str:
@@ -112,15 +106,14 @@ class PiecewiseSpec:
     def breakpoints(self, length: float) -> tuple[float, ...]:
         return tuple(s for s in self.starts[1:] if 0.0 < s < length)
 
-    def exact_integral(self, transform, a: float, b: float) -> float:
-        total = 0.0
+    def exact_integral(self, transform, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        total = np.zeros(np.shape(a))
         bounds = np.concatenate([self.starts, [math.inf]])
         for i, value in enumerate(self.values):
-            lo = max(a, float(bounds[i]))
-            hi = min(b, float(bounds[i + 1]))
-            if hi > lo:
-                piece = float(transform(value))
-                total += piece * (hi - lo)
+            lo = np.maximum(a, bounds[i])
+            hi = np.minimum(b, bounds[i + 1])
+            piece = float(transform(value))
+            total += np.where(hi > lo, piece * (hi - lo), 0.0)
         return total
 
     def describe(self) -> str:
@@ -139,7 +132,7 @@ class ExpressionSpec:
     def breakpoints(self, length: float) -> tuple[float, ...]:
         return ()
 
-    def exact_integral(self, transform, a: float, b: float):
+    def exact_integral(self, transform, a: np.ndarray, b: np.ndarray):
         return None
 
     def describe(self) -> str:
@@ -164,7 +157,7 @@ class ShiftedSpec:
         inherited = self.inner.breakpoints(self.shift + length + 1.0)
         return tuple(b - self.shift for b in inherited if 0.0 < b - self.shift < length)
 
-    def exact_integral(self, transform, a: float, b: float):
+    def exact_integral(self, transform, a: np.ndarray, b: np.ndarray):
         return self.inner.exact_integral(transform, a + self.shift, b + self.shift)
 
     def describe(self) -> str:
@@ -206,26 +199,11 @@ class CoefficientField:
     ``"default"`` entry, then the built-in constants p=1, q=0, w=1.
     """
 
-    def __init__(
-        self,
-        graph: MetricGraph,
-        entries: dict,
-        quad_order: int = 5,
-        quad_panel: float = 0.25,
-        eta: float = 1.0,
-        essinf_samples: int = 512,
-    ):
-        if quad_order < 1:
-            raise CoefficientError("quad_order must be >= 1")
-        if quad_panel <= 0:
-            raise CoefficientError("quad_panel must be positive")
+    def __init__(self, graph: MetricGraph, entries: dict, eta: float = 1.0):
         if not (eta >= 1.0):
             raise CoefficientError("eta must be >= 1 (math.inf allowed)")
         self.graph = graph
-        self.quad_order = int(quad_order)
-        self.quad_panel = float(quad_panel)
         self.eta = float(eta)
-        self.essinf_samples = int(essinf_samples)
         self._entries = entries
         self._resolved: dict[tuple[str, str], object] = {}
         for e in graph.edges:
@@ -302,15 +280,76 @@ def load_coefficients(document, graph: MetricGraph, **config) -> CoefficientFiel
 # --- integration -------------------------------------------------------------
 
 
-def _panels(a: float, b: float, breakpoints, panel: float):
-    """Split [a, b] at breakpoints, then into pieces no longer than ``panel``."""
-    knots = [a] + [s for s in breakpoints if a < s < b] + [b]
-    out = []
-    for lo, hi in zip(knots, knots[1:]):
-        m = max(1, math.ceil((hi - lo) / panel - 1e-12))
-        step = (hi - lo) / m
-        out.extend((lo + i * step, lo + (i + 1) * step) for i in range(m))
+def map_by_spec(field: CoefficientField, name: str, edge_ids, edge, fn) -> np.ndarray:
+    """Array over entries, entry k on edge ``edge_ids[edge[k]]``, filled group by group.
+
+    Entries are grouped by the spec object of field ``name`` on their edge.
+    Each group, in ``edge_ids`` order, takes ``fn(edge_id, spec, idx)``:
+    the id of its first edge, the spec and its entry positions, increasing.
+    """
+    specs = [field.spec(eid, name) for eid in edge_ids]
+    first: dict = {}  # spec -> position of the first edge carrying it
+    head = np.array([first.setdefault(spec, k) for k, spec in enumerate(specs)])[edge]
+    order = np.argsort(head, kind="stable")
+    grouped = head[order]
+    # allocated after the grouping arrays, so that once freed they stay on
+    # the heap below it for the solver's factors to reuse; allocated first,
+    # they were trimmed and the certificate-tree eigensolve ran ~0.1 s slower
+    out = np.empty(len(head))
+    for idx in np.split(order, np.flatnonzero(grouped[1:] != grouped[:-1]) + 1):
+        if idx.size:
+            k = head[idx[0]]
+            out[idx] = fn(edge_ids[k], specs[k], idx)
     return out
+
+
+def sample_field(field: CoefficientField, name: str, edge_ids, edge, xs: np.ndarray) -> np.ndarray:
+    """Field ``name`` at offset ``xs[k]`` of edge ``edge_ids[edge[k]]``, one evaluation per spec."""
+    return map_by_spec(field, name, edge_ids, edge, lambda eid, _, idx: field.evaluate(eid, name, xs[idx]))
+
+
+def edge_integrals(field: CoefficientField, which: str, edge_ids, edge, a, b, power: float = 1.0) -> np.ndarray:
+    """Integrals over [a[k], b[k]] on edge ``edge_ids[edge[k]]``, as an array.
+
+    ``which`` is one of ``p, 1/p, q, q+, q-, |q|, w``; the integrand is that
+    quantity raised to ``power``.  Entries are grouped by spec object: exact
+    for constants and piecewise tables, composite Gauss quadrature with one
+    evaluation per group otherwise.  Entries whose integrand is not finite,
+    or not evaluable, come back inf or nan.
+    """
+    if which not in WHICH:
+        raise CoefficientError(f"unknown integrand {which!r}")
+    name, base = WHICH[which]
+    transform = base if power == 1.0 else (lambda v: np.power(base(v), power))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+
+    def integrate(eid, spec, idx):
+        exact = spec.exact_integral(transform, a[idx], b[idx])
+        return _quadrature(field, eid, name, transform, a[idx], b[idx]) if exact is None else exact
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return map_by_spec(field, name, edge_ids, edge, integrate)
+
+
+def _quadrature(field, edge_id, name, transform, a, b) -> np.ndarray:
+    """Composite Gauss sums over [a[k], b[k]], equal panels of at most QUAD_PANEL.
+
+    All panels take one evaluation; an evaluation error makes every entry nan.
+    """
+    counts = np.where(b > a, np.maximum(1, np.ceil((b - a) / QUAD_PANEL - 1e-12)), 0).astype(np.int64)
+    entry = np.repeat(np.arange(len(a)), counts)
+    i = np.arange(len(entry)) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = (b - a)[entry] / counts[entry]
+    lo = a[entry] + i * step
+    width = (a[entry] + (i + 1) * step) - lo
+    xs = 0.5 * width[:, None] * (GAUSS_NODES + 1.0) + lo[:, None]
+    try:
+        values = transform(field.evaluate(edge_id, name, xs.ravel())).reshape(xs.shape)
+    except EvaluationError:
+        return np.full(len(a), math.nan)
+    panel_sums = 0.5 * width * (values * GAUSS_WEIGHTS).sum(axis=1)
+    return np.bincount(entry, weights=panel_sums, minlength=len(a))
 
 
 def edge_integral(
@@ -333,58 +372,20 @@ def edge_integral(
         )
     a = min(max(a, 0.0), edge.length)
     b = min(max(b, 0.0), edge.length)
-    if which not in WHICH:
-        raise CoefficientError(f"unknown integrand {which!r}")
-    name, transform_name = WHICH[which]
-    transform = _TRANSFORMS[transform_name]
-    if power != 1.0:
-        base = transform
-
-        def transform(v):
-            return np.power(base(v), power)
-
-    spec = field.spec(edge_id, name)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exact = spec.exact_integral(transform, a, b)
-    except (ZeroDivisionError, FloatingPointError):
-        exact = math.inf
-    if exact is not None:
-        if not math.isfinite(exact):
-            raise IntegrabilityError(f"integral of {which} over edge {edge_id!r} is not finite")
-        return float(exact)
-    return _quadrature(field, edge_id, spec, transform, a, b, which)
+    value = float(edge_integrals(field, which, (edge_id,), [0], [a], [b], power)[0])
+    if not math.isfinite(value):
+        raise IntegrabilityError(f"integral of {which} over edge {edge_id!r} is not finite")
+    return value
 
 
-def _quadrature(field, edge_id, spec, transform, a, b, which):
-    if b <= a:
-        return 0.0
-    nodes, weights = _gauss_rule(field.quad_order)
-    total = 0.0
-    for lo, hi in _panels(a, b, spec.breakpoints(b), field.quad_panel):
-        xs = 0.5 * (hi - lo) * (nodes + 1.0) + lo
-        try:
-            with np.errstate(divide="raise"):
-                values = transform(spec.evaluate(xs))
-        except (FloatingPointError, EvaluationError) as exc:
-            raise IntegrabilityError(
-                f"integrand {which} not evaluable on edge {edge_id!r}: {exc}"
-            ) from exc
-        if not np.all(np.isfinite(values)):
-            raise IntegrabilityError(f"nonfinite {which} sample on edge {edge_id!r}")
-        total += 0.5 * (hi - lo) * float(np.dot(weights, values))
-    return total
-
-
-def sampled_min(field: CoefficientField, edge_id: str, name: str) -> float:
-    """Minimum of a field over a dense endpoint-inclusive sample grid."""
+def _edge_grid(field: CoefficientField, edge_id: str) -> np.ndarray:
+    """Dense endpoint-inclusive grid on an edge, with both sides of each jump."""
     length = field.graph.edge(edge_id).length
-    xs = np.linspace(0.0, length, field.essinf_samples + 1)
+    xs = np.linspace(0.0, length, ESSINF_SAMPLES + 1)
     extra = np.asarray(field.breakpoints(edge_id))
     if extra.size:
-        # sample both sides of each jump of a piecewise table
         xs = np.unique(np.concatenate([xs, extra, np.nextafter(extra, 0.0)]))
-    return float(np.min(field.evaluate(edge_id, name, xs)))
+    return xs
 
 
 # --- hypothesis validation ----------------------------------------------------
@@ -420,18 +421,6 @@ class HypothesisReport:
         return sorted(k for k, ok in self.flags.items() if not ok)
 
 
-def _inv_p_power_integral(field, edge_id) -> float:
-    """Edge integral of (1/p)^eta, or sup of 1/p when eta is infinite."""
-    edge = field.graph.edge(edge_id)
-    if math.isinf(field.eta):
-        spec = field.spec(edge_id, "p")
-        xs = np.linspace(0.0, edge.length, field.essinf_samples + 1)
-        with np.errstate(divide="ignore"):
-            vals = np.divide(1.0, spec.evaluate(xs))
-        return float(np.max(np.abs(vals)))
-    return edge_integral(field, edge_id, "1/p", power=field.eta)
-
-
 def validate_hypotheses(
     g: MetricGraph,
     field: CoefficientField,
@@ -444,23 +433,39 @@ def validate_hypotheses(
     When an exhaustion is supplied the check searches its levels for a
     compact subgraph that makes the weight bound pass (the hypothesis only
     asks that some compact subgraph works) and records the one chosen.
+    The infimum of w, and for infinite eta the supremum of 1/p, is sampled
+    once per edge on a grid that sees both sides of every jump.
     """
     flags: dict[int, bool] = {}
     details: dict[str, object] = {}
+    ids = [e.id for e in g.edges]
+    edge = np.arange(len(ids))
+    lengths = np.array([e.length for e in g.edges])
 
-    inv_p_total = 0.0
-    locally_integrable = True
-    for e in g.edges:
-        try:
-            inv_p_total += _inv_p_power_integral(field, e.id)
-            edge_integral(field, e.id, "|q|")
-            edge_integral(field, e.id, "w")
-        except (IntegrabilityError, EvaluationError) as exc:
-            locally_integrable = False
-            details.setdefault("integrability", []).append(f"{e.id}: {exc}")
-    if not math.isfinite(inv_p_total):
-        locally_integrable = False
-    flags[1] = locally_integrable
+    def integrals(which: str, power: float = 1.0) -> np.ndarray:
+        return edge_integrals(field, which, ids, edge, np.zeros(len(ids)), lengths, power)
+
+    w_min = np.empty(len(ids))
+    inv_p = np.empty(len(ids)) if math.isinf(field.eta) else integrals("1/p", field.eta)
+    for k, eid in enumerate(ids):
+        xs = _edge_grid(field, eid)
+        w_min[k] = np.min(field.evaluate(eid, "w", xs))
+        if math.isinf(field.eta):  # sup of 1/p instead of an integral
+            try:
+                with np.errstate(divide="ignore"):
+                    inv_p[k] = np.max(np.abs(np.divide(1.0, field.evaluate(eid, "p", xs))))
+            except EvaluationError:
+                inv_p[k] = math.nan
+
+    integrable = np.isfinite(inv_p) & np.isfinite(integrals("|q|")) & np.isfinite(integrals("w"))
+    if not integrable.all():
+        details["integrability"] = [
+            f"{ids[k]}: (1/p)^eta, |q| or w not finite" for k in np.flatnonzero(~integrable)
+        ]
+    inv_p_total = 0.0  # summed in edge order
+    for value in inv_p[np.isfinite(inv_p)].tolist():
+        inv_p_total += value
+    flags[1] = bool(integrable.all()) and math.isfinite(inv_p_total)
 
     candidates = [tuple(sorted(compact))]
     if exhaustion is not None:
@@ -472,10 +477,10 @@ def validate_hypotheses(
     best_compact = candidates[0]
     for cand in candidates:
         inside = set(cand)
-        outside = [e.id for e in g.edges if e.id not in inside]
-        if not outside:
+        outside = np.array([eid not in inside for eid in ids], dtype=bool)
+        if not outside.any():
             continue
-        cw = min(sampled_min(field, eid, "w") for eid in outside)
+        cw = float(np.min(w_min[outside]))
         if cw > best_cw:
             best_cw, best_compact = cw, cand
         if cw > 0:
@@ -487,15 +492,12 @@ def validate_hypotheses(
 
     flags[3] = g.min_edge_length > 0
 
-    sup_neg = 0.0
-    finite = True
-    for e in g.edges:
-        try:
-            sup_neg = max(sup_neg, edge_integral(field, e.id, "q-"))
-        except (IntegrabilityError, EvaluationError) as exc:
-            finite = False
-            details.setdefault("negative-part", []).append(f"{e.id}: {exc}")
-    flags[4] = finite and math.isfinite(sup_neg)
+    neg_q = integrals("q-")
+    finite = np.isfinite(neg_q)
+    if not finite.all():
+        details["negative-part"] = [f"{ids[k]}: q- not finite" for k in np.flatnonzero(~finite)]
+    sup_neg = max([0.0, *neg_q[finite].tolist()])
+    flags[4] = bool(finite.all())
 
     return HypothesisReport(
         eta=field.eta,

@@ -24,8 +24,8 @@ from scipy.io import mmwrite
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import _kernels
-from .coeff import CoefficientField, _gauss_rule, edge_integral
-from .errors import CoefficientError, MeshError
+from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals, sample_field
+from .errors import CoefficientError, IntegrabilityError, MeshError
 from .graph import MetricGraph
 
 
@@ -225,25 +225,6 @@ class MeshSamples:
         return out
 
 
-def _sample_field(field: CoefficientField, edge_ids, name: str, edge: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Field ``name`` at ``xs``, one evaluation per distinct spec object.
-
-    The edges sharing a spec are evaluated together, in mesh order, under
-    the id of the first of them.
-    """
-    specs = [field.spec(eid, name) for eid in edge_ids]
-    first: dict = {}
-    for k, spec in enumerate(specs):
-        first.setdefault(spec, k)
-    head = np.array([first[spec] for spec in specs])[edge]  # sample -> first edge of its spec
-    order = np.argsort(head, kind="stable")
-    grouped = head[order]
-    out = np.empty(len(xs))
-    for idx in np.split(order, np.flatnonzero(grouped[1:] != grouped[:-1]) + 1):
-        out[idx] = field.evaluate(edge_ids[head[idx[0]]], name, xs[idx])
-    return out
-
-
 def _all_but_last(sizes) -> np.ndarray:
     """Positions of every entry but the last of each run of ``sizes``."""
     keep = np.ones(int(np.sum(sizes)), dtype=bool)
@@ -281,30 +262,29 @@ def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
     plo = all_knots[panel][:, None]
     width = (all_knots[panel + 1] - all_knots[panel])[:, None]
 
-    gauss, weights = _gauss_rule(field.quad_order)
-    tref = 0.5 * (gauss + 1.0)
+    tref = 0.5 * (GAUSS_NODES + 1.0)
     xs = plo + width * tref
     tloc = np.tile(tref, (len(panel), 1))
     # on edges with a jump the points are placed per panel instead; the two
     # placements round differently, and each kind of edge keeps its own so
     # that assembled matrices stay bitwise reproducible
     cut = split[pedge]
-    xs[cut] = 0.5 * width[cut] * (gauss + 1.0) + plo[cut]
+    xs[cut] = 0.5 * width[cut] * (GAUSS_NODES + 1.0) + plo[cut]
     tloc[cut] = (xs[cut] - nodes[left][pcell[cut], None]) / hcell[pcell[cut], None]
     xs, tloc = xs.ravel(), tloc.ravel()
-    edge = np.repeat(pedge, len(gauss))
+    edge = np.repeat(pedge, len(GAUSS_NODES))
     return MeshSamples(
         mesh=mesh,
         d0=dofs[left],
         d1=dofs[left + 1],
         hcell=hcell,
-        cell_idx=np.repeat(pcell, len(gauss)),
+        cell_idx=np.repeat(pcell, len(GAUSS_NODES)),
         edge=edge,
         tloc=tloc,
-        wq=(0.5 * width * weights).ravel(),
-        p=_sample_field(field, ids, "p", edge, xs),
-        q=_sample_field(field, ids, "q", edge, xs),
-        w=_sample_field(field, ids, "w", edge, xs),
+        wq=(0.5 * width * GAUSS_WEIGHTS).ravel(),
+        p=sample_field(field, "p", ids, edge, xs),
+        q=sample_field(field, "q", ids, edge, xs),
+        w=sample_field(field, "w", ids, edge, xs),
     )
 
 
@@ -412,33 +392,37 @@ def mass_value(mesh: GraphMesh, field: CoefficientField, f: np.ndarray) -> float
     return float(np.dot(s.wq, s.w * value**2))
 
 
-def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, vertex: str) -> float:
-    """Absolute flux imbalance |sum over incident edges of p f'| at a vertex.
+def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, vertices) -> dict:
+    """Absolute flux imbalance |sum over incident edges of p f'| at each vertex.
 
     Derivatives are one-sided difference quotients on the adjacent cell,
     weighted by the cell average of p; for the discrete eigenfunctions this
-    shrinks linearly with the mesh size.
+    shrinks linearly with the mesh size.  Returns ``{vertex: residual}``.
     """
-    if vertex not in mesh.vertex_dof:
-        raise MeshError(f"vertex {vertex!r} not in mesh")
-    if mesh.vertex_dof[vertex] < 0:
-        raise MeshError(f"vertex {vertex!r} is constrained; flux balance does not apply")
-    total = 0.0
-    for eid in mesh.graph.adjacency[vertex]:
-        if eid not in mesh.edge_offsets:
-            continue
-        e = mesh.graph.edge(eid)
-        offsets = mesh.edge_offsets[eid]
-        vals = mesh.edge_values(f, eid)
-        if vertex == e.src:
-            delta = float(offsets[1] - offsets[0])
-            pbar = edge_integral(field, eid, "p", float(offsets[0]), float(offsets[1])) / delta
-            total += pbar * (vals[1] - vals[0]) / delta
-        if vertex == e.dst:
-            delta = float(offsets[-1] - offsets[-2])
-            pbar = edge_integral(field, eid, "p", float(offsets[-2]), float(offsets[-1])) / delta
-            total += pbar * (vals[-2] - vals[-1]) / delta
-    return float(abs(total))
+    position = {eid: k for k, eid in enumerate(mesh.edge_ids)}
+    vertices = list(vertices)
+    cells = []  # per end cell: vertex, edge, cell start and end, vertex dof, inner dof
+    for k, vertex in enumerate(vertices):
+        if vertex not in mesh.vertex_dof:
+            raise MeshError(f"vertex {vertex!r} not in mesh")
+        if mesh.vertex_dof[vertex] < 0:
+            raise MeshError(f"vertex {vertex!r} is constrained; flux balance does not apply")
+        for eid in mesh.graph.adjacency[vertex]:
+            if eid in position:
+                e, x, d = mesh.graph.edge(eid), mesh.edge_offsets[eid], mesh.edge_dofs[eid]
+                if vertex == e.src:
+                    cells.append((k, position[eid], x[0], x[1], d[0], d[1]))
+                if vertex == e.dst:
+                    cells.append((k, position[eid], x[-2], x[-1], d[-1], d[-2]))
+    owner, edge, lo, hi, d_at, d_in = np.array(cells, dtype=float).reshape(-1, 6).T
+    delta = hi - lo
+    p_int = edge_integrals(field, "p", mesh.edge_ids, edge.astype(np.int64), lo, hi)
+    if not np.all(np.isfinite(p_int)):
+        raise IntegrabilityError("integral of p over an end cell is not finite")
+    nodal = np.append(f, 0.0)  # dof -1 reads the appended zero
+    flux = p_int / delta * (nodal[d_in.astype(np.int64)] - nodal[d_at.astype(np.int64)]) / delta
+    totals = np.bincount(owner.astype(np.int64), weights=flux, minlength=len(vertices))
+    return {v: float(abs(t)) for v, t in zip(vertices, totals)}
 
 
 def write_matrix_market(forms: AssembledForms, directory, prefix: str = "") -> list[str]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .coeff import CoefficientField, _gauss_rule, edge_integral
+from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals
 from .eig import smallest_eigenpair
 from .errors import HypothesisError, IntegrabilityError, SolverError
 from .fem import (
@@ -43,6 +43,8 @@ from .graph import Exhaustion, MetricGraph
 
 BC_DIRICHLET = "dirichlet"  # forms vanish on the host graph boundary
 BC_FREE = "free"            # no condition at the host graph boundary
+CUTOFF_SAMPLES = 129        # cutoff profile grid points per halo edge
+WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
 
 
 def _check_bc(bc: str) -> None:
@@ -266,9 +268,7 @@ def _certificate(g, field, exhaustion, forms, lam, level, bottom) -> PositiveSol
             f"{min_value:.6g} at dof {bad} (trial value too close to the bottom "
             "or minimum principle violated)"
         )
-    kirch = {}
-    for v in sorted(subgraph_vertices(g, edge_ids) - boundary):
-        kirch[v] = kirchhoff_residual(mesh, field, y, v)
+    kirch = kirchhoff_residual(mesh, field, y, sorted(subgraph_vertices(g, edge_ids) - boundary))
     return PositiveSolutionCert(
         lam=float(lam),
         level=int(level),
@@ -508,7 +508,6 @@ def cutoff_build(
     field: CoefficientField,
     exhaustion: Exhaustion,
     level: int,
-    samples_per_edge: int = 129,
 ) -> CutoffFunction:
     """Build the weighted cutoff profile for one exhaustion level."""
     if level < 0 or level > exhaustion.max_level:
@@ -517,21 +516,20 @@ def cutoff_build(
     halo_only = exhaustion.haloes[level] - zero
     one = frozenset(e.id for e in g.edges) - exhaustion.haloes[level]
     dist = g.vertex_distances(exhaustion.root)
-    nodes, weights = _gauss_rule(field.quad_order)
     profiles = {}
     sup_rate = 0.0
     for eid in sorted(halo_only):
         e = g.edge(eid)
-        xs = np.linspace(0.0, e.length, samples_per_edge)
+        xs = np.linspace(0.0, e.length, CUTOFF_SAMPLES)
         breaks = np.asarray(field.breakpoints(eid))
         if breaks.size:
             xs = np.unique(np.concatenate([xs, breaks]))
         half = 0.5 * (xs[1:] - xs[:-1])
-        px = (half[:, None] * (nodes + 1.0) + xs[:-1, None]).ravel()
+        px = (half[:, None] * (GAUSS_NODES + 1.0) + xs[:-1, None]).ravel()
         integrand = np.sqrt(field.evaluate(eid, "w", px) / field.evaluate(eid, "p", px))
         if not np.all(np.isfinite(integrand)):
             raise IntegrabilityError(f"sqrt(w/p) not integrable on edge {eid!r}")
-        increments = half * (integrand.reshape(-1, len(nodes)) @ weights)
+        increments = half * (integrand.reshape(-1, len(GAUSS_NODES)) @ GAUSS_WEIGHTS)
         cumulative = np.concatenate([[0.0], np.cumsum(increments)])
         total = cumulative[-1]
         if not (total > 0 and math.isfinite(total)):
@@ -578,11 +576,11 @@ class SobolevEstimate:
     constant: float
 
 
-def _window_starts(length: float, window: float, count: int, breakpoints) -> np.ndarray:
+def _window_starts(length: float, window: float, breakpoints) -> np.ndarray:
     span = length - window
     if span < 0:
         return np.zeros(0)
-    starts = np.linspace(0.0, span, count)
+    starts = np.linspace(0.0, span, WINDOW_STARTS)
     extra = []
     for b in breakpoints:
         for s in (b - window, b):
@@ -597,24 +595,35 @@ def sobolev_constant(
     g: MetricGraph,
     field: CoefficientField,
     epsilon: float,
-    starts_per_edge: int = 65,
 ) -> SobolevEstimate:
     """Constructive constants for the edgewise sup bound.
 
     Bisects for the largest admissible window length delta strictly below
     half the shortest edge, then takes the worst half-window mass of w.
+    Each admissibility test and the mass take one grouped integral call
+    over the windows of every edge.
     """
     if epsilon <= 0:
         raise HypothesisError("epsilon must be positive")
     half_min = g.min_edge_length / 2.0
+    ids = [e.id for e in g.edges]
+    lengths = np.array([e.length for e in g.edges])
+    breaks = [field.breakpoints(eid) for eid in ids]
+
+    def windows(which: str, width: float, bound: float) -> tuple[np.ndarray, bool]:
+        # integrals over every window of ``width``, and whether one reaches
+        # ``bound``; raises if the first that does, in edge order, is not finite
+        starts = [_window_starts(e.length, width, b) for e, b in zip(g.edges, breaks)]
+        edge = np.repeat(np.arange(len(ids)), [len(s) for s in starts])
+        a = np.concatenate(starts)
+        values = edge_integrals(field, which, ids, edge, a, np.minimum(a + width, lengths[edge]))
+        over = np.flatnonzero(~(values < bound))
+        if over.size and not math.isfinite(values[over[0]]):
+            raise IntegrabilityError(f"integral of {which} over edge {ids[edge[over[0]]]!r} is not finite")
+        return values, bool(over.size)
 
     def admissible(delta: float) -> bool:
-        for e in g.edges:
-            breaks = field.breakpoints(e.id)
-            for s in _window_starts(e.length, delta, starts_per_edge, breaks):
-                if edge_integral(field, e.id, "1/p", s, s + delta) >= epsilon / 2.0:
-                    return False
-        return True
+        return not windows("1/p", delta, epsilon / 2.0)[1]
 
     hi = half_min * (1.0 - 1e-12)
     lo = 0.0
@@ -634,11 +643,7 @@ def sobolev_constant(
             else:
                 hi = mid
         delta = lo
-    mass = math.inf
-    for e in g.edges:
-        breaks = field.breakpoints(e.id)
-        for s in _window_starts(e.length, delta / 2.0, starts_per_edge, breaks):
-            mass = min(mass, edge_integral(field, e.id, "w", s, s + delta / 2.0))
+    mass = float(np.min(windows("w", delta / 2.0, math.inf)[0], initial=math.inf))
     if not (mass > 0 and math.isfinite(mass)):
         raise HypothesisError("window mass of w is not positive")
     return SobolevEstimate(

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from graphsl import expressions
 from graphsl.coeff import (
     edge_integral,
+    edge_integrals,
     load_coefficients,
-    sampled_min,
     validate_hypotheses,
 )
 from graphsl.errors import CoefficientError, IntegrabilityError
-from graphsl.families import path, star
+from graphsl.families import path, star, tree
 from graphsl.graph import build_exhaustion, load_graph
 
 
@@ -129,7 +130,30 @@ def test_sampled_min_sees_both_sides_of_jumps():
     # drops to 0.25 exactly at the last table start; right-continuous value
     # holds to the end, so the minimum must be found on the jump's right side
     f = load_coefficients({"e1": {"w": {"piecewise": [[0, 1], [0.9999, 0.25]]}}}, g)
-    assert sampled_min(f, "e1", "w") == 0.25
+    assert validate_hypotheses(g, f).essinf_w_outside == 0.25
+
+
+def test_grouped_integrals_match_one_by_one():
+    # entries of several specs in one call: each equals its own checked
+    # integral, and a nonfinite one comes back nonfinite instead of raising
+    g = load_graph(star(3))
+    f = load_coefficients(
+        {
+            "a1": {"q": {"expr": "sin(3*x)-0.2"}},
+            "a2": {"q": {"piecewise": [[0, -2], [0.3, 1]]}},
+            "a3": {"q": {"expr": "sqrt(x-0.5)"}},
+        },
+        g,
+    )
+    ids = ["a1", "a2", "a3"]
+    edge = [0, 1, 0, 1, 0, 2]
+    a = [0.0, 0.0, 0.1, 0.25, 0.3, 0.0]
+    b = [1.0, 1.0, 0.7, 0.35, 0.3, 1.0]
+    for which in ("q", "q-", "|q|"):
+        values = edge_integrals(f, which, ids, edge, a, b)
+        assert not np.isfinite(values[-1])
+        expected = [edge_integral(f, ids[e], which, lo, hi) for e, lo, hi in zip(edge[:-1], a, b)]
+        assert values[:-1].tolist() == expected
 
 
 def test_nonintegrable_reciprocal_raises():
@@ -190,3 +214,26 @@ def test_hypotheses_declared_eta():
     assert report.eta == 2.0
     assert report.inv_p_power_total == pytest.approx((1 / 4.0) ** 2)
     assert report.passed
+
+
+def test_eta_inf_sees_narrow_pieces_of_p():
+    # p dips to 0.01 on [0.5001, 0.5002), between two points of the grid
+    g = unit_interval()
+    doc = {"default": {"p": {"piecewise": [[0, 1], [0.5001, 0.01], [0.5002, 1]]}}}
+    report = validate_hypotheses(g, load_coefficients(doc, g, eta=math.inf))
+    assert report.inv_p_power_total == 100.0
+
+
+def test_validation_evaluates_each_expression_spec_once(monkeypatch):
+    calls = []
+    original = expressions.evaluate
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(expressions, "evaluate", counted)
+    g = load_graph(tree(6))
+    f = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}, g)
+    assert validate_hypotheses(g, f).passed
+    assert len(calls) <= 2  # |q| and q-, each over every edge at once

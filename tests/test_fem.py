@@ -6,7 +6,7 @@ import pytest
 from graphsl.coeff import CoefficientField, edge_integral, load_coefficients
 from graphsl.eig import smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
-from graphsl.families import path, star, tree
+from graphsl.families import cycle, path, star, tree
 from graphsl.fem import (
     assemble,
     build_mesh,
@@ -324,7 +324,7 @@ def test_kirchhoff_constant_function_zero():
     field = load_coefficients({}, g)
     mesh = build_mesh(g, 0.25)
     f = np.ones(mesh.n_free)
-    assert kirchhoff_residual(mesh, field, f, "c") == 0.0
+    assert kirchhoff_residual(mesh, field, f, ["c"]) == {"c": 0.0}
 
 
 def test_kirchhoff_linear_through_degree_two_vertex():
@@ -338,7 +338,7 @@ def test_kirchhoff_linear_through_degree_two_vertex():
         else:
             x = label[1] + (0.0 if label[0] == "e01" else 1.0)
         f[dof] = 0.5 * x  # globally linear along the path
-    assert kirchhoff_residual(mesh, field, f, "v01") <= 1e-13
+    assert kirchhoff_residual(mesh, field, f, ["v01"])["v01"] <= 1e-13
 
 
 def test_kirchhoff_residual_decreases_under_refinement():
@@ -348,10 +348,24 @@ def test_kirchhoff_residual_decreases_under_refinement():
     for h in (0.1, 0.05):
         mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
         result = smallest_eigenpair(assemble(mesh, field), tol=1e-10)
-        residuals.append(kirchhoff_residual(mesh, field, result.vector, "c"))
+        residuals.append(kirchhoff_residual(mesh, field, result.vector, ["c"])["c"])
     assert residuals[1] < residuals[0]
     # one-sided quotients are first order
     assert residuals[0] / residuals[1] == pytest.approx(2.0, rel=0.35)
+
+
+def test_kirchhoff_one_call_matches_vertex_by_vertex(rng):
+    # every vertex of a cycle is the source of one edge and the target of
+    # another; the batched fluxes equal the single-vertex ones bitwise
+    g = load_graph(cycle(3))
+    field = load_coefficients({"default": {"p": {"expr": "1+0.5*sin(3*x)"}}}, g)
+    mesh = build_mesh(g, 0.2)
+    f = rng.normal(size=mesh.n_free)
+    vertices = sorted(mesh.vertex_dof)
+    together = kirchhoff_residual(mesh, field, f, vertices)
+    assert together == {v: kirchhoff_residual(mesh, field, f, [v])[v] for v in vertices}
+    assert all(type(r) is float and r > 0 for r in together.values())
+    assert kirchhoff_residual(mesh, field, f, []) == {}
 
 
 def test_kirchhoff_rejects_constrained_vertex():
@@ -359,7 +373,7 @@ def test_kirchhoff_rejects_constrained_vertex():
     field = load_coefficients({}, g)
     mesh = build_mesh(g, 0.25, dirichlet_vertices=g.boundary)
     with pytest.raises(MeshError):
-        kirchhoff_residual(mesh, field, np.ones(mesh.n_free), "a")
+        kirchhoff_residual(mesh, field, np.ones(mesh.n_free), ["a"])
 
 
 # --- export ---------------------------------------------------------------------

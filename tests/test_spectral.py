@@ -371,6 +371,24 @@ def test_sobolev_inequality_holds_for_nodal_functions(star3, rng):
         assert np.all(sup2 <= (est.epsilon * grad + est.constant * mass) * (1 + 1e-12))
 
 
+def test_sobolev_windows_evaluate_in_one_call(monkeypatch):
+    from graphsl import expressions
+
+    calls = []
+    original = expressions.evaluate
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(expressions, "evaluate", counted)
+    g = load_graph(tree(6))
+    field = load_coefficients({"default": {"p": {"expr": "2+cos(x)"}}}, g)
+    est = sobolev_constant(g, field, 0.5)
+    assert est.delta == pytest.approx(0.5, rel=1e-9)
+    assert len(calls) <= 2
+
+
 def test_sobolev_rejects_bad_epsilon(star3):
     from graphsl.errors import HypothesisError
 
