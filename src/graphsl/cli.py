@@ -406,20 +406,24 @@ def cmd_positive_solution(cfg: RunConfig) -> int:
         f"max-kirchhoff-residual: {worst_flux!r}",
         f"root: {cert.root}",
     ]
-    rows = []
-    for dof, label in enumerate(cert.mesh.dof_labels):
-        value = repr(float(cert.values[dof]))
-        if label[0] == "vertex":
-            rows.append(("vertex", label[1], "", value))
-        else:
-            rows.append(("edge", label[0], repr(label[1]), value))
     print(
         f"certificate: min={cert.min_value!r} max={cert.max_value!r} "
         f"max-kirchhoff-residual={worst_flux!r}",
         file=sys.stderr,
     )
-    _emit(cfg, hyp, comments, ["kind", "id", "offset", "value"], rows)
+    _emit(cfg, hyp, comments, ["kind", "id", "offset", "value"], _certificate_rows(cert))
     return 0
+
+
+def _certificate_rows(cert):
+    """One CSV row per dof, in dof order: free vertices, then interior nodes."""
+    mesh, values = cert.mesh, cert.values
+    for d, v in sorted((d, v) for v, d in mesh.vertex_dof.items() if d >= 0):
+        yield ("vertex", v, "", repr(float(values[d])))
+    for k, eid in enumerate(mesh.edge_ids):
+        inner = slice(mesh.start[k] + 1, mesh.start[k + 1] - 1)
+        for x, value in zip(mesh.x[inner].tolist(), values[mesh.dof[inner]].tolist()):
+            yield ("edge", eid, repr(x), repr(value))
 
 
 def cmd_sobolev(cfg: RunConfig) -> int:

@@ -449,7 +449,10 @@ def validate_hypotheses(
     inv_p = np.empty(len(ids)) if math.isinf(field.eta) else integrals("1/p", field.eta)
     for k, eid in enumerate(ids):
         xs = _edge_grid(field, eid)
-        w_min[k] = np.min(field.evaluate(eid, "w", xs))
+        try:
+            w_min[k] = np.min(field.evaluate(eid, "w", xs))
+        except EvaluationError:
+            w_min[k] = math.nan
         if math.isinf(field.eta):  # sup of 1/p instead of an integral
             try:
                 with np.errstate(divide="ignore"):
@@ -485,7 +488,11 @@ def validate_hypotheses(
             best_cw, best_compact = cw, cand
         if cw > 0:
             break
-    if best_cw == -math.inf:
+    if np.isnan(w_min).any():
+        # no compact choice bounds a weight whose infimum is unknown
+        details["weight"] = [f"{ids[k]}: w not evaluable" for k in np.flatnonzero(np.isnan(w_min))]
+        best_cw = math.nan
+    elif best_cw == -math.inf:
         # every candidate swallowed the whole graph; vacuously positive
         best_cw = math.inf
     flags[2] = best_cw > 0

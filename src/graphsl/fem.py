@@ -16,7 +16,7 @@ values, the ground-state transform) reads the one flat sample set that
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,90 +30,102 @@ from .graph import MetricGraph
 
 
 class GraphMesh:
-    """Mesh over a subset of edges with a shared vertex dof map.
+    """Mesh over a subset of edges, stored as flat node arrays.
 
-    Constrained (Dirichlet) vertices carry dof -1.
+    Edge ``edge_ids[k]`` owns nodes ``start[k]:start[k+1]``, endpoints
+    included; ``x`` holds each node's offset along its edge and ``dof`` its
+    degree of freedom, -1 when constrained.  An endpoint node carries the
+    dof of its vertex (``vertex_dof``).  Free vertices take the first dofs,
+    in sorted vertex order, then interior nodes follow in node order.
     """
 
-    def __init__(self, graph, edge_ids, h, edge_offsets, edge_dofs, vertex_dof, n_free, dof_labels):
+    def __init__(self, graph, edge_ids, start, x, dof, vertex_dof, n_free):
         self.graph = graph
         self.edge_ids = edge_ids
-        self.h = h
-        self.edge_offsets = edge_offsets
-        self.edge_dofs = edge_dofs
+        self.start = start
+        self.x = x
+        self.dof = dof
         self.vertex_dof = vertex_dof
         self.n_free = n_free
-        self.dof_labels = dof_labels
 
-    def value_at_vertex(self, f: np.ndarray, v: str) -> float:
-        d = self.vertex_dof[v]
-        return float(f[d]) if d >= 0 else 0.0
-
-    def edge_values(self, f: np.ndarray, edge_id: str) -> np.ndarray:
-        """Nodal values along one edge, constrained nodes read as zero."""
-        dofs = self.edge_dofs[edge_id]
-        out = np.zeros(len(dofs))
-        mask = dofs >= 0
-        out[mask] = f[dofs[mask]]
-        return out
+    def edge_index(self, edge_id: str) -> int:
+        """Position of ``edge_id`` in ``edge_ids`` (sorted), -1 when not meshed."""
+        k = bisect_left(self.edge_ids, edge_id)
+        return k if k < len(self.edge_ids) and self.edge_ids[k] == edge_id else -1
 
     def restrict(self, edge_ids, dirichlet_vertices=frozenset()) -> tuple["GraphMesh", np.ndarray]:
         """Submesh on ``edge_ids`` with ``dirichlet_vertices`` constrained.
 
         Returns the submesh and the parent dofs it keeps, in increasing
         order (submesh dof k is parent dof ``kept[k]``); cells, offsets and
-        dof labels are the parent's.  Raises MeshError when a free vertex of
-        the submesh touches a meshed edge outside ``edge_ids``, since its
+        the dof order are the parent's.  Raises MeshError when a free vertex
+        of the submesh touches a meshed edge outside ``edge_ids``, since its
         parent row then carries that edge's entries.
         """
-        inside = set(edge_ids)
-        selected = sorted(inside)
+        selected = sorted(set(edge_ids))
         if not selected:
             raise MeshError("empty edge selection")
-        vertices = set()
-        for eid in selected:
-            if eid not in self.edge_dofs:
-                raise MeshError(f"edge {eid!r} is not in the parent mesh")
-            e = self.graph.edge(eid)
-            vertices.update((e.src, e.dst))
-        dirichlet = frozenset(dirichlet_vertices)
-        for v in dirichlet:
-            if v not in vertices:
-                raise MeshError(f"constrained vertex {v!r} not in meshed subgraph")
-        keep = np.zeros(self.n_free, dtype=bool)
-        for v in sorted(vertices):
-            if v in dirichlet or self.vertex_dof[v] < 0:
-                continue
-            for eid in self.graph.adjacency[v]:
-                if eid in self.edge_dofs and eid not in inside:
-                    raise MeshError(
-                        f"free vertex {v!r} touches meshed edge {eid!r} outside the restriction"
-                    )
-            keep[self.vertex_dof[v]] = True
-        for eid in selected:
-            interior = self.edge_dofs[eid][1:-1]
-            keep[interior[interior >= 0]] = True
-        kept = np.flatnonzero(keep)
-        # one spare slot so that parent dof -1 (and any dropped dof) maps to -1
+        position = np.fromiter(map(self.edge_index, selected), np.int64, len(selected))
+        if (position < 0).any():
+            raise MeshError(f"edge {selected[np.argmax(position < 0)]!r} is not in the parent mesh")
+        vertices = subgraph_vertices(self.graph, selected)
+        dirichlet = _checked_dirichlet(vertices, dirichlet_vertices)
+        keep = np.zeros(self.n_free + 1, dtype=bool)
+        keep[np.fromiter((self.vertex_dof[v] for v in vertices if v not in dirichlet), np.int64)] = True
+        keep[-1] = False  # spare slot: parent dof -1 is never kept
+        inside = np.zeros(len(self.edge_ids), dtype=bool)
+        inside[position] = True
+        # endpoint nodes carry vertex dofs, so a kept dof at an endpoint of
+        # an edge outside is a free vertex touching that edge
+        free_end = keep[self.dof[self.start[:-1]]] | keep[self.dof[self.start[1:] - 1]]
+        if (free_end & ~inside).any():
+            for v in sorted(vertices - dirichlet):
+                for eid in self.graph.adjacency[v]:
+                    k = self.edge_index(eid)
+                    if keep[self.vertex_dof[v]] and k >= 0 and not inside[k]:
+                        raise MeshError(
+                            f"free vertex {v!r} touches meshed edge {eid!r} outside the restriction"
+                        )
+        sizes = np.diff(self.start)
+        nodes = np.repeat(inside, sizes)
+        keep[self.dof[nodes & _interior(self.start)]] = True
+        kept = np.flatnonzero(keep[:-1])
+        # the spare slot maps parent dof -1 (and any dropped dof) to -1
         renumber = np.full(self.n_free + 1, -1, dtype=np.int64)
         renumber[kept] = np.arange(len(kept))
-        vertex_dof = {v: int(renumber[self.vertex_dof[v]]) for v in sorted(vertices)}
         sub = GraphMesh(
             graph=self.graph,
             edge_ids=tuple(selected),
-            h=self.h,
-            edge_offsets={eid: self.edge_offsets[eid] for eid in selected},
-            edge_dofs={eid: renumber[self.edge_dofs[eid]] for eid in selected},
-            vertex_dof=vertex_dof,
+            start=np.concatenate(([0], np.cumsum(sizes[position]))),
+            x=self.x[nodes],
+            dof=renumber[self.dof[nodes]],
+            vertex_dof={v: int(renumber[self.vertex_dof[v]]) for v in sorted(vertices)},
             n_free=len(kept),
-            dof_labels=[self.dof_labels[k] for k in kept],
         )
         return sub, kept
 
 
-def _cell_count(length: float, h: float) -> int:
-    # guard against float noise pushing ceil(length/h) one too high
-    return max(1, math.ceil(length / h - 1e-9))
+def subgraph_vertices(g: MetricGraph, edge_ids) -> frozenset:
+    """Endpoints of the given edges."""
+    # copied from a set, the frozenset is sized to fit; built straight from
+    # a generator it keeps the table's growth slack
+    return frozenset({v for e in map(g.edge, edge_ids) for v in (e.src, e.dst)})
+
+
+def _interior(start: np.ndarray) -> np.ndarray:
+    """Mask of the nodes that are not an edge endpoint, for the layout ``start``."""
+    out = np.ones(start[-1], dtype=bool)
+    out[start[:-1]] = False
+    out[start[1:] - 1] = False
+    return out
+
+
+def _checked_dirichlet(vertices, dirichlet_vertices) -> frozenset:
+    dirichlet = frozenset(dirichlet_vertices)
+    for v in dirichlet:
+        if v not in vertices:
+            raise MeshError(f"constrained vertex {v!r} not in meshed subgraph")
+    return dirichlet
 
 
 def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozenset()) -> GraphMesh:
@@ -124,58 +136,40 @@ def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozense
     """
     if not (isinstance(h, (int, float)) and h > 0):
         raise MeshError(f"mesh size must be positive, got {h!r}")
-    if edges is None:
-        selected = [e.id for e in g.edges]
-    else:
-        selected = list(edges)
-        for eid in selected:
-            g.edge(eid)  # raises for unknown ids
+    # g.edge raises for unknown ids
+    selected = [e.id for e in g.edges] if edges is None else [g.edge(eid).id for eid in edges]
     if not selected:
         raise MeshError("empty edge selection")
     selected = sorted(set(selected))
-    vertices = set()
-    for eid in selected:
-        e = g.edge(eid)
-        vertices.add(e.src)
-        vertices.add(e.dst)
-    dirichlet = frozenset(dirichlet_vertices)
-    for v in dirichlet:
-        if v not in vertices:
-            raise MeshError(f"constrained vertex {v!r} not in meshed subgraph")
+    vertices = subgraph_vertices(g, selected)
+    dirichlet = _checked_dirichlet(vertices, dirichlet_vertices)
 
-    vertex_dof: dict[str, int] = {}
-    next_dof = 0
-    dof_labels: list[tuple] = []
-    for v in sorted(vertices):
-        if v in dirichlet:
-            vertex_dof[v] = -1
-        else:
-            vertex_dof[v] = next_dof
-            dof_labels.append(("vertex", v))
-            next_dof += 1
-    edge_offsets: dict[str, np.ndarray] = {}
-    edge_dofs: dict[str, np.ndarray] = {}
-    for eid in selected:
-        e = g.edge(eid)
-        offsets = np.linspace(0.0, e.length, _cell_count(e.length, h) + 1)
-        interior = len(offsets) - 2
-        dofs = np.empty(len(offsets), dtype=np.int64)
-        dofs[0] = vertex_dof[e.src]
-        dofs[-1] = vertex_dof[e.dst]
-        dofs[1:-1] = np.arange(next_dof, next_dof + interior)
-        dof_labels.extend((eid, float(x)) for x in offsets[1:-1])
-        next_dof += interior
-        edge_offsets[eid] = offsets
-        edge_dofs[eid] = dofs
+    vertex_dof = dict.fromkeys(sorted(vertices), -1)
+    free = [v for v in vertex_dof if v not in dirichlet]
+    vertex_dof.update(zip(free, range(len(free))))
+
+    ends = [g.edge(eid) for eid in selected]
+    lengths = np.array([e.length for e in ends])
+    # guard against float noise pushing ceil(length/h) one too high
+    cells = np.maximum(1, np.ceil(lengths / h - 1e-9)).astype(np.int64)
+    start = np.concatenate(([0], np.cumsum(cells + 1)))
+    first, last = start[:-1], start[1:] - 1
+    # i * (length / cells) with the end pinned to length is np.linspace, bitwise
+    x = (np.arange(start[-1]) - np.repeat(first, cells + 1)) * np.repeat(lengths / cells, cells + 1)
+    x[last] = lengths
+    n_interior = int(start[-1]) - 2 * len(selected)
+    dof = np.empty(start[-1], dtype=np.int64)
+    dof[_interior(start)] = np.arange(len(free), len(free) + n_interior)
+    dof[first] = [vertex_dof[e.src] for e in ends]
+    dof[last] = [vertex_dof[e.dst] for e in ends]
     return GraphMesh(
         graph=g,
         edge_ids=tuple(selected),
-        h=float(h),
-        edge_offsets=edge_offsets,
-        edge_dofs=edge_dofs,
+        start=start,
+        x=x,
+        dof=dof,
         vertex_dof=vertex_dof,
-        n_free=next_dof,
-        dof_labels=dof_labels,
+        n_free=len(free) + n_interior,
     )
 
 
@@ -218,11 +212,8 @@ class MeshSamples:
 
     def edge_sup(self, f: np.ndarray) -> np.ndarray:
         """Per-edge maximum of |f| over the nodes, the sup of its expansion."""
-        nodal = np.abs(np.append(f, 0.0))
-        cell_max = np.maximum(nodal[self.d0], nodal[self.d1])
-        out = np.zeros(len(self.mesh.edge_ids))
-        np.maximum.at(out, self.edge, cell_max[self.cell_idx])
-        return out
+        nodal = np.abs(np.append(f, 0.0))  # dof -1 reads the appended zero
+        return np.maximum.reduceat(nodal[self.mesh.dof], self.mesh.start[:-1])
 
 
 def _all_but_last(sizes) -> np.ndarray:
@@ -238,29 +229,30 @@ def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
     Uncut cells take the Gauss rule scaled to the cell.  On an edge where
     p, q or w jumps, every cell is split at the jumps into Gauss panels.
     """
-    ids = mesh.edge_ids
-    offsets = [mesh.edge_offsets[eid] for eid in ids]
+    ids, start, nodes = mesh.edge_ids, mesh.start, mesh.x
     breaks = [field.breakpoints(eid) for eid in ids]
     split = np.array([bool(b) for b in breaks])
-    nodes = np.concatenate(offsets)
-    dofs = np.concatenate([mesh.edge_dofs[eid] for eid in ids])
-    left = _all_but_last([len(o) for o in offsets])  # first node of each cell
+    sizes = np.diff(start)
+    left = _all_but_last(sizes)  # first node of each cell
     hcell = nodes[left + 1] - nodes[left]
 
     # panels run between consecutive knots of an edge: its nodes and its
     # breakpoints; a panel lies in the cell of the last node at or before it
-    knots = [np.unique(np.concatenate([o, b])) if b else o for o, b in zip(offsets, breaks)]
-    sizes = np.array([len(k) for k in knots])
-    starts = np.cumsum(sizes) - sizes
-    is_node = np.ones(int(sizes.sum()), dtype=bool)
+    at, cuts = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for e in np.flatnonzero(split):
-        is_node[starts[e] : starts[e] + sizes[e]] = np.isin(knots[e], offsets[e])
+        own = nodes[start[e] : start[e + 1]]
+        b = np.setdiff1d(breaks[e], own)
+        at.append(start[e] + np.searchsorted(own, b))
+        cuts.append(b)
+        sizes[e] += len(b)
+    at = np.concatenate(at)
+    knots = np.insert(nodes, at, np.concatenate(cuts))
+    is_node = np.insert(np.ones(len(nodes), dtype=bool), at, False)
     panel = _all_but_last(sizes)
     pedge = np.repeat(np.arange(len(ids)), sizes)[panel]
     pcell = (np.cumsum(is_node) - 1)[panel] - pedge  # each earlier edge has one spare node
-    all_knots = np.concatenate(knots)
-    plo = all_knots[panel][:, None]
-    width = (all_knots[panel + 1] - all_knots[panel])[:, None]
+    plo = knots[panel][:, None]
+    width = (knots[panel + 1] - knots[panel])[:, None]
 
     tref = 0.5 * (GAUSS_NODES + 1.0)
     xs = plo + width * tref
@@ -275,8 +267,8 @@ def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
     edge = np.repeat(pedge, len(GAUSS_NODES))
     return MeshSamples(
         mesh=mesh,
-        d0=dofs[left],
-        d1=dofs[left + 1],
+        d0=mesh.dof[left],
+        d1=mesh.dof[left + 1],
         hcell=hcell,
         cell_idx=np.repeat(pcell, len(GAUSS_NODES)),
         edge=edge,
@@ -399,29 +391,30 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
     weighted by the cell average of p; for the discrete eigenfunctions this
     shrinks linearly with the mesh size.  Returns ``{vertex: residual}``.
     """
-    position = {eid: k for k, eid in enumerate(mesh.edge_ids)}
     vertices = list(vertices)
-    cells = []  # per end cell: vertex, edge, cell start and end, vertex dof, inner dof
+    cells = []  # per end cell: vertex, edge, vertex node, inner node
     for k, vertex in enumerate(vertices):
         if vertex not in mesh.vertex_dof:
             raise MeshError(f"vertex {vertex!r} not in mesh")
         if mesh.vertex_dof[vertex] < 0:
             raise MeshError(f"vertex {vertex!r} is constrained; flux balance does not apply")
         for eid in mesh.graph.adjacency[vertex]:
-            if eid in position:
-                e, x, d = mesh.graph.edge(eid), mesh.edge_offsets[eid], mesh.edge_dofs[eid]
+            j = mesh.edge_index(eid)
+            if j >= 0:
+                e = mesh.graph.edge(eid)
                 if vertex == e.src:
-                    cells.append((k, position[eid], x[0], x[1], d[0], d[1]))
+                    cells.append((k, j, mesh.start[j], mesh.start[j] + 1))
                 if vertex == e.dst:
-                    cells.append((k, position[eid], x[-2], x[-1], d[-1], d[-2]))
-    owner, edge, lo, hi, d_at, d_in = np.array(cells, dtype=float).reshape(-1, 6).T
+                    cells.append((k, j, mesh.start[j + 1] - 1, mesh.start[j + 1] - 2))
+    owner, edge, at, inner = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+    lo, hi = mesh.x[np.minimum(at, inner)], mesh.x[np.maximum(at, inner)]
     delta = hi - lo
-    p_int = edge_integrals(field, "p", mesh.edge_ids, edge.astype(np.int64), lo, hi)
+    p_int = edge_integrals(field, "p", mesh.edge_ids, edge, lo, hi)
     if not np.all(np.isfinite(p_int)):
         raise IntegrabilityError("integral of p over an end cell is not finite")
     nodal = np.append(f, 0.0)  # dof -1 reads the appended zero
-    flux = p_int / delta * (nodal[d_in.astype(np.int64)] - nodal[d_at.astype(np.int64)]) / delta
-    totals = np.bincount(owner.astype(np.int64), weights=flux, minlength=len(vertices))
+    flux = p_int / delta * (nodal[mesh.dof[inner]] - nodal[mesh.dof[at]]) / delta
+    totals = np.bincount(owner, weights=flux, minlength=len(vertices))
     return {v: float(abs(t)) for v, t in zip(vertices, totals)}
 
 

@@ -38,6 +38,7 @@ from .fem import (
     build_mesh,
     kirchhoff_residual,
     mesh_samples,
+    subgraph_vertices,
 )
 from .graph import Exhaustion, MetricGraph
 
@@ -50,15 +51,6 @@ WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
 def _check_bc(bc: str) -> None:
     if bc not in (BC_DIRICHLET, BC_FREE):
         raise SolverError(f"unknown boundary flavor {bc!r}")
-
-
-def subgraph_vertices(g: MetricGraph, edge_ids) -> frozenset:
-    out = set()
-    for eid in edge_ids:
-        e = g.edge(eid)
-        out.add(e.src)
-        out.add(e.dst)
-    return frozenset(out)
 
 
 def dirichlet_vertices(g: MetricGraph, edge_ids, include_host_boundary: bool) -> frozenset:
@@ -684,8 +676,9 @@ def ground_state_transform_check(
             f"trial vector has shape {trial.shape}, mesh has {mesh.n_free} dofs"
         )
     scale = float(np.max(np.abs(trial))) or 1.0
+    nodal = np.append(trial, 0.0)  # dof -1 reads the appended zero
     for v in cert.boundary_vertices:
-        if abs(mesh.value_at_vertex(trial, v)) > 1e-12 * scale:
+        if abs(nodal[mesh.vertex_dof[v]]) > 1e-12 * scale:
             raise SolverError(f"trial function must vanish at boundary vertex {v!r}")
     forms = cert.forms if cert.forms is not None else assemble(mesh, field)
     K, _ = forms.pencil()
@@ -739,9 +732,9 @@ def harnack_probe(certs, exhaustion: Exhaustion, m: int) -> HarnackBounds:
             raise SolverError(
                 f"certificate at level {cert.level} does not cover level {m}"
             )
-        vals = np.concatenate(
-            [cert.mesh.edge_values(cert.values, eid) for eid in sorted(target_edges)]
-        )
+        # nodal values on the level's edges, constrained nodes read as zero
+        on_target = np.repeat([eid in target_edges for eid in cert.mesh.edge_ids], np.diff(cert.mesh.start))
+        vals = np.append(cert.values, 0.0)[cert.mesh.dof[on_target]]
         sup = float(np.max(vals))
         inf = float(np.min(vals))
         rows.append((cert.level, sup, inf))

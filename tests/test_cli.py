@@ -385,6 +385,16 @@ def test_validate_flags_decaying_weight(capsys):
     assert "clause(s) 2" in err
 
 
+def test_validate_reports_unevaluable_weight(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({"default": {"w": {"expr": "sqrt(x-0.5)"}}}))
+    code, out, err = run(capsys, "validate", "--graph", STAR, "--coeffs", str(coeffs))
+    assert code == 2
+    assert any(line.startswith("clause 2 (") and "FAIL" in line for line in out.splitlines())
+    assert out.splitlines()[-1] == "overall: FAIL"
+    assert "evaluation failed" not in err
+
+
 def test_validate_echoes_declared_eta(tmp_path, capsys):
     coeffs = tmp_path / "c.json"
     coeffs.write_text(json.dumps({"eta": 2, "default": {"p": 4.0}}))

@@ -207,6 +207,17 @@ def test_hypotheses_zero_weight_tail_fails_clause_two():
     assert report.failures() == [2]
 
 
+def test_unevaluable_weight_fails_clause_two_with_edges_named():
+    # sqrt(x-0.5) has no value on [0, 0.5) of any arm; level 1 of the
+    # exhaustion is the whole star, which leaves no edge outside to check
+    g = load_graph(star(3))
+    f = load_coefficients({"default": {"w": {"expr": "sqrt(x-0.5)"}}}, g)
+    report = validate_hypotheses(g, f, exhaustion=build_exhaustion(g, "c", 1))
+    assert not report.flags[2]
+    assert math.isnan(report.essinf_w_outside)
+    assert report.details["weight"] == [f"{e.id}: w not evaluable" for e in g.edges]
+
+
 def test_hypotheses_declared_eta():
     g = unit_interval()
     f = load_coefficients({"e1": {"p": 4.0}}, g, eta=2.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,8 +59,56 @@ def test_cell_sizes_at_most_h():
         }
     )
     mesh = build_mesh(g, 0.2)
-    offs = mesh.edge_offsets["e1"]
+    offs = mesh.x[mesh.start[0] : mesh.start[1]]
     assert np.max(np.diff(offs)) <= 0.2 + 1e-12
+
+
+def assert_dof_layout(mesh):
+    """Free vertices take dofs 0.. in sorted order, interior nodes follow in node order."""
+    free = sorted(v for v, d in mesh.vertex_dof.items() if d >= 0)
+    assert [mesh.vertex_dof[v] for v in free] == list(range(len(free)))
+    first, last = mesh.start[:-1], mesh.start[1:] - 1
+    interior = np.ones(len(mesh.x), dtype=bool)
+    interior[first] = False
+    interior[last] = False
+    assert np.array_equal(mesh.dof[interior], np.arange(len(free), mesh.n_free))
+    assert list(mesh.edge_ids) == sorted(mesh.edge_ids)
+    for k, eid in enumerate(mesh.edge_ids):
+        e = mesh.graph.edge(eid)
+        assert mesh.dof[first[k]] == mesh.vertex_dof[e.src]
+        assert mesh.dof[last[k]] == mesh.vertex_dof[e.dst]
+        offsets = mesh.x[first[k] : last[k] + 1]
+        assert np.array_equal(offsets, np.linspace(0.0, e.length, len(offsets)))
+
+
+def test_dof_layout_after_build_and_restrict():
+    g = load_graph(tree(3))
+    ex = build_exhaustion(g, "n0", 3)
+    whole = build_mesh(g, 0.15, edges=ex.levels[3])
+    assert_dof_layout(whole)
+    level = ex.levels[2]
+    boundary = dirichlet_vertices(g, level, True)
+    assert boundary
+    direct = build_mesh(g, 0.15, edges=level, dirichlet_vertices=boundary)
+    for mesh in (direct, whole.restrict(level, boundary)[0]):
+        assert_dof_layout(mesh)
+        assert all(mesh.vertex_dof[v] == -1 for v in boundary)
+
+
+def test_mesh_memory_is_linear_in_edges():
+    # build_mesh plus one whole-graph restrict peak near 360 bytes per edge
+    # at two cells per edge; a dict entry or a Python object per edge or per
+    # node costs on the order of 100 bytes each and breaks the bound
+    for doc in (tree(14), path(20000)):
+        g = load_graph(doc)
+        tracemalloc.start()
+        try:
+            mesh = build_mesh(g, 0.5)
+            mesh.restrict(mesh.edge_ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(g.edges) < 600
 
 
 def test_bad_h_rejected():
@@ -262,11 +311,11 @@ def assert_same_forms(a, b):
         assert x.shape == y.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(x, part), getattr(y, part)), (name, part)
-    assert a.mesh.dof_labels == b.mesh.dof_labels
     assert a.mesh.vertex_dof == b.mesh.vertex_dof
     assert a.mesh.edge_ids == b.mesh.edge_ids
-    for eid in a.mesh.edge_ids:
-        assert np.array_equal(a.mesh.edge_dofs[eid], b.mesh.edge_dofs[eid])
+    for name in ("start", "x", "dof"):
+        x, y = getattr(a.mesh, name), getattr(b.mesh, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def test_restrict_equals_direct_assembly():
@@ -332,12 +381,11 @@ def test_kirchhoff_linear_through_degree_two_vertex():
     field = load_coefficients({}, g)
     mesh = build_mesh(g, 0.25)
     f = np.empty(mesh.n_free)
-    for dof, label in enumerate(mesh.dof_labels):
-        if label[0] == "vertex":
-            x = {"v00": 0.0, "v01": 1.0, "v02": 2.0}[label[1]]
-        else:
-            x = label[1] + (0.0 if label[0] == "e01" else 1.0)
-        f[dof] = 0.5 * x  # globally linear along the path
+    for k, eid in enumerate(mesh.edge_ids):
+        nodes = slice(mesh.start[k], mesh.start[k + 1])
+        x = mesh.x[nodes] + (0.0 if eid == "e01" else 1.0)
+        f[mesh.dof[nodes]] = 0.5 * x  # globally linear along the path
+    assert [f[mesh.vertex_dof[v]] for v in ("v00", "v01", "v02")] == [0.0, 0.5, 1.0]
     assert kirchhoff_residual(mesh, field, f, ["v01"])["v01"] <= 1e-13
 
 

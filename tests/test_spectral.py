@@ -420,9 +420,10 @@ def test_gst_residual_halves_with_mesh(halfline):
         cert = positive_solution(g, field, ex, lam=-1.0, level=1, h=h)
         mesh = cert.mesh
         trial = np.zeros(mesh.n_free)
-        for dof, label in enumerate(mesh.dof_labels):
-            if label[0] != "vertex":  # interior node labels are (edge id, offset)
-                trial[dof] = math.sin(math.pi * label[1])
+        interior = np.ones(len(mesh.x), dtype=bool)  # vertex dofs stay zero
+        interior[mesh.start[:-1]] = False
+        interior[mesh.start[1:] - 1] = False
+        trial[mesh.dof[interior]] = [math.sin(math.pi * x) for x in mesh.x[interior]]
         report = ground_state_transform_check(field, cert, trial, lam=-1.0)
         residuals.append(report.residual)
     assert residuals[0] / residuals[1] >= 1.8
