@@ -2,17 +2,30 @@
 
 The iterative path is shift-inverted Lanczos with M-orthogonal restarts
 (ARPACK via scipy), seeded with a deterministic all-ones start vector and
-a sparse LU factorization of K - shift*M whose solves get one iterative
-refinement pass.  By default the shift is placed by inertia counts (see
-below): starting just below a Gershgorin lower bound of the pencil
-spectrum, bisection raises it, keeping a count of 0 below it, until it
-lies within max(1, |hi|) / 4 of a Rayleigh-quotient upper bound hi, and
-Lanczos runs with that shift's LDL^T factor.  An explicit shift, or
-SuperLU refusing symmetric pivoting during placement, gives a plain LU at
-the given or the Gershgorin shift.  The Ritz vector ARPACK returns is
-polished by one inverse-iteration step with the shift's factor,
-y = (K - shift*M)^{-1} M x, and the returned value is the Rayleigh
+a sparse factorization of K - shift*M, one triangular solve per
+application.  By default the shift is placed by inertia counts (see
+below).  A count of 0 proves a shift just below a Gershgorin lower bound
+of the pencil spectrum.  With that shift's factor F, the smallest
+Rayleigh-Ritz value hi on the Krylov space 1, F^{-1} M 1, (F^{-1} M)^2 1,
+... (at most eight solves) is an upper end, by Courant-Fischer.  If the
+bracket is wider than max(1, |hi|) / 4, the first probe goes to
+hi - max(1, |hi|) / 16; a count of 0 there places the shift, otherwise
+bisection takes over.  Lanczos runs with the placed shift's LDL^T factor,
+usually the third factorization of the solve counting the proof.  An
+explicit shift, or SuperLU refusing symmetric pivoting during placement,
+gives a plain LU at the given or the Gershgorin shift.  The Ritz vector
+ARPACK returns is polished by one inverse-iteration step with the shift's
+factor, y = (K - shift*M)^{-1} M x, and the returned value is the Rayleigh
 quotient of y.
+
+No solve gets a refinement pass.  On the placed path the count of 0 at
+the shift proves K - shift*M positive definite, and LDL^T without
+pivoting is backward stable on positive definite matrices (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 10); the polish
+lowers the residual's floor further.  Every factorization here runs
+SuperLU with one column per panel (``_PANEL_SIZE``): P1 graph pencils
+factor with almost no fill, so supernodes are single columns and wider
+panels only sweep dense n-by-panel work arrays.
 
 That the returned value is the *smallest* eigenvalue is then proved, not
 assumed from where the shift was put.  With delta = max(tol, 1e-12) *
@@ -49,6 +62,8 @@ from scipy.sparse.linalg import norm as sparse_norm
 from .errors import ConvergenceError, SolverError
 
 _DENSE_LIMIT = 4  # below this ARPACK cannot run with k=1
+_PANEL_SIZE = 1  # SuperLU columns per panel; wider panels only sweep dense work arrays here
+_KRYLOV_SOLVES = 8  # solves spent on the upper end of the shift bracket
 
 
 @dataclass
@@ -130,11 +145,17 @@ def pencil_lower_bound(K, M) -> float:
 
 
 class _CountingInverse(LinearOperator):
-    """Solve (K - sigma M) y = b through LU with one refinement pass."""
+    """Solve (K - sigma M) y = b with one triangular solve of the shift's factor.
 
-    def __init__(self, A: csc_matrix, lu):
-        super().__init__(dtype=np.float64, shape=A.shape)
-        self._A = A
+    No refinement pass: on the placed path an inertia count of 0 at sigma
+    proves K - sigma M positive definite, and LDL^T without pivoting is
+    backward stable on positive definite matrices, so a second solve buys
+    no accuracy the polish does not already give.  The fallback plain LU
+    (partial pivoting) is applied the same way, so there is one operator.
+    """
+
+    def __init__(self, lu):
+        super().__init__(dtype=np.float64, shape=lu.shape)
         self._lu = lu
         self.count = 0
         self.rayleigh_log = None
@@ -143,8 +164,6 @@ class _CountingInverse(LinearOperator):
     def _matvec(self, b):
         self.count += 1
         x = self._lu.solve(b)
-        r = b - self._A @ x
-        x = x + self._lu.solve(r)
         if self.rayleigh_log is not None and self._rq is not None:
             self.rayleigh_log.append((self.count, self._rq(x)))
         return x
@@ -175,6 +194,7 @@ def _inertia(K, M, sigma: float):
             (K - sigma * M).tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0,
+            panel_size=_PANEL_SIZE,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
@@ -186,33 +206,75 @@ def _inertia(K, M, sigma: float):
     return int(np.count_nonzero(~(lu.U.diagonal() > 0))), lu
 
 
-def _place_shift(K, M, lo: float):
-    """Raise the Gershgorin shift ``lo`` by inertia bisection: (shift, factor).
+def _window(lo: float, hi: float) -> bool:
+    """Whether the bracket [lo, hi] is still wider than max(1, |hi|) / 4."""
+    return hi - lo > 0.25 * max(1.0, abs(hi))
 
-    A count of 0 proves ``lo``.  The upper end hi is the Rayleigh quotient
-    of two inverse-iteration steps from the all-ones vector with lo's
-    factor.  Each midpoint's count then moves lo up (0) or hi down (above
-    0) until hi - lo <= max(1, |hi|) / 4.  A factor is dropped before the
-    next one is made, and the final lo is factored again if its factor was
-    dropped.  Returns None when a count cannot be read or ``lo`` counts
-    above 0.
+
+def _krylov_upper(K, M, lu, lo: float) -> float:
+    """Rayleigh-Ritz upper end for the smallest eigenvalue of (K, M).
+
+    The basis 1, S 1, S^2 1, ... with S = F^{-1} M and F the factor of
+    K - lo*M grows by one solve per vector, M-orthonormalized by classical
+    Gram-Schmidt applied twice.  By Courant-Fischer the smallest Ritz value
+    of (K, M) on any subspace is at least lambda_1, so the value returned
+    is an upper end.  Growth stops as soon as hi - lo <= max(1, |hi|) / 4,
+    after ``_KRYLOV_SOLVES`` solves, or when the space stops growing (it is
+    then invariant and hi is an eigenvalue).
+    """
+    size = _KRYLOV_SOLVES + 1
+    V = np.empty((size, K.shape[0]))
+    T = np.empty((size, size))  # V K V^T
+    G = np.empty((size, size))  # V M V^T
+    w = np.ones(K.shape[0])
+    for k in range(size):
+        if k:
+            w = lu.solve(mv)
+            before = np.linalg.norm(w)
+            for _ in range(2):
+                w -= V[:k].T @ (V[:k] @ (M @ w))
+            if not np.linalg.norm(w) > 1e-8 * before:
+                break
+        mv = M @ w
+        norm = np.sqrt(w @ mv)
+        V[k] = w / norm
+        mv /= norm
+        T[k, : k + 1] = T[: k + 1, k] = V[: k + 1] @ (K @ V[k])
+        G[k, : k + 1] = G[: k + 1, k] = V[: k + 1] @ mv
+        hi = float(scipy.linalg.eigh(T[: k + 1, : k + 1], G[: k + 1, : k + 1], eigvals_only=True)[0])
+        if not _window(lo, hi):
+            break
+    return hi
+
+
+def _place_shift(K, M, lo: float):
+    """Raise the Gershgorin shift ``lo`` by inertia counts: (shift, factor).
+
+    A count of 0 proves ``lo``.  The upper end hi is the smallest
+    Rayleigh-Ritz value on a Krylov space grown with lo's factor
+    (``_krylov_upper``).  If hi - lo is still above max(1, |hi|) / 4, the
+    first probe goes close below hi, at hi - max(1, |hi|) / 16: a count of
+    0 there ends placement, since a Ritz upper end is usually close to
+    lambda_1.  Otherwise hi drops to the probe and midpoint counts move lo
+    up (0) or hi down (above 0) until the window closes.  A factor is
+    dropped before the next one is made, and the final lo is factored
+    again if its factor was dropped.  Returns None when a count cannot be
+    read or ``lo`` counts above 0.
     """
     try:
         count, lu = _inertia(K, M, lo)
         if count:
             return None
-        y = np.ones(K.shape[0])
-        for _ in range(2):
-            y = lu.solve(M @ y)
-        hi = float(y @ (K @ y)) / float(y @ (M @ y))
-        while hi - lo > 0.25 * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
+        hi = _krylov_upper(K, M, lu, lo)
+        mid = hi - max(1.0, abs(hi)) / 16
+        while _window(lo, hi):
             lu = None
             count, lu = _inertia(K, M, mid)
             if count:
                 hi, lu = mid, None
             else:
                 lo = mid
+            mid = 0.5 * (lo + hi)
         if lu is None:
             lu = _inertia(K, M, lo)[1]
     except SolverError:
@@ -236,13 +298,11 @@ def _lanczos_pair(K, M, shift, max_iter, history):
         placed = _place_shift(K, M, shift)
     if placed is not None:
         sigma, lu = placed
-        A = (K - sigma * M).tocsc()
     else:
         sigma = float(shift)
         for attempt in range(4):
             try:
-                A = (K - sigma * M).tocsc()
-                lu = splu(A)
+                lu = splu((K - sigma * M).tocsc(), panel_size=_PANEL_SIZE)
                 if not np.all(np.isfinite(lu.U.diagonal())):
                     raise RuntimeError("singular factor")
                 break
@@ -252,7 +312,7 @@ def _lanczos_pair(K, M, shift, max_iter, history):
                         f"factorization of K - sigma*M failed after 4 shifts (last {sigma})"
                     )
                 sigma = sigma - max(1.0, abs(sigma))
-    opinv = _CountingInverse(A, lu)
+    opinv = _CountingInverse(lu)
     if history is not None:
         Kc = K.tocsr()
         Mc = M.tocsr()

@@ -15,7 +15,7 @@ from graphsl.eig import (
     solve_pencil,
 )
 from graphsl.errors import SolverError
-from graphsl.families import path, star, tree
+from graphsl.families import ladder, path, star, tree
 from graphsl.fem import assemble, build_mesh
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import dirichlet_vertices
@@ -223,20 +223,47 @@ def restricted_annulus():
     return parent.restrict(annulus, dirichlet_vertices(g, annulus, True), "annulus-2-5")
 
 
+Q_SIN = {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}
+
+
+def ball_level(doc, root, depth, h, coeffs=Q_SIN):
+    """Dirichlet pencil of the level-``depth`` ball of ``doc`` around ``root``."""
+    g = load_graph(doc)
+    level = build_exhaustion(g, root, depth).levels[depth]
+    field = load_coefficients(coeffs, g)
+    return assemble(build_mesh(g, h, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True)), field)
+
+
 def tree_level(depth, h):
     """Dirichlet pencil of the whole of tree(depth) with q = -1 + 0.3 sin 2x."""
-    g = load_graph(tree(depth))
-    level = build_exhaustion(g, "n0", depth).levels[depth]
-    field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}, g)
-    return assemble(build_mesh(g, h, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True)), field)
+    return ball_level(tree(depth), "n0", depth, h)
 
 
 def tree5_level():
     return tree_level(5, 0.1)   # 589 dofs; Gershgorin shift -5.24 against lambda_1 = -0.51
 
 
+def tree8_level():
+    return tree_level(8, 0.1)   # 4845 dofs
+
+
+def leaf_well_level():
+    """tree(8) with q = -300 on the leaf edge t510 only (1785 dofs).
+
+    Gershgorin shift -1173 against lambda_1 = -290; the all-ones vector
+    puts almost none of its mass in the well.
+    """
+    return ball_level(tree(8), "n0", 8, 0.25, {"t510": {"q": -300.0}})
+
+
+def ladder6_level():
+    """Cyclic: the radius-4 ball of ladder(6) with q = -1 + 0.3 sin 2x (216 dofs)."""
+    return ball_level(ladder(6), "u0", 4, 0.05)
+
+
 @pytest.mark.parametrize(
-    "make_forms", [star_piecewise_q, tree_negative_q_level, restricted_annulus, tree5_level]
+    "make_forms",
+    [star_piecewise_q, tree_negative_q_level, restricted_annulus, tree5_level, leaf_well_level, ladder6_level],
 )
 def test_inertia_agrees_with_lapack(make_forms):
     forms = make_forms()
@@ -258,31 +285,97 @@ def test_inertia_agrees_with_lapack(make_forms):
         assert res.value - res.shift <= scale
 
 
+class Counted:
+    """Proxy of a SuperLU factor that counts live factors and solves.
+
+    SuperLU objects take no weakrefs, so the proxy's lifetime stands in for
+    the factor's.
+    """
+
+    def __init__(self, lu, live, solves):
+        self._lu = lu
+        self._live = live
+        self._solves = solves
+        live[0] += 1
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def solve(self, b):
+        self._solves[0] += 1
+        return self._lu.solve(b)
+
+    def __del__(self):
+        self._live[0] -= 1
+
+
 def test_one_factorization_alive_at_a_time(monkeypatch):
-    # SuperLU objects take no weakrefs, so a proxy counts live factors
     live = [0]
     alive_at_call = []
     real = eig.splu
 
-    class Counted:
-        def __init__(self, lu):
-            self._lu = lu
-            live[0] += 1
-
-        def __getattr__(self, name):
-            return getattr(self._lu, name)
-
-        def __del__(self):
-            live[0] -= 1
-
     def splu(A, **kwargs):
         alive_at_call.append(live[0])
-        return Counted(real(A, **kwargs))
+        return Counted(real(A, **kwargs), live, [0])
 
     monkeypatch.setattr(eig, "splu", splu)
-    forms = tree_level(8, 0.1)
+    forms = tree8_level()
     lb = pencil_lower_bound(*forms.pencil())
     res = smallest_eigenpair(forms, tol=1e-10)
-    assert res.shift > lb + 0.25 * max(1.0, abs(res.value))   # the shift was bisected
+    assert res.shift > lb + 0.25 * max(1.0, abs(res.value))   # the shift was raised
+    assert len(alive_at_call) == 3                  # Gershgorin, first probe, proof
+    assert alive_at_call == [0] * len(alive_at_call)
+
+    # a first probe that counts above 0 sends placement into bisection
+    alive_at_call.clear()
+    real_inertia = eig._inertia
+    calls = []
+
+    def inertia(K, M, sigma):
+        count, lu = real_inertia(K, M, sigma)
+        calls.append(sigma)
+        return (count + 1 if len(calls) == 2 else count), lu
+
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    bisected = smallest_eigenpair(forms, tol=1e-10)
+    assert bisected.value == pytest.approx(res.value, rel=1e-10)
     assert len(alive_at_call) >= 4
     assert alive_at_call == [0] * len(alive_at_call)
+
+
+@pytest.mark.parametrize("make_forms", [tree5_level, restricted_annulus])
+def test_one_triangular_solve_per_apply(monkeypatch, make_forms):
+    solves = [0]
+    during_eigsh = [None]
+    real_splu, real_eigsh = eig.splu, eig.eigsh
+
+    def splu(A, **kwargs):
+        return Counted(real_splu(A, **kwargs), [0], solves)
+
+    def eigsh(*args, **kwargs):
+        before = solves[0]
+        out = real_eigsh(*args, **kwargs)
+        during_eigsh[0] = solves[0] - before
+        return out
+
+    monkeypatch.setattr(eig, "splu", splu)
+    monkeypatch.setattr(eig, "eigsh", eigsh)
+    res = smallest_eigenpair(make_forms(), tol=1e-10)
+    assert during_eigsh[0] == res.iterations - 1          # the polish is the last apply
+
+
+@pytest.mark.parametrize("make_forms", [tree5_level, tree8_level, leaf_well_level])
+def test_placement_budget(monkeypatch, make_forms):
+    forms = make_forms()
+    counts = []
+    real = eig._inertia
+
+    def inertia(K, M, sigma):
+        counts.append(sigma)
+        return real(K, M, sigma)
+
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    res = smallest_eigenpair(forms, tol=1e-10)
+    # the Gershgorin count, one probe below the Krylov upper end, the proof
+    assert len(counts) <= 3
+    assert counts[-1] == res.certified_lower
