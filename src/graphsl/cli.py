@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="leave the host graph boundary unconstrained",
     )
-    common.add_argument("--workers", type=int, default=1, help="parallel pencil solves")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common.add_argument("--out", help="output path (default: standard output)")
     common.add_argument(
@@ -138,7 +137,6 @@ class RunConfig:
     levels: list | None
     outer: list | None
     boundary_dirichlet: bool
-    workers: int
     seed: int
     out: str | None
     override: bool
@@ -158,7 +156,6 @@ class RunConfig:
             levels=args.levels,
             outer=args.outer,
             boundary_dirichlet=not args.no_boundary_dirichlet,
-            workers=args.workers,
             seed=args.seed,
             out=args.out,
             override=args.override,
@@ -170,8 +167,6 @@ class RunConfig:
             parser.error("--h must be positive")
         if cfg.tol <= 0:
             parser.error("--tol must be positive")
-        if cfg.workers < 1:
-            parser.error("--workers must be at least 1")
         if cfg.seed < 0:
             parser.error("--seed must be nonnegative")
         for name, values in (("--levels", cfg.levels), ("--outer", cfg.outer)):
@@ -206,7 +201,6 @@ class RunConfig:
         if self.outer is not None:
             parts.append("outer=" + ",".join(map(str, self.outer)))
         parts.append(f"boundary-dirichlet={str(self.boundary_dirichlet).lower()}")
-        parts.append(f"workers={self.workers}")
         if self.lam is not None:
             parts.append(f"lambda={self.lam!r}")
         if self.level is not None:
@@ -340,7 +334,6 @@ def cmd_persson(cfg: RunConfig) -> int:
         bc=bc,
         h=cfg.h,
         tol=cfg.tol,
-        workers=cfg.workers,
     )
     _warn_touched(trace)
     comments = [

@@ -22,7 +22,6 @@ Four families of computations share the assembled forms:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -370,13 +369,12 @@ def persson_limit(
     bc: str = BC_DIRICHLET,
     h: float = 0.05,
     tol: float = 1e-6,
-    workers: int = 1,
 ) -> PerssonTrace:
     """Estimate the bottom of the essential spectrum by annulus exhaustion.
 
     For each inner level n the outer level N sweeps upward until the
     decrement of the annulus eigenvalue drops below ``tol``; monotonicity
-    violations beyond 10*tol abort.  Deterministic for any worker count.
+    violations beyond 10*tol abort.
     """
     _check_bc(bc)
     inner_levels = sorted(set(int(n) for n in inner_levels))
@@ -394,7 +392,6 @@ def persson_limit(
             annuli[n, N] = _annulus_edges(exhaustion, n, N)
             if not annuli[n, N]:
                 raise SolverError(f"annulus between levels {n} and {N} is empty")
-    # built before the sweeps start, so worker threads only read it
     forms = _assemble_union(g, field, annuli.values(), h)
 
     def sweep(n: int) -> list[PerssonRow]:
@@ -416,11 +413,7 @@ def persson_limit(
             prev = value
         return out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sweeps = list(pool.map(sweep, inner_levels))
-    else:
-        sweeps = [sweep(n) for n in inner_levels]
+    sweeps = [sweep(n) for n in inner_levels]
 
     rows: list[PerssonRow] = []
     per_level: dict[int, float] = {}

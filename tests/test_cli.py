@@ -52,7 +52,7 @@ def test_missing_graph_is_usage_error(capsys):
         ["spectrum", "--graph", INTERVAL, "--levels", "3,2"],
         ["spectrum", "--graph", INTERVAL, "--levels", "1,2,2"],
         ["spectrum", "--graph", INTERVAL, "--levels", "a,b"],
-        ["spectrum", "--graph", INTERVAL, "--workers", "0"],
+        ["spectrum", "--graph", INTERVAL, "--workers", "1"],   # the option is gone
         ["persson", "--graph", HALFLINE, "--levels", "1,2"],
         ["persson", "--graph", HALFLINE, "--levels", "1,4", "--outer", "2,3"],
         ["sobolev", "--graph", INTERVAL, "--epsilon", "0"],
@@ -170,21 +170,6 @@ def test_persson_halfline_table(capsys):
         assert float(r[3]) < 1e-8
     assert any(line.startswith("# estimate: ") for line in out.splitlines())
     assert any(line.startswith("# bracket: ") for line in out.splitlines())
-
-
-def test_persson_worker_count_changes_only_the_echo(capsys):
-    base = [
-        "persson",
-        "--graph", HALFLINE,
-        "--levels", "1,2",
-        "--outer", "5,8",
-        "--h", "0.1",
-    ]
-    _, out1, _ = run(capsys, *base, "--workers", "1")
-    _, out4, _ = run(capsys, *base, "--workers", "4")
-    strip = lambda text: [l for l in text.splitlines() if not l.startswith("# config:")]
-    assert strip(out1) == strip(out4)
-    assert "workers=4" in out4
 
 
 def test_persson_gate_blocks_without_override(capsys):

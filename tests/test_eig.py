@@ -14,7 +14,7 @@ from graphsl.eig import (
     smallest_eigenpair,
     solve_pencil,
 )
-from graphsl.errors import SolverError
+from graphsl.errors import ConvergenceError, SolverError
 from graphsl.families import ladder, path, star, tree
 from graphsl.fem import assemble, build_mesh
 from graphsl.graph import build_exhaustion, load_graph
@@ -182,7 +182,13 @@ def test_explicit_shift_above_the_bottom_is_refused():
 
 def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
     K, M, vals, vecs = star_pencil()
-    monkeypatch.setattr(eig, "eigsh", lambda *args, **kwargs: (vals[1:2], vecs[:, 1:2]))
+    real = eig.eigsh
+
+    def eigsh(*args, **kwargs):
+        _, _, sigma, applies = real(*args, **kwargs)
+        return vals[1], vecs[:, 1], sigma, applies   # the loop's pair swapped for lambda_2's
+
+    monkeypatch.setattr(eig, "eigsh", eigsh)
     with pytest.raises(SolverError, match="1 nonpositive pivot"):
         solve_pencil(K, M)
 
@@ -361,7 +367,8 @@ def test_one_triangular_solve_per_apply(monkeypatch, make_forms):
     monkeypatch.setattr(eig, "splu", splu)
     monkeypatch.setattr(eig, "eigsh", eigsh)
     res = smallest_eigenpair(make_forms(), tol=1e-10)
-    assert during_eigsh[0] == res.iterations - 1          # the polish is the last apply
+    # placement steps, the loop and the polish all apply inside eigsh
+    assert during_eigsh[0] == res.iterations == solves[0]
 
 
 @pytest.mark.parametrize("make_forms", [tree5_level, tree8_level, leaf_well_level])
@@ -379,3 +386,63 @@ def test_placement_budget(monkeypatch, make_forms):
     # the Gershgorin count, one probe below the Krylov upper end, the proof
     assert len(counts) <= 3
     assert counts[-1] == res.certified_lower
+
+
+# --- the Lanczos loop ------------------------------------------------------------
+
+
+def test_max_iter_caps_the_applies():
+    K, M = tree5_level().pencil()
+    with pytest.raises(ConvergenceError, match="within 5 applications"):
+        solve_pencil(K, M, max_iter=5)
+
+
+def test_loop_restarts_past_the_basis_cap(monkeypatch):
+    forms = tree5_level()
+    K, M = forms.pencil()
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    rows = []
+
+    class Recorded(eig._Lanczos):
+        def step(self):
+            converged = super().step()
+            rows.append((self.rows, self.Q.shape[0]))
+            return converged
+
+    monkeypatch.setattr(eig, "_Lanczos", Recorded)
+    # far below lambda_1 = -0.51 the loop needs more steps than one basis holds
+    res = solve_pencil(K, M, shift=-20.0, tol=1e-10)
+    assert len(rows) > eig._BASIS_ROWS
+    assert max(r for r, _ in rows) == eig._BASIS_ROWS == 20
+    assert all(cap == eig._BASIS_ROWS for _, cap in rows)
+    assert rows[eig._BASIS_ROWS][0] == 2                  # a new basis from the Ritz vector
+    assert res.value == pytest.approx(dense[0], rel=1e-10)
+    assert np.count_nonzero(dense < res.certified_lower) == 0
+
+
+def test_restricted_annulus_applies_budget():
+    # every apply counts: the placement steps, the loop and the polish
+    res = smallest_eigenpair(restricted_annulus(), tol=1e-10)
+    assert res.iterations <= 14
+
+
+def test_mass_bound_proved_by_inertia_when_gershgorin_fails(monkeypatch):
+    n = 6
+    # eigenvalues 0.7 (five times) and 2.5; scaled Gershgorin margin 1 - 5 * 0.3 < 0
+    M = sp.csr_matrix(np.full((n, n), 0.3) + 0.7 * np.eye(n))
+    K = sp.diags([-np.ones(n - 1), 1.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    counts = []
+    real = eig._inertia
+
+    def inertia(A, B, sigma):
+        count, lu = real(A, B, sigma)
+        counts.append((sigma, count))
+        return count, lu
+
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    mu = eig._mass_lower_bound(M)
+    assert 0 < mu <= 0.7
+    assert counts[-1] == (mu, 0)                          # the returned bound is proved
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    assert pencil_lower_bound(K, M) <= dense[0]
+    assert solve_pencil(K, M, tol=1e-10).value == pytest.approx(dense[0], rel=1e-10)

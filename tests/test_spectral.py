@@ -39,12 +39,11 @@ def star3():
     "call",
     [
         lambda g, f, ex: inf_spectrum(g, f, ex, h=0.1, levels=[1, 2, 3]),
-        lambda g, f, ex: persson_limit(g, f, ex, [1, 2], [4, 6, 8], h=0.1, workers=1),
-        lambda g, f, ex: persson_limit(g, f, ex, [1, 2], [4, 6, 8], h=0.1, workers=4),
+        lambda g, f, ex: persson_limit(g, f, ex, [1, 2], [4, 6, 8], h=0.1),
         lambda g, f, ex: ap_check(g, f, ex, -1.0, 3, h=0.1),
         lambda g, f, ex: positive_solution(g, f, ex, -1.0, 3, h=0.1),
     ],
-    ids=["spectrum", "persson-1", "persson-4", "ap-check", "positive-solution"],
+    ids=["spectrum", "persson-1", "ap-check", "positive-solution"],
 )
 def test_entry_builds_one_mesh_and_one_assembly(halfline, monkeypatch, call):
     import graphsl.spectral as spectral
@@ -221,17 +220,6 @@ def test_persson_outer_sweep_stops_early(halfline):
     # (pi/8)^2 - (pi/10)^2 < 0.06; the decrement falls under tol quickly
     assert outers[0] == 9
     assert len(outers) < 4
-
-
-def test_persson_worker_count_does_not_change_rows(halfline):
-    g, ex = halfline
-    field = load_coefficients({}, g)
-    kw = dict(inner_levels=[1, 2, 3], outer_levels=[6, 9, 12], h=0.05, tol=1e-10)
-    serial = persson_limit(g, field, ex, workers=1, **kw)
-    threaded = persson_limit(g, field, ex, workers=4, **kw)
-    assert [(r.inner, r.outer, r.value) for r in serial.rows] == [
-        (r.inner, r.outer, r.value) for r in threaded.rows
-    ]
 
 
 def test_persson_ignores_compact_perturbation_bitwise(halfline):
