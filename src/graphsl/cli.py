@@ -3,9 +3,9 @@
 Artifacts are CSV tables (RFC-4180 quoting) preceded by a ``#`` comment
 block carrying the tool version, a config echo sufficient to reproduce the
 run, the hypothesis-check summary, and the seed.  No timestamps: identical
-config and seed give byte-identical output.  Machine output goes to the
-``--out`` path or standard output; progress and warnings go to standard
-error.
+config and seed give byte-identical output at a fixed BLAS thread count.
+Machine output goes to the ``--out`` path or standard output; progress and
+warnings go to standard error.
 
 Exit codes: 0 success; 2 usage errors, unreadable inputs, and hypothesis
 failures without ``--override``; 3 solver failures (non-convergence,
@@ -274,7 +274,8 @@ def _open_out(cfg: RunConfig):
     return nullcontext(sys.stdout)
 
 
-def _emit(cfg: RunConfig, hyp_summary: str, extra_comments, header, rows) -> None:
+def _emit(cfg: RunConfig, hyp_summary: str, extra_comments, header, rows, text=()) -> None:
+    """Write the comment block, the header and ``rows``, then the CSV strings in ``text``."""
     with _open_out(cfg) as fh:
         fh.write(f"# graphsl {__version__}\n")
         fh.write(f"# command: {cfg.command}\n")
@@ -286,6 +287,7 @@ def _emit(cfg: RunConfig, hyp_summary: str, extra_comments, header, rows) -> Non
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(text)
 
 
 def _warn_touched(report) -> None:
@@ -404,19 +406,44 @@ def cmd_positive_solution(cfg: RunConfig) -> int:
         f"max-kirchhoff-residual={worst_flux!r}",
         file=sys.stderr,
     )
-    _emit(cfg, hyp, comments, ["kind", "id", "offset", "value"], _certificate_rows(cert))
+    _emit(
+        cfg,
+        hyp,
+        comments,
+        ["kind", "id", "offset", "value"],
+        _certificate_rows(cert),
+        _certificate_edge_text(cert),
+    )
     return 0
 
 
 def _certificate_rows(cert):
-    """One CSV row per dof, in dof order: free vertices, then interior nodes."""
+    """One CSV row per free vertex, in dof order; the interior nodes follow them."""
     mesh, values = cert.mesh, cert.values
     for d, v in sorted((d, v) for v, d in mesh.vertex_dof.items() if d >= 0):
         yield ("vertex", v, "", repr(float(values[d])))
+
+
+def _certificate_edge_text(cert):
+    """The interior-node rows as one CSV string per edge, in dof order.
+
+    Each edge id is quoted once through ``csv.writer``; offsets and values
+    are float reprs, which never need quoting, so every row is the edge's
+    prefix plus ``x!r,v!r``, the bytes ``csv.writer`` would write for it.
+    """
+    mesh, values = cert.mesh, cert.values
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     for k, eid in enumerate(mesh.edge_ids):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(("edge", eid, ""))
+        prefix = buf.getvalue()[:-1]  # "edge,<quoted id>," without the line end
         inner = slice(mesh.start[k] + 1, mesh.start[k + 1] - 1)
-        for x, value in zip(mesh.x[inner].tolist(), values[mesh.dof[inner]].tolist()):
-            yield ("edge", eid, repr(x), repr(value))
+        yield "".join(
+            f"{prefix}{x!r},{v!r}\n"
+            for x, v in zip(mesh.x[inner].tolist(), values[mesh.dof[inner]].tolist())
+        )
 
 
 def cmd_sobolev(cfg: RunConfig) -> int:

@@ -20,7 +20,15 @@ and the same basis goes on to convergence on that factor.  If the window
 is still open after ``_PLACEMENT_STEPS`` steps, the basis and the factor
 are freed and the first probe goes to hi - max(1, |hi|) / 16: a count of
 0 there places the shift, otherwise bisection takes over, and the loop
-restarts from its Ritz vector on the placed shift's LDL^T factor.  An
+restarts from its Ritz vector on the placed shift's LDL^T factor.  A
+caller may pass a candidate lower bound ``lower`` of lambda_1 (for a
+Dirichlet piece, the proved lower bound of a solved piece that contains
+it: by Cauchy interlacing a principal sub-pencil's lambda_1 is no smaller
+than the whole pencil's).  Placement then starts at the larger of the
+Gershgorin seed and ``lower``.  The hint is checked, never trusted: its
+factorization's count must be 0, and if it is not, or SuperLU refuses
+symmetric pivoting there, placement runs again from the Gershgorin seed,
+so a wrong hint costs one factorization and never a wrong answer.  An
 explicit shift, or SuperLU refusing symmetric pivoting during placement,
 gives a plain LU at the given or the Gershgorin shift.  The converged
 Ritz vector x is polished by one inverse-iteration step with the shift's
@@ -371,21 +379,26 @@ def _plain_factor(K, M, sigma: float):
             sigma = sigma - max(1.0, abs(sigma))
 
 
-def eigsh(K, M, shift: float, place: bool, max_iter: int, history):
+def eigsh(K, M, shift: float, place: bool, max_iter: int, history, lower: float = -np.inf):
     """Polished shift-inverted Lanczos pair: (value, vector, shift, applies).
 
-    With ``place`` the Gershgorin ``shift`` is raised by ``_place_shift``,
-    falling back to a plain LU at ``shift`` when placement fails; the loop
-    then runs to convergence on the last factor and the polish makes one
-    more application.  Every application of the solve happens inside this
-    call, and every factor it makes is freed when it returns, before the
-    caller factors again.  ``history`` is None unless the solve is
+    With ``place``, ``_place_shift`` raises the shift from the candidate
+    lower bound ``lower`` when it lies above the Gershgorin ``shift``, and
+    from ``shift`` when that fails (a count above 0 at ``lower`` included);
+    a plain LU at ``shift`` is the last resort.  The loop then runs to
+    convergence on the last factor and the polish makes one more
+    application.  Every application of the solve happens inside this call,
+    and every factor it makes is freed when it returns, before the caller
+    factors again.  ``history`` is None unless the solve is
     verbose.  The name is kept because the benchmark's ``eig.lanczos`` span
     wraps ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the
     library's own instrumentation (ROADMAP item 5) replaces that wrap.
     """
     loop = _Lanczos(K, M, max_iter, history)
-    if not (place and _place_shift(loop, K, M, shift)):
+    placed = place and (
+        (lower > shift and _place_shift(loop, K, M, lower)) or _place_shift(loop, K, M, shift)
+    )
+    if not placed:
         loop.attach(*_plain_factor(K, M, float(shift)))
     while not loop.converged:
         loop.step()
@@ -403,8 +416,17 @@ def solve_pencil(
     tol: float = 1e-8,
     max_iter: int = 2000,
     verbose: bool = False,
+    lower: float = -np.inf,
 ) -> EigenResult:
     """Smallest eigenvalue and M-normalized eigenvector of K x = lambda M x.
+
+    ``lower`` is a candidate lower bound of the smallest eigenvalue, such
+    as the ``certified_lower`` of a solved pencil of which this one is a
+    principal sub-pencil.  Shift placement starts there instead of at the
+    Gershgorin bound when it is larger; an inertia count of 0 must confirm
+    it, otherwise placement starts over from the Gershgorin bound, so a
+    wrong value costs one factorization but never changes the answer.  It
+    is ignored with an explicit ``shift`` and on the dense path.
 
     Raises ConvergenceError when the residual stays above ``tol`` or the
     solve needs more than ``max_iter`` applications of the inverted
@@ -431,7 +453,7 @@ def solve_pencil(
             lb = pencil_lower_bound(K, M)
             shift = lb - 0.01 * max(1.0, abs(lb))
         value, vector, sigma, applications = eigsh(
-            K, M, shift, place, max_iter, history if verbose else None
+            K, M, shift, place, max_iter, history if verbose else None, lower
         )
     mx = M @ vector
     norm = float(np.sqrt(vector @ mx))
@@ -474,10 +496,17 @@ def solve_pencil(
     )
 
 
-def smallest_eigenpair(forms, shift=None, tol: float = 1e-8, max_iter: int = 2000, verbose: bool = False) -> EigenResult:
-    """Smallest eigenpair of the assembled forms (K_p + K_q, M)."""
+def smallest_eigenpair(
+    forms,
+    shift=None,
+    tol: float = 1e-8,
+    max_iter: int = 2000,
+    verbose: bool = False,
+    lower: float = -np.inf,
+) -> EigenResult:
+    """Smallest eigenpair of the assembled forms (K_p + K_q, M); see ``solve_pencil``."""
     K, M = forms.pencil()
-    return solve_pencil(K, M, shift=shift, tol=tol, max_iter=max_iter, verbose=verbose)
+    return solve_pencil(K, M, shift=shift, tol=tol, max_iter=max_iter, verbose=verbose, lower=lower)
 
 
 def dense_reference(forms) -> tuple[float, np.ndarray]:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -331,6 +333,38 @@ def test_vertex_ids_with_commas_are_quoted(tmp_path, capsys):
     assert code == 0
     assert '"x,1"' in out
     assert '"e,1"' in out
+
+
+def test_certificate_rows_are_what_csv_writer_writes(tmp_path, capsys):
+    doc = {
+        "vertices": ["x,1", 'y"2', "z"],
+        "edges": [
+            {"id": 'e,"1', "from": "x,1", "to": 'y"2', "length": 1.0},
+            {"id": "e2", "from": 'y"2', "to": "z", "length": 1.0},
+        ],
+        "root": "x,1",
+    }
+    gpath = tmp_path / "quoted.json"
+    gpath.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "positive-solution",
+        "--graph", str(gpath),
+        "--lambda", "-1.0",
+        "--level", "2",
+        "--h", "0.25",
+    )
+    assert code == 0
+    text = "".join(line + "\n" for line in data_rows(out))
+    rows = list(csv.reader(io.StringIO(text)))
+    assert {r[1] for r in rows if r[0] == "edge"} == {'e,"1', "e2"}
+    assert any(r == ["vertex", 'y"2'] + r[2:] for r in rows)
+    for r in rows[1:]:
+        assert [repr(float(v)) for v in r[2:] if v] == [v for v in r[2:] if v]
+    rewritten = io.StringIO()
+    csv.writer(rewritten, lineterminator="\n").writerows(rows)
+    assert rewritten.getvalue() == text
+    assert '\nedge,"e,""1",' in text
 
 
 # --- sobolev -----------------------------------------------------------------------

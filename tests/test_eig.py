@@ -446,3 +446,57 @@ def test_mass_bound_proved_by_inertia_when_gershgorin_fails(monkeypatch):
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     assert pencil_lower_bound(K, M) <= dense[0]
     assert solve_pencil(K, M, tol=1e-10).value == pytest.approx(dense[0], rel=1e-10)
+
+
+# --- a candidate lower bound ------------------------------------------------------
+
+
+def recorded_inertia(monkeypatch, refuse=None):
+    """Record (sigma, count) of every inertia count; refuse symmetric pivoting at ``refuse``."""
+    counts = []
+    real = eig._inertia
+
+    def inertia(K, M, sigma):
+        if sigma == refuse:
+            counts.append((sigma, None))
+            raise SolverError("symmetric pivoting was refused")
+        count, lu = real(K, M, sigma)
+        counts.append((sigma, count))
+        return count, lu
+
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    return counts
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["counts-above-0", "pivoting-refused"])
+def test_wrong_lower_bound_falls_back_to_gershgorin(monkeypatch, refused):
+    K, M, vals, _ = star_pencil()
+    cold = solve_pencil(K, M, tol=1e-10)
+    lb = pencil_lower_bound(K, M)
+    seed = lb - 0.01 * max(1.0, abs(lb))
+    # lambda_2 counts 1 eigenvalue below it; a hint below lambda_1 can fail to factor
+    hint = 0.5 * (vals[0] + seed) if refused else vals[1]
+    counts = recorded_inertia(monkeypatch, refuse=hint if refused else None)
+    res = solve_pencil(K, M, tol=1e-10, lower=hint)
+    assert counts[0] == (hint, None if refused else 1)   # the hint is checked first
+    assert counts[1] == (seed, 0)                        # then placement starts over
+    assert res.value == pytest.approx(cold.value, rel=1e-12)
+    assert np.count_nonzero(vals < res.certified_lower) == 0
+
+
+def test_proved_lower_bound_starts_the_shift(monkeypatch):
+    forms = restricted_annulus()
+    K, M = forms.pencil()
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    cold = smallest_eigenpair(forms, tol=1e-10)
+    hint = dense[0] - 1e-3 * max(1.0, abs(dense[0]))
+    counts = recorded_inertia(monkeypatch)
+    res = smallest_eigenpair(forms, tol=1e-10, lower=hint)
+    # one count proves the hint and the window is closed there: no probe
+    assert counts == [(hint, 0), (res.certified_lower, 0)]
+    assert res.shift == hint
+    assert res.iterations < cold.iterations
+    assert res.value == pytest.approx(cold.value, rel=1e-12)
+    # an explicit shift ignores the hint
+    explicit = smallest_eigenpair(forms, shift=-1.0, tol=1e-10, lower=hint)
+    assert explicit.shift == -1.0

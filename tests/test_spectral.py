@@ -235,6 +235,53 @@ def test_persson_ignores_compact_perturbation_bitwise(halfline):
         assert ra.value == rb.value  # identical pencils, identical solves
 
 
+def persson_solves(monkeypatch, cold=False):
+    """Run the nested-annulus persson case, recording each solve's hint and result."""
+    import graphsl.spectral as spectral
+
+    g = load_graph(path(16))
+    ex = build_exhaustion(g, "v00", 16)
+    field = load_coefficients({"default": {"q": {"expr": "1/(1+x)"}}}, g)
+    solves = []
+    real = spectral.smallest_eigenpair
+
+    def spy(forms, **kwargs):
+        if cold:
+            kwargs.pop("lower")
+        result = real(forms, **kwargs)
+        solves.append((forms.domain, kwargs.get("lower", -math.inf), result))
+        return result
+
+    monkeypatch.setattr(spectral, "smallest_eigenpair", spy)
+    trace = persson_limit(g, field, ex, [1, 2, 4], [8, 12, 16], h=0.02)
+    return trace, solves
+
+
+def test_persson_seeds_each_annulus_from_its_containers(monkeypatch):
+    trace, solves = persson_solves(monkeypatch)
+    proved = {}
+    for domain, lower, result in solves:
+        n, N = (int(part) for part in domain.split("-")[1:])
+        containers = [low for (m, M), low in proved.items() if m <= n and M >= N]
+        # a principal sub-pencil: interlacing puts its bottom above each container's proof
+        assert all(result.value >= low for low in containers)
+        assert lower == max(containers, default=-math.inf)
+        proved[n, N] = result.certified_lower
+    assert [lower for _, lower, _ in solves[:3]] == [-math.inf] * 3   # sweep n = 1 has none
+    assert all(lower > -math.inf for _, lower, _ in solves[3:])
+    monkeypatch.undo()
+    cold, _ = persson_solves(monkeypatch, cold=True)
+    assert [(r.inner, r.outer) for r in trace.rows] == [(r.inner, r.outer) for r in cold.rows]
+    for warm_row, cold_row in zip(trace.rows, cold.rows):
+        assert warm_row.value == pytest.approx(cold_row.value, rel=1e-12)
+
+
+def test_persson_applies_budget(monkeypatch):
+    _, solves = persson_solves(monkeypatch)
+    # 81 applies over 9 annuli; 103 when every annulus starts at the Gershgorin bound
+    assert sum(result.iterations for _, _, result in solves) <= 90
+
+
 def test_persson_validates_level_lists(halfline):
     g, ex = halfline
     field = load_coefficients({}, g)
