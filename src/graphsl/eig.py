@@ -3,7 +3,7 @@
 The iterative path is one shift-inverted Lanczos loop (``_Lanczos``) on
 S = F^{-1} M in the M inner product, where F is a sparse factorization of
 K - shift*M: the three-term recurrence with full reorthogonalization done
-twice, one triangular solve per application, started from the all-ones
+twice, one solve with F per application, started from the all-ones
 vector.  The Ritz value of S of largest modulus, theta, gives the pencil's
 Ritz value shift + 1/theta; with the shift below lambda_1 it is an upper
 end by Courant-Fischer.  The basis holds at most ``_BASIS_ROWS`` rows;
@@ -35,24 +35,36 @@ Ritz vector x is polished by one inverse-iteration step with the shift's
 factor, y = (K - shift*M)^{-1} M x, and the returned value is the
 Rayleigh quotient of y.
 
+Every factorization condenses the edge interiors out (``Condensed``).  In
+the dof order of ``fem.build_mesh``, free vertices first and then each
+edge's interior nodes in a row, the block A_EE of A = K - shift*M after
+the vertex rows is tridiagonal, one chain per edge.  LAPACK's ``dpttrf``
+factors A_EE as L D L^T, which proves it positive definite, and SuperLU
+factors only the vertex Schur complement S_V = A_VV - A_VE A_EE^{-1}
+A_EV, one row per free vertex, with one column per panel
+(``_PANEL_SIZE``): S_V factors with almost no fill, so wider panels only
+sweep dense n-by-panel work arrays.  When A_EE is not positive definite
+(the shift lies above the Dirichlet bottom of an edge), SuperLU factors
+the whole of A the same way.  A solve with F is one tridiagonal solve
+plus one solve with S_V.
+
 No solve gets a refinement pass.  On the placed path the count of 0 at
 the shift proves K - shift*M positive definite, and LDL^T without
 pivoting is backward stable on positive definite matrices (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 10); the polish
-lowers the residual's floor further.  Every factorization here runs
-SuperLU with one column per panel (``_PANEL_SIZE``): P1 graph pencils
-factor with almost no fill, so supernodes are single columns and wider
-panels only sweep dense n-by-panel work arrays.
+*Accuracy and Stability of Numerical Algorithms*, ch. 10), for A_EE and
+S_V alike; the polish lowers the residual's floor further.
 
 That the returned value is the *smallest* eigenvalue is then proved, not
 assumed from where the shift was put.  With delta = max(tol, 1e-12) *
-max(1, |value|), K - (value - delta) M is factored once as P^T L D L^T P
-(SuperLU restricted to diagonal pivots).  By Sylvester's law of inertia
-the number of nonpositive pivots in D is the number of eigenvalues at or
-below value - delta, so all pivots positive proves that none lies there;
-otherwise the solve raises SolverError.  Placement and this proof share
-one counting routine, and every factor is released before the next one
-is made, so two factors are never alive at once.
+max(1, |value|), K - (value - delta) M is factored once: A_EE as L D L^T
+by LAPACK and S_V as P^T L D L^T P by SuperLU restricted to diagonal
+pivots.  By Haynsworth's inertia additivity, In(A) = In(A_EE) + In(S_V),
+and Sylvester's law of inertia, the number of nonpositive pivots of S_V
+is then the number of eigenvalues at or below value - delta, so all
+pivots positive proves that none lies there; otherwise the solve raises
+SolverError.  Placement and this proof share one counting routine, and
+every factor is released before the next one is made, so two factors are
+never alive at once.
 
 Two accuracy measures are reported.  The residual ||K x - lambda M x|| /
 ||M x|| is unscaled: with unit roundoff u its floor is about
@@ -71,13 +83,16 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csc_matrix, identity, issparse
+from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.sparse import csc_matrix, csr_matrix, identity, issparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, SolverError
 
 _DENSE_LIMIT = 4  # pencils with fewer unknowns go straight to LAPACK
 _PANEL_SIZE = 1  # SuperLU columns per panel; wider panels only sweep dense work arrays here
+# SuperLU restricted to diagonal pivots: P A P^T = L U with U = D L^T
+_SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
 _PLACEMENT_STEPS = 8  # Lanczos steps on the Gershgorin factor before the first probe
 _BASIS_ROWS = 20  # Lanczos basis rows; past them the loop restarts from its Ritz vector
 _STOP = 1e-14  # Ritz-value error estimate, relative to max(1, |value|), that ends the loop
@@ -188,32 +203,150 @@ def _dense_pair(K, M):
     return value, vector
 
 
+def _head_size(A) -> int:
+    """One past the last column of A with a row index below its subdiagonal.
+
+    A is CSC with sorted indices, so a column's deepest row is its last
+    entry; an empty column reads its neighbour's, which can only raise the
+    result.
+    """
+    if not A.nnz:
+        return 0
+    far = np.flatnonzero(A.indices[A.indptr[1:] - 1] > np.arange(1, A.shape[0] + 1))
+    return int(far[-1]) + 1 if far.size else 0
+
+
+class Condensed:
+    """Factor of a symmetric A whose trailing block is tridiagonal.
+
+    A = [[A_VV, A_VE], [A_EV, A_EE]] with A_EE tridiagonal: the head size m
+    is one past the last column holding a row index below its subdiagonal.
+    In graphsl's dof order the head rows are the free vertices, and A_EE is
+    a direct sum of chains, the runs between zero subdiagonal entries, one
+    per edge.  The split is taken when LAPACK's ``dpttrf`` proves A_EE
+    positive definite (L D L^T with every pivot of D positive) and every
+    entry of A_EV sits on a chain's first or last row, its *ends*, as on
+    every P1 graph pencil.  Only the Schur complement S_V = A_VV - A_VE
+    A_EE^{-1} A_EV then goes to ``lu_factor`` (this module's or the
+    caller's ``splu``), with one column per panel, in symmetric mode with
+    diagonal pivots only when ``symmetric`` and with partial pivoting
+    otherwise.  A_VE A_EE^{-1} A_EV only needs each chain's 2x2 corner of
+    A_EE^{-1}: one two-column ``dpttrs`` gives the columns of A_EE^{-1} at
+    every chain's first and last row (``corner``).  Otherwise the tail is
+    empty and ``lu_factor`` factors A itself.  ``lu`` is S_V's factor, A's,
+    or None when the split leaves no head.
+
+    A = [[I, A_VE A_EE^{-1}], [0, I]] diag(S_V, A_EE) [[I, 0], [A_EE^{-1}
+    A_EV, I]] is a congruence, so In(A) = In(S_V) + In(A_EE) (Haynsworth):
+    with A_EE positive definite, S_V has exactly A's nonpositive
+    eigenvalues.  A solve reads A_EE^{-1} b on the ends from the corner
+    columns, solves with S_V once and makes one ``dpttrs`` for the tail.
+    """
+
+    def __init__(self, A, lu_factor, symmetric: bool = True):
+        options = dict(_SYMMETRIC if symmetric else {}, panel_size=_PANEL_SIZE)
+        A = csc_matrix(A)
+        A.sort_indices()
+        n = A.shape[0]
+        self.m, self.lu, self.corner = n, None, None
+        m = _head_size(A)
+        schur = self._condense(A, m) if m < n else None
+        if schur is None:
+            self.lu = lu_factor(A, **options)
+        elif m:
+            self.lu = lu_factor(schur, **options)
+
+    def _condense(self, A, m: int):
+        """Split A at ``m`` and return S_V, or None when the tail is refused."""
+        size = A.shape[0] - m
+        sub = A.diagonal(-1)[m:]
+        cut = sub == 0
+        first, last = np.concatenate(([True], cut)), np.concatenate((cut, [True]))
+        # the head columns: A_VV above row m, A_EV below it
+        rows, data = A.indices[: A.indptr[m]], A.data[: A.indptr[m]]
+        cols = np.repeat(np.arange(m), np.diff(A.indptr[: m + 1]))
+        lower = rows >= m
+        r = rows[lower] - m
+        if not (first | last)[r].all():
+            return None  # the head couples to an inner row of a chain
+        d, e, info = dpttrf(A.diagonal()[m:], sub if sub.size else np.zeros(1))  # f2py wants e nonempty
+        if info:
+            return None  # A_EE is not positive definite
+        starts, stops = np.flatnonzero(first), np.flatnonzero(last)
+        long = starts != stops
+        unit = np.zeros((size, 2))
+        unit[starts, 0] = unit[stops[long], 1] = 1.0
+        corner = dpttrs(d, e, unit)[0]
+        # A_EV's entries (r, i, v), grouped by chain
+        chain = (np.cumsum(first) - 1)[r]
+        order = np.argsort(chain, kind="stable")
+        r, i, v, chain = r[order], cols[lower][order], data[lower][order], chain[order]
+        # every pair (p, q) of entries on one chain adds -v_p (A_EE^{-1})_{r_p r_q} v_q to S_V
+        count = np.bincount(chain)[chain]
+        p = np.repeat(np.arange(r.size), count)
+        offset = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
+        q = np.repeat(np.searchsorted(chain, chain), count) + offset
+        inverse = np.where(
+            r[p] == r[q],
+            np.where(first[r[p]], corner[r[p], 0], corner[r[p], 1]),
+            corner[np.minimum(r[p], r[q]), 1],  # the corner (a, b), also used for (b, a)
+        )
+        self.m, self.d, self.e, self.corner, self.starts = m, d, e, corner, starts
+        self.r, self.i, self.v = r, i, v
+        # where a solve finds A_EE^{-1} b at each entry's row among its chain sums
+        self.pick = chain + starts.size * ~first[r]
+        upper = ~lower
+        return csc_matrix(
+            (
+                np.concatenate((data[upper], -inverse * (v[p] * v[q]))),
+                (np.concatenate((rows[upper], i[p])), np.concatenate((cols[upper], i[q]))),
+            ),
+            shape=(m, m),
+        )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b."""
+        if self.corner is None:
+            return self.lu.solve(b)
+        m = self.m
+        tail = b[m:]
+        # A_EE^{-1} b at each chain's first row, then at each last row: a corner
+        # column dotted with b over its chain
+        sums = np.concatenate([np.add.reduceat(column * tail, self.starts) for column in self.corner.T])
+        head = b[:m] - np.bincount(self.i, weights=self.v * sums[self.pick], minlength=m)
+        if m:
+            head = self.lu.solve(head)
+        tail = tail - np.bincount(self.r, weights=self.v * head[self.i], minlength=tail.size)
+        return np.concatenate((head, dpttrs(self.d, self.e, tail, overwrite_b=True)[0]))
+
+
 def _inertia(K, M, sigma: float):
     """Count the eigenvalues at or below ``sigma``: (count, factor).
 
-    SuperLU in symmetric mode with diagonal pivots only factors
-    P (K - sigma*M) P^T = L U with U = D L^T, a congruence to D = diag(U).
-    By Sylvester's law the nonpositive pivots count the eigenvalues at or
-    below ``sigma``.  The factor is returned for reuse as a shift-invert
-    operator.  Raises SolverError when the factorization fails or SuperLU
-    left the diagonal (perm_r != perm_c), since no count can then be read
-    from U.
+    ``Condensed`` factors the edge chains A_EE of K - sigma*M by LAPACK,
+    which proves them positive definite, and the vertex Schur complement
+    S_V by SuperLU in symmetric mode with diagonal pivots only, P S_V P^T =
+    L U with U = D L^T, a congruence to D = diag(U).  By Haynsworth's
+    inertia additivity and Sylvester's law the nonpositive pivots of S_V
+    count the eigenvalues at or below ``sigma``; when the chains are not
+    positive definite SuperLU factors the whole matrix the same way, and
+    with no vertex rows left the count is 0.  The factor is returned for
+    reuse as a shift-invert operator.  Raises SolverError when the
+    factorization fails or SuperLU left the diagonal (perm_r != perm_c),
+    since no count can then be read from U.
     """
     try:
-        lu = splu(
-            (K - sigma * M).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0,
-            panel_size=_PANEL_SIZE,
-            options={"SymmetricMode": True},
-        )
+        factor = Condensed((K - sigma * M).tocsc(), splu)
     except RuntimeError as exc:
         raise SolverError(f"inertia factorization of K - {sigma!r}*M failed: {exc}") from exc
+    lu = factor.lu
+    if lu is None:
+        return 0, factor
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(
             f"inertia count of K - {sigma!r}*M impossible: symmetric pivoting was refused"
         )
-    return int(np.count_nonzero(~(lu.U.diagonal() > 0))), lu
+    return int(np.count_nonzero(~(lu.U.diagonal() > 0))), factor
 
 
 def _window(lo: float, hi: float) -> bool:
@@ -226,7 +359,7 @@ class _Lanczos:
 
     F is the factor of K - sigma*M that ``attach`` hands in.  The rows of
     ``Q`` are an M-orthonormal basis of a Krylov space of S, and
-    T = Q M S Q^T is tridiagonal.  A step makes one triangular solve of F,
+    T = Q M S Q^T is tridiagonal.  A step makes one solve with F,
     the three-term recurrence and classical Gram-Schmidt against every row
     of Q done twice; M times the new vector is recomputed for each pass
     rather than stored.  ``value`` is sigma + 1/theta for the eigenvalue
@@ -278,7 +411,7 @@ class _Lanczos:
         return self.Q[: self.s.size].T @ self.s
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """F^{-1} b with one triangular solve, counted against ``max_iter``."""
+        """F^{-1} b with one solve, counted against ``max_iter``."""
         if self.applies >= self.max_iter:
             raise ConvergenceError(
                 f"eigensolve did not converge within {self.max_iter} applications"
@@ -367,10 +500,10 @@ def _plain_factor(K, M, sigma: float):
     """LU with partial pivoting of K - sigma*M, moving sigma down on failure."""
     for attempt in range(4):
         try:
-            lu = splu((K - sigma * M).tocsc(), panel_size=_PANEL_SIZE)
-            if not np.all(np.isfinite(lu.U.diagonal())):
+            factor = Condensed((K - sigma * M).tocsc(), splu, symmetric=False)
+            if factor.lu is not None and not np.all(np.isfinite(factor.lu.U.diagonal())):
                 raise RuntimeError("singular factor")
-            return sigma, lu
+            return sigma, factor
         except RuntimeError:
             if attempt == 3:
                 raise SolverError(

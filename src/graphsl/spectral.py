@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals
-from .eig import smallest_eigenpair
+from .eig import Condensed, smallest_eigenpair
 from .errors import HypothesisError, IntegrabilityError, SolverError
 from .fem import (
     AssembledForms,
@@ -73,15 +73,18 @@ def _assemble_union(g, field, domains, h) -> AssembledForms:
     return assemble(build_mesh(g, h, edges=edges), field)
 
 
+def _dirichlet_piece(forms, g, edge_ids, include_host_boundary, domain) -> AssembledForms:
+    """The Dirichlet problem on one piece of ``forms``."""
+    return forms.restrict(edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary), domain)
+
+
 def _solve_domain(forms, g, edge_ids, include_host_boundary, domain, tol, lower=-math.inf):
     """Smallest eigenpair of the Dirichlet problem on one piece of ``forms``.
 
     ``lower`` is a candidate lower bound of its smallest eigenvalue that the
     eigensolve checks before placing its shift there.
     """
-    piece = forms.restrict(
-        edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary), domain
-    )
+    piece = _dirichlet_piece(forms, g, edge_ids, include_host_boundary, domain)
     return smallest_eigenpair(piece, tol=tol, lower=lower)
 
 
@@ -185,15 +188,15 @@ class PositiveSolutionCert:
 
 
 def _level_forms(g, field, exhaustion, level, h, tol):
-    """Free forms on one level and the bottom of its Dirichlet problem."""
+    """Free forms on one level, its Dirichlet piece and that piece's bottom."""
     if level < 0 or level > exhaustion.max_level:
         raise SolverError(f"level {level} outside exhaustion range")
     edge_ids = exhaustion.levels[level]
     if not edge_ids:
         raise SolverError(f"exhaustion level {level} contains no edges")
     forms = _assemble_union(g, field, [edge_ids], h)
-    bottom = _solve_domain(forms, g, edge_ids, True, f"level-{level}", tol).value
-    return forms, bottom
+    piece = _dirichlet_piece(forms, g, edge_ids, True, f"level-{level}")
+    return forms, piece, smallest_eigenpair(piece, tol=tol).value
 
 
 def positive_solution(
@@ -212,16 +215,20 @@ def positive_solution(
     normalizes to one at the root.  A nonpositive nodal value would violate
     the discrete minimum principle and raises SolverError.
     """
-    forms, bottom = _level_forms(g, field, exhaustion, level, h, tol)
+    forms, piece, bottom = _level_forms(g, field, exhaustion, level, h, tol)
     if not (lam < bottom - tol):
         raise SolverError(
             f"trial value {lam} is not below the Dirichlet bottom {bottom} by {tol}"
         )
-    return _certificate(g, field, exhaustion, forms, lam, level, bottom)
+    return _certificate(g, field, exhaustion, forms, piece, lam, level, bottom)
 
 
-def _certificate(g, field, exhaustion, forms, lam, level, bottom) -> PositiveSolutionCert:
-    """Solve the lifted boundary problem on the free forms of a level."""
+def _certificate(g, field, exhaustion, forms, piece, lam, level, bottom) -> PositiveSolutionCert:
+    """Solve the lifted boundary problem on the free forms of a level.
+
+    ``piece`` is the level's Dirichlet problem, whose dofs are the free
+    dofs of ``forms`` off the boundary vertices, in the same order.
+    """
     edge_ids = exhaustion.levels[level]
     boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
     if not boundary:
@@ -229,21 +236,17 @@ def _certificate(g, field, exhaustion, forms, lam, level, bottom) -> PositiveSol
             "level has no boundary vertices; the lifted boundary problem is empty"
         )
     mesh = forms.mesh
+    on_boundary = np.zeros(mesh.n_free)
+    on_boundary[[mesh.vertex_dof[v] for v in boundary]] = 1.0
+    interior = on_boundary == 0
     K, M = forms.pencil()
-    A = (K - lam * M).tocsc()
-    bdofs = np.array(sorted(mesh.vertex_dof[v] for v in boundary), dtype=np.int64)
-    mask = np.ones(mesh.n_free, dtype=bool)
-    mask[bdofs] = False
-    idofs = np.flatnonzero(mask)
+    Ki, Mi = piece.pencil()
+    try:
+        factor = Condensed((Ki - lam * Mi).tocsc(), splu)
+    except RuntimeError as exc:
+        raise SolverError(f"interior solve failed: {exc}") from exc
     y = np.ones(mesh.n_free)
-    if idofs.size:
-        aii = A[np.ix_(idofs, idofs)].tocsc()
-        rhs = -np.asarray(A[np.ix_(idofs, bdofs)].sum(axis=1)).ravel()
-        try:
-            lu = splu(aii)
-        except RuntimeError as exc:
-            raise SolverError(f"interior solve failed: {exc}") from exc
-        y[idofs] = lu.solve(rhs)
+    y[interior] = factor.solve((lam * (M @ on_boundary) - K @ on_boundary)[interior])
     root = exhaustion.root
     if root not in mesh.vertex_dof:
         raise SolverError(f"root {root!r} is not a vertex of level {level}")
@@ -307,10 +310,10 @@ def ap_check(
     refutation when above by more than ``tol``, and indeterminate inside
     the band.
     """
-    forms, bottom = _level_forms(g, field, exhaustion, level, h, tol)
+    forms, piece, bottom = _level_forms(g, field, exhaustion, level, h, tol)
     margin = lam - bottom
     if lam < bottom - tol:
-        cert = _certificate(g, field, exhaustion, forms, lam, level, bottom)
+        cert = _certificate(g, field, exhaustion, forms, piece, lam, level, bottom)
         return APResult("certificate", lam, level, bottom, margin, cert)
     if lam > bottom + tol:
         return APResult("refutation", lam, level, bottom, margin, None)

@@ -15,9 +15,9 @@ import scipy.linalg
 
 from . import expressions
 from .coeff import load_coefficients
-from .eig import dense_reference, smallest_eigenpair
+from .eig import _inertia, dense_reference, smallest_eigenpair
 from .errors import EvaluationError
-from .families import path, star
+from .families import ladder, path, star
 from .fem import assemble, build_mesh, mesh_samples
 from .graph import build_exhaustion, load_graph
 from .spectral import (
@@ -252,6 +252,30 @@ def check_pencil_inertia(rng) -> tuple[bool, str]:
     )
 
 
+def check_condensed_inertia(rng) -> tuple[bool, str]:
+    """Inertia counts through the edge-chain split equal LAPACK's on a graph with cycles."""
+    g = load_graph(ladder(3))
+    field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}, g)
+    h = float(rng.uniform(0.05, 0.2))
+    K, M = assemble(build_mesh(g, h), field).pencil()
+    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    distinct = vals[np.diff(vals, prepend=-np.inf) > 1e-8][:6]
+    gaps = rng.integers(0, len(distinct) - 1, size=11)
+    shifts = [vals[0] - 0.5] + list(distinct[gaps] + rng.uniform(0.05, 0.95, 11) * np.diff(distinct)[gaps])
+    taken = []
+    for sigma in shifts:
+        count, factor = _inertia(K, M, float(sigma))
+        want = int(np.count_nonzero(vals <= sigma))
+        if count != want:
+            return False, f"h={h:.4f}: {count} nonpositive pivots at {sigma!r}, LAPACK counts {want}"
+        taken.append(factor.m < K.shape[0])
+    # below lambda_1 the chains are positive definite by interlacing, so the split is taken there
+    return taken[0], (
+        f"h={h:.4f}, {K.shape[0]} dofs: {len(shifts)} counts equal LAPACK's, "
+        f"{sum(taken)} of them through the vertex Schur complement"
+    )
+
+
 CHECKS = [
     ("expression-round-trip", check_expression_round_trip),
     ("pencil-shift", check_pencil_shift),
@@ -264,6 +288,7 @@ CHECKS = [
     ("matrix-symmetry", check_matrix_symmetry),
     ("compact-perturbation", check_compact_perturbation),
     ("pencil-inertia", check_pencil_inertia),
+    ("condensed-inertia", check_condensed_inertia),
 ]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from graphsl import eig
 from graphsl.coeff import load_coefficients
@@ -15,7 +16,7 @@ from graphsl.eig import (
     solve_pencil,
 )
 from graphsl.errors import ConvergenceError, SolverError
-from graphsl.families import ladder, path, star, tree
+from graphsl.families import cycle, ladder, path, star, tree
 from graphsl.fem import assemble, build_mesh
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import dirichlet_vertices
@@ -174,7 +175,10 @@ def star_pencil():
 
 
 def test_explicit_shift_above_the_bottom_is_refused():
-    K, M, vals, _ = star_pencil()
+    # lambda_2 of the ladder ball has mass on the all-ones start vector; the
+    # star's lambda_2 = lambda_3 eigenspace is M-orthogonal to it by symmetry
+    K, M = ladder6_level().pencil()
+    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     shift = vals[0] + 0.8 * (vals[1] - vals[0])   # nearest eigenvalue is lambda_2
     with pytest.raises(SolverError, match="nonpositive pivot"):
         solve_pencil(K, M, shift=shift)
@@ -194,7 +198,7 @@ def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
 
 
 def test_certificate_raises_when_symmetric_pivoting_is_refused(monkeypatch):
-    K, M, _, _ = star_pencil()
+    K, M = tree5_level().pencil()   # its vertex Schur complement has 31 rows, so the roll moves perm_c
     real = eig.splu
 
     def splu(A, **kwargs):
@@ -500,3 +504,132 @@ def test_proved_lower_bound_starts_the_shift(monkeypatch):
     # an explicit shift ignores the hint
     explicit = smallest_eigenpair(forms, shift=-1.0, tol=1e-10, lower=hint)
     assert explicit.shift == -1.0
+
+
+# --- the condensed factorization ---------------------------------------------------
+
+
+def with_lengths(doc, lengths):
+    """``doc`` with its edges' lengths taken in turn from ``lengths``."""
+    for edge, length in zip(doc["edges"], lengths * len(doc["edges"])):
+        edge["length"] = length
+    return doc
+
+
+def free_forms(doc, h, coeffs=Q_SIN):
+    g = load_graph(doc)
+    return assemble(build_mesh(g, h), load_coefficients(coeffs, g))
+
+
+def ladder_free():
+    return free_forms(with_lengths(ladder(3), [1.0, 0.8, 0.65, 0.9]), 0.1)
+
+
+def cycle_free():
+    return free_forms(with_lengths(cycle(5), [0.7, 1.0, 0.85]), 0.1)
+
+
+def star_short_arms():
+    """Free star whose arms have 1, 2, 9 and 17 cells: no chain, a one-row chain, long chains."""
+    return free_forms(with_lengths(star(4), [0.05, 0.1, 0.45, 0.85]), 0.05)
+
+
+def path_short_free():
+    """Free path(2) with a one-cell edge: vertex columns 1 and 2 reach exactly two rows below."""
+    return free_forms(with_lengths(path(2), [0.18, 0.77]), 0.3)
+
+
+def between_eigenvalues(vals, count=5):
+    """A shift below the spectrum and one between each pair of the first distinct eigenvalues."""
+    distinct = vals[np.diff(vals, prepend=-np.inf) > 1e-8][:count]
+    return [vals[0] - 1.0] + list(0.5 * (distinct[:-1] + distinct[1:]))
+
+
+def check_against_lapack(K, M, sigma, vals):
+    """The count equals LAPACK's, and solves match SuperLU's; returns the counting factor.
+
+    The partial-pivoting factor is checked at every shift, the counting
+    factor (diagonal pivots only) where it is positive definite, the only
+    place a solve uses it.
+    """
+    count, factor = eig._inertia(K, M, sigma)
+    assert count == np.count_nonzero(vals <= sigma)
+    A = (K - sigma * M).tocsc()
+    b = np.random.default_rng(0).normal(size=A.shape[0])
+    want = scipy.sparse.linalg.splu(A).solve(b)
+    solvers = [eig.Condensed(A, eig.splu, symmetric=False)] + ([factor] if count == 0 else [])
+    for solver in solvers:
+        np.testing.assert_allclose(solver.solve(b), want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+    return factor
+
+
+@pytest.mark.parametrize(
+    "make_forms",
+    [ladder_free, cycle_free, star_short_arms, path_short_free, tree_negative_q_level, restricted_annulus],
+)
+def test_condensed_count_and_solve_agree_with_lapack(make_forms):
+    K, M = make_forms().pencil()
+    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    shifts = between_eigenvalues(vals)
+    assert len(shifts) == 5
+    heads = [check_against_lapack(K, M, sigma, vals).m for sigma in shifts]
+    # below lambda_1 the chains are positive definite by interlacing, so the split is taken
+    assert heads[0] < K.shape[0]
+
+
+def test_condensed_agrees_with_lapack_on_random_small_graphs():
+    # short edges put a vertex's coupling right below the vertex rows and
+    # leave one-row or no chains; some ends are Dirichlet, some shifts lie
+    # above an edge's Dirichlet bottom
+    rng = np.random.default_rng(1)
+    split = 0
+    for _ in range(40):
+        doc = [path(3), star(3), tree(2), ladder(2), cycle(3)][rng.integers(5)]
+        g = load_graph(with_lengths(doc, list(rng.uniform(0.05, 1.2, len(doc["edges"])))))
+        dirichlet = frozenset(v for v in g.boundary if rng.random() < 0.5)
+        mesh = build_mesh(g, rng.uniform(0.05, 0.4), dirichlet_vertices=dirichlet)
+        K, M = assemble(mesh, load_coefficients(Q_SIN, g)).pencil()
+        vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        for sigma in between_eigenvalues(vals, count=8):
+            split += check_against_lapack(K, M, sigma, vals).m < K.shape[0]
+    assert split > 0
+
+
+def test_condensed_refuses_an_indefinite_tail():
+    forms = restricted_annulus()
+    K, M = forms.pencil()
+    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    m = eig._head_size(K.tocsc())
+    # the smallest Dirichlet eigenvalue of the edge interiors
+    edge_bottom = scipy.linalg.eigh(K[m:, m:].toarray(), M[m:, m:].toarray(), eigvals_only=True)[0]
+    above = vals[vals > edge_bottom]
+    factor = check_against_lapack(K, M, 0.5 * (above[0] + above[1]), vals)
+    assert factor.m == K.shape[0] and factor.lu.shape == K.shape
+
+
+def test_condensed_refuses_a_coupling_to_an_inner_chain_row():
+    n = 8
+    K = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="lil")
+    K[0, 5] = K[5, 0] = -0.5   # the head row 0 reaches the middle of the chain 1..7
+    K, M = K.tocsr(), sp.identity(n, format="csr")
+    assert eig._head_size(K.tocsc()) == 1
+    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    for sigma in between_eigenvalues(vals):
+        factor = check_against_lapack(K, M, sigma, vals)
+        assert factor.m == n and factor.lu.shape == (n, n)
+
+
+def test_superlu_sees_one_row_per_free_vertex(monkeypatch):
+    shapes = []
+    real = eig.splu
+
+    def splu(A, **kwargs):
+        shapes.append(A.shape)
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(eig, "splu", splu)
+    forms = tree8_level()
+    smallest_eigenpair(forms, tol=1e-10)
+    vertices = sum(1 for dof in forms.mesh.vertex_dof.values() if dof >= 0)
+    assert vertices == 255 and forms.n == 4845
+    assert shapes and all(shape == (vertices, vertices) for shape in shapes)
