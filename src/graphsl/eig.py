@@ -2,8 +2,9 @@
 
 The iterative path is one shift-inverted Lanczos loop (``_Lanczos``) on
 S = F^{-1} M in the M inner product, where F is a sparse factorization of
-K - shift*M: the three-term recurrence with full reorthogonalization done
-twice, one solve with F per application, started from the all-ones
+K - shift*M: the three-term recurrence with full reorthogonalization, a
+second Gram-Schmidt pass only when the first cancels most of the new
+vector, one solve with F per application, started from the all-ones
 vector.  The Ritz value of S of largest modulus, theta, gives the pencil's
 Ritz value shift + 1/theta; with the shift below lambda_1 it is an upper
 end by Courant-Fischer.  The basis holds at most ``_BASIS_ROWS`` rows;
@@ -35,8 +36,18 @@ Ritz vector x is polished by one inverse-iteration step with the shift's
 factor, y = (K - shift*M)^{-1} M x, and the returned value is the
 Rayleigh quotient of y.
 
-Every factorization condenses the edge interiors out (``Condensed``).  In
-the dof order of ``fem.build_mesh``, free vertices first and then each
+A sparse direct solve splits into a symbolic analysis, which depends only
+on where the entries are, and a numeric factorization (Davis, *Direct
+Methods for Sparse Linear Systems*, 2006).  ``Pencil`` is the analysis,
+built once per pencil: K and M on one shared CSC pattern, the head size,
+the chains, and the Schur complement's pattern with the map that sums its
+values.  ``Condensed`` is the numeric factor at one shift: K.data -
+shift*M.data, LAPACK on the chains, one bincount and SuperLU.  Every
+factorization of a solve (the Gershgorin count, the probes, the
+shift-invert factor, a plain LU and the proof) reuses the one analysis,
+so a new shift only refactors values.
+
+Every factorization condenses the edge interiors out.  In the dof order of ``fem.build_mesh``, free vertices first and then each
 edge's interior nodes in a row, the block A_EE of A = K - shift*M after
 the vertex rows is tridiagonal, one chain per edge.  LAPACK's ``dpttrf``
 factors A_EE as L D L^T, which proves it positive definite, and SuperLU
@@ -61,8 +72,12 @@ by LAPACK and S_V as P^T L D L^T P by SuperLU restricted to diagonal
 pivots.  By Haynsworth's inertia additivity, In(A) = In(A_EE) + In(S_V),
 and Sylvester's law of inertia, the number of nonpositive pivots of S_V
 is then the number of eigenvalues at or below value - delta, so all
-pivots positive proves that none lies there; otherwise the solve raises
-SolverError.  Placement and this proof share one counting routine, and
+pivots positive proves that none lies there.  A count above 0 on the
+placed path means the all-ones start vector missed lambda_1 (it can be
+M-orthogonal to a sign-changing ground state, which graph pencils with a
+positive ground state never have), and the solve runs once more from a
+seeded random start vector; if that count is above 0 too, the solve
+raises SolverError.  Placement and this proof share one counting routine, and
 every factor is released before the next one is made, so two factors are
 never alive at once.
 
@@ -84,7 +99,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import csc_matrix, csr_matrix, identity, issparse
+from scipy.sparse import csc_matrix, identity, issparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, SolverError
@@ -97,6 +112,8 @@ _PLACEMENT_STEPS = 8  # Lanczos steps on the Gershgorin factor before the first 
 _BASIS_ROWS = 20  # Lanczos basis rows; past them the loop restarts from its Ritz vector
 _STOP = 1e-14  # Ritz-value error estimate, relative to max(1, |value|), that ends the loop
 _MASS_HALVINGS = 64  # tries at proving a lower bound of M below its smallest diagonal entry
+_DGKS = 1.0 / np.sqrt(2.0)  # a Gram-Schmidt pass that keeps less of ||w||_M than this is repeated
+_START_SEED = 0  # the seeded start vector of the one rerun after a failed proof
 
 
 @dataclass
@@ -142,33 +159,25 @@ def _abs_row_sums(A) -> np.ndarray:
     return np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[0])
 
 
-def _one_norm(A) -> float:
-    """max_j sum_i |a_ij|, reduced over each column's slice of the CSC ``indptr``."""
-    A = csc_matrix(A)
-    starts = A.indptr[:-1][np.diff(A.indptr) > 0]
-    if not starts.size:
-        return 0.0
-    return float(np.max(np.add.reduceat(np.abs(A.data), starts)))
-
-
 def _mass_lower_bound(M) -> float:
     """Certified positive lower bound for the smallest eigenvalue of M."""
+    M = csc_matrix(M)
     d = M.diagonal()
-    coo = M.tocoo()
-    off = coo.row != coo.col
+    rows, cols = M.indices, np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    off = rows != cols
     inv_sqrt = 1.0 / np.sqrt(d)
-    weights = np.abs(coo.data[off]) * inv_sqrt[coo.row[off]] * inv_sqrt[coo.col[off]]
-    sums = np.bincount(coo.row[off], weights=weights, minlength=M.shape[0])
+    weights = np.abs(M.data[off]) * inv_sqrt[rows[off]] * inv_sqrt[cols[off]]
+    sums = np.bincount(rows[off], weights=weights, minlength=M.shape[0])
     margin = 1.0 - float(np.max(sums)) if sums.size else 1.0
     if margin > 0:
         return margin * float(np.min(d))
     # pathological weight profile: halve below the smallest diagonal entry
     # until an inertia count of 0 proves M - mu I positive definite
-    eye = identity(M.shape[0], format="csc")
+    pencil = Pencil(M, identity(M.shape[0], format="csc"))
     mu = float(np.min(d))
     for _ in range(_MASS_HALVINGS):
         mu *= 0.5
-        if not _inertia(M, eye, mu)[0]:
+        if not _inertia(pencil, mu)[0]:
             return mu
     raise SolverError(f"no positive lower bound of the mass matrix above {mu!r}")
 
@@ -203,6 +212,31 @@ def _dense_pair(K, M):
     return value, vector
 
 
+def _canonical_csc(A):
+    """A in CSC with sorted, summed indices; the caller's arrays are never changed."""
+    A = csc_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+def _on_union(K, M):
+    """K and M on the union of their patterns, each missing entry an explicit zero."""
+    rows, n = K.shape
+    keys = [np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr)) * rows + A.indices for A in (K, M)]
+    union = np.union1d(*keys)  # column-major order: CSC with sorted rows
+    indices = union % rows
+    indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * rows)
+
+    def spread(A, key):
+        data = np.zeros(union.size)
+        data[np.searchsorted(union, key)] = A.data
+        return csc_matrix((data, indices, indptr), shape=K.shape)
+
+    return spread(K, keys[0]), spread(M, keys[1])
+
+
 def _head_size(A) -> int:
     """One past the last column of A with a row index below its subdiagonal.
 
@@ -216,25 +250,111 @@ def _head_size(A) -> int:
     return int(far[-1]) + 1 if far.size else 0
 
 
-class Condensed:
-    """Factor of a symmetric A whose trailing block is tridiagonal.
+class Pencil:
+    """K and M on one CSC pattern, and the split of K - sigma*M that every shift reuses.
 
-    A = [[A_VV, A_VE], [A_EV, A_EE]] with A_EE tridiagonal: the head size m
-    is one past the last column holding a row index below its subdiagonal.
-    In graphsl's dof order the head rows are the free vertices, and A_EE is
-    a direct sum of chains, the runs between zero subdiagonal entries, one
-    per edge.  The split is taken when LAPACK's ``dpttrf`` proves A_EE
-    positive definite (L D L^T with every pivot of D positive) and every
-    entry of A_EV sits on a chain's first or last row, its *ends*, as on
-    every P1 graph pencil.  Only the Schur complement S_V = A_VV - A_VE
-    A_EE^{-1} A_EV then goes to ``lu_factor`` (this module's or the
-    caller's ``splu``), with one column per panel, in symmetric mode with
-    diagonal pivots only when ``symmetric`` and with partial pivoting
-    otherwise.  A_VE A_EE^{-1} A_EV only needs each chain's 2x2 corner of
-    A_EE^{-1}: one two-column ``dpttrs`` gives the columns of A_EE^{-1} at
-    every chain's first and last row (``corner``).  Otherwise the tail is
-    empty and ``lu_factor`` factors A itself.  ``lu`` is S_V's factor, A's,
-    or None when the split leaves no head.
+    The symbolic half of the factorization, built once per pencil: every
+    inertia count, shift-invert factor and proof of the pencil is a
+    ``Condensed`` on it, which only does value work.  K and M share one
+    verified pattern, their union when scipy's patterns differ (an exact
+    zero that K_p + K_q dropped, or M - mu*I in ``_mass_lower_bound``), so
+    K.data - sigma*M.data is entry for entry scipy's K - sigma*M.
+
+    With A = K - sigma*M = [[A_VV, A_VE], [A_EV, A_EE]], the head size ``m``
+    is one past the last column holding a row index below its subdiagonal,
+    so A_EE is tridiagonal.  In graphsl's dof order the head rows are the
+    free vertices, and A_EE is a direct sum of chains, the runs between
+    absent subdiagonal entries, one per edge.  The analysis holds the
+    positions of A_EE's diagonal and subdiagonal (an absent entry reads the
+    zero one past the data), A_EV's entries grouped by chain (``ev``, with
+    rows ``r`` and columns ``i``), each pair (p, q) of entries on one chain
+    with the 2x2 corner of A_EE^{-1} it reads (``corner_at``), and the CSC
+    pattern of the Schur complement S_V with ``slot``, where each of
+    A_VV's entries and each pair's product lands in S_V's data.  When some
+    entry of A_EV is not on a chain's first or last row, its *ends*, the
+    tail is empty (``m`` = n) and SuperLU factors the whole matrix at every
+    shift.  Every array is an index array of O(dofs) entries.
+    """
+
+    def __init__(self, K, M):
+        K, M = _canonical_csc(K), _canonical_csc(M)
+        n = K.shape[0]
+        if n == 0:
+            raise SolverError("empty pencil")
+        if K.shape != M.shape:
+            raise SolverError("pencil matrices must share a shape")
+        if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
+            K, M = _on_union(K, M)
+        self.K, self.M, self.n = K, M, n
+        self.m = _head_size(K)
+        if self.m < n:
+            self._split()
+
+    def _split(self) -> None:
+        K, m, n, nnz = self.K, self.m, self.n, self.K.nnz
+        # no tail column reaches below its subdiagonal, so a column's last entry
+        # is its subdiagonal, or else its diagonal; the entry above a
+        # subdiagonal is the diagonal, if any
+        j = np.arange(m, n)
+        size = np.diff(K.indptr[m:])
+        end = K.indptr[m + 1 :] - 1
+        row = np.where(size > 0, K.indices[end], -1)
+        has_sub = row == j + 1
+        at = end - has_sub
+        has_diag = (size > has_sub) & (K.indices[at] == j)
+        cut = ~has_sub[:-1]
+        first, last = np.concatenate(([True], cut)), np.concatenate((cut, [True]))
+        # the head columns: A_VV above row m, A_EV below it
+        head = K.indptr[m]
+        rows, cols = K.indices[:head], np.repeat(np.arange(m), np.diff(K.indptr[: m + 1]))
+        lower = rows >= m
+        r = rows[lower] - m
+        if not (first | last)[r].all():
+            self.m = n  # the head couples to an inner row of a chain
+            return
+        self.diag, self.sub = np.where(has_diag, at, nnz), np.where(has_sub, end, nnz)[:-1]
+        self.starts, stops = np.flatnonzero(first), np.flatnonzero(last)
+        self.stops = stops[self.starts != stops]  # the last rows of chains longer than one row
+        chain = (np.cumsum(first) - 1)[r]
+        order = np.argsort(chain, kind="stable")
+        self.r, self.i, self.ev, chain = r[order], cols[lower][order], np.flatnonzero(lower)[order], chain[order]
+        # where a solve finds A_EE^{-1} b at each entry's row among its chain sums
+        self.pick = chain + self.starts.size * ~first[self.r]
+        # every pair (p, q) of entries on one chain adds -v_p (A_EE^{-1})_{r_p r_q} v_q to S_V
+        count = np.bincount(chain)[chain]
+        p = np.repeat(np.arange(chain.size), count)
+        offset = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
+        q = np.repeat(np.searchsorted(chain, chain), count) + offset
+        rp, rq = self.r[p], self.r[q]
+        same = rp == rq
+        # the corner (a, b), also used for (b, a); a lone row reads column 0 only if it is a first row
+        self.corner_at = (np.where(same, rp, np.minimum(rp, rq)), (~(same & first[rp])).astype(np.intp))
+        self.p, self.q = p, q
+        self.vv = np.flatnonzero(~lower)
+        if m:
+            keys = np.concatenate((cols[~lower] * m + rows[~lower], self.i[q] * m + self.i[p]))
+            pattern, self.slot = np.unique(keys, return_inverse=True)
+            # in scipy's index type at this size, so no factorization converts them
+            indptr = np.searchsorted(pattern, np.arange(m + 1) * m)
+            self.schur = ((pattern % m).astype(np.int32), indptr.astype(np.int32))
+
+
+class Condensed:
+    """Factor of A = K - sigma*M on a ``Pencil``'s analysis.
+
+    The values are K.data - sigma*M.data on the shared pattern.  The split
+    is taken when the pencil has a tail and LAPACK's ``dpttrf`` proves A_EE
+    positive definite (L D L^T with every pivot of D positive).  Only the
+    Schur complement S_V = A_VV - A_VE A_EE^{-1} A_EV then goes to
+    ``lu_factor`` (this module's or the caller's ``splu``), with one column
+    per panel, in symmetric mode with diagonal pivots only when
+    ``symmetric`` and with partial pivoting otherwise.  A_VE A_EE^{-1} A_EV
+    only needs each chain's 2x2 corner of A_EE^{-1}: one two-column
+    ``dpttrs`` gives the columns of A_EE^{-1} at every chain's first and
+    last row (``corner``), and one bincount sums S_V's values into the
+    analysed pattern.  Otherwise ``m`` is n and ``lu_factor`` factors A
+    itself.  ``lu`` is S_V's factor, A's, or None when the split leaves no
+    head.
 
     A = [[I, A_VE A_EE^{-1}], [0, I]] diag(S_V, A_EE) [[I, 0], [A_EE^{-1}
     A_EV, I]] is a congruence, so In(A) = In(S_V) + In(A_EE) (Haynsworth):
@@ -243,86 +363,61 @@ class Condensed:
     columns, solves with S_V once and makes one ``dpttrs`` for the tail.
     """
 
-    def __init__(self, A, lu_factor, symmetric: bool = True):
+    def __init__(self, pencil: Pencil, sigma: float, lu_factor, symmetric: bool = True):
         options = dict(_SYMMETRIC if symmetric else {}, panel_size=_PANEL_SIZE)
-        A = csc_matrix(A)
-        A.sort_indices()
-        n = A.shape[0]
-        self.m, self.lu, self.corner = n, None, None
-        m = _head_size(A)
-        schur = self._condense(A, m) if m < n else None
-        if schur is None:
-            self.lu = lu_factor(A, **options)
-        elif m:
-            self.lu = lu_factor(schur, **options)
+        K, M = pencil.K, pencil.M
+        values = np.empty(K.nnz + 1)
+        values[-1] = 0.0  # what an absent tail entry reads
+        data = values[:-1]
+        np.multiply(M.data, sigma, out=data)
+        np.subtract(K.data, data, out=data)  # scipy's K - sigma*M, entry for entry
+        self.pencil, self.m, self.lu, self.corner = pencil, pencil.n, None, None
+        if pencil.m < pencil.n and self._condense(values):
+            if self.m:
+                indices, indptr = pencil.schur
+                schur = np.bincount(pencil.slot, weights=self._schur_terms(values), minlength=indices.size)
+                self.lu = lu_factor(csc_matrix((schur, indices, indptr), shape=(self.m, self.m)), **options)
+        else:
+            self.lu = lu_factor(csc_matrix((data, K.indices, K.indptr), shape=K.shape), **options)
 
-    def _condense(self, A, m: int):
-        """Split A at ``m`` and return S_V, or None when the tail is refused."""
-        size = A.shape[0] - m
-        sub = A.diagonal(-1)[m:]
-        cut = sub == 0
-        first, last = np.concatenate(([True], cut)), np.concatenate((cut, [True]))
-        # the head columns: A_VV above row m, A_EV below it
-        rows, data = A.indices[: A.indptr[m]], A.data[: A.indptr[m]]
-        cols = np.repeat(np.arange(m), np.diff(A.indptr[: m + 1]))
-        lower = rows >= m
-        r = rows[lower] - m
-        if not (first | last)[r].all():
-            return None  # the head couples to an inner row of a chain
-        d, e, info = dpttrf(A.diagonal()[m:], sub if sub.size else np.zeros(1))  # f2py wants e nonempty
+    def _condense(self, values: np.ndarray) -> bool:
+        """Factor A_EE and its corners; False when A_EE is not positive definite."""
+        pencil = self.pencil
+        sub = values[pencil.sub] if pencil.sub.size else np.zeros(1)  # f2py wants e nonempty
+        d, e, info = dpttrf(values[pencil.diag], sub, overwrite_d=1, overwrite_e=1)
         if info:
-            return None  # A_EE is not positive definite
-        starts, stops = np.flatnonzero(first), np.flatnonzero(last)
-        long = starts != stops
-        unit = np.zeros((size, 2))
-        unit[starts, 0] = unit[stops[long], 1] = 1.0
-        corner = dpttrs(d, e, unit)[0]
-        # A_EV's entries (r, i, v), grouped by chain
-        chain = (np.cumsum(first) - 1)[r]
-        order = np.argsort(chain, kind="stable")
-        r, i, v, chain = r[order], cols[lower][order], data[lower][order], chain[order]
-        # every pair (p, q) of entries on one chain adds -v_p (A_EE^{-1})_{r_p r_q} v_q to S_V
-        count = np.bincount(chain)[chain]
-        p = np.repeat(np.arange(r.size), count)
-        offset = np.arange(p.size) - np.repeat(np.cumsum(count) - count, count)
-        q = np.repeat(np.searchsorted(chain, chain), count) + offset
-        inverse = np.where(
-            r[p] == r[q],
-            np.where(first[r[p]], corner[r[p], 0], corner[r[p], 1]),
-            corner[np.minimum(r[p], r[q]), 1],  # the corner (a, b), also used for (b, a)
-        )
-        self.m, self.d, self.e, self.corner, self.starts = m, d, e, corner, starts
-        self.r, self.i, self.v = r, i, v
-        # where a solve finds A_EE^{-1} b at each entry's row among its chain sums
-        self.pick = chain + starts.size * ~first[r]
-        upper = ~lower
-        return csc_matrix(
-            (
-                np.concatenate((data[upper], -inverse * (v[p] * v[q]))),
-                (np.concatenate((rows[upper], i[p])), np.concatenate((cols[upper], i[q]))),
-            ),
-            shape=(m, m),
-        )
+            return False
+        unit = np.zeros((pencil.diag.size, 2), order="F")
+        unit[pencil.starts, 0] = unit[pencil.stops, 1] = 1.0
+        self.m, self.d, self.e, self.v = pencil.m, d, e, values[pencil.ev]
+        self.corner = dpttrs(d, e, unit, overwrite_b=True)[0]
+        return True
+
+    def _schur_terms(self, values: np.ndarray) -> np.ndarray:
+        """A_VV's entries, then each pair's -v_p (A_EE^{-1})_{r_p r_q} v_q, in ``slot`` order."""
+        v, pencil = self.v, self.pencil
+        return np.concatenate((values[pencil.vv], -self.corner[pencil.corner_at] * (v[pencil.p] * v[pencil.q])))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A^{-1} b."""
         if self.corner is None:
             return self.lu.solve(b)
-        m = self.m
+        m, pencil = self.m, self.pencil
         tail = b[m:]
         # A_EE^{-1} b at each chain's first row, then at each last row: a corner
         # column dotted with b over its chain
-        sums = np.concatenate([np.add.reduceat(column * tail, self.starts) for column in self.corner.T])
-        head = b[:m] - np.bincount(self.i, weights=self.v * sums[self.pick], minlength=m)
+        sums = np.concatenate([np.add.reduceat(column * tail, pencil.starts) for column in self.corner.T])
+        head = b[:m] - np.bincount(pencil.i, weights=self.v * sums[pencil.pick], minlength=m)
         if m:
             head = self.lu.solve(head)
-        tail = tail - np.bincount(self.r, weights=self.v * head[self.i], minlength=tail.size)
+        tail = tail - np.bincount(pencil.r, weights=self.v * head[pencil.i], minlength=tail.size)
         return np.concatenate((head, dpttrs(self.d, self.e, tail, overwrite_b=True)[0]))
 
 
-def _inertia(K, M, sigma: float):
-    """Count the eigenvalues at or below ``sigma``: (count, factor).
+def _inertia(pencil: Pencil, sigma: float):
+    """Count the eigenvalues of ``pencil`` at or below ``sigma``: (count, factor).
 
+    The factor is a value refactorization on the pencil's one analysis.
     ``Condensed`` factors the edge chains A_EE of K - sigma*M by LAPACK,
     which proves them positive definite, and the vertex Schur complement
     S_V by SuperLU in symmetric mode with diagonal pivots only, P S_V P^T =
@@ -336,7 +431,7 @@ def _inertia(K, M, sigma: float):
     since no count can then be read from U.
     """
     try:
-        factor = Condensed((K - sigma * M).tocsc(), splu)
+        factor = Condensed(pencil, sigma, splu)
     except RuntimeError as exc:
         raise SolverError(f"inertia factorization of K - {sigma!r}*M failed: {exc}") from exc
     lu = factor.lu
@@ -361,8 +456,14 @@ class _Lanczos:
     ``Q`` are an M-orthonormal basis of a Krylov space of S, and
     T = Q M S Q^T is tridiagonal.  A step makes one solve with F,
     the three-term recurrence and classical Gram-Schmidt against every row
-    of Q done twice; M times the new vector is recomputed for each pass
-    rather than stored.  ``value`` is sigma + 1/theta for the eigenvalue
+    of Q.  A second pass is made only when the first cut ||w||_M below
+    ``_DGKS`` = 1/sqrt(2) of its value (Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 1976): then w was nearly in the span of Q, and
+    the pass's rounding errors are no longer small next to what is left.
+    The pass's input is w after the recurrence, so the errors of that
+    subtraction are removed with the rest.  Each pass's M w gives the next
+    pass's projection or beta, so a step makes two products with M, three
+    with a second pass.  ``value`` is sigma + 1/theta for the eigenvalue
     theta of T of largest modulus, and beta |s_k| / theta^2 (s the unit
     eigenvector of theta, beta the norm of the next residual) estimates
     its distance to an eigenvalue of the pencil.  Past
@@ -371,12 +472,13 @@ class _Lanczos:
     ``max_iter``, which caps the applications instead.
     """
 
-    def __init__(self, K, M, max_iter: int, history):
+    def __init__(self, K, M, max_iter: int, history, start=None):
         self.K, self.M = K, M
         self.max_iter = max_iter
         self.history = history
         self.applies = 0
-        self.x = np.ones(K.shape[0])  # the start vector, then the last Ritz vector
+        # the start vector, then the last Ritz vector
+        self.x = np.ones(K.shape[0]) if start is None else start
         self.sigma = 0.0
         self.lu = self.Q = self.s = None
         self.T = np.zeros((_BASIS_ROWS, _BASIS_ROWS))  # entries past the current basis are never read
@@ -433,10 +535,14 @@ class _Lanczos:
         w -= T[k, k] * Q[k]
         if k:
             w -= self.beta * Q[k - 1]
-        for _ in range(2):
-            w -= Q.T @ (Q @ (self.M @ w))
         mw = self.M @ w
-        self.beta = float(np.sqrt(w @ mw))
+        norm = float(np.sqrt(w @ mw))
+        for _ in range(2):
+            w -= Q.T @ (Q @ mw)
+            mw = self.M @ w
+            self.beta = float(np.sqrt(w @ mw))
+            if self.beta >= _DGKS * norm:
+                break
         thetas, vecs = np.linalg.eigh(T[: k + 1, : k + 1])
         top = int(np.argmax(np.abs(thetas)))
         theta, self.s = float(thetas[top]), vecs[:, top]
@@ -451,7 +557,7 @@ class _Lanczos:
         return self.converged
 
 
-def _place_shift(loop: _Lanczos, K, M, lo: float) -> bool:
+def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> bool:
     """Raise the Gershgorin shift ``lo`` by inertia counts, attaching ``loop``.
 
     A count of 0 proves ``lo``, and the loop runs on lo's factor; its Ritz
@@ -468,7 +574,7 @@ def _place_shift(loop: _Lanczos, K, M, lo: float) -> bool:
     ``lo`` counts above 0.
     """
     try:
-        count, lu = _inertia(K, M, lo)
+        count, lu = _inertia(pencil, lo)
         if count:
             return False
         loop.attach(lo, lu)
@@ -481,14 +587,14 @@ def _place_shift(loop: _Lanczos, K, M, lo: float) -> bool:
         mid = hi - max(1.0, abs(hi)) / 16
         while _window(lo, hi):
             lu = None
-            count, lu = _inertia(K, M, mid)
+            count, lu = _inertia(pencil, mid)
             if count:
                 hi, lu = mid, None
             else:
                 lo = mid
             mid = 0.5 * (lo + hi)
         if lu is None:
-            lu = _inertia(K, M, lo)[1]
+            lu = _inertia(pencil, lo)[1]
     except SolverError:
         loop.detach()
         return False
@@ -496,11 +602,11 @@ def _place_shift(loop: _Lanczos, K, M, lo: float) -> bool:
     return True
 
 
-def _plain_factor(K, M, sigma: float):
+def _plain_factor(pencil: Pencil, sigma: float):
     """LU with partial pivoting of K - sigma*M, moving sigma down on failure."""
     for attempt in range(4):
         try:
-            factor = Condensed((K - sigma * M).tocsc(), splu, symmetric=False)
+            factor = Condensed(pencil, sigma, splu, symmetric=False)
             if factor.lu is not None and not np.all(np.isfinite(factor.lu.U.diagonal())):
                 raise RuntimeError("singular factor")
             return sigma, factor
@@ -512,27 +618,29 @@ def _plain_factor(K, M, sigma: float):
             sigma = sigma - max(1.0, abs(sigma))
 
 
-def eigsh(K, M, shift: float, place: bool, max_iter: int, history, lower: float = -np.inf):
+def eigsh(pencil: Pencil, shift: float, place: bool, max_iter: int, history, lower: float = -np.inf, start=None):
     """Polished shift-inverted Lanczos pair: (value, vector, shift, applies).
 
     With ``place``, ``_place_shift`` raises the shift from the candidate
     lower bound ``lower`` when it lies above the Gershgorin ``shift``, and
     from ``shift`` when that fails (a count above 0 at ``lower`` included);
-    a plain LU at ``shift`` is the last resort.  The loop then runs to
-    convergence on the last factor and the polish makes one more
-    application.  Every application of the solve happens inside this call,
-    and every factor it makes is freed when it returns, before the caller
-    factors again.  ``history`` is None unless the solve is
-    verbose.  The name is kept because the benchmark's ``eig.lanczos`` span
-    wraps ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the
-    library's own instrumentation (ROADMAP item 5) replaces that wrap.
+    a plain LU at ``shift`` is the last resort.  The loop starts from
+    ``start`` (default: the all-ones vector), runs to convergence on the
+    last factor, and the polish makes one more application.  Every
+    application of the solve happens inside this call, and every factor it
+    makes is freed when it returns, before the caller factors again.
+    ``history`` is None unless the solve is verbose.  The name is kept
+    because the benchmark's ``eig.lanczos`` span wraps ``graphsl.eig.eigsh``
+    (``perfbench/child.py``), until the library's own instrumentation
+    (ROADMAP item 5) replaces that wrap.
     """
-    loop = _Lanczos(K, M, max_iter, history)
+    K, M = pencil.K, pencil.M
+    loop = _Lanczos(K, M, max_iter, history, start)
     placed = place and (
-        (lower > shift and _place_shift(loop, K, M, lower)) or _place_shift(loop, K, M, shift)
+        (lower > shift and _place_shift(loop, pencil, lower)) or _place_shift(loop, pencil, shift)
     )
     if not placed:
-        loop.attach(*_plain_factor(K, M, float(shift)))
+        loop.attach(*_plain_factor(pencil, float(shift)))
     while not loop.converged:
         loop.step()
     # one inverse-iteration step with the shift's factor lowers the
@@ -542,52 +650,11 @@ def eigsh(K, M, shift: float, place: bool, max_iter: int, history, lower: float 
     return value, vector, loop.sigma, loop.applies
 
 
-def solve_pencil(
-    K,
-    M,
-    shift=None,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-    verbose: bool = False,
-    lower: float = -np.inf,
-) -> EigenResult:
-    """Smallest eigenvalue and M-normalized eigenvector of K x = lambda M x.
+def _measured(K, M, value: float, vector: np.ndarray, tol: float, **fields) -> EigenResult:
+    """The pair M-normalized with its largest entry positive, and its accuracy.
 
-    ``lower`` is a candidate lower bound of the smallest eigenvalue, such
-    as the ``certified_lower`` of a solved pencil of which this one is a
-    principal sub-pencil.  Shift placement starts there instead of at the
-    Gershgorin bound when it is larger; an inertia count of 0 must confirm
-    it, otherwise placement starts over from the Gershgorin bound, so a
-    wrong value costs one factorization but never changes the answer.  It
-    is ignored with an explicit ``shift`` and on the dense path.
-
-    Raises ConvergenceError when the residual stays above ``tol`` or the
-    solve needs more than ``max_iter`` applications of the inverted
-    operator, and SolverError when the inertia count cannot prove that the
-    returned value is the smallest eigenvalue (for example, an explicit
-    shift above the second eigenvalue).
+    Raises ConvergenceError when the residual is above ``tol``.
     """
-    K = csc_matrix(K)
-    M = csc_matrix(M)
-    n = K.shape[0]
-    if n == 0:
-        raise SolverError("empty pencil")
-    if K.shape != M.shape:
-        raise SolverError("pencil matrices must share a shape")
-    method = "dense" if n < _DENSE_LIMIT else "shift-invert-lanczos"
-    history: list = []
-    applications = 0
-    sigma = 0.0
-    if method == "dense":
-        value, vector = _dense_pair(K, M)
-    else:
-        place = shift is None
-        if place:
-            lb = pencil_lower_bound(K, M)
-            shift = lb - 0.01 * max(1.0, abs(lb))
-        value, vector, sigma, applications = eigsh(
-            K, M, shift, place, max_iter, history if verbose else None, lower
-        )
     mx = M @ vector
     norm = float(np.sqrt(vector @ mx))
     if norm <= 0 or not np.isfinite(norm):
@@ -600,32 +667,88 @@ def solve_pencil(
     residual_vec = K @ vector - value * mx
     residual_norm = float(np.linalg.norm(residual_vec))
     residual = residual_norm / float(np.linalg.norm(mx))
-    scale = _one_norm(K) + abs(value) * _one_norm(M)
+    # K and M are symmetric: a 1-norm is the largest absolute row sum
+    scale = float(np.max(_abs_row_sums(K))) + abs(value) * float(np.max(_abs_row_sums(M)))
     backward_error = residual_norm / (scale * float(np.linalg.norm(vector)))
-    converged = residual <= max(tol, 1e-12)
-    if not converged:
+    if not residual <= max(tol, 1e-12):
         raise ConvergenceError(
             f"eigensolve residual {residual:.3e} above tolerance {tol:.3e}"
         )
-    certified_lower = value - max(tol, 1e-12) * max(1.0, abs(value))
-    if method != "dense":
-        nonpositive = _inertia(K, M, certified_lower)[0]
-        if nonpositive:
-            raise SolverError(
-                f"K - {certified_lower!r}*M has {nonpositive} nonpositive pivot(s): "
-                "the eigensolve did not find the smallest eigenvalue"
-            )
     return EigenResult(
         value=value,
         vector=vector,
         residual=residual,
         backward_error=backward_error,
-        certified_lower=certified_lower,
-        iterations=applications,
-        converged=converged,
-        shift=sigma,
-        method=method,
-        history=history,
+        certified_lower=value - max(tol, 1e-12) * max(1.0, abs(value)),
+        converged=True,
+        **fields,
+    )
+
+
+def solve_pencil(
+    K,
+    M,
+    shift=None,
+    tol: float = 1e-8,
+    max_iter: int = 2000,
+    verbose: bool = False,
+    lower: float = -np.inf,
+    pencil: Pencil | None = None,
+) -> EigenResult:
+    """Smallest eigenvalue and M-normalized eigenvector of K x = lambda M x.
+
+    ``pencil`` is the ``Pencil`` analysis of (K, M) when the caller holds
+    one (``AssembledForms.analysis``); otherwise it is built here.  Every
+    factorization of the solve uses it.
+
+    ``lower`` is a candidate lower bound of the smallest eigenvalue, such
+    as the ``certified_lower`` of a solved pencil of which this one is a
+    principal sub-pencil.  Shift placement starts there instead of at the
+    Gershgorin bound when it is larger; an inertia count of 0 must confirm
+    it, otherwise placement starts over from the Gershgorin bound, so a
+    wrong value costs one factorization but never changes the answer.  It
+    is ignored with an explicit ``shift`` and on the dense path.
+
+    On the placed path, a count above 0 at value - delta means the loop's
+    all-ones start vector missed lambda_1 (it can be M-orthogonal to a
+    sign-changing ground state), and the solve runs once more from a
+    seeded random start vector before it gives up; ``iterations`` and
+    ``history`` then cover both runs.
+
+    Raises ConvergenceError when the residual stays above ``tol`` or the
+    solve needs more than ``max_iter`` applications of the inverted
+    operator, and SolverError when the inertia count cannot prove that the
+    returned value is the smallest eigenvalue (for example, an explicit
+    shift above the second eigenvalue).
+    """
+    if pencil is None:
+        pencil = Pencil(K, M)
+    K, M = pencil.K, pencil.M
+    history: list = []
+    if pencil.n < _DENSE_LIMIT:
+        value, vector = _dense_pair(K, M)
+        return _measured(K, M, value, vector, tol, iterations=0, shift=0.0, method="dense", history=history)
+    place = shift is None
+    if place:
+        lb = pencil_lower_bound(K, M)
+        shift = lb - 0.01 * max(1.0, abs(lb))
+    applications = 0
+    for attempt in range(2 if place else 1):
+        start = np.random.default_rng(_START_SEED).standard_normal(pencil.n) if attempt else None
+        run = [] if verbose else None
+        value, vector, sigma, applies = eigsh(pencil, shift, place, max_iter - applications, run, lower, start)
+        history += [(applications + k, rq) for k, rq in run or ()]
+        applications += applies
+        result = _measured(
+            K, M, value, vector, tol,
+            iterations=applications, shift=sigma, method="shift-invert-lanczos", history=history,
+        )
+        nonpositive = _inertia(pencil, result.certified_lower)[0]
+        if not nonpositive:
+            return result
+    raise SolverError(
+        f"K - {result.certified_lower!r}*M has {nonpositive} nonpositive pivot(s): "
+        "the eigensolve did not find the smallest eigenvalue"
     )
 
 
@@ -637,9 +760,14 @@ def smallest_eigenpair(
     verbose: bool = False,
     lower: float = -np.inf,
 ) -> EigenResult:
-    """Smallest eigenpair of the assembled forms (K_p + K_q, M); see ``solve_pencil``."""
-    K, M = forms.pencil()
-    return solve_pencil(K, M, shift=shift, tol=tol, max_iter=max_iter, verbose=verbose, lower=lower)
+    """Smallest eigenpair of the assembled forms (K_p + K_q, M); see ``solve_pencil``.
+
+    The solve uses the forms' one analysis, ``forms.analysis``.
+    """
+    pencil = forms.analysis
+    return solve_pencil(
+        pencil.K, pencil.M, shift=shift, tol=tol, max_iter=max_iter, verbose=verbose, lower=lower, pencil=pencil
+    )
 
 
 def dense_reference(forms) -> tuple[float, np.ndarray]:

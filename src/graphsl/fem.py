@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.io import mmwrite
@@ -25,6 +26,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from . import _kernels
 from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals, sample_field
+from .eig import Pencil
 from .errors import CoefficientError, IntegrabilityError, MeshError
 from .graph import MetricGraph
 
@@ -300,28 +302,56 @@ class AssembledForms:
     def pencil(self):
         return (self.stiffness + self.potential).tocsr(), self.mass
 
+    @cached_property
+    def analysis(self) -> Pencil:
+        """The eigensolver's analysis of ``pencil()``, built on first use.
+
+        Every factorization of this problem (the eigensolve's counts,
+        shift-invert factors and proof, and a certificate's interior solve)
+        reuses it, so the pencil is formed and analysed once.  Assembly puts
+        each cell's value at (i, j) and (j, i), so the matrices are
+        symmetric entry for entry and their transposes, CSC views of the
+        same arrays, are the matrices themselves.
+        """
+        K, M = self.pencil()
+        return Pencil(K.T, M.T)
+
     def restrict(self, edge_ids, dirichlet_vertices=frozenset(), domain: str = "graph") -> "AssembledForms":
         """Forms of the problem on ``edge_ids`` with Dirichlet vertices.
 
         The matrices are principal submatrices of these on the dofs that
         :meth:`GraphMesh.restrict` keeps.  Every kept row only gathers cells
         of the selected edges, so they equal a direct assembly on the
-        submesh entry for entry.
+        submesh entry for entry.  Matrices on one pattern, as ``assemble``
+        makes them, are cut with one entry mask.
         """
         mesh, kept = self.mesh.restrict(edge_ids, dirichlet_vertices)
         if mesh.n_free == 0:
             raise MeshError("mesh has no free degrees of freedom")
+        return AssembledForms(*_principal((self.stiffness, self.potential, self.mass), kept), mesh=mesh, domain=domain)
 
-        def principal(mat):
-            return mat[kept][:, kept]
 
-        return AssembledForms(
-            stiffness=principal(self.stiffness),
-            potential=principal(self.potential),
-            mass=principal(self.mass),
-            mesh=mesh,
-            domain=domain,
-        )
+def _principal(mats, kept: np.ndarray) -> list:
+    """Principal submatrices of square CSR matrices on the increasing indices ``kept``.
+
+    Equal to ``mat[kept][:, kept]`` array for array; matrices that share a
+    pattern share one entry mask.
+    """
+    n = mats[0].shape[0]
+    out, last = [], None
+    for mat in mats:
+        if last is None or not (np.array_equal(mat.indptr, last.indptr) and np.array_equal(mat.indices, last.indices)):
+            renumber = np.full(n, -1, dtype=mat.indices.dtype)
+            renumber[kept] = np.arange(len(kept))
+            rows = renumber[np.repeat(np.arange(n), np.diff(mat.indptr))]
+            cols = renumber[mat.indices]
+            mask = (rows >= 0) & (cols >= 0)
+            indices = cols[mask]
+            indptr = np.zeros(len(kept) + 1, dtype=mat.indptr.dtype)
+            np.cumsum(np.bincount(rows[mask], minlength=len(kept)), out=indptr[1:])
+            last = mat
+        out.append(csr_matrix((mat.data[mask], indices.copy(), indptr.copy()), shape=(len(kept), len(kept))))
+    return out
 
 
 def assemble(mesh: GraphMesh, field: CoefficientField, domain: str = "graph") -> AssembledForms:

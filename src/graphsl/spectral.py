@@ -227,7 +227,8 @@ def _certificate(g, field, exhaustion, forms, piece, lam, level, bottom) -> Posi
     """Solve the lifted boundary problem on the free forms of a level.
 
     ``piece`` is the level's Dirichlet problem, whose dofs are the free
-    dofs of ``forms`` off the boundary vertices, in the same order.
+    dofs of ``forms`` off the boundary vertices, in the same order; its
+    interior solve reuses the analysis that the piece's eigensolve built.
     """
     edge_ids = exhaustion.levels[level]
     boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
@@ -240,9 +241,8 @@ def _certificate(g, field, exhaustion, forms, piece, lam, level, bottom) -> Posi
     on_boundary[[mesh.vertex_dof[v] for v in boundary]] = 1.0
     interior = on_boundary == 0
     K, M = forms.pencil()
-    Ki, Mi = piece.pencil()
     try:
-        factor = Condensed((Ki - lam * Mi).tocsc(), splu)
+        factor = Condensed(piece.analysis, lam, splu)
     except RuntimeError as exc:
         raise SolverError(f"interior solve failed: {exc}") from exc
     y = np.ones(mesh.n_free)

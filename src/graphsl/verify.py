@@ -15,7 +15,7 @@ import scipy.linalg
 
 from . import expressions
 from .coeff import load_coefficients
-from .eig import _inertia, dense_reference, smallest_eigenpair
+from .eig import Pencil, _inertia, dense_reference, smallest_eigenpair
 from .errors import EvaluationError
 from .families import ladder, path, star
 from .fem import assemble, build_mesh, mesh_samples
@@ -253,7 +253,12 @@ def check_pencil_inertia(rng) -> tuple[bool, str]:
 
 
 def check_condensed_inertia(rng) -> tuple[bool, str]:
-    """Inertia counts through the edge-chain split equal LAPACK's on a graph with cycles."""
+    """One analysis, reused across shifts, counts as LAPACK does and factors as a fresh one would.
+
+    On a graph with cycles; at every shift the reused analysis's count must
+    equal LAPACK's, and its solve must equal, bit for bit, that of an
+    analysis built afresh for that shift alone.
+    """
     g = load_graph(ladder(3))
     field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}, g)
     h = float(rng.uniform(0.05, 0.2))
@@ -262,17 +267,22 @@ def check_condensed_inertia(rng) -> tuple[bool, str]:
     distinct = vals[np.diff(vals, prepend=-np.inf) > 1e-8][:6]
     gaps = rng.integers(0, len(distinct) - 1, size=11)
     shifts = [vals[0] - 0.5] + list(distinct[gaps] + rng.uniform(0.05, 0.95, 11) * np.diff(distinct)[gaps])
+    b = rng.normal(size=K.shape[0])
+    pencil = Pencil(K, M)
     taken = []
     for sigma in shifts:
-        count, factor = _inertia(K, M, float(sigma))
+        count, factor = _inertia(pencil, float(sigma))
         want = int(np.count_nonzero(vals <= sigma))
         if count != want:
             return False, f"h={h:.4f}: {count} nonpositive pivots at {sigma!r}, LAPACK counts {want}"
+        fresh_count, fresh = _inertia(Pencil(K, M), float(sigma))
+        if fresh_count != count or fresh.m != factor.m or not np.array_equal(fresh.solve(b), factor.solve(b)):
+            return False, f"h={h:.4f}: the reused analysis and a fresh one differ at {sigma!r}"
         taken.append(factor.m < K.shape[0])
     # below lambda_1 the chains are positive definite by interlacing, so the split is taken there
     return taken[0], (
-        f"h={h:.4f}, {K.shape[0]} dofs: {len(shifts)} counts equal LAPACK's, "
-        f"{sum(taken)} of them through the vertex Schur complement"
+        f"h={h:.4f}, {K.shape[0]} dofs: {len(shifts)} shifts through one analysis, counts equal "
+        f"LAPACK's and solves a fresh analysis's, {sum(taken)} of them through the vertex Schur complement"
     )
 
 

@@ -341,8 +341,8 @@ def test_one_factorization_alive_at_a_time(monkeypatch):
     real_inertia = eig._inertia
     calls = []
 
-    def inertia(K, M, sigma):
-        count, lu = real_inertia(K, M, sigma)
+    def inertia(pencil, sigma):
+        count, lu = real_inertia(pencil, sigma)
         calls.append(sigma)
         return (count + 1 if len(calls) == 2 else count), lu
 
@@ -381,9 +381,9 @@ def test_placement_budget(monkeypatch, make_forms):
     counts = []
     real = eig._inertia
 
-    def inertia(K, M, sigma):
+    def inertia(pencil, sigma):
         counts.append(sigma)
-        return real(K, M, sigma)
+        return real(pencil, sigma)
 
     monkeypatch.setattr(eig, "_inertia", inertia)
     res = smallest_eigenpair(forms, tol=1e-10)
@@ -424,6 +424,96 @@ def test_loop_restarts_past_the_basis_cap(monkeypatch):
     assert np.count_nonzero(dense < res.certified_lower) == 0
 
 
+class MassProducts:
+    """M behind ``@``, counting the products."""
+
+    def __init__(self, M, products):
+        self._M, self._products = M, products
+
+    def __matmul__(self, x):
+        self._products[0] += 1
+        return self._M @ x
+
+
+def test_lanczos_basis_stays_m_orthonormal(monkeypatch):
+    worst, steps, products, restarts = [], [0], [0], [0]
+
+    class Recorded(eig._Lanczos):
+        def __init__(self, K, M, *args):
+            super().__init__(K, MassProducts(M, products), *args)
+            self.plain_M = M
+
+        def _restart(self, x):
+            restarts[0] += 1   # one product with M
+            super()._restart(x)
+
+        def step(self):
+            converged = super().step()
+            steps[0] += 1
+            Q = self.Q[: self.rows]
+            worst.append(np.linalg.norm(Q @ (self.plain_M @ Q.T) - np.eye(self.rows)))
+            return converged
+
+    monkeypatch.setattr(eig, "_Lanczos", Recorded)
+
+    def second_passes():
+        # two products with M per step and one per restart; the rest are second passes
+        return products[0] - restarts[0] - 2 * steps[0]
+
+    for make_forms, shift in ((tree5_level, None), (tree5_level, -20.0), (restricted_annulus, None), (ladder6_level, None)):
+        K, M = make_forms().pencil()
+        res = solve_pencil(K, M, shift=shift, tol=1e-10)
+        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        assert res.value == pytest.approx(dense[0], rel=1e-10)
+    # the restarts past the basis cap included
+    assert steps[0] > 2 * eig._BASIS_ROWS
+    assert second_passes() < steps[0]
+    # from all-ones, the 6x6 pencil's Krylov space is invariant after three
+    # steps: the first pass cancels w, and a second one is made
+    before = second_passes()
+    solve_pencil(*sign_changing_ground_state(), tol=1e-10)
+    assert second_passes() > before
+    assert max(worst) <= 1e-12
+
+
+def sign_changing_ground_state():
+    """6x6 pencil whose ground state is odd under reversal, so M-orthogonal to the all-ones vector.
+
+    K = tridiag(1, 2, 1), M = I: eigenvalues 2 + 2 cos(k pi / 7), and the
+    smallest, k = 6, has an alternating eigenvector.
+    """
+    n = 6
+    K = sp.diags([np.ones(n - 1), 2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
+    return K, sp.identity(n, format="csr")
+
+
+def test_start_vector_that_misses_the_ground_state_is_rerun(monkeypatch):
+    K, M = sign_changing_ground_state()
+    vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
+    assert abs(vecs[:, 0] @ np.ones(6)) < 1e-12
+    runs = []
+    real = eig.eigsh
+
+    def eigsh(*args, **kwargs):
+        out = real(*args, **kwargs)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(eig, "eigsh", eigsh)
+    res = solve_pencil(K, M, tol=1e-10)
+    # from all-ones the loop finds the smallest even eigenvalue; the proof
+    # catches it and the seeded start vector finds lambda_1
+    assert [value for value, *_ in runs] == [pytest.approx(vals[1], rel=1e-10), pytest.approx(vals[0], rel=1e-10)]
+    assert res.value == pytest.approx(vals[0], rel=1e-10)
+    assert np.count_nonzero(vals < res.certified_lower) == 0
+    assert res.iterations == sum(applies for *_, applies in runs)
+    verbose = solve_pencil(K, M, tol=1e-10, verbose=True)
+    assert [idx for idx, _ in verbose.history] == list(range(1, verbose.iterations + 1))
+    # an explicit shift gets no rerun
+    with pytest.raises(SolverError, match="1 nonpositive pivot"):
+        solve_pencil(K, M, shift=-0.5, tol=1e-10)
+
+
 def test_restricted_annulus_applies_budget():
     # every apply counts: the placement steps, the loop and the polish
     res = smallest_eigenpair(restricted_annulus(), tol=1e-10)
@@ -438,8 +528,8 @@ def test_mass_bound_proved_by_inertia_when_gershgorin_fails(monkeypatch):
     counts = []
     real = eig._inertia
 
-    def inertia(A, B, sigma):
-        count, lu = real(A, B, sigma)
+    def inertia(pencil, sigma):
+        count, lu = real(pencil, sigma)
         counts.append((sigma, count))
         return count, lu
 
@@ -460,11 +550,11 @@ def recorded_inertia(monkeypatch, refuse=None):
     counts = []
     real = eig._inertia
 
-    def inertia(K, M, sigma):
+    def inertia(pencil, sigma):
         if sigma == refuse:
             counts.append((sigma, None))
             raise SolverError("symmetric pivoting was refused")
-        count, lu = real(K, M, sigma)
+        count, lu = real(pencil, sigma)
         counts.append((sigma, count))
         return count, lu
 
@@ -545,34 +635,51 @@ def between_eigenvalues(vals, count=5):
     return [vals[0] - 1.0] + list(0.5 * (distinct[:-1] + distinct[1:]))
 
 
-def check_against_lapack(K, M, sigma, vals):
+def check_against_lapack(pencil, sigma, vals):
     """The count equals LAPACK's, and solves match SuperLU's; returns the counting factor.
 
-    The partial-pivoting factor is checked at every shift, the counting
-    factor (diagonal pivots only) where it is positive definite, the only
-    place a solve uses it.
+    ``pencil`` is one analysis, reused at every shift a test passes.  The
+    partial-pivoting factor is checked at every shift, the counting factor
+    (diagonal pivots only) where it is positive definite, the only place a
+    solve uses it.
     """
-    count, factor = eig._inertia(K, M, sigma)
+    count, factor = eig._inertia(pencil, sigma)
     assert count == np.count_nonzero(vals <= sigma)
-    A = (K - sigma * M).tocsc()
+    A = (pencil.K - sigma * pencil.M).tocsc()
     b = np.random.default_rng(0).normal(size=A.shape[0])
     want = scipy.sparse.linalg.splu(A).solve(b)
-    solvers = [eig.Condensed(A, eig.splu, symmetric=False)] + ([factor] if count == 0 else [])
+    solvers = [eig.Condensed(pencil, sigma, eig.splu, symmetric=False)] + ([factor] if count == 0 else [])
     for solver in solvers:
         np.testing.assert_allclose(solver.solve(b), want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
     return factor
 
 
+def lapack_shifts(K, M, count=5):
+    """One analysis of (K, M), its dense spectrum and the shifts of ``between_eigenvalues``."""
+    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    return eig.Pencil(K, M), vals, between_eigenvalues(vals, count)
+
+
 @pytest.mark.parametrize(
     "make_forms",
-    [ladder_free, cycle_free, star_short_arms, path_short_free, tree_negative_q_level, restricted_annulus],
+    [
+        ladder_free,
+        cycle_free,
+        star_short_arms,
+        path_short_free,
+        star_piecewise_q,
+        tree_negative_q_level,
+        restricted_annulus,
+        tree5_level,
+        leaf_well_level,
+        ladder6_level,
+    ],
 )
 def test_condensed_count_and_solve_agree_with_lapack(make_forms):
     K, M = make_forms().pencil()
-    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    shifts = between_eigenvalues(vals)
+    pencil, vals, shifts = lapack_shifts(K, M)
     assert len(shifts) == 5
-    heads = [check_against_lapack(K, M, sigma, vals).m for sigma in shifts]
+    heads = [check_against_lapack(pencil, sigma, vals).m for sigma in shifts]
     # below lambda_1 the chains are positive definite by interlacing, so the split is taken
     assert heads[0] < K.shape[0]
 
@@ -589,10 +696,58 @@ def test_condensed_agrees_with_lapack_on_random_small_graphs():
         dirichlet = frozenset(v for v in g.boundary if rng.random() < 0.5)
         mesh = build_mesh(g, rng.uniform(0.05, 0.4), dirichlet_vertices=dirichlet)
         K, M = assemble(mesh, load_coefficients(Q_SIN, g)).pencil()
-        vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-        for sigma in between_eigenvalues(vals, count=8):
-            split += check_against_lapack(K, M, sigma, vals).m < K.shape[0]
+        pencil, vals, shifts = lapack_shifts(K, M, count=8)
+        for sigma in shifts:
+            split += check_against_lapack(pencil, sigma, vals).m < K.shape[0]
     assert split > 0
+
+
+def test_one_analysis_factors_like_a_fresh_one_at_every_shift():
+    K, M = tree5_level().pencil()
+    pencil, vals, shifts = lapack_shifts(K, M)
+    b = np.random.default_rng(2).normal(size=K.shape[0])
+    for sigma in shifts:
+        reused, fresh = eig.Condensed(pencil, sigma, eig.splu), eig.Condensed(eig.Pencil(K, M), sigma, eig.splu)
+        assert reused.m == fresh.m
+        assert np.array_equal(reused.solve(b), fresh.solve(b))
+        # the factored values are scipy's K - sigma*M entry for entry
+        assert (pencil.K - sigma * pencil.M != (K - sigma * M).tocsc()).nnz == 0
+
+
+def test_forms_analysis_is_the_pencil_in_csc():
+    forms = restricted_annulus()
+    K, M = forms.pencil()
+    pencil = forms.analysis
+    assert forms.analysis is pencil                     # built once
+    for mine, theirs in ((pencil.K, K.tocsc()), (pencil.M, M.tocsc())):
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mine, part), getattr(theirs, part)), part
+
+
+def differing_patterns():
+    """(K, M) pairs on different patterns, from the ladder: K with an exact zero dropped, and a lumped M."""
+    K, M = ladder_free().pencil()
+    m = eig._head_size(K.tocsc())
+    dropped = K.tolil()
+    dropped[m + 1, m + 2] = dropped[m + 2, m + 1] = 0.0   # inside the first edge chain
+    lumped = sp.diags(np.asarray(M.sum(axis=1)).ravel(), format="csr")
+    return [(dropped.tocsr(), M), (K, lumped), (dropped.tocsr(), lumped)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["dropped-zero", "lumped-mass", "both"])
+def test_union_pattern_agrees_with_lapack(case):
+    K, M = differing_patterns()[case]
+    K.eliminate_zeros()
+    assert K.nnz != M.nnz
+    pencil, vals, shifts = lapack_shifts(K, M)
+    assert np.array_equal(pencil.K.indptr, pencil.M.indptr) and np.array_equal(pencil.K.indices, pencil.M.indices)
+    assert pencil.K.nnz == max(K.nnz, M.nnz)
+    assert (pencil.K != K).nnz == 0 and (pencil.M != M).nnz == 0   # the union only adds zeros
+    heads = [check_against_lapack(pencil, sigma, vals).m for sigma in shifts]
+    assert heads[0] < K.shape[0]
+    solved = solve_pencil(K, M, tol=1e-10)
+    assert solved.value == pytest.approx(vals[0], rel=1e-10)
+    assert np.count_nonzero(vals < solved.certified_lower) == 0
 
 
 def test_condensed_refuses_an_indefinite_tail():
@@ -603,8 +758,11 @@ def test_condensed_refuses_an_indefinite_tail():
     # the smallest Dirichlet eigenvalue of the edge interiors
     edge_bottom = scipy.linalg.eigh(K[m:, m:].toarray(), M[m:, m:].toarray(), eigvals_only=True)[0]
     above = vals[vals > edge_bottom]
-    factor = check_against_lapack(K, M, 0.5 * (above[0] + above[1]), vals)
+    pencil = eig.Pencil(K, M)
+    factor = check_against_lapack(pencil, 0.5 * (above[0] + above[1]), vals)
     assert factor.m == K.shape[0] and factor.lu.shape == K.shape
+    # the same analysis splits again below the edge bottom
+    assert check_against_lapack(pencil, vals[0] - 1.0, vals).m == m
 
 
 def test_condensed_refuses_a_coupling_to_an_inner_chain_row():
@@ -613,9 +771,10 @@ def test_condensed_refuses_a_coupling_to_an_inner_chain_row():
     K[0, 5] = K[5, 0] = -0.5   # the head row 0 reaches the middle of the chain 1..7
     K, M = K.tocsr(), sp.identity(n, format="csr")
     assert eig._head_size(K.tocsc()) == 1
-    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    for sigma in between_eigenvalues(vals):
-        factor = check_against_lapack(K, M, sigma, vals)
+    pencil, vals, shifts = lapack_shifts(K, M)
+    assert pencil.m == n
+    for sigma in shifts:
+        factor = check_against_lapack(pencil, sigma, vals)
         assert factor.m == n and factor.lu.shape == (n, n)
 
 

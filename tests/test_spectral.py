@@ -282,6 +282,37 @@ def test_persson_applies_budget(monkeypatch):
     assert sum(result.iterations for _, _, result in solves) <= 90
 
 
+def test_persson_analyses_each_piece_once(monkeypatch):
+    import scipy.sparse._compressed as compressed
+
+    import graphsl.eig as eig
+
+    analysed, counted, ops = [], [], []
+    real_init, real_inertia, real_binopt = eig.Pencil.__init__, eig._inertia, compressed._cs_matrix._binopt
+
+    def init(self, K, M):
+        analysed.append(self)
+        real_init(self, K, M)
+
+    def inertia(pencil, sigma):
+        counted.append(pencil)
+        return real_inertia(pencil, sigma)
+
+    def binopt(self, other, op):
+        ops.append(op)
+        return real_binopt(self, other, op)
+
+    monkeypatch.setattr(eig.Pencil, "__init__", init)
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    monkeypatch.setattr(compressed._cs_matrix, "_binopt", binopt)
+    trace, solves = persson_solves(monkeypatch)
+    assert len(solves) == len(trace.rows) == len(analysed) == 9   # one analysis per annulus
+    assert len(counted) > 2 * len(analysed)                       # reused at every shift
+    assert {id(p) for p in counted} == {id(p) for p in analysed}
+    # the pencil is formed once per annulus (K_p + K_q); no K - sigma*M is formed
+    assert ops == ["_plus_"] * len(analysed)
+
+
 def test_persson_validates_level_lists(halfline):
     g, ex = halfline
     field = load_coefficients({}, g)
