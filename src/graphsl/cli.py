@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .coeff import load_coefficients, validate_hypotheses
-from .errors import GraphslError, SolverError
+from .errors import CoefficientError, GraphslError, SolverError
 from .graph import build_exhaustion, load_graph
 from .spectral import (
     BC_DIRICHLET,
@@ -230,6 +230,8 @@ def _load_inputs(cfg: RunConfig):
     config = {}
     if isinstance(coeff_doc, dict) and "eta" in coeff_doc:
         raw = coeff_doc.pop("eta")
+        if raw != "inf" and (isinstance(raw, bool) or not isinstance(raw, (int, float))):
+            raise CoefficientError(f'eta must be a number or "inf", got {raw!r}')
         config["eta"] = math.inf if raw == "inf" else float(raw)
     field = load_coefficients(coeff_doc, g, **config)
     root = cfg.root if cfg.root is not None else g.root

@@ -12,29 +12,29 @@ past that, and on every new factor, the loop restarts from its current
 Ritz vector.  It stops once the error estimate beta |s_k| / theta^2 (s the
 unit Ritz vector of the tridiagonal T) is at most 1e-14 * max(1, |value|).
 
-By default the shift is placed by inertia counts, and the loop's own
-steps supply the upper end.  A count of 0 proves a shift lo just below a
-Gershgorin lower bound of the pencil spectrum; the loop starts on lo's
-factor, and after each step its Ritz value hi is an upper end.  Once
-hi - lo <= max(1, |hi|) / 4, or the loop has converged, placement ends
-and the same basis goes on to convergence on that factor.  If the window
-is still open after ``_PLACEMENT_STEPS`` steps, the basis and the factor
-are freed and the first probe goes to hi - max(1, |hi|) / 16: a count of
-0 there places the shift, otherwise bisection takes over, and the loop
-restarts from its Ritz vector on the placed shift's LDL^T factor.  A
-caller may pass a candidate lower bound ``lower`` of lambda_1 (for a
-Dirichlet piece, the proved lower bound of a solved piece that contains
-it: by Cauchy interlacing a principal sub-pencil's lambda_1 is no smaller
-than the whole pencil's).  Placement then starts at the larger of the
-Gershgorin seed and ``lower``.  The hint is checked, never trusted: its
+The shift is placed by inertia counts, and the loop's own steps supply
+the upper end.  A count of 0 proves a shift lo just below a Gershgorin
+lower bound of the pencil spectrum; the loop starts on lo's factor, and
+after each step its Ritz value hi is an upper end.  Once hi - lo <=
+max(1, |hi|) / 4, or the loop has converged, placement ends and the same
+basis goes on to convergence on that factor.  If the window is still open
+after ``_PLACEMENT_STEPS`` steps, the basis and the factor are freed and
+the first probe goes to hi - max(1, |hi|) / 16: a count of 0 there places
+the shift, otherwise bisection takes over, and the loop restarts from its
+Ritz vector on the placed shift's LDL^T factor.  A caller may pass a
+candidate lower bound ``lower`` of lambda_1 (for a Dirichlet piece, the
+proved lower bound of a solved piece that contains it: by Cauchy
+interlacing a principal sub-pencil's lambda_1 is no smaller than the
+whole pencil's).  Placement then starts at the larger of the Gershgorin
+seed and ``lower``.  The hint is checked, never trusted: its
 factorization's count must be 0, and if it is not, or SuperLU refuses
 symmetric pivoting there, placement runs again from the Gershgorin seed,
-so a wrong hint costs one factorization and never a wrong answer.  An
-explicit shift, or SuperLU refusing symmetric pivoting during placement,
-gives a plain LU at the given or the Gershgorin shift.  The converged
-Ritz vector x is polished by one inverse-iteration step with the shift's
-factor, y = (K - shift*M)^{-1} M x, and the returned value is the
-Rayleigh quotient of y.
+so a wrong hint costs one factorization and never a wrong answer.  There
+is no other shift: a count that cannot be read, or that is above 0, at
+the Gershgorin seed raises SolverError.  The converged Ritz vector x is
+polished by one inverse-iteration step with the shift's factor, y =
+(K - shift*M)^{-1} M x, and the returned value is the Rayleigh quotient
+of y.
 
 A sparse direct solve splits into a symbolic analysis, which depends only
 on where the entries are, and a numeric factorization (Davis, *Direct
@@ -44,26 +44,27 @@ the chains, and the Schur complement's pattern with the map that sums its
 values.  ``Condensed`` is the numeric factor at one shift: K.data -
 shift*M.data, LAPACK on the chains, one bincount and SuperLU.  Every
 factorization of a solve (the Gershgorin count, the probes, the
-shift-invert factor, a plain LU and the proof) reuses the one analysis,
-so a new shift only refactors values.
+shift-invert factor and the proof) reuses the one analysis, so a new
+shift only refactors values.
 
-Every factorization condenses the edge interiors out.  In the dof order of ``fem.build_mesh``, free vertices first and then each
-edge's interior nodes in a row, the block A_EE of A = K - shift*M after
-the vertex rows is tridiagonal, one chain per edge.  LAPACK's ``dpttrf``
-factors A_EE as L D L^T, which proves it positive definite, and SuperLU
-factors only the vertex Schur complement S_V = A_VV - A_VE A_EE^{-1}
-A_EV, one row per free vertex, with one column per panel
-(``_PANEL_SIZE``): S_V factors with almost no fill, so wider panels only
-sweep dense n-by-panel work arrays.  When A_EE is not positive definite
-(the shift lies above the Dirichlet bottom of an edge), SuperLU factors
-the whole of A the same way.  A solve with F is one tridiagonal solve
-plus one solve with S_V.
+Every factorization condenses the edge interiors out.  In the dof order
+of ``fem.build_mesh``, free vertices first and then each edge's interior
+nodes in a row, the block A_EE of A = K - shift*M after the vertex rows
+is tridiagonal, one chain per edge.  LAPACK's ``dpttrf`` factors A_EE as
+L D L^T, which proves it positive definite, and SuperLU factors only the
+vertex Schur complement S_V = A_VV - A_VE A_EE^{-1} A_EV, one row per
+free vertex, in symmetric mode with diagonal pivots and one column per
+panel (``_SYMMETRIC``): S_V factors with almost no fill, so wider panels
+only sweep dense n-by-panel work arrays.  When A_EE is not positive
+definite (the shift lies above the Dirichlet bottom of an edge), SuperLU
+factors the whole of A the same way.  A solve with F is one tridiagonal
+solve plus one solve with S_V.
 
-No solve gets a refinement pass.  On the placed path the count of 0 at
-the shift proves K - shift*M positive definite, and LDL^T without
-pivoting is backward stable on positive definite matrices (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 10), for A_EE and
-S_V alike; the polish lowers the residual's floor further.
+No solve gets a refinement pass.  The count of 0 at the shift proves
+K - shift*M positive definite, and LDL^T without pivoting is backward
+stable on positive definite matrices (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 10), for A_EE and S_V alike; the polish lowers
+the residual's floor further.
 
 That the returned value is the *smallest* eigenvalue is then proved, not
 assumed from where the shift was put.  With delta = max(tol, 1e-12) *
@@ -72,12 +73,12 @@ by LAPACK and S_V as P^T L D L^T P by SuperLU restricted to diagonal
 pivots.  By Haynsworth's inertia additivity, In(A) = In(A_EE) + In(S_V),
 and Sylvester's law of inertia, the number of nonpositive pivots of S_V
 is then the number of eigenvalues at or below value - delta, so all
-pivots positive proves that none lies there.  A count above 0 on the
-placed path means the all-ones start vector missed lambda_1 (it can be
-M-orthogonal to a sign-changing ground state, which graph pencils with a
-positive ground state never have), and the solve runs once more from a
-seeded random start vector; if that count is above 0 too, the solve
-raises SolverError.  Placement and this proof share one counting routine, and
+pivots positive proves that none lies there.  A count above 0 means the
+all-ones start vector missed lambda_1 (it can be M-orthogonal to a
+sign-changing ground state, which graph pencils with a positive ground
+state never have), and the solve runs once more from a seeded random
+start vector; if that count is above 0 too, the solve raises
+SolverError.  Placement and this proof share one counting routine, and
 every factor is released before the next one is made, so two factors are
 never alive at once.
 
@@ -105,9 +106,14 @@ from scipy.sparse.linalg import splu
 from .errors import ConvergenceError, SolverError
 
 _DENSE_LIMIT = 4  # pencils with fewer unknowns go straight to LAPACK
-_PANEL_SIZE = 1  # SuperLU columns per panel; wider panels only sweep dense work arrays here
-# SuperLU restricted to diagonal pivots: P A P^T = L U with U = D L^T
-_SYMMETRIC = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0, "options": {"SymmetricMode": True}}
+# SuperLU restricted to diagonal pivots, P A P^T = L U with U = D L^T, one
+# column per panel (wider panels only sweep dense work arrays here)
+_SYMMETRIC = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0,
+    "options": {"SymmetricMode": True},
+    "panel_size": 1,
+}
 _PLACEMENT_STEPS = 8  # Lanczos steps on the Gershgorin factor before the first probe
 _BASIS_ROWS = 20  # Lanczos basis rows; past them the loop restarts from its Ritz vector
 _STOP = 1e-14  # Ritz-value error estimate, relative to max(1, |value|), that ends the loop
@@ -132,9 +138,12 @@ class EigenResult:
     spectrum on the dense path.  ``iterations`` counts applications of
     the inverted operator: the Lanczos steps on every factor, those that
     placed the shift included, and the polish (0 on the dense path).
-    ``shift`` is the Lanczos shift (0.0 on the dense path); on the default
-    path it is a lower bound on the smallest eigenvalue proved by an
-    inertia count of 0.  ``history`` holds (apply index, Rayleigh quotient)
+    ``shift`` is the Lanczos shift, placed by inertia counts on every
+    Lanczos solve: a count of 0 proves that no eigenvalue lies at or below
+    it, so, like ``certified_lower``, it is a proved lower bound of the
+    spectrum; it also lies below ``certified_lower`` unless a ``lower``
+    hint or a bisection step lands within delta of lambda_1.  On the dense
+    path it is 0.0.  ``history`` holds (apply index, Rayleigh quotient)
     rows when the solve was run verbose.
     """
 
@@ -346,15 +355,14 @@ class Condensed:
     is taken when the pencil has a tail and LAPACK's ``dpttrf`` proves A_EE
     positive definite (L D L^T with every pivot of D positive).  Only the
     Schur complement S_V = A_VV - A_VE A_EE^{-1} A_EV then goes to
-    ``lu_factor`` (this module's or the caller's ``splu``), with one column
-    per panel, in symmetric mode with diagonal pivots only when
-    ``symmetric`` and with partial pivoting otherwise.  A_VE A_EE^{-1} A_EV
-    only needs each chain's 2x2 corner of A_EE^{-1}: one two-column
-    ``dpttrs`` gives the columns of A_EE^{-1} at every chain's first and
-    last row (``corner``), and one bincount sums S_V's values into the
-    analysed pattern.  Otherwise ``m`` is n and ``lu_factor`` factors A
-    itself.  ``lu`` is S_V's factor, A's, or None when the split leaves no
-    head.
+    ``lu_factor`` (this module's or the caller's ``splu``), in symmetric
+    mode with diagonal pivots only and one column per panel.  A_VE
+    A_EE^{-1} A_EV only needs each chain's 2x2 corner of A_EE^{-1}: one
+    two-column ``dpttrs`` gives the columns of A_EE^{-1} at every chain's
+    first and last row (``corner``), and one bincount sums S_V's values
+    into the analysed pattern.  Otherwise ``m`` is n and ``lu_factor``
+    factors A itself.  ``lu`` is S_V's factor, A's, or None when the split
+    leaves no head.
 
     A = [[I, A_VE A_EE^{-1}], [0, I]] diag(S_V, A_EE) [[I, 0], [A_EE^{-1}
     A_EV, I]] is a congruence, so In(A) = In(S_V) + In(A_EE) (Haynsworth):
@@ -363,8 +371,7 @@ class Condensed:
     columns, solves with S_V once and makes one ``dpttrs`` for the tail.
     """
 
-    def __init__(self, pencil: Pencil, sigma: float, lu_factor, symmetric: bool = True):
-        options = dict(_SYMMETRIC if symmetric else {}, panel_size=_PANEL_SIZE)
+    def __init__(self, pencil: Pencil, sigma: float, lu_factor):
         K, M = pencil.K, pencil.M
         values = np.empty(K.nnz + 1)
         values[-1] = 0.0  # what an absent tail entry reads
@@ -376,9 +383,9 @@ class Condensed:
             if self.m:
                 indices, indptr = pencil.schur
                 schur = np.bincount(pencil.slot, weights=self._schur_terms(values), minlength=indices.size)
-                self.lu = lu_factor(csc_matrix((schur, indices, indptr), shape=(self.m, self.m)), **options)
+                self.lu = lu_factor(csc_matrix((schur, indices, indptr), shape=(self.m, self.m)), **_SYMMETRIC)
         else:
-            self.lu = lu_factor(csc_matrix((data, K.indices, K.indptr), shape=K.shape), **options)
+            self.lu = lu_factor(csc_matrix((data, K.indices, K.indptr), shape=K.shape), **_SYMMETRIC)
 
     def _condense(self, values: np.ndarray) -> bool:
         """Factor A_EE and its corners; False when A_EE is not positive definite."""
@@ -557,8 +564,8 @@ class _Lanczos:
         return self.converged
 
 
-def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> bool:
-    """Raise the Gershgorin shift ``lo`` by inertia counts, attaching ``loop``.
+def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> None:
+    """Raise the shift ``lo`` by inertia counts, attaching ``loop``.
 
     A count of 0 proves ``lo``, and the loop runs on lo's factor; its Ritz
     value after each step is the upper end hi.  Placement ends as soon as
@@ -570,77 +577,63 @@ def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> bool:
     counts move lo up (0) or hi down (above 0) until the window closes.  A
     factor is dropped before the next one is made, the final lo is
     factored again if its factor was dropped, and the loop restarts on it.
-    Returns False, with the loop detached, when a count cannot be read or
-    ``lo`` counts above 0.
+    Raises SolverError when ``lo`` counts above 0 or a count cannot be
+    read, and ConvergenceError when the loop spends ``max_iter``.
     """
-    try:
-        count, lu = _inertia(pencil, lo)
-        if count:
-            return False
-        loop.attach(lo, lu)
-        lu = None  # the loop owns the factor now, so detaching frees it
-        for _ in range(_PLACEMENT_STEPS):
-            if loop.step() or not _window(lo, loop.value):
-                return True
-        hi = loop.value
-        loop.detach()
-        mid = hi - max(1.0, abs(hi)) / 16
-        while _window(lo, hi):
-            lu = None
-            count, lu = _inertia(pencil, mid)
-            if count:
-                hi, lu = mid, None
-            else:
-                lo = mid
-            mid = 0.5 * (lo + hi)
-        if lu is None:
-            lu = _inertia(pencil, lo)[1]
-    except SolverError:
-        loop.detach()
-        return False
+    count, lu = _inertia(pencil, lo)
+    if count:
+        raise SolverError(f"K - {lo!r}*M has {count} nonpositive pivot(s): the shift is not below the spectrum")
     loop.attach(lo, lu)
-    return True
+    lu = None  # the loop owns the factor now, so detaching frees it
+    for _ in range(_PLACEMENT_STEPS):
+        if loop.step() or not _window(lo, loop.value):
+            return
+    hi = loop.value
+    loop.detach()
+    mid = hi - max(1.0, abs(hi)) / 16
+    while _window(lo, hi):
+        lu = None
+        count, lu = _inertia(pencil, mid)
+        if count:
+            hi, lu = mid, None
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    if lu is None:
+        lu = _inertia(pencil, lo)[1]
+    loop.attach(lo, lu)
 
 
-def _plain_factor(pencil: Pencil, sigma: float):
-    """LU with partial pivoting of K - sigma*M, moving sigma down on failure."""
-    for attempt in range(4):
-        try:
-            factor = Condensed(pencil, sigma, splu, symmetric=False)
-            if factor.lu is not None and not np.all(np.isfinite(factor.lu.U.diagonal())):
-                raise RuntimeError("singular factor")
-            return sigma, factor
-        except RuntimeError:
-            if attempt == 3:
-                raise SolverError(
-                    f"factorization of K - sigma*M failed after 4 shifts (last {sigma})"
-                )
-            sigma = sigma - max(1.0, abs(sigma))
-
-
-def eigsh(pencil: Pencil, shift: float, place: bool, max_iter: int, history, lower: float = -np.inf, start=None):
+def eigsh(pencil: Pencil, seed: float, max_iter: int, history, lower: float = -np.inf, start=None):
     """Polished shift-inverted Lanczos pair: (value, vector, shift, applies).
 
-    With ``place``, ``_place_shift`` raises the shift from the candidate
-    lower bound ``lower`` when it lies above the Gershgorin ``shift``, and
-    from ``shift`` when that fails (a count above 0 at ``lower`` included);
-    a plain LU at ``shift`` is the last resort.  The loop starts from
-    ``start`` (default: the all-ones vector), runs to convergence on the
-    last factor, and the polish makes one more application.  Every
-    application of the solve happens inside this call, and every factor it
-    makes is freed when it returns, before the caller factors again.
-    ``history`` is None unless the solve is verbose.  The name is kept
-    because the benchmark's ``eig.lanczos`` span wraps ``graphsl.eig.eigsh``
-    (``perfbench/child.py``), until the library's own instrumentation
-    (ROADMAP item 5) replaces that wrap.
+    ``_place_shift`` raises the shift from the candidate lower bound
+    ``lower`` when it lies above the Gershgorin ``seed``.  When that fails,
+    by a count above 0 at ``lower`` or a count that cannot be read,
+    placement starts over from ``seed``, where the same failures raise
+    SolverError; a spent ``max_iter`` raises ConvergenceError at once.
+    The loop starts from ``start`` (default: the all-ones vector), runs to
+    convergence on the last factor, and the polish makes one more
+    application.  Every application of the solve happens inside this call,
+    and every factor it makes is freed when it returns, before the caller
+    factors again.  ``history`` is None unless the solve is verbose.  The
+    name is kept because the benchmark's ``eig.lanczos`` span wraps
+    ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the library's own
+    instrumentation (ROADMAP item 6) replaces that wrap.
     """
     K, M = pencil.K, pencil.M
     loop = _Lanczos(K, M, max_iter, history, start)
-    placed = place and (
-        (lower > shift and _place_shift(loop, pencil, lower)) or _place_shift(loop, pencil, shift)
-    )
+    placed = False
+    if lower > seed:
+        try:
+            _place_shift(loop, pencil, lower)
+            placed = True
+        except ConvergenceError:
+            raise
+        except SolverError:  # a wrong hint: start over from the seed
+            loop.detach()
     if not placed:
-        loop.attach(*_plain_factor(pencil, float(shift)))
+        _place_shift(loop, pencil, seed)
     while not loop.converged:
         loop.step()
     # one inverse-iteration step with the shift's factor lowers the
@@ -688,7 +681,6 @@ def _measured(K, M, value: float, vector: np.ndarray, tol: float, **fields) -> E
 def solve_pencil(
     K,
     M,
-    shift=None,
     tol: float = 1e-8,
     max_iter: int = 2000,
     verbose: bool = False,
@@ -707,19 +699,20 @@ def solve_pencil(
     Gershgorin bound when it is larger; an inertia count of 0 must confirm
     it, otherwise placement starts over from the Gershgorin bound, so a
     wrong value costs one factorization but never changes the answer.  It
-    is ignored with an explicit ``shift`` and on the dense path.
+    is ignored on the dense path.
 
-    On the placed path, a count above 0 at value - delta means the loop's
-    all-ones start vector missed lambda_1 (it can be M-orthogonal to a
-    sign-changing ground state), and the solve runs once more from a
-    seeded random start vector before it gives up; ``iterations`` and
-    ``history`` then cover both runs.
+    A count above 0 at value - delta means the loop's all-ones start vector
+    missed lambda_1 (it can be M-orthogonal to a sign-changing ground
+    state), and the solve runs once more from a seeded random start vector
+    before it gives up; ``iterations`` and ``history`` then cover both
+    runs.
 
     Raises ConvergenceError when the residual stays above ``tol`` or the
     solve needs more than ``max_iter`` applications of the inverted
-    operator, and SolverError when the inertia count cannot prove that the
-    returned value is the smallest eigenvalue (for example, an explicit
-    shift above the second eigenvalue).
+    operator, and SolverError when no shift can be placed (the Gershgorin
+    seed counts above 0 or SuperLU refuses symmetric pivoting there) or
+    the inertia count cannot prove that the returned value is the smallest
+    eigenvalue.
     """
     if pencil is None:
         pencil = Pencil(K, M)
@@ -728,15 +721,13 @@ def solve_pencil(
     if pencil.n < _DENSE_LIMIT:
         value, vector = _dense_pair(K, M)
         return _measured(K, M, value, vector, tol, iterations=0, shift=0.0, method="dense", history=history)
-    place = shift is None
-    if place:
-        lb = pencil_lower_bound(K, M)
-        shift = lb - 0.01 * max(1.0, abs(lb))
+    lb = pencil_lower_bound(K, M)
+    seed = lb - 0.01 * max(1.0, abs(lb))
     applications = 0
-    for attempt in range(2 if place else 1):
+    for attempt in range(2):
         start = np.random.default_rng(_START_SEED).standard_normal(pencil.n) if attempt else None
         run = [] if verbose else None
-        value, vector, sigma, applies = eigsh(pencil, shift, place, max_iter - applications, run, lower, start)
+        value, vector, sigma, applies = eigsh(pencil, seed, max_iter - applications, run, lower, start)
         history += [(applications + k, rq) for k, rq in run or ()]
         applications += applies
         result = _measured(
@@ -754,7 +745,6 @@ def solve_pencil(
 
 def smallest_eigenpair(
     forms,
-    shift=None,
     tol: float = 1e-8,
     max_iter: int = 2000,
     verbose: bool = False,
@@ -766,7 +756,7 @@ def smallest_eigenpair(
     """
     pencil = forms.analysis
     return solve_pencil(
-        pencil.K, pencil.M, shift=shift, tol=tol, max_iter=max_iter, verbose=verbose, lower=lower, pencil=pencil
+        pencil.K, pencil.M, tol=tol, max_iter=max_iter, verbose=verbose, lower=lower, pencil=pencil
     )
 
 

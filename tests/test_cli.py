@@ -424,6 +424,16 @@ def test_validate_echoes_declared_eta(tmp_path, capsys):
     assert "0.0625" in clause1  # (1/4)^2 over a unit edge
 
 
+@pytest.mark.parametrize("command", ["spectrum", "validate"])
+@pytest.mark.parametrize("eta", ["abc", None, True], ids=["string", "null", "bool"])
+def test_malformed_eta_is_rejected(tmp_path, capsys, command, eta):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({"eta": eta, "default": {"p": 4.0}}))
+    code, out, err = run(capsys, command, "--graph", INTERVAL, "--coeffs", str(coeffs))
+    assert code == 2
+    assert "eta" in err
+
+
 # --- verify ------------------------------------------------------------------------
 
 

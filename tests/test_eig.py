@@ -61,16 +61,6 @@ def test_interval_converges_to_pi_squared_at_second_order():
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.05)
 
 
-def test_explicit_shift_matches_default():
-    g = load_graph(star(3))
-    forms = dirichlet_forms(g, 0.05)
-    auto = smallest_eigenpair(forms, tol=1e-10)
-    manual = solve_pencil(*forms.pencil(), shift=-1.0, tol=1e-10)
-    assert manual.value == pytest.approx(auto.value, rel=1e-11)
-    assert manual.shift == -1.0
-    assert auto.shift < auto.value
-
-
 def test_lower_bound_is_below_dense_minimum():
     g = load_graph(star(4))
     forms = dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
@@ -127,6 +117,7 @@ def test_tiny_pencil_uses_dense_path():
     # single hat at the midpoint: Rayleigh quotient (2/h) / (2h/3) with h=1/2
     assert res.value == pytest.approx(12.0, abs=1e-10)
     assert res.certified_lower == res.value - 1e-8 * res.value
+    assert res.shift == 0.0
 
 
 def test_mass_shift_identity():
@@ -174,16 +165,6 @@ def star_pencil():
     return K, M, vals, vecs
 
 
-def test_explicit_shift_above_the_bottom_is_refused():
-    # lambda_2 of the ladder ball has mass on the all-ones start vector; the
-    # star's lambda_2 = lambda_3 eigenspace is M-orthogonal to it by symmetry
-    K, M = ladder6_level().pencil()
-    vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    shift = vals[0] + 0.8 * (vals[1] - vals[0])   # nearest eigenvalue is lambda_2
-    with pytest.raises(SolverError, match="nonpositive pivot"):
-        solve_pencil(K, M, shift=shift)
-
-
 def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
     K, M, vals, vecs = star_pencil()
     real = eig.eigsh
@@ -197,19 +178,45 @@ def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
         solve_pencil(K, M)
 
 
-def test_certificate_raises_when_symmetric_pivoting_is_refused(monkeypatch):
-    K, M = tree5_level().pencil()   # its vertex Schur complement has 31 rows, so the roll moves perm_c
+def refusing_splu(monkeypatch, refusing):
+    """SuperLU that leaves the diagonal while ``refusing[0]``; returns the refusal flag of every call."""
+    calls = []
     real = eig.splu
 
     def splu(A, **kwargs):
+        calls.append(refusing[0])
         lu = real(A, **kwargs)
-        if "options" not in kwargs:                # the shift's own LU
+        if not refusing[0]:
             return lu
         return SimpleNamespace(perm_r=lu.perm_r, perm_c=np.roll(lu.perm_c, 1), U=lu.U)
 
     monkeypatch.setattr(eig, "splu", splu)
+    return calls
+
+
+def test_certificate_raises_when_symmetric_pivoting_is_refused(monkeypatch):
+    K, M = tree5_level().pencil()   # its vertex Schur complement has 31 rows, so the roll moves perm_c
+    refusing = [False]
+    calls = refusing_splu(monkeypatch, refusing)
+    real_eigsh = eig.eigsh
+
+    def eigsh(*args, **kwargs):
+        out = real_eigsh(*args, **kwargs)
+        refusing[0] = True                         # from here on: the proof at value - delta
+        return out
+
+    monkeypatch.setattr(eig, "eigsh", eigsh)
     with pytest.raises(SolverError, match="symmetric pivoting was refused"):
         solve_pencil(K, M)
+    assert calls[-1] and calls.count(True) == 1
+
+
+def test_refused_pivoting_at_the_gershgorin_seed_raises(monkeypatch):
+    K, M = tree5_level().pencil()
+    calls = refusing_splu(monkeypatch, [True])
+    with pytest.raises(SolverError, match="symmetric pivoting was refused"):
+        solve_pencil(K, M)
+    assert calls == [True]                        # no other factorization is tried
 
 
 def star_piecewise_q():
@@ -401,6 +408,43 @@ def test_max_iter_caps_the_applies():
         solve_pencil(K, M, max_iter=5)
 
 
+@pytest.mark.parametrize("hinted", [False, True], ids=["gershgorin", "hint"])
+def test_spent_budget_during_placement_factors_no_more(monkeypatch, hinted):
+    K, M = tree5_level().pencil()
+    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    lb = pencil_lower_bound(K, M)
+    seed = lb - 0.01 * max(1.0, abs(lb))
+    factors, spent = [], []
+    real = eig.splu
+
+    def splu(A, **kwargs):
+        factors.append(A.shape)
+        return real(A, **kwargs)
+
+    class Recorded(eig._Lanczos):
+        def apply(self, b):
+            try:
+                return super().apply(b)
+            except ConvergenceError:
+                spent.append(len(factors))
+                raise
+
+    monkeypatch.setattr(eig, "splu", splu)
+    monkeypatch.setattr(eig, "_Lanczos", Recorded)
+    # a proved hint halfway up from the seed leaves the placement window open past 5 steps
+    lower = 0.5 * (seed + dense[0]) if hinted else -np.inf
+    with pytest.raises(ConvergenceError, match="within 5 applications"):
+        solve_pencil(K, M, max_iter=5, lower=lower)
+    # one factorization (the hint's or the seed's), and none once the budget ran out
+    assert spent == [1] and len(factors) == 1
+
+
+def far_shift(monkeypatch):
+    """Keep the shift at the seed below a Gershgorin bound of -20: the placement window is always closed."""
+    monkeypatch.setattr(eig, "pencil_lower_bound", lambda K, M: -20.0)
+    monkeypatch.setattr(eig, "_window", lambda lo, hi: False)
+
+
 def test_loop_restarts_past_the_basis_cap(monkeypatch):
     forms = tree5_level()
     K, M = forms.pencil()
@@ -415,7 +459,9 @@ def test_loop_restarts_past_the_basis_cap(monkeypatch):
 
     monkeypatch.setattr(eig, "_Lanczos", Recorded)
     # far below lambda_1 = -0.51 the loop needs more steps than one basis holds
-    res = solve_pencil(K, M, shift=-20.0, tol=1e-10)
+    far_shift(monkeypatch)
+    res = solve_pencil(K, M, tol=1e-10)
+    assert res.shift == -20.2
     assert len(rows) > eig._BASIS_ROWS
     assert max(r for r, _ in rows) == eig._BASIS_ROWS == 20
     assert all(cap == eig._BASIS_ROWS for _, cap in rows)
@@ -460,9 +506,12 @@ def test_lanczos_basis_stays_m_orthonormal(monkeypatch):
         # two products with M per step and one per restart; the rest are second passes
         return products[0] - restarts[0] - 2 * steps[0]
 
-    for make_forms, shift in ((tree5_level, None), (tree5_level, -20.0), (restricted_annulus, None), (ladder6_level, None)):
+    for make_forms, far in ((tree5_level, False), (tree5_level, True), (restricted_annulus, False), (ladder6_level, False)):
         K, M = make_forms().pencil()
-        res = solve_pencil(K, M, shift=shift, tol=1e-10)
+        with monkeypatch.context() as patch:
+            if far:
+                far_shift(patch)
+            res = solve_pencil(K, M, tol=1e-10)
         dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
         assert res.value == pytest.approx(dense[0], rel=1e-10)
     # the restarts past the basis cap included
@@ -509,9 +558,6 @@ def test_start_vector_that_misses_the_ground_state_is_rerun(monkeypatch):
     assert res.iterations == sum(applies for *_, applies in runs)
     verbose = solve_pencil(K, M, tol=1e-10, verbose=True)
     assert [idx for idx, _ in verbose.history] == list(range(1, verbose.iterations + 1))
-    # an explicit shift gets no rerun
-    with pytest.raises(SolverError, match="1 nonpositive pivot"):
-        solve_pencil(K, M, shift=-0.5, tol=1e-10)
 
 
 def test_restricted_annulus_applies_budget():
@@ -591,9 +637,6 @@ def test_proved_lower_bound_starts_the_shift(monkeypatch):
     assert res.shift == hint
     assert res.iterations < cold.iterations
     assert res.value == pytest.approx(cold.value, rel=1e-12)
-    # an explicit shift ignores the hint
-    explicit = smallest_eigenpair(forms, shift=-1.0, tol=1e-10, lower=hint)
-    assert explicit.shift == -1.0
 
 
 # --- the condensed factorization ---------------------------------------------------
@@ -639,18 +682,16 @@ def check_against_lapack(pencil, sigma, vals):
     """The count equals LAPACK's, and solves match SuperLU's; returns the counting factor.
 
     ``pencil`` is one analysis, reused at every shift a test passes.  The
-    partial-pivoting factor is checked at every shift, the counting factor
-    (diagonal pivots only) where it is positive definite, the only place a
-    solve uses it.
+    counting factor (diagonal pivots only) is checked as a solver where
+    K - sigma*M is positive definite, the only place a solve uses it.
     """
     count, factor = eig._inertia(pencil, sigma)
     assert count == np.count_nonzero(vals <= sigma)
-    A = (pencil.K - sigma * pencil.M).tocsc()
-    b = np.random.default_rng(0).normal(size=A.shape[0])
-    want = scipy.sparse.linalg.splu(A).solve(b)
-    solvers = [eig.Condensed(pencil, sigma, eig.splu, symmetric=False)] + ([factor] if count == 0 else [])
-    for solver in solvers:
-        np.testing.assert_allclose(solver.solve(b), want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+    if count == 0:
+        A = (pencil.K - sigma * pencil.M).tocsc()
+        b = np.random.default_rng(0).normal(size=A.shape[0])
+        want = scipy.sparse.linalg.splu(A).solve(b)
+        np.testing.assert_allclose(factor.solve(b), want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
     return factor
 
 
@@ -792,3 +833,35 @@ def test_superlu_sees_one_row_per_free_vertex(monkeypatch):
     vertices = sum(1 for dof in forms.mesh.vertex_dof.values() if dof >= 0)
     assert vertices == 255 and forms.n == 4845
     assert shapes and all(shape == (vertices, vertices) for shape in shapes)
+
+
+# --- every shift is proved --------------------------------------------------------
+
+
+def star3_fine():
+    return dirichlet_forms(load_graph(star(3)), 0.05)
+
+
+@pytest.mark.parametrize(
+    "make_forms",
+    [
+        star3_fine,
+        star_piecewise_q,
+        tree_negative_q_level,
+        restricted_annulus,
+        tree5_level,
+        leaf_well_level,
+        ladder6_level,
+        ladder_free,
+        cycle_free,
+        star_short_arms,
+        path_short_free,
+    ],
+)
+def test_every_lanczos_shift_counts_zero(make_forms):
+    forms = make_forms()
+    res = smallest_eigenpair(forms, tol=1e-10)
+    assert res.method == "shift-invert-lanczos"
+    assert eig._inertia(forms.analysis, res.shift)[0] == 0   # the shift is proved
+    # and no bisection step came within delta of lambda_1
+    assert res.shift < res.certified_lower < res.value
