@@ -1,11 +1,18 @@
 """Command-line surface: document loading, run orchestration, CSV emission.
 
+The parsed ``argparse.Namespace`` is the run's config; ``_checked`` rejects
+values argparse cannot.  Every solving command (``spectrum``, ``persson``,
+``ap-check``, ``positive-solution``, ``sobolev``) starts with ``_setup``:
+load the documents, build the exhaustion, run the hypothesis gate.
+``validate`` shares its input half and reports the checks instead of gating.
+
 Artifacts are CSV tables (RFC-4180 quoting) preceded by a ``#`` comment
-block carrying the tool version, a config echo sufficient to reproduce the
-run, the hypothesis-check summary, and the seed.  No timestamps: identical
-config and seed give byte-identical output at a fixed BLAS thread count.
-Machine output goes to the ``--out`` path or standard output; progress and
-warnings go to standard error.
+block from ``_preamble``: the tool version and the command, then a config
+echo sufficient to reproduce the run, the hypothesis-check summary and the
+seed.  ``validate`` has no hypothesis line; ``verify`` has only the seed.
+No timestamps: identical config and seed give byte-identical output at a
+fixed BLAS thread count.  Machine output goes to the ``--out`` path or
+standard output; progress and warnings go to standard error.
 
 Exit codes: 0 success; 2 usage errors, unreadable inputs, and hypothesis
 failures without ``--override``; 3 solver failures (non-convergence,
@@ -21,7 +28,6 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from . import __version__
 from .coeff import load_coefficients, validate_hypotheses
@@ -37,16 +43,6 @@ from .spectral import (
     sobolev_constant,
 )
 from .verify import run_suite
-
-_COMMANDS = (
-    "spectrum",
-    "persson",
-    "ap-check",
-    "positive-solution",
-    "sobolev",
-    "validate",
-    "verify",
-)
 
 # hypothesis clauses each command insists on (see coeff.HypothesisReport)
 _GATED_CLAUSES = {
@@ -103,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="proceed despite hypothesis-validation failures",
     )
+    common.set_defaults(lam=None, level=None, epsilon=None)
 
     parser = argparse.ArgumentParser(
         prog="graphsl",
@@ -126,89 +123,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass
-class RunConfig:
-    command: str
-    graph: str | None
-    coeffs: str | None
-    h: float
-    tol: float
-    root: str | None
-    levels: list | None
-    outer: list | None
-    boundary_dirichlet: bool
-    seed: int
-    out: str | None
-    override: bool
-    lam: float | None = None
-    level: int | None = None
-    epsilon: list | None = None
+def _checked(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Reject option values argparse does not check itself, as usage errors."""
+    if args.h <= 0:
+        parser.error("--h must be positive")
+    if args.tol <= 0:
+        parser.error("--tol must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be nonnegative")
+    for name, values in (("--levels", args.levels), ("--outer", args.outer)):
+        if values is not None:
+            if any(v < 0 for v in values):
+                parser.error(f"{name} entries must be nonnegative")
+            if any(b <= a for a, b in zip(values, values[1:])):
+                parser.error(f"{name} must be strictly increasing")
+    if args.command != "verify" and args.graph is None:
+        parser.error("--graph is required")
+    if args.command == "persson":
+        if not args.levels or not args.outer:
+            parser.error("persson requires --levels and --outer")
+        if max(args.outer) <= max(args.levels):
+            parser.error("--outer must reach past every --levels entry")
+    if args.command == "sobolev" and any(e <= 0 for e in args.epsilon):
+        parser.error("--epsilon values must be positive")
+    if args.level is not None and args.level < 0:
+        parser.error("--level must be nonnegative")
+    return args
 
-    @staticmethod
-    def from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> "RunConfig":
-        cfg = RunConfig(
-            command=args.command,
-            graph=args.graph,
-            coeffs=args.coeffs,
-            h=args.h,
-            tol=args.tol,
-            root=args.root,
-            levels=args.levels,
-            outer=args.outer,
-            boundary_dirichlet=not args.no_boundary_dirichlet,
-            seed=args.seed,
-            out=args.out,
-            override=args.override,
-            lam=getattr(args, "lam", None),
-            level=getattr(args, "level", None),
-            epsilon=getattr(args, "epsilon", None),
-        )
-        if cfg.h <= 0:
-            parser.error("--h must be positive")
-        if cfg.tol <= 0:
-            parser.error("--tol must be positive")
-        if cfg.seed < 0:
-            parser.error("--seed must be nonnegative")
-        for name, values in (("--levels", cfg.levels), ("--outer", cfg.outer)):
-            if values is not None:
-                if any(v < 0 for v in values):
-                    parser.error(f"{name} entries must be nonnegative")
-                if any(b <= a for a, b in zip(values, values[1:])):
-                    parser.error(f"{name} must be strictly increasing")
-        if cfg.command != "verify" and cfg.graph is None:
-            parser.error("--graph is required")
-        if cfg.command == "persson":
-            if not cfg.levels or not cfg.outer:
-                parser.error("persson requires --levels and --outer")
-            if max(cfg.outer) <= max(cfg.levels):
-                parser.error("--outer must reach past every --levels entry")
-        if cfg.command == "sobolev" and any(e <= 0 for e in cfg.epsilon):
-            parser.error("--epsilon values must be positive")
-        if cfg.level is not None and cfg.level < 0:
-            parser.error("--level must be nonnegative")
-        return cfg
 
-    def echo(self) -> str:
-        parts = [
-            f"graph={self.graph}",
-            f"coeffs={self.coeffs}",
-            f"h={self.h!r}",
-            f"tol={self.tol!r}",
-            f"root={self.root}",
-        ]
-        if self.levels is not None:
-            parts.append("levels=" + ",".join(map(str, self.levels)))
-        if self.outer is not None:
-            parts.append("outer=" + ",".join(map(str, self.outer)))
-        parts.append(f"boundary-dirichlet={str(self.boundary_dirichlet).lower()}")
-        if self.lam is not None:
-            parts.append(f"lambda={self.lam!r}")
-        if self.level is not None:
-            parts.append(f"level={self.level}")
-        if self.epsilon is not None:
-            parts.append("epsilon=" + ",".join(repr(e) for e in self.epsilon))
-        parts.append(f"override={str(self.override).lower()}")
-        return " ".join(parts)
+def _echo(args: argparse.Namespace) -> str:
+    """The options of a run, enough to reproduce it."""
+    parts = [
+        f"graph={args.graph}",
+        f"coeffs={args.coeffs}",
+        f"h={args.h!r}",
+        f"tol={args.tol!r}",
+        f"root={args.root}",
+    ]
+    if args.levels is not None:
+        parts.append("levels=" + ",".join(map(str, args.levels)))
+    if args.outer is not None:
+        parts.append("outer=" + ",".join(map(str, args.outer)))
+    parts.append(f"boundary-dirichlet={str(not args.no_boundary_dirichlet).lower()}")
+    if args.lam is not None:
+        parts.append(f"lambda={args.lam!r}")
+    if args.level is not None:
+        parts.append(f"level={args.level}")
+    if args.epsilon is not None:
+        parts.append("epsilon=" + ",".join(repr(e) for e in args.epsilon))
+    parts.append(f"override={str(args.override).lower()}")
+    return " ".join(parts)
 
 
 # --- input loading and the hypothesis gate --------------------------------------
@@ -224,9 +188,14 @@ def _read_json(path: str):
         raise _Exit(2, f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_inputs(cfg: RunConfig):
-    g = load_graph(_read_json(cfg.graph))
-    coeff_doc = _read_json(cfg.coeffs) if cfg.coeffs else {}
+def _inputs(args: argparse.Namespace, radius: int | None = None):
+    """The graph, the coefficient field and an exhaustion ``radius`` deep.
+
+    Resolves ``args.root`` to the exhaustion root.  With ``radius`` None the
+    exhaustion reaches every vertex.
+    """
+    g = load_graph(_read_json(args.graph))
+    coeff_doc = _read_json(args.coeffs) if args.coeffs else {}
     config = {}
     if isinstance(coeff_doc, dict) and "eta" in coeff_doc:
         raw = coeff_doc.pop("eta")
@@ -234,27 +203,30 @@ def _load_inputs(cfg: RunConfig):
             raise CoefficientError(f'eta must be a number or "inf", got {raw!r}')
         config["eta"] = math.inf if raw == "inf" else float(raw)
     field = load_coefficients(coeff_doc, g, **config)
-    root = cfg.root if cfg.root is not None else g.root
-    if root is None:
+    if args.root is None:
+        args.root = g.root
+    if args.root is None:
         raise _Exit(2, "no exhaustion root: pass --root or set one in the graph document")
-    cfg.root = root
-    return g, field
+    if radius is None:
+        reach = max(g.vertex_distances(args.root).values())
+        radius = max(1, int(math.ceil(reach - 1e-12)))
+    return g, field, build_exhaustion(g, args.root, radius)
 
 
-def _default_radius(g, root: str) -> int:
-    reach = max(g.vertex_distances(root).values())
-    return max(1, int(math.ceil(reach - 1e-12)))
+def _setup(args: argparse.Namespace, radius: int | None = None):
+    """Inputs, exhaustion and hypothesis gate of a solving command.
 
-
-def _gate(cfg: RunConfig, g, field, exhaustion) -> str:
-    """Run the structural checks; block (exit 2) or warn per --override."""
+    Returns ``(g, field, exhaustion, hyp)`` with ``hyp`` the summary for the
+    ``# hypotheses:`` line.  A failing clause the command insists on exits 2,
+    or only warns under ``--override``.
+    """
+    g, field, exhaustion = _inputs(args, radius)
     report = validate_hypotheses(g, field, exhaustion=exhaustion)
-    gated = _GATED_CLAUSES.get(cfg.command, ())
-    failing = [c for c in report.failures() if c in gated]
+    failing = [c for c in report.failures() if c in _GATED_CLAUSES[args.command]]
     if not failing:
-        return "pass"
+        return g, field, exhaustion, "pass"
     clause_list = ",".join(map(str, failing))
-    if not cfg.override:
+    if not args.override:
         raise _Exit(
             2,
             f"hypothesis validation failed: clause(s) {clause_list}; "
@@ -264,28 +236,29 @@ def _gate(cfg: RunConfig, g, field, exhaustion) -> str:
         f"warning: proceeding despite failed hypothesis clause(s) {clause_list}",
         file=sys.stderr,
     )
-    return f"FAIL clauses {clause_list} (overridden)"
+    return g, field, exhaustion, f"FAIL clauses {clause_list} (overridden)"
 
 
 # --- output ----------------------------------------------------------------------
 
 
-def _open_out(cfg: RunConfig):
-    if cfg.out:
-        return open(cfg.out, "w", encoding="utf-8", newline="")
+def _open_out(args: argparse.Namespace):
+    if args.out:
+        return open(args.out, "w", encoding="utf-8", newline="")
     return nullcontext(sys.stdout)
 
 
-def _emit(cfg: RunConfig, hyp_summary: str, extra_comments, header, rows, text=()) -> None:
-    """Write the comment block, the header and ``rows``, then the CSV strings in ``text``."""
-    with _open_out(cfg) as fh:
-        fh.write(f"# graphsl {__version__}\n")
-        fh.write(f"# command: {cfg.command}\n")
-        fh.write(f"# config: {cfg.echo()}\n")
-        fh.write(f"# hypotheses: {hyp_summary}\n")
-        fh.write(f"# seed: {cfg.seed}\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
+def _preamble(args: argparse.Namespace, *lines: str) -> str:
+    """The ``#`` block: tool version and command, then ``lines``."""
+    head = (f"graphsl {__version__}", f"command: {args.command}")
+    return "".join(f"# {line}\n" for line in head + lines)
+
+
+def _emit(args: argparse.Namespace, hyp: str, comments, header, rows, text=()) -> None:
+    """Write the ``#`` block, the header and ``rows``, then the CSV strings in ``text``."""
+    with _open_out(args) as fh:
+        run = (f"config: {_echo(args)}", f"hypotheses: {hyp}", f"seed: {args.seed}")
+        fh.write(_preamble(args, *run, *comments))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -304,15 +277,10 @@ def _warn_touched(report) -> None:
 # --- commands ----------------------------------------------------------------------
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    g, field = _load_inputs(cfg)
-    radius = max(cfg.levels) if cfg.levels else _default_radius(g, cfg.root)
-    exhaustion = build_exhaustion(g, cfg.root, radius)
-    hyp = _gate(cfg, g, field, exhaustion)
-    bc = BC_DIRICHLET if cfg.boundary_dirichlet else BC_FREE
-    report = inf_spectrum(
-        g, field, exhaustion, bc=bc, h=cfg.h, tol=cfg.tol, levels=cfg.levels
-    )
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    g, field, exhaustion, hyp = _setup(args, max(args.levels) if args.levels else None)
+    bc = BC_FREE if args.no_boundary_dirichlet else BC_DIRICHLET
+    report = inf_spectrum(g, field, exhaustion, bc=bc, h=args.h, tol=args.tol, levels=args.levels)
     _warn_touched(report)
     comments = [
         f"estimate: {report.estimate!r}",
@@ -320,24 +288,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         f"bc: {report.bc}",
     ]
     rows = [(row.level, repr(row.value)) for row in report.rows]
-    _emit(cfg, hyp, comments, ["n", "lambda"], rows)
+    _emit(args, hyp, comments, ["n", "lambda"], rows)
     return 0
 
 
-def cmd_persson(cfg: RunConfig) -> int:
-    g, field = _load_inputs(cfg)
-    exhaustion = build_exhaustion(g, cfg.root, max(cfg.outer))
-    hyp = _gate(cfg, g, field, exhaustion)
-    bc = BC_DIRICHLET if cfg.boundary_dirichlet else BC_FREE
+def cmd_persson(args: argparse.Namespace) -> int:
+    g, field, exhaustion, hyp = _setup(args, max(args.outer))
+    bc = BC_FREE if args.no_boundary_dirichlet else BC_DIRICHLET
     trace = persson_limit(
-        g,
-        field,
-        exhaustion,
-        cfg.levels,
-        cfg.outer,
-        bc=bc,
-        h=cfg.h,
-        tol=cfg.tol,
+        g, field, exhaustion, args.levels, args.outer, bc=bc, h=args.h, tol=args.tol
     )
     _warn_touched(trace)
     comments = [
@@ -348,15 +307,13 @@ def cmd_persson(cfg: RunConfig) -> int:
     rows = [
         (row.inner, row.outer, repr(row.value), repr(row.residual)) for row in trace.rows
     ]
-    _emit(cfg, hyp, comments, ["n", "N", "lambda", "residual"], rows)
+    _emit(args, hyp, comments, ["n", "N", "lambda", "residual"], rows)
     return 0
 
 
-def cmd_ap_check(cfg: RunConfig) -> int:
-    g, field = _load_inputs(cfg)
-    exhaustion = build_exhaustion(g, cfg.root, max(cfg.level, 1))
-    hyp = _gate(cfg, g, field, exhaustion)
-    result = ap_check(g, field, exhaustion, cfg.lam, cfg.level, h=cfg.h, tol=cfg.tol)
+def cmd_ap_check(args: argparse.Namespace) -> int:
+    g, field, exhaustion, hyp = _setup(args, max(args.level, 1))
+    result = ap_check(g, field, exhaustion, args.lam, args.level, h=args.h, tol=args.tol)
     min_value = repr(result.cert.min_value) if result.cert else ""
     max_value = repr(result.cert.max_value) if result.cert else ""
     print(
@@ -377,7 +334,7 @@ def cmd_ap_check(cfg: RunConfig) -> int:
         )
     ]
     _emit(
-        cfg,
+        args,
         hyp,
         [],
         ["kind", "lambda", "level", "bottom", "margin", "min_value", "max_value"],
@@ -386,12 +343,10 @@ def cmd_ap_check(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_positive_solution(cfg: RunConfig) -> int:
-    g, field = _load_inputs(cfg)
-    exhaustion = build_exhaustion(g, cfg.root, max(cfg.level, 1))
-    hyp = _gate(cfg, g, field, exhaustion)
+def cmd_positive_solution(args: argparse.Namespace) -> int:
+    g, field, exhaustion, hyp = _setup(args, max(args.level, 1))
     cert = positive_solution(
-        g, field, exhaustion, cfg.lam, cfg.level, h=cfg.h, tol=cfg.tol
+        g, field, exhaustion, args.lam, args.level, h=args.h, tol=args.tol
     )
     worst_flux = max(cert.kirchhoff_residuals.values(), default=0.0)
     comments = [
@@ -409,7 +364,7 @@ def cmd_positive_solution(cfg: RunConfig) -> int:
         file=sys.stderr,
     )
     _emit(
-        cfg,
+        args,
         hyp,
         comments,
         ["kind", "id", "offset", "value"],
@@ -448,17 +403,15 @@ def _certificate_edge_text(cert):
         )
 
 
-def cmd_sobolev(cfg: RunConfig) -> int:
-    g, field = _load_inputs(cfg)
-    exhaustion = build_exhaustion(g, cfg.root, _default_radius(g, cfg.root))
-    hyp = _gate(cfg, g, field, exhaustion)
+def cmd_sobolev(args: argparse.Namespace) -> int:
+    g, field, exhaustion, hyp = _setup(args)
     rows = []
-    for eps in cfg.epsilon:
+    for eps in args.epsilon:
         est = sobolev_constant(g, field, eps)
         rows.append(
             (repr(est.epsilon), repr(est.delta), repr(est.window_mass), repr(est.constant))
         )
-    _emit(cfg, hyp, [], ["epsilon", "delta", "c", "C"], rows)
+    _emit(args, hyp, [], ["epsilon", "delta", "c", "C"], rows)
     return 0
 
 
@@ -470,9 +423,8 @@ _CLAUSE_TEXT = {
 }
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    g, field = _load_inputs(cfg)
-    exhaustion = build_exhaustion(g, cfg.root, _default_radius(g, cfg.root))
+def cmd_validate(args: argparse.Namespace) -> int:
+    g, field, exhaustion = _inputs(args)
     report = validate_hypotheses(g, field, exhaustion=exhaustion)
     measured = {
         1: f"total int (1/p)^eta = {report.inv_p_power_total!r} (eta={report.eta!r})",
@@ -481,11 +433,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         3: f"d_* = {report.min_edge_length!r}",
         4: f"sup_e int q_- = {report.sup_edge_neg_q!r}",
     }
-    with _open_out(cfg) as fh:
-        fh.write(f"# graphsl {__version__}\n")
-        fh.write(f"# command: validate\n")
-        fh.write(f"# config: {cfg.echo()}\n")
-        fh.write(f"# seed: {cfg.seed}\n")
+    with _open_out(args) as fh:
+        fh.write(_preamble(args, f"config: {_echo(args)}", f"seed: {args.seed}"))
         for clause in sorted(report.flags):
             status = "PASS" if report.flags[clause] else "FAIL"
             fh.write(f"clause {clause} ({_CLAUSE_TEXT[clause]}): {status}  {measured[clause]}\n")
@@ -497,16 +446,14 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
-    buffer.write(f"# graphsl {__version__}\n")
-    buffer.write(f"# command: verify\n")
-    buffer.write(f"# seed: {cfg.seed}\n")
-    failures = run_suite(cfg.seed, stream=buffer)
+    buffer.write(_preamble(args, f"seed: {args.seed}"))
+    failures = run_suite(args.seed, stream=buffer)
     text = buffer.getvalue()
     sys.stdout.write(text)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 1 if failures else 0
 
@@ -524,10 +471,9 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _checked(parser, parser.parse_args(argv))
     try:
-        cfg = RunConfig.from_args(parser, args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except _Exit as stop:
         print(f"graphsl: {stop}", file=sys.stderr)
         return stop.code

@@ -64,9 +64,6 @@ class ConstantSpec:
     def exact_integral(self, transform, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return float(transform(self.value)) * (b - a)
 
-    def describe(self) -> str:
-        return repr(self.value)
-
 
 class PiecewiseSpec:
     """Right-continuous step function given by [[start, value], ...].
@@ -116,10 +113,6 @@ class PiecewiseSpec:
             total += np.where(hi > lo, piece * (hi - lo), 0.0)
         return total
 
-    def describe(self) -> str:
-        pairs = ", ".join(f"[{s}, {v}]" for s, v in zip(self.starts, self.values))
-        return f"piecewise({pairs})"
-
 
 class ExpressionSpec:
     def __init__(self, source: str):
@@ -134,9 +127,6 @@ class ExpressionSpec:
 
     def exact_integral(self, transform, a: np.ndarray, b: np.ndarray):
         return None
-
-    def describe(self) -> str:
-        return f"expr({self.source})"
 
 
 class ShiftedSpec:
@@ -159,9 +149,6 @@ class ShiftedSpec:
 
     def exact_integral(self, transform, a: np.ndarray, b: np.ndarray):
         return self.inner.exact_integral(transform, a + self.shift, b + self.shift)
-
-    def describe(self) -> str:
-        return f"shift({self.inner.describe()}, {self.shift})"
 
 
 # built-in constants, one shared spec per field name so that edges without
@@ -240,9 +227,6 @@ class CoefficientField:
         for name in _FIELD_NAMES:
             points.update(self.spec(edge_id, name).breakpoints(length))
         return tuple(sorted(points))
-
-    def describe(self, edge_id: str) -> dict[str, str]:
-        return {name: self.spec(edge_id, name).describe() for name in _FIELD_NAMES}
 
 
 def load_coefficients(document, graph: MetricGraph, **config) -> CoefficientField:

@@ -42,8 +42,15 @@ class Edge:
     origin: str
     origin_offset: float
 
-    def other(self, vertex: str) -> str:
-        return self.dst if vertex == self.src else self.src
+
+def _check_length(edge_id: str, length) -> None:
+    """Reject an edge length that is not a positive finite float."""
+    if not isinstance(length, float):
+        raise GraphStructureError(f"edge {edge_id!r} length {length!r} is not a float")
+    if not math.isfinite(length):
+        raise GraphStructureError(f"edge {edge_id!r} has non-finite length {length!r}")
+    if length <= 0:
+        raise GraphStructureError(f"edge {edge_id!r} has nonpositive length {length!r}")
 
 
 class MetricGraph:
@@ -68,8 +75,7 @@ class MetricGraph:
         for e in self.edges:
             if e.src not in vset or e.dst not in vset:
                 raise GraphFormatError(f"edge {e.id!r} references unknown vertex")
-            if not (isinstance(e.length, float) and math.isfinite(e.length) and e.length > 0):
-                raise GraphStructureError(f"edge {e.id!r} has nonpositive length {e.length!r}")
+            _check_length(e.id, e.length)
             if e.src == e.dst:
                 raise GraphStructureError(f"edge {e.id!r} is a loop; normalize before constructing")
             pair = frozenset((e.src, e.dst))
@@ -239,8 +245,7 @@ def load_graph(document) -> MetricGraph:
         if isinstance(entry["length"], bool) or not isinstance(entry["length"], (int, float)):
             raise GraphFormatError(f"edge {eid!r} length must be a number")
         length = float(entry["length"])
-        if not (math.isfinite(length) and length > 0):
-            raise GraphStructureError(f"edge {eid!r} has nonpositive length {length}")
+        _check_length(eid, length)
         edges.append(Edge(eid, src, dst, length, eid, 0.0))
     root = None
     if "root" in document and document["root"] is not None:
@@ -263,7 +268,7 @@ def _split(edge: Edge) -> tuple[str, Edge, Edge]:
 
 
 def _normalize(vertices, edges):
-    """Split loops and parallel edges until the graph is simple."""
+    """Split loops and parallel edges so that the graph is simple."""
     vertices = list(vertices)
     synthetic = set()
     # loops first: each loop becomes two parallel halves handled below
@@ -278,28 +283,22 @@ def _normalize(vertices, edges):
             out.append(e)
     # parallel classes: keep the lexicographically first edge, split the rest;
     # fresh midpoints make the new pairs unique, so one pass suffices
-    while True:
-        groups: dict[frozenset, list[Edge]] = {}
-        for e in out:
-            groups.setdefault(frozenset((e.src, e.dst)), []).append(e)
-        offenders = [g for g in groups.values() if len(g) > 1]
-        if not offenders:
-            break
-        result = []
-        to_split = set()
-        for group in offenders:
-            group.sort(key=lambda e: e.id)
-            to_split.update(e.id for e in group[1:])
-        for e in out:
-            if e.id in to_split:
-                mid, first, second = _split(e)
-                vertices.append(mid)
-                synthetic.add(mid)
-                result.extend([first, second])
-            else:
-                result.append(e)
-        out = result
-    return vertices, out, synthetic
+    groups: dict[frozenset, list[Edge]] = {}
+    for e in out:
+        groups.setdefault(frozenset((e.src, e.dst)), []).append(e)
+    to_split = set()
+    for group in groups.values():
+        to_split.update(sorted(e.id for e in group)[1:])
+    result = []
+    for e in out:
+        if e.id in to_split:
+            mid, first, second = _split(e)
+            vertices.append(mid)
+            synthetic.add(mid)
+            result.extend([first, second])
+        else:
+            result.append(e)
+    return vertices, result, synthetic
 
 
 def original_edges(g: MetricGraph) -> list[tuple[str, str, str, float]]:

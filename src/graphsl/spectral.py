@@ -73,18 +73,13 @@ def _assemble_union(g, field, domains, h) -> AssembledForms:
     return assemble(build_mesh(g, h, edges=edges), field)
 
 
-def _dirichlet_piece(forms, g, edge_ids, include_host_boundary, domain) -> AssembledForms:
-    """The Dirichlet problem on one piece of ``forms``."""
-    return forms.restrict(edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary), domain)
-
-
 def _solve_domain(forms, g, edge_ids, include_host_boundary, domain, tol, lower=-math.inf):
     """Smallest eigenpair of the Dirichlet problem on one piece of ``forms``.
 
     ``lower`` is a candidate lower bound of its smallest eigenvalue that the
     eigensolve checks before placing its shift there.
     """
-    piece = _dirichlet_piece(forms, g, edge_ids, include_host_boundary, domain)
+    piece = forms.restrict(edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary), domain)
     return smallest_eigenpair(piece, tol=tol, lower=lower)
 
 
@@ -188,15 +183,16 @@ class PositiveSolutionCert:
 
 
 def _level_forms(g, field, exhaustion, level, h, tol):
-    """Free forms on one level, its Dirichlet piece and that piece's bottom."""
+    """Free forms on one level, its Dirichlet piece, that piece's boundary and its bottom."""
     if level < 0 or level > exhaustion.max_level:
         raise SolverError(f"level {level} outside exhaustion range")
     edge_ids = exhaustion.levels[level]
     if not edge_ids:
         raise SolverError(f"exhaustion level {level} contains no edges")
     forms = _assemble_union(g, field, [edge_ids], h)
-    piece = _dirichlet_piece(forms, g, edge_ids, True, f"level-{level}")
-    return forms, piece, smallest_eigenpair(piece, tol=tol).value
+    boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
+    piece = forms.restrict(edge_ids, boundary, f"level-{level}")
+    return forms, piece, boundary, smallest_eigenpair(piece, tol=tol).value
 
 
 def positive_solution(
@@ -215,23 +211,25 @@ def positive_solution(
     normalizes to one at the root.  A nonpositive nodal value would violate
     the discrete minimum principle and raises SolverError.
     """
-    forms, piece, bottom = _level_forms(g, field, exhaustion, level, h, tol)
+    forms, piece, boundary, bottom = _level_forms(g, field, exhaustion, level, h, tol)
     if not (lam < bottom - tol):
         raise SolverError(
             f"trial value {lam} is not below the Dirichlet bottom {bottom} by {tol}"
         )
-    return _certificate(g, field, exhaustion, forms, piece, lam, level, bottom)
+    return _certificate(g, field, exhaustion, forms, piece, boundary, lam, level, bottom)
 
 
-def _certificate(g, field, exhaustion, forms, piece, lam, level, bottom) -> PositiveSolutionCert:
+def _certificate(
+    g, field, exhaustion, forms, piece, boundary, lam, level, bottom
+) -> PositiveSolutionCert:
     """Solve the lifted boundary problem on the free forms of a level.
 
-    ``piece`` is the level's Dirichlet problem, whose dofs are the free
-    dofs of ``forms`` off the boundary vertices, in the same order; its
-    interior solve reuses the analysis that the piece's eigensolve built.
+    ``piece`` is the level's Dirichlet problem on the ``boundary`` vertices,
+    whose dofs are the free dofs of ``forms`` off those vertices, in the
+    same order; its interior solve reuses the analysis that the piece's
+    eigensolve built.
     """
     edge_ids = exhaustion.levels[level]
-    boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
     if not boundary:
         raise SolverError(
             "level has no boundary vertices; the lifted boundary problem is empty"
@@ -310,10 +308,10 @@ def ap_check(
     refutation when above by more than ``tol``, and indeterminate inside
     the band.
     """
-    forms, piece, bottom = _level_forms(g, field, exhaustion, level, h, tol)
+    forms, piece, boundary, bottom = _level_forms(g, field, exhaustion, level, h, tol)
     margin = lam - bottom
     if lam < bottom - tol:
-        cert = _certificate(g, field, exhaustion, forms, piece, lam, level, bottom)
+        cert = _certificate(g, field, exhaustion, forms, piece, boundary, lam, level, bottom)
         return APResult("certificate", lam, level, bottom, margin, cert)
     if lam > bottom + tol:
         return APResult("refutation", lam, level, bottom, margin, None)

@@ -29,6 +29,24 @@ def data_rows(text):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
+def comment_lines(text):
+    return [line for line in text.splitlines() if line.startswith("#")]
+
+
+def head(command, config=None, hypotheses="pass", seed=0):
+    """The ``#`` lines a command's output starts with; ``None`` leaves a line out."""
+    lines = [f"# graphsl {graphsl.__version__}", f"# command: {command}"]
+    if config is not None:
+        lines.append(f"# config: {config}")
+    if hypotheses is not None:
+        lines.append(f"# hypotheses: {hypotheses}")
+    return lines + [f"# seed: {seed}"]
+
+
+def keys(lines):
+    return [line.split(":")[0] for line in lines]
+
+
 # --- shared surface ------------------------------------------------------------
 
 
@@ -71,6 +89,16 @@ def test_unreadable_graph_path(capsys):
     code, out, err = run(capsys, "spectrum", "--graph", "/nonexistent/g.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_infinite_length_is_named(tmp_path, capsys):
+    doc = '{"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", "to": "b", "length": 1e400}]}'
+    gpath = tmp_path / "long.json"
+    gpath.write_text(doc)
+    code, out, err = run(capsys, "spectrum", "--graph", str(gpath))
+    assert code == 2
+    assert out == ""
+    assert err == "graphsl: edge 'e' has non-finite length inf\n"
 
 
 def test_invalid_json_reports_path(tmp_path, capsys):
@@ -170,8 +198,14 @@ def test_persson_halfline_table(capsys):
         n, N = int(r[0]), int(r[1])
         assert float(r[2]) == pytest.approx((math.pi / (N - n)) ** 2, rel=5e-3)
         assert float(r[3]) < 1e-8
-    assert any(line.startswith("# estimate: ") for line in out.splitlines())
-    assert any(line.startswith("# bracket: ") for line in out.splitlines())
+    block = comment_lines(out)
+    assert block[:5] == head(
+        "persson",
+        f"graph={HALFLINE} coeffs=None h=0.05 tol=1e-06 root=v00 levels=1,2 outer=5,9 "
+        "boundary-dirichlet=true override=false",
+    )
+    assert keys(block[5:]) == ["# estimate", "# bracket", "# bc"]
+    assert block[-1] == "# bc: dirichlet"
 
 
 def test_persson_gate_blocks_without_override(capsys):
@@ -201,7 +235,12 @@ def test_persson_gate_override_proceeds(capsys):
     )
     assert code == 0
     assert "proceeding despite failed hypothesis clause(s) 2" in err
-    assert "# hypotheses: FAIL clauses 2 (overridden)" in out.splitlines()
+    assert comment_lines(out)[:5] == head(
+        "persson",
+        f"graph={HALFLINE} coeffs={ZERO_TAIL} h=0.1 tol=1e-06 root=v00 levels=1 outer=3 "
+        "boundary-dirichlet=true override=true",
+        hypotheses="FAIL clauses 2 (overridden)",
+    )
 
 
 def test_spectrum_does_not_gate_on_weight_decay(capsys):
@@ -231,6 +270,11 @@ def test_ap_check_certificate_row(capsys):
         "--h", "0.02",
     )
     assert code == 0
+    assert comment_lines(out) == head(
+        "ap-check",
+        f"graph={STAR} coeffs=None h=0.02 tol=1e-06 root=c boundary-dirichlet=true "
+        "lambda=1.0 level=1 override=false",
+    )
     rows = data_rows(out)
     assert rows[0] == "kind,lambda,level,bottom,margin,min_value,max_value"
     kind, lam, level, bottom, margin, mn, mx = rows[1].split(",")
@@ -269,9 +313,17 @@ def test_positive_solution_lists_nodes(capsys):
         "--h", "0.25",
     )
     assert code == 0
-    lines = out.splitlines()
-    assert any(line.startswith("# dirichlet-bottom: ") for line in lines)
-    assert any(line.startswith("# max-kirchhoff-residual: ") for line in lines)
+    block = comment_lines(out)
+    assert block[:5] == head(
+        "positive-solution",
+        f"graph={INTERVAL} coeffs=None h=0.25 tol=1e-06 root=a boundary-dirichlet=true "
+        "lambda=-1.0 level=1 override=false",
+    )
+    assert keys(block[5:]) == [
+        "# lambda", "# level", "# dirichlet-bottom", "# min", "# max", "# max-kirchhoff-residual", "# root"
+    ]
+    assert block[5:7] == ["# lambda: -1.0", "# level: 1"]
+    assert block[-1] == "# root: a"
     rows = data_rows(out)
     assert rows[0] == "kind,id,offset,value"
     parsed = [row.split(",") for row in rows[1:]]
@@ -375,6 +427,11 @@ def test_sobolev_epsilon_sweep(capsys):
         capsys, "sobolev", "--graph", STAR, "--epsilon", "0.25,0.5,1,2"
     )
     assert code == 0
+    assert comment_lines(out) == head(
+        "sobolev",
+        f"graph={STAR} coeffs=None h=0.05 tol=1e-06 root=c boundary-dirichlet=true "
+        "epsilon=0.25,0.5,1.0,2.0 override=false",
+    )
     rows = data_rows(out)
     assert rows[0] == "epsilon,delta,c,C"
     constants = [float(row.split(",")[3]) for row in rows[1:]]
@@ -389,6 +446,12 @@ def test_sobolev_epsilon_sweep(capsys):
 def test_validate_reports_pass(capsys):
     code, out, err = run(capsys, "validate", "--graph", HALFLINE, "--coeffs", FREE)
     assert code == 0
+    assert comment_lines(out) == head(
+        "validate",
+        f"graph={HALFLINE} coeffs={FREE} h=0.05 tol=1e-06 root=v00 boundary-dirichlet=true "
+        "override=false",
+        hypotheses=None,
+    )
     lines = out.splitlines()
     for clause in (1, 2, 3, 4):
         assert any(line.startswith(f"clause {clause} (") and "PASS" in line for line in lines)
@@ -442,8 +505,7 @@ def test_verify_all_checks_pass(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--seed", "3", "--out", str(target))
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == f"# graphsl {graphsl.__version__}"
-    assert "# seed: 3" in lines
+    assert comment_lines(out) == head("verify", hypotheses=None, seed=3)
     passes = [line for line in lines if line.startswith("PASS ")]
     assert len(passes) >= 10
     assert not any(line.startswith("FAIL ") for line in lines)

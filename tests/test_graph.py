@@ -71,11 +71,33 @@ def test_reserved_id_character_rejected():
         load_graph(doc)
 
 
-@pytest.mark.parametrize("length", [0.0, -2.0, math.inf, math.nan])
-def test_bad_lengths_rejected(length):
+@pytest.mark.parametrize(
+    "length, message",
+    [
+        (0.0, "nonpositive length 0.0"),
+        (-2.0, "nonpositive length -2.0"),
+        (math.inf, "non-finite length inf"),
+        (math.nan, "non-finite length nan"),
+    ],
+    ids=["0.0", "-2.0", "inf", "nan"],
+)
+def test_bad_lengths_rejected(length, message):
     doc = interval_doc()
     doc["edges"][0]["length"] = length
-    with pytest.raises((GraphStructureError, GraphFormatError)):
+    with pytest.raises((GraphStructureError, GraphFormatError), match=message):
+        load_graph(doc)
+
+
+def test_duplicate_ids_on_parallel_edges_rejected():
+    # both copies split at the same synthetic midpoint; one pass then stops
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [
+            {"id": "e", "from": "a", "to": "b", "length": 1.0},
+            {"id": "e", "from": "b", "to": "a", "length": 1.0},
+        ],
+    }
+    with pytest.raises(GraphFormatError, match="duplicate edge id"):
         load_graph(doc)
 
 
