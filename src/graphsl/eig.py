@@ -39,10 +39,11 @@ of y.
 A sparse direct solve splits into a symbolic analysis, which depends only
 on where the entries are, and a numeric factorization (Davis, *Direct
 Methods for Sparse Linear Systems*, 2006).  ``Pencil`` is the analysis,
-built once per pencil: K and M on one shared CSC pattern, the head size,
-the chains, and the Schur complement's pattern with the map that sums its
-values.  ``Condensed`` is the numeric factor at one shift: K.data -
-shift*M.data, LAPACK on the chains, one bincount and SuperLU.  Every
+built once per pencil: K and M on one shared CSC pattern (assembled forms
+come on one; only a caller's pencil is spread onto the union), the head
+size, the chains, and the Schur complement's pattern with the map that
+sums its values.  ``Condensed`` is the numeric factor at one shift:
+K.data - shift*M.data, LAPACK on the chains, one bincount and SuperLU.  Every
 factorization of a solve (the Gershgorin count, the probes, the
 shift-invert factor and the proof) reuses the one analysis, so a new
 shift only refactors values.
@@ -265,9 +266,9 @@ class Pencil:
     The symbolic half of the factorization, built once per pencil: every
     inertia count, shift-invert factor and proof of the pencil is a
     ``Condensed`` on it, which only does value work.  K and M share one
-    verified pattern, their union when scipy's patterns differ (an exact
-    zero that K_p + K_q dropped, or M - mu*I in ``_mass_lower_bound``), so
-    K.data - sigma*M.data is entry for entry scipy's K - sigma*M.
+    pattern, as assembled forms do by construction; a caller's pencil whose
+    patterns differ, such as ``(M, I)`` in ``_mass_lower_bound``, is spread
+    onto their union.  So K.data - sigma*M.data is scipy's K - sigma*M.
 
     With A = K - sigma*M = [[A_VV, A_VE], [A_EV, A_EE]], the head size ``m``
     is one past the last column holding a row index below its subdiagonal,

@@ -12,6 +12,10 @@ conditions at vertices are imposed by eliminating the constrained rows and
 columns.  Every quadrature over a mesh (assembly, the direct form and mass
 values, the ground-state transform) reads the one flat sample set that
 :func:`mesh_samples` builds.
+
+Stiffness, potential and mass are one CSR pattern, built once by
+:func:`assemble`, with three sets of values; restrictions and the pencil's
+K keep it, so every pencil formed here has K and M on one pattern.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.io import mmwrite
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from . import _kernels
 from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals, sample_field
@@ -287,20 +291,21 @@ def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
 
 @dataclass
 class AssembledForms:
-    """Sparse matrices of the discrete quadratic forms on one domain."""
+    """Sparse matrices of the discrete quadratic forms on one mesh, sharing one CSR pattern."""
 
     stiffness: csr_matrix   # integral p f' g'
     potential: csr_matrix   # integral q f g
     mass: csr_matrix        # integral w f g
     mesh: GraphMesh
-    domain: str = "graph"
 
     @property
     def n(self) -> int:
         return self.stiffness.shape[0]
 
     def pencil(self):
-        return (self.stiffness + self.potential).tocsr(), self.mass
+        """(K, M) with K = K_p + K_q added on the one pattern; a cancellation stays an explicit zero."""
+        M = self.mass
+        return _csr(self.stiffness.data + self.potential.data, M.indices, M.indptr), M
 
     @cached_property
     def analysis(self) -> Pencil:
@@ -308,58 +313,60 @@ class AssembledForms:
 
         Every factorization of this problem (the eigensolve's counts,
         shift-invert factors and proof, and a certificate's interior solve)
-        reuses it, so the pencil is formed and analysed once.  Assembly puts
-        each cell's value at (i, j) and (j, i), so the matrices are
-        symmetric entry for entry and their transposes, CSC views of the
-        same arrays, are the matrices themselves.
+        reuses it, so the pencil is formed and analysed once.  K and M come
+        on the forms' one pattern, so the analysis never needs a pattern
+        union.  Assembly puts each cell's value at (i, j) and (j, i), so the
+        matrices are symmetric entry for entry and their transposes, CSC
+        views of the same arrays, are the matrices themselves.
         """
         K, M = self.pencil()
         return Pencil(K.T, M.T)
 
-    def restrict(self, edge_ids, dirichlet_vertices=frozenset(), domain: str = "graph") -> "AssembledForms":
+    def restrict(self, edge_ids, dirichlet_vertices=frozenset()) -> "AssembledForms":
         """Forms of the problem on ``edge_ids`` with Dirichlet vertices.
 
         The matrices are principal submatrices of these on the dofs that
         :meth:`GraphMesh.restrict` keeps.  Every kept row only gathers cells
         of the selected edges, so they equal a direct assembly on the
-        submesh entry for entry.  Matrices on one pattern, as ``assemble``
-        makes them, are cut with one entry mask.
+        submesh entry for entry.
         """
         mesh, kept = self.mesh.restrict(edge_ids, dirichlet_vertices)
         if mesh.n_free == 0:
             raise MeshError("mesh has no free degrees of freedom")
-        return AssembledForms(*_principal((self.stiffness, self.potential, self.mass), kept), mesh=mesh, domain=domain)
+        return AssembledForms(*_principal((self.stiffness, self.potential, self.mass), kept), mesh=mesh)
+
+
+def _csr(data, indices, indptr) -> csr_matrix:
+    """Square CSR matrix on its own copy of the pattern (indices, indptr)."""
+    n = len(indptr) - 1
+    return csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
 def _principal(mats, kept: np.ndarray) -> list:
-    """Principal submatrices of square CSR matrices on the increasing indices ``kept``.
+    """Principal submatrices, on the increasing indices ``kept``, of CSR matrices on one pattern.
 
-    Equal to ``mat[kept][:, kept]`` array for array; matrices that share a
-    pattern share one entry mask.
+    Equal to ``mat[kept][:, kept]`` array for array; one entry mask cuts
+    every matrix.
     """
-    n = mats[0].shape[0]
-    out, last = [], None
-    for mat in mats:
-        if last is None or not (np.array_equal(mat.indptr, last.indptr) and np.array_equal(mat.indices, last.indices)):
-            renumber = np.full(n, -1, dtype=mat.indices.dtype)
-            renumber[kept] = np.arange(len(kept))
-            rows = renumber[np.repeat(np.arange(n), np.diff(mat.indptr))]
-            cols = renumber[mat.indices]
-            mask = (rows >= 0) & (cols >= 0)
-            indices = cols[mask]
-            indptr = np.zeros(len(kept) + 1, dtype=mat.indptr.dtype)
-            np.cumsum(np.bincount(rows[mask], minlength=len(kept)), out=indptr[1:])
-            last = mat
-        out.append(csr_matrix((mat.data[mask], indices.copy(), indptr.copy()), shape=(len(kept), len(kept))))
-    return out
+    pattern = mats[0]
+    n = pattern.shape[0]
+    renumber = np.full(n, -1, dtype=pattern.indices.dtype)
+    renumber[kept] = np.arange(len(kept))
+    rows = renumber[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+    cols = renumber[pattern.indices]
+    mask = (rows >= 0) & (cols >= 0)
+    indptr = np.zeros(len(kept) + 1, dtype=pattern.indptr.dtype)
+    np.cumsum(np.bincount(rows[mask], minlength=len(kept)), out=indptr[1:])
+    return [_csr(mat.data[mask], cols[mask], indptr) for mat in mats]
 
 
-def assemble(mesh: GraphMesh, field: CoefficientField, domain: str = "graph") -> AssembledForms:
+def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
     """Assemble stiffness, potential and mass matrices on a mesh.
 
-    Raises CoefficientError if p or w is nonpositive at any quadrature
-    sample, naming the first such edge in mesh order; the mass matrix is
-    then positive definite by construction.
+    The pattern is built once, from the cells' triplet keys, and the three
+    matrices are its three sets of values.  Raises CoefficientError if p or
+    w is nonpositive at any quadrature sample, naming the first such edge in
+    mesh order; the mass matrix is then positive definite by construction.
     """
     s = mesh_samples(mesh, field)
     checks = (
@@ -380,19 +387,21 @@ def assemble(mesh: GraphMesh, field: CoefficientField, domain: str = "graph") ->
     if n == 0:
         raise MeshError("mesh has no free degrees of freedom")
     acc = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
-    rows, cols, vp, vq, vm = _kernels.triplets(s.d0, s.d1, s.hcell, *acc)
-
-    def make(values):
-        mat = coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-        mat.sum_duplicates()
-        return mat
-
+    rows, cols, *values = _kernels.triplets(s.d0, s.d1, s.hcell, *acc)
+    del s, acc  # the samples are assembly's largest arrays; free them before the sort
+    # the stable sort keeps each entry's triplets in scatter order, so
+    # bincount sums them in the order scipy's COO to CSR conversion does
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    pattern = keys[first]
+    indices, indptr = pattern % n, np.searchsorted(pattern, np.arange(n + 1) * n)
     return AssembledForms(
-        stiffness=make(vp),
-        potential=make(vq),
-        mass=make(vm),
+        *(_csr(np.bincount(slot, weights=v, minlength=len(pattern)), indices, indptr) for v in values),
         mesh=mesh,
-        domain=domain,
     )
 
 

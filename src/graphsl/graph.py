@@ -135,8 +135,11 @@ class MetricGraph:
         """Path distance from ``v`` to every vertex.
 
         One single-source Dijkstra over the sparse adjacency, O(E log V) time
-        and O(V) memory; no V×V distance matrix is built or kept.
+        and O(V) memory; no V×V distance matrix is built or kept.  Raises
+        GraphFormatError for an unknown vertex.
         """
+        if v not in self._vertex_index:
+            raise GraphFormatError(f"unknown vertex {v!r}")
         row = dijkstra(self._lengths, directed=False, indices=self._vertex_index[v])
         return dict(zip(self.vertices, row.tolist()))
 

@@ -73,13 +73,13 @@ def _assemble_union(g, field, domains, h) -> AssembledForms:
     return assemble(build_mesh(g, h, edges=edges), field)
 
 
-def _solve_domain(forms, g, edge_ids, include_host_boundary, domain, tol, lower=-math.inf):
+def _solve_domain(forms, g, edge_ids, include_host_boundary, tol, lower=-math.inf):
     """Smallest eigenpair of the Dirichlet problem on one piece of ``forms``.
 
     ``lower`` is a candidate lower bound of its smallest eigenvalue that the
     eigensolve checks before placing its shift there.
     """
-    piece = forms.restrict(edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary), domain)
+    piece = forms.restrict(edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary))
     return smallest_eigenpair(piece, tol=tol, lower=lower)
 
 
@@ -133,9 +133,7 @@ def inf_spectrum(
     rows: list[LevelEstimate] = []
     prev = math.inf
     for n in levels:
-        result = _solve_domain(
-            forms, g, exhaustion.levels[n], bc == BC_DIRICHLET, f"level-{n}", tol
-        )
+        result = _solve_domain(forms, g, exhaustion.levels[n], bc == BC_DIRICHLET, tol)
         if result.value > prev + 10.0 * tol:
             raise SolverError(
                 f"truncation values must not increase: level {n} gave {result.value} "
@@ -191,7 +189,7 @@ def _level_forms(g, field, exhaustion, level, h, tol):
         raise SolverError(f"exhaustion level {level} contains no edges")
     forms = _assemble_union(g, field, [edge_ids], h)
     boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
-    piece = forms.restrict(edge_ids, boundary, f"level-{level}")
+    piece = forms.restrict(edge_ids, boundary)
     return forms, piece, boundary, smallest_eigenpair(piece, tol=tol).value
 
 
@@ -417,13 +415,7 @@ def persson_limit(
         for N in [N for N in outer_levels if N > n]:
             seeds = [low for (m, M), low in proved.items() if m <= n and M >= N]
             result = _solve_domain(
-                forms,
-                g,
-                annuli[n, N],
-                bc == BC_DIRICHLET,
-                f"annulus-{n}-{N}",
-                tol,
-                max(seeds, default=-math.inf),
+                forms, g, annuli[n, N], bc == BC_DIRICHLET, tol, max(seeds, default=-math.inf)
             )
             proved[n, N] = result.certified_lower
             value = result.value

@@ -109,6 +109,21 @@ def test_invalid_json_reports_path(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--graph", INTERVAL],   # no --levels: the radius comes from vertex distances
+        ["persson", "--graph", HALFLINE, "--levels", "1", "--outer", "3"],
+    ],
+    ids=["spectrum", "persson"],
+)
+def test_unknown_root_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv, "--root", "zz")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("graphsl: ") and "'zz'" in err
+
+
 # --- spectrum --------------------------------------------------------------------
 
 

@@ -237,7 +237,7 @@ def restricted_annulus():
     field = load_coefficients({"default": {"q": {"expr": "1/(1+x)"}}}, g)
     parent = assemble(build_mesh(g, 0.05, edges=ex.levels[5]), field)
     annulus = ex.levels[5] - ex.levels[2]
-    return parent.restrict(annulus, dirichlet_vertices(g, annulus, True), "annulus-2-5")
+    return parent.restrict(annulus, dirichlet_vertices(g, annulus, True))
 
 
 Q_SIN = {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from graphsl.coeff import CoefficientField, edge_integral, load_coefficients
-from graphsl.eig import smallest_eigenpair
+from graphsl.eig import dense_reference, smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
-from graphsl.families import cycle, path, star, tree
+from graphsl.families import cycle, ladder, path, star, tree
 from graphsl.fem import (
     assemble,
     build_mesh,
@@ -299,6 +299,65 @@ def test_coefficient_scaling_is_exact():
     a = smallest_eigenpair(base, tol=1e-10).value
     b = smallest_eigenpair(scaled, tol=1e-10).value
     assert b == pytest.approx(a, rel=1e-12)
+
+
+# --- one pattern ------------------------------------------------------------------
+
+
+PATTERN_CASES = {
+    "tree3": (tree(3), {"default": {"p": {"piecewise": [[0.0, 1.0], [0.4, 2.5]]}, "q": {"expr": "-0.5+0.3*sin(3*x)"}}}),
+    "ladder3": (ladder(3), {}),
+    "star12": (star(12), {"default": {"q": {"piecewise": [[0.0, -1.0], [0.3, 2.0]]}}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATTERN_CASES))
+def test_one_pattern_scatter_equals_scipy_coo_conversion(monkeypatch, case):
+    """bincount on the one pattern gives scipy's COO to CSR arrays, bit for bit."""
+    from scipy.sparse import coo_matrix
+
+    from graphsl import _kernels
+
+    doc, coeffs = PATTERN_CASES[case]
+    g = load_graph(doc)
+    scattered = []
+    real = _kernels.triplets
+
+    def spy(*args):
+        scattered.append(real(*args))
+        return scattered[-1]
+
+    monkeypatch.setattr(_kernels, "triplets", spy)
+    forms = assemble(build_mesh(g, 0.09), load_coefficients(coeffs, g))
+    (rows, cols, *values), = scattered
+    if case == "star12":
+        assert np.bincount(rows).max() == 24   # the center row: 12 arms, 2 entries per end cell
+    for name, v in zip(("stiffness", "potential", "mass"), values):
+        want = coo_matrix((v, (rows, cols)), shape=(forms.n, forms.n)).tocsr()
+        want.sum_duplicates()
+        got = getattr(forms, name)
+        for part in ("data", "indices", "indptr"):
+            x, y = getattr(got, part), getattr(want, part)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
+
+
+def test_exact_cancellation_keeps_the_pencil_on_one_pattern(monkeypatch):
+    """K_p + K_q cancels to exact zeros off the diagonal, and K keeps them as entries."""
+    import graphsl.eig as eig
+
+    g = load_graph(path(1))
+    forms = assemble(build_mesh(g, 0.2), load_coefficients({"default": {"q": 149.99999999999997}}, g))
+    K, M = forms.pencil()
+    assert np.count_nonzero(K.data == 0.0) == 4
+    assert np.array_equal(K.indices, M.indices) and np.array_equal(K.indptr, M.indptr)
+
+    def refuse(K, M):
+        raise AssertionError("assembled forms reached the pattern union")
+
+    monkeypatch.setattr(eig, "_on_union", refuse)
+    assert forms.analysis.K.nnz == M.nnz
+    solved = smallest_eigenpair(forms, tol=1e-10)
+    assert solved.value == pytest.approx(dense_reference(forms)[0], rel=1e-10)
 
 
 # --- restriction ------------------------------------------------------------------
