@@ -1,18 +1,20 @@
 """Command-line surface: document loading, run orchestration, CSV emission.
 
-The parsed ``argparse.Namespace`` is the run's config; ``_checked`` rejects
+The parsed ``argparse.Namespace`` is the run's config.  Each command
+accepts exactly the options it reads (``_COMMANDS``); ``_checked`` rejects
 values argparse cannot.  Every solving command (``spectrum``, ``persson``,
 ``ap-check``, ``positive-solution``, ``sobolev``) starts with ``_setup``:
 load the documents, build the exhaustion, run the hypothesis gate.
 ``validate`` shares its input half and reports the checks instead of gating.
 
 Artifacts are CSV tables (RFC-4180 quoting) preceded by a ``#`` comment
-block from ``_preamble``: the tool version and the command, then a config
-echo sufficient to reproduce the run, the hypothesis-check summary and the
-seed.  ``validate`` has no hypothesis line; ``verify`` has only the seed.
-No timestamps: identical config and seed give byte-identical output at a
-fixed BLAS thread count.  Machine output goes to the ``--out`` path or
-standard output; progress and warnings go to standard error.
+block from ``_preamble``: the tool version and the command, then an echo
+of the command's options sufficient to reproduce the run and the
+hypothesis-check summary.  ``validate`` has no hypothesis line; ``verify``
+has only the seed of its suite.  No timestamps: identical options give
+byte-identical output at a fixed BLAS thread count.  Machine output goes
+to the ``--out`` path or standard output; progress and warnings go to
+standard error.
 
 Exit codes: 0 success; 2 usage errors, unreadable inputs, and hypothesis
 failures without ``--override``; 3 solver failures (non-convergence,
@@ -74,104 +76,109 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", help="path to a graph document (JSON)")
-    common.add_argument("--coeffs", help="path to a coefficient document (JSON)")
-    common.add_argument("--h", type=float, default=0.05, help="target mesh cell size")
-    common.add_argument("--tol", type=float, default=1e-6, help="solver tolerance")
-    common.add_argument("--root", help="exhaustion root vertex (default: document root)")
-    common.add_argument(
-        "--levels", type=_int_list, help="comma-separated exhaustion levels (inner levels for persson)"
-    )
-    common.add_argument(
-        "--outer", type=_int_list, help="comma-separated outer levels (persson only)"
-    )
-    common.add_argument(
-        "--no-boundary-dirichlet",
-        action="store_true",
-        help="leave the host graph boundary unconstrained",
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--out", help="output path (default: standard output)")
-    common.add_argument(
-        "--override",
-        action="store_true",
-        help="proceed despite hypothesis-validation failures",
-    )
-    common.set_defaults(lam=None, level=None, epsilon=None)
+# every option a command can take, with its argparse settings; each command
+# lists the ones it reads, and the parser adds them in this order
+_OPTIONS = {
+    "--graph": dict(help="path to a graph document (JSON)"),
+    "--coeffs": dict(help="path to a coefficient document (JSON)"),
+    "--h": dict(type=float, default=0.05, help="target mesh cell size"),
+    "--tol": dict(type=float, default=1e-6, help="solver tolerance"),
+    "--root": dict(help="exhaustion root vertex (default: document root)"),
+    "--levels": dict(type=_int_list, help="comma-separated exhaustion levels (inner levels for persson)"),
+    "--outer": dict(type=_int_list, help="comma-separated outer levels"),
+    "--no-boundary-dirichlet": dict(action="store_true", help="leave the host graph boundary unconstrained"),
+    "--lambda": dict(dest="lam", type=float, required=True, help="trial spectral value"),
+    "--level": dict(type=int, required=True, help="exhaustion level"),
+    "--epsilon": dict(type=_float_list, required=True, help="comma-separated epsilon values"),
+    "--seed": dict(type=int, default=0, help="seed of the self-check suite"),
+    "--out": dict(help="output path (default: standard output)"),
+    "--override": dict(action="store_true", help="proceed despite hypothesis-validation failures"),
+}
+_LISTS = ("--levels", "--outer", "--epsilon")
+# the options every solving command reads, and those of the two kinds of solve
+_SOLVING = ("--graph", "--coeffs", "--root", "--override", "--out")
+_SWEEP = _SOLVING + ("--h", "--tol", "--levels", "--no-boundary-dirichlet")
+_TRIAL = _SOLVING + ("--h", "--tol", "--lambda", "--level")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphsl",
         description="Spectral bounds for Sturm-Liouville operators on metric graphs.",
     )
     parser.add_argument("--version", action="version", version=f"graphsl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="Dirichlet-truncation trace of the spectral bottom")
-    sub.add_parser("persson", parents=[common], help="annulus exhaustion of the essential-spectrum bottom")
-    p_ap = sub.add_parser("ap-check", parents=[common], help="positive-solution test of a trial value")
-    p_ps = sub.add_parser("positive-solution", parents=[common], help="construct a positive solution certificate")
-    for p in (p_ap, p_ps):
-        p.add_argument("--lambda", dest="lam", type=float, required=True, help="trial spectral value")
-        p.add_argument("--level", type=int, required=True, help="exhaustion level")
-    p_sob = sub.add_parser("sobolev", parents=[common], help="edgewise sup-bound constants")
-    p_sob.add_argument(
-        "--epsilon", type=_float_list, required=True, help="comma-separated epsilon values"
-    )
-    sub.add_parser("validate", parents=[common], help="structural hypothesis report")
-    sub.add_parser("verify", parents=[common], help="seeded self-check suite")
+    for command, (_, text, options) in _COMMANDS.items():
+        # no abbreviations: spectrum would otherwise read --level as --levels
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag, settings in _OPTIONS.items():
+            if flag in options:
+                p.add_argument(flag, **settings)
     return parser
 
 
+def _attached(argv: list[str]) -> list[str]:
+    """``argv`` with each list value that starts with a minus joined to its flag.
+
+    argparse reads ``-1,2`` as an option, so ``--levels -1,2`` would stop
+    at "expected one argument"; as ``--levels=-1,2`` it reaches ``_checked``.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _LISTS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _checked(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
-    """Reject option values argparse does not check itself, as usage errors."""
-    if args.h <= 0:
+    """Reject values of the command's options that argparse does not check itself."""
+    if "h" in args and args.h <= 0:
         parser.error("--h must be positive")
-    if args.tol <= 0:
+    if "tol" in args and args.tol <= 0:
         parser.error("--tol must be positive")
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         parser.error("--seed must be nonnegative")
-    for name, values in (("--levels", args.levels), ("--outer", args.outer)):
+    for name in ("levels", "outer"):
+        values = getattr(args, name, None)
         if values is not None:
             if any(v < 0 for v in values):
-                parser.error(f"{name} entries must be nonnegative")
+                parser.error(f"--{name} entries must be nonnegative")
             if any(b <= a for a, b in zip(values, values[1:])):
-                parser.error(f"{name} must be strictly increasing")
-    if args.command != "verify" and args.graph is None:
+                parser.error(f"--{name} must be strictly increasing")
+    if "graph" in args and args.graph is None:
         parser.error("--graph is required")
     if args.command == "persson":
         if not args.levels or not args.outer:
             parser.error("persson requires --levels and --outer")
         if max(args.outer) <= max(args.levels):
             parser.error("--outer must reach past every --levels entry")
-    if args.command == "sobolev" and any(e <= 0 for e in args.epsilon):
+    if "epsilon" in args and any(e <= 0 for e in args.epsilon):
         parser.error("--epsilon values must be positive")
-    if args.level is not None and args.level < 0:
+    if "level" in args and args.level < 0:
         parser.error("--level must be nonnegative")
     return args
 
 
 def _echo(args: argparse.Namespace) -> str:
-    """The options of a run, enough to reproduce it."""
-    parts = [
-        f"graph={args.graph}",
-        f"coeffs={args.coeffs}",
-        f"h={args.h!r}",
-        f"tol={args.tol!r}",
-        f"root={args.root}",
-    ]
-    if args.levels is not None:
-        parts.append("levels=" + ",".join(map(str, args.levels)))
-    if args.outer is not None:
-        parts.append("outer=" + ",".join(map(str, args.outer)))
-    parts.append(f"boundary-dirichlet={str(not args.no_boundary_dirichlet).lower()}")
-    if args.lam is not None:
-        parts.append(f"lambda={args.lam!r}")
-    if args.level is not None:
-        parts.append(f"level={args.level}")
-    if args.epsilon is not None:
+    """The command's options, enough to reproduce the run."""
+    parts = [f"graph={args.graph}", f"coeffs={args.coeffs}"]
+    if "h" in args:
+        parts += [f"h={args.h!r}", f"tol={args.tol!r}"]
+    parts.append(f"root={args.root}")
+    for name in ("levels", "outer"):
+        values = getattr(args, name, None)
+        if values is not None:
+            parts.append(f"{name}=" + ",".join(map(str, values)))
+    if "no_boundary_dirichlet" in args:
+        parts.append(f"boundary-dirichlet={str(not args.no_boundary_dirichlet).lower()}")
+    if "lam" in args:
+        parts += [f"lambda={args.lam!r}", f"level={args.level}"]
+    if "epsilon" in args:
         parts.append("epsilon=" + ",".join(repr(e) for e in args.epsilon))
-    parts.append(f"override={str(args.override).lower()}")
+    if "override" in args:
+        parts.append(f"override={str(args.override).lower()}")
     return " ".join(parts)
 
 
@@ -257,7 +264,7 @@ def _preamble(args: argparse.Namespace, *lines: str) -> str:
 def _emit(args: argparse.Namespace, hyp: str, comments, header, rows, text=()) -> None:
     """Write the ``#`` block, the header and ``rows``, then the CSV strings in ``text``."""
     with _open_out(args) as fh:
-        run = (f"config: {_echo(args)}", f"hypotheses: {hyp}", f"seed: {args.seed}")
+        run = (f"config: {_echo(args)}", f"hypotheses: {hyp}")
         fh.write(_preamble(args, *run, *comments))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -434,7 +441,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         4: f"sup_e int q_- = {report.sup_edge_neg_q!r}",
     }
     with _open_out(args) as fh:
-        fh.write(_preamble(args, f"config: {_echo(args)}", f"seed: {args.seed}"))
+        fh.write(_preamble(args, f"config: {_echo(args)}"))
         for clause in sorted(report.flags):
             status = "PASS" if report.flags[clause] else "FAIL"
             fh.write(f"clause {clause} ({_CLAUSE_TEXT[clause]}): {status}  {measured[clause]}\n")
@@ -458,22 +465,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "persson": cmd_persson,
-    "ap-check": cmd_ap_check,
-    "positive-solution": cmd_positive_solution,
-    "sobolev": cmd_sobolev,
-    "validate": cmd_validate,
-    "verify": cmd_verify,
+# each command: its function, its help line and the options it reads
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "Dirichlet-truncation trace of the spectral bottom", _SWEEP),
+    "persson": (cmd_persson, "annulus exhaustion of the essential-spectrum bottom", _SWEEP + ("--outer",)),
+    "ap-check": (cmd_ap_check, "positive-solution test of a trial value", _TRIAL),
+    "positive-solution": (cmd_positive_solution, "construct a positive solution certificate", _TRIAL),
+    "sobolev": (cmd_sobolev, "edgewise sup-bound constants", _SOLVING + ("--epsilon",)),
+    "validate": (cmd_validate, "structural hypothesis report", ("--graph", "--coeffs", "--root", "--out")),
+    "verify": (cmd_verify, "seeded self-check suite", ("--seed", "--out")),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = _checked(parser, parser.parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = _checked(parser, parser.parse_args(_attached(argv)))
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _Exit as stop:
         print(f"graphsl: {stop}", file=sys.stderr)
         return stop.code

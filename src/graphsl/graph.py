@@ -144,10 +144,11 @@ class MetricGraph:
         return dict(zip(self.vertices, row.tolist()))
 
     def _as_point(self, point):
+        """``(None, vertex id)`` for a vertex, ``(edge, offset clamped to it)`` otherwise."""
         if isinstance(point, str):
             if point not in self._vertex_index:
                 raise GraphFormatError(f"unknown vertex {point!r}")
-            return None, point, 0.0
+            return None, point
         try:
             edge_id, offset = point
         except (TypeError, ValueError):
@@ -158,23 +159,15 @@ class MetricGraph:
             raise GraphStructureError(
                 f"offset {offset} outside edge {edge_id!r} of length {e.length}"
             )
-        return e, min(max(offset, 0.0), e.length), 0.0
+        return e, min(max(offset, 0.0), e.length)
 
     def distance(self, x, y) -> float:
         """Path metric between two points (vertex id or (edge, offset))."""
-        ex, vx, _ = self._as_point(x)
-        ey, vy, _ = self._as_point(y)
+        ex, sx = self._as_point(x)
+        ey, sy = self._as_point(y)
         # map each point to candidate (vertex, tail) pairs
-        if ex is None:
-            cand_x = [(vx, 0.0)]
-        else:
-            sx = min(max(float(x[1]), 0.0), ex.length)
-            cand_x = [(ex.src, sx), (ex.dst, ex.length - sx)]
-        if ey is None:
-            cand_y = [(vy, 0.0)]
-        else:
-            sy = min(max(float(y[1]), 0.0), ey.length)
-            cand_y = [(ey.src, sy), (ey.dst, ey.length - sy)]
+        cand_x = [(sx, 0.0)] if ex is None else [(ex.src, sx), (ex.dst, ex.length - sx)]
+        cand_y = [(sy, 0.0)] if ey is None else [(ey.src, sy), (ey.dst, ey.length - sy)]
         idx = self._vertex_index
         rows = dijkstra(self._lengths, directed=False, indices=[idx[u] for u, _ in cand_x])
         best = math.inf
@@ -182,7 +175,7 @@ class MetricGraph:
             for v, tv in cand_y:
                 best = min(best, tu + float(row[idx[v]]) + tv)
         if ex is not None and ey is not None and ex.id == ey.id:
-            best = min(best, abs(float(x[1]) - float(y[1])))
+            best = min(best, abs(sx - sy))
         return best
 
 

@@ -180,19 +180,6 @@ class PositiveSolutionCert:
     forms: AssembledForms = dataclass_field(repr=False, default=None)
 
 
-def _level_forms(g, field, exhaustion, level, h, tol):
-    """Free forms on one level, its Dirichlet piece, that piece's boundary and its bottom."""
-    if level < 0 or level > exhaustion.max_level:
-        raise SolverError(f"level {level} outside exhaustion range")
-    edge_ids = exhaustion.levels[level]
-    if not edge_ids:
-        raise SolverError(f"exhaustion level {level} contains no edges")
-    forms = _assemble_union(g, field, [edge_ids], h)
-    boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
-    piece = forms.restrict(edge_ids, boundary)
-    return forms, piece, boundary, smallest_eigenpair(piece, tol=tol).value
-
-
 def positive_solution(
     g: MetricGraph,
     field: CoefficientField,
@@ -209,12 +196,12 @@ def positive_solution(
     normalizes to one at the root.  A nonpositive nodal value would violate
     the discrete minimum principle and raises SolverError.
     """
-    forms, piece, boundary, bottom = _level_forms(g, field, exhaustion, level, h, tol)
-    if not (lam < bottom - tol):
+    result = ap_check(g, field, exhaustion, lam, level, h=h, tol=tol)
+    if result.cert is None:
         raise SolverError(
-            f"trial value {lam} is not below the Dirichlet bottom {bottom} by {tol}"
+            f"trial value {lam} is not below the Dirichlet bottom {result.dirichlet_bottom} by {tol}"
         )
-    return _certificate(g, field, exhaustion, forms, piece, boundary, lam, level, bottom)
+    return result.cert
 
 
 def _certificate(
@@ -306,7 +293,15 @@ def ap_check(
     refutation when above by more than ``tol``, and indeterminate inside
     the band.
     """
-    forms, piece, boundary, bottom = _level_forms(g, field, exhaustion, level, h, tol)
+    if level < 0 or level > exhaustion.max_level:
+        raise SolverError(f"level {level} outside exhaustion range")
+    edge_ids = exhaustion.levels[level]
+    if not edge_ids:
+        raise SolverError(f"exhaustion level {level} contains no edges")
+    forms = _assemble_union(g, field, [edge_ids], h)
+    boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
+    piece = forms.restrict(edge_ids, boundary)
+    bottom = smallest_eigenpair(piece, tol=tol).value
     margin = lam - bottom
     if lam < bottom - tol:
         cert = _certificate(g, field, exhaustion, forms, piece, boundary, lam, level, bottom)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import graphsl
-from graphsl.cli import main
+from graphsl.cli import build_parser, main
 
 FIXTURES = Path(graphsl.__file__).parent / "fixtures"
 
@@ -33,14 +34,16 @@ def comment_lines(text):
     return [line for line in text.splitlines() if line.startswith("#")]
 
 
-def head(command, config=None, hypotheses="pass", seed=0):
+def head(command, config=None, hypotheses="pass", seed=None):
     """The ``#`` lines a command's output starts with; ``None`` leaves a line out."""
     lines = [f"# graphsl {graphsl.__version__}", f"# command: {command}"]
     if config is not None:
         lines.append(f"# config: {config}")
     if hypotheses is not None:
         lines.append(f"# hypotheses: {hypotheses}")
-    return lines + [f"# seed: {seed}"]
+    if seed is not None:
+        lines.append(f"# seed: {seed}")
+    return lines
 
 
 def keys(lines):
@@ -64,6 +67,13 @@ def test_missing_graph_is_usage_error(capsys):
     assert "--graph is required" in capsys.readouterr().err
 
 
+RANGE_ERRORS = {
+    "--levels": "--levels entries must be nonnegative",
+    "--outer": "--outer entries must be nonnegative",
+    "--epsilon": "--epsilon values must be positive",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -77,12 +87,88 @@ def test_missing_graph_is_usage_error(capsys):
         ["persson", "--graph", HALFLINE, "--levels", "1,4", "--outer", "2,3"],
         ["sobolev", "--graph", INTERVAL, "--epsilon", "0"],
         ["ap-check", "--graph", STAR, "--level", "1"],
+        # a list starting with a minus reaches the range check, joined or not
+        ["spectrum", "--graph", INTERVAL, "--levels", "-1,2"],
+        ["spectrum", "--graph", INTERVAL, "--levels=-1,2"],
+        ["persson", "--graph", HALFLINE, "--levels", "1", "--outer", "-1,5"],
+        ["sobolev", "--graph", INTERVAL, "--epsilon", "-1,2"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as stop:
         main(argv)
     assert stop.value.code == 2
+    if "-1," in argv[-1]:
+        flag = argv[-1].partition("=")[0] if argv[-1].startswith("--") else argv[-2]
+        assert RANGE_ERRORS[flag] in capsys.readouterr().err
+
+
+# the options each command accepts; every other (command, option) pair is a usage error
+ACCEPTED = {
+    "spectrum": {"--graph", "--coeffs", "--root", "--h", "--tol", "--levels", "--no-boundary-dirichlet",
+                 "--override", "--out"},
+    "ap-check": {"--graph", "--coeffs", "--root", "--h", "--tol", "--lambda", "--level", "--override", "--out"},
+    "sobolev": {"--graph", "--coeffs", "--root", "--epsilon", "--override", "--out"},
+    "validate": {"--graph", "--coeffs", "--root", "--out"},
+    "verify": {"--seed", "--out"},
+}
+ACCEPTED["persson"] = ACCEPTED["spectrum"] | {"--outer"}
+ACCEPTED["positive-solution"] = ACCEPTED["ap-check"]
+
+# an option, the tokens that set it and the attribute they set
+SETTINGS = {
+    "--graph": (["--graph", "g.json"], "graph", "g.json"),
+    "--coeffs": (["--coeffs", "c.json"], "coeffs", "c.json"),
+    "--root": (["--root", "r"], "root", "r"),
+    "--h": (["--h", "0.1"], "h", 0.1),
+    "--tol": (["--tol", "1e-08"], "tol", 1e-8),
+    "--levels": (["--levels", "1,2"], "levels", [1, 2]),
+    "--outer": (["--outer", "7"], "outer", [7]),
+    "--no-boundary-dirichlet": (["--no-boundary-dirichlet"], "no_boundary_dirichlet", True),
+    "--lambda": (["--lambda", "0.5"], "lam", 0.5),
+    "--level": (["--level", "2"], "level", 2),
+    "--epsilon": (["--epsilon", "0.5"], "epsilon", [0.5]),
+    "--seed": (["--seed", "3"], "seed", 3),
+    "--out": (["--out", "o.csv"], "out", "o.csv"),
+    "--override": (["--override"], "override", True),
+}
+# what a command needs to parse at all
+REQUIRED = {
+    "ap-check": ["--lambda", "1.0", "--level", "1"],
+    "positive-solution": ["--lambda", "1.0", "--level", "1"],
+    "sobolev": ["--epsilon", "1"],
+}
+
+
+@pytest.mark.parametrize("option", sorted(SETTINGS))
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_each_command_accepts_exactly_its_options(capsys, command, option):
+    tokens, dest, value = SETTINGS[option]
+    argv = [command, *REQUIRED.get(command, []), *tokens]
+    if option in ACCEPTED[command]:
+        assert getattr(build_parser().parse_args(argv), dest) == value
+    else:
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(argv)
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {tokens[0]}" in capsys.readouterr().err
+
+
+def test_the_parser_adds_no_option_outside_the_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(ACCEPTED)
+    for command, p in sub.choices.items():
+        flags = {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+        assert flags == ACCEPTED[command], command
+
+
+@pytest.mark.parametrize("command", ["ap-check", "positive-solution"])
+def test_certificate_commands_reject_free_boundary(capsys, command):
+    # the positive-solution test always lifts unit Dirichlet data from the level boundary
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--graph", STAR, "--lambda", "-1", "--level", "1", "--no-boundary-dirichlet"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --no-boundary-dirichlet" in capsys.readouterr().err
 
 
 def test_unreadable_graph_path(capsys):
@@ -130,15 +216,14 @@ def test_unknown_root_is_named(capsys, argv):
 def test_spectrum_interval_output_shape(capsys):
     code, out, err = run(capsys, "spectrum", "--graph", INTERVAL, "--h", "0.005")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == f"# graphsl {graphsl.__version__}"
-    assert lines[1] == "# command: spectrum"
-    assert lines[2].startswith("# config: graph=")
-    assert "h=0.005" in lines[2]
-    assert lines[3] == "# hypotheses: pass"
-    assert lines[4] == "# seed: 0"
-    assert any(line.startswith("# estimate: ") for line in lines)
-    assert any(line == "# bc: dirichlet" for line in lines)
+    block = comment_lines(out)
+    assert block[:4] == head(
+        "spectrum",
+        f"graph={INTERVAL} coeffs=None h=0.005 tol=1e-06 root=a boundary-dirichlet=true "
+        "override=false",
+    )
+    assert keys(block[4:]) == ["# estimate", "# error-proxy", "# bc"]
+    assert block[-1] == "# bc: dirichlet"
     rows = data_rows(out)
     assert rows[0] == "n,lambda"
     level, value = rows[1].split(",")
@@ -214,12 +299,12 @@ def test_persson_halfline_table(capsys):
         assert float(r[2]) == pytest.approx((math.pi / (N - n)) ** 2, rel=5e-3)
         assert float(r[3]) < 1e-8
     block = comment_lines(out)
-    assert block[:5] == head(
+    assert block[:4] == head(
         "persson",
         f"graph={HALFLINE} coeffs=None h=0.05 tol=1e-06 root=v00 levels=1,2 outer=5,9 "
         "boundary-dirichlet=true override=false",
     )
-    assert keys(block[5:]) == ["# estimate", "# bracket", "# bc"]
+    assert keys(block[4:]) == ["# estimate", "# bracket", "# bc"]
     assert block[-1] == "# bc: dirichlet"
 
 
@@ -250,7 +335,7 @@ def test_persson_gate_override_proceeds(capsys):
     )
     assert code == 0
     assert "proceeding despite failed hypothesis clause(s) 2" in err
-    assert comment_lines(out)[:5] == head(
+    assert comment_lines(out)[:4] == head(
         "persson",
         f"graph={HALFLINE} coeffs={ZERO_TAIL} h=0.1 tol=1e-06 root=v00 levels=1 outer=3 "
         "boundary-dirichlet=true override=true",
@@ -287,8 +372,7 @@ def test_ap_check_certificate_row(capsys):
     assert code == 0
     assert comment_lines(out) == head(
         "ap-check",
-        f"graph={STAR} coeffs=None h=0.02 tol=1e-06 root=c boundary-dirichlet=true "
-        "lambda=1.0 level=1 override=false",
+        f"graph={STAR} coeffs=None h=0.02 tol=1e-06 root=c lambda=1.0 level=1 override=false",
     )
     rows = data_rows(out)
     assert rows[0] == "kind,lambda,level,bottom,margin,min_value,max_value"
@@ -329,15 +413,14 @@ def test_positive_solution_lists_nodes(capsys):
     )
     assert code == 0
     block = comment_lines(out)
-    assert block[:5] == head(
+    assert block[:4] == head(
         "positive-solution",
-        f"graph={INTERVAL} coeffs=None h=0.25 tol=1e-06 root=a boundary-dirichlet=true "
-        "lambda=-1.0 level=1 override=false",
+        f"graph={INTERVAL} coeffs=None h=0.25 tol=1e-06 root=a lambda=-1.0 level=1 override=false",
     )
-    assert keys(block[5:]) == [
+    assert keys(block[4:]) == [
         "# lambda", "# level", "# dirichlet-bottom", "# min", "# max", "# max-kirchhoff-residual", "# root"
     ]
-    assert block[5:7] == ["# lambda: -1.0", "# level: 1"]
+    assert block[4:6] == ["# lambda: -1.0", "# level: 1"]
     assert block[-1] == "# root: a"
     rows = data_rows(out)
     assert rows[0] == "kind,id,offset,value"
@@ -444,8 +527,7 @@ def test_sobolev_epsilon_sweep(capsys):
     assert code == 0
     assert comment_lines(out) == head(
         "sobolev",
-        f"graph={STAR} coeffs=None h=0.05 tol=1e-06 root=c boundary-dirichlet=true "
-        "epsilon=0.25,0.5,1.0,2.0 override=false",
+        f"graph={STAR} coeffs=None root=c epsilon=0.25,0.5,1.0,2.0 override=false",
     )
     rows = data_rows(out)
     assert rows[0] == "epsilon,delta,c,C"
@@ -462,10 +544,7 @@ def test_validate_reports_pass(capsys):
     code, out, err = run(capsys, "validate", "--graph", HALFLINE, "--coeffs", FREE)
     assert code == 0
     assert comment_lines(out) == head(
-        "validate",
-        f"graph={HALFLINE} coeffs={FREE} h=0.05 tol=1e-06 root=v00 boundary-dirichlet=true "
-        "override=false",
-        hypotheses=None,
+        "validate", f"graph={HALFLINE} coeffs={FREE} root=v00", hypotheses=None
     )
     lines = out.splitlines()
     for clause in (1, 2, 3, 4):
