@@ -480,7 +480,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = _checked(parser, parser.parse_args(_attached(argv)))
+    args = parser.parse_args(_attached(argv))
+    # a value error prints the command's usage, as argparse's own errors do
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    args = _checked(commands[args.command], args)
     try:
         return _COMMANDS[args.command][0](args)
     except _Exit as stop:

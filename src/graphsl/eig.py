@@ -1,16 +1,17 @@
 """Smallest eigenpair of the generalized pencil K x = lambda M x.
 
-The iterative path is one shift-inverted Lanczos loop (``_Lanczos``) on
-S = F^{-1} M in the M inner product, where F is a sparse factorization of
-K - shift*M: the three-term recurrence with full reorthogonalization, a
-second Gram-Schmidt pass only when the first cancels most of the new
-vector, one solve with F per application, started from the all-ones
-vector.  The Ritz value of S of largest modulus, theta, gives the pencil's
-Ritz value shift + 1/theta; with the shift below lambda_1 it is an upper
-end by Courant-Fischer.  The basis holds at most ``_BASIS_ROWS`` rows;
-past that, and on every new factor, the loop restarts from its current
-Ritz vector.  It stops once the error estimate beta |s_k| / theta^2 (s the
-unit Ritz vector of the tridiagonal T) is at most 1e-14 * max(1, |value|).
+Every pencil, from one unknown up, is solved by one shift-inverted
+Lanczos loop (``_Lanczos``) on S = F^{-1} M in the M inner product, where
+F is a sparse factorization of K - shift*M: the three-term recurrence with
+full reorthogonalization, a second Gram-Schmidt pass only when the first
+cancels most of the new vector, one solve with F per application, started
+from the all-ones vector.  The Ritz value of S of largest modulus, theta,
+gives the pencil's Ritz value shift + 1/theta; with the shift below
+lambda_1 it is an upper end by Courant-Fischer.  The basis holds at most
+``_BASIS_ROWS`` rows; past that, and on every new factor, the loop
+restarts from its current Ritz vector.  It stops once the error estimate
+beta |s_k| / theta^2 (s the unit Ritz vector of the tridiagonal T) is at
+most 1e-14 * max(1, |value|).
 
 The shift is placed by inertia counts, and the loop's own steps supply
 the upper end.  A count of 0 proves a shift lo just below a Gershgorin
@@ -90,23 +91,21 @@ and it is what ``tol`` is checked against.  The normwise backward error
 ||K x - lambda M x|| / ((||K||_1 + |lambda| ||M||_1) ||x||) is scale-free
 and stays near machine precision at every mesh width.
 
-A dense reference (LAPACK) is exposed separately for cross-checks; very
-small pencils (fewer than four unknowns) go to it directly.
+A dense reference (LAPACK) is exposed separately for cross-checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import csc_matrix, identity, issparse
+from scipy.sparse import csc_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, SolverError
 
-_DENSE_LIMIT = 4  # pencils with fewer unknowns go straight to LAPACK
 # SuperLU restricted to diagonal pivots, P A P^T = L U with U = D L^T, one
 # column per panel (wider panels only sweep dense work arrays here)
 _SYMMETRIC = {
@@ -117,6 +116,7 @@ _SYMMETRIC = {
 }
 _PLACEMENT_STEPS = 8  # Lanczos steps on the Gershgorin factor before the first probe
 _BASIS_ROWS = 20  # Lanczos basis rows; past them the loop restarts from its Ritz vector
+_MAX_APPLIES = 2000  # applications of the inverted operator one solve may make
 _STOP = 1e-14  # Ritz-value error estimate, relative to max(1, |value|), that ends the loop
 _MASS_HALVINGS = 64  # tries at proving a lower bound of M below its smallest diagonal entry
 _DGKS = 1.0 / np.sqrt(2.0)  # a Gram-Schmidt pass that keeps less of ||w||_M than this is repeated
@@ -127,25 +127,24 @@ _START_SEED = 0  # the seeded start vector of the one rerun after a failed proof
 class EigenResult:
     """Converged smallest eigenpair with diagnostics.
 
-    On the Lanczos path ``vector`` is the Ritz vector after one
-    inverse-iteration polish with the shift's factor, and ``value`` is its
-    Rayleigh quotient.  ``residual`` is ||K x - value * M x|| / ||M x||
-    recomputed from the returned pair; it is unscaled, with a rounding
-    floor that grows like h^-2.  ``backward_error`` is the scale-free
+    ``vector`` is the Ritz vector after one inverse-iteration polish with
+    the shift's factor, and ``value`` is its Rayleigh quotient.
+    ``residual`` is ||K x - value * M x|| / ||M x|| recomputed from the
+    returned pair; it is unscaled, with a rounding floor that grows like
+    h^-2.  ``backward_error`` is the scale-free
     ||K x - value * M x|| / ((||K||_1 + |value| ||M||_1) ||x||).
     ``certified_lower`` is value - delta with delta = max(tol, 1e-12) *
     max(1, |value|): no eigenvalue of the pencil lies below it, proved by
-    an inertia count on the Lanczos path and read from the full LAPACK
-    spectrum on the dense path.  ``iterations`` counts applications of
-    the inverted operator: the Lanczos steps on every factor, those that
-    placed the shift included, and the polish (0 on the dense path).
-    ``shift`` is the Lanczos shift, placed by inertia counts on every
-    Lanczos solve: a count of 0 proves that no eigenvalue lies at or below
-    it, so, like ``certified_lower``, it is a proved lower bound of the
-    spectrum; it also lies below ``certified_lower`` unless a ``lower``
-    hint or a bisection step lands within delta of lambda_1.  On the dense
-    path it is 0.0.  ``history`` holds (apply index, Rayleigh quotient)
-    rows when the solve was run verbose.
+    an inertia count.  ``iterations`` counts applications of the inverted
+    operator: the Lanczos steps on every factor, those that placed the
+    shift included, and the polish.  ``shift`` is the Lanczos shift, placed
+    by inertia counts: a count of 0 proves that no eigenvalue lies at or
+    below it, so, like ``certified_lower``, it is a proved lower bound of
+    the spectrum; it also lies below ``certified_lower`` unless a ``lower``
+    hint or a bisection step lands within delta of lambda_1.  ``history``
+    holds one (apply index, value) row per application: the Ritz value
+    after each Lanczos step, then the polish's Rayleigh quotient, so it has
+    ``iterations`` rows.
     """
 
     value: float
@@ -156,8 +155,7 @@ class EigenResult:
     iterations: int
     converged: bool
     shift: float
-    method: str
-    history: list = dataclass_field(default_factory=list)
+    history: list
 
 
 def _abs_row_sums(A) -> np.ndarray:
@@ -211,15 +209,6 @@ def pencil_lower_bound(K, M) -> float:
     if alpha >= 0:
         return alpha / float(np.max(dm + (_abs_row_sums(M) - np.abs(dm))))  # upper Gershgorin bound of M
     return alpha / _mass_lower_bound(M)
-
-
-def _dense_pair(K, M):
-    Kd = K.toarray() if issparse(K) else np.asarray(K)
-    Md = M.toarray() if issparse(M) else np.asarray(M)
-    vals, vecs = scipy.linalg.eigh(Kd, Md)
-    value = float(vals[0])
-    vector = vecs[:, 0]
-    return value, vector
 
 
 def _canonical_csc(A):
@@ -474,17 +463,16 @@ class _Lanczos:
     with a second pass.  ``value`` is sigma + 1/theta for the eigenvalue
     theta of T of largest modulus, and beta |s_k| / theta^2 (s the unit
     eigenvector of theta, beta the norm of the next residual) estimates
-    its distance to an eigenvalue of the pencil.  Past
-    ``_BASIS_ROWS`` rows the loop restarts from its Ritz vector, and
-    ``detach`` keeps only that vector, so the basis never grows with
-    ``max_iter``, which caps the applications instead.
+    its distance to an eigenvalue of the pencil.  Each step appends
+    (apply index, value) to ``history``, the solve's one row per
+    application, which ``_MAX_APPLIES`` caps.  Past ``_BASIS_ROWS`` rows
+    the loop restarts from its Ritz vector, and ``detach`` keeps only that
+    vector, so the basis never grows with the applications.
     """
 
-    def __init__(self, K, M, max_iter: int, history, start=None):
+    def __init__(self, K, M, history: list, start=None):
         self.K, self.M = K, M
-        self.max_iter = max_iter
         self.history = history
-        self.applies = 0
         # the start vector, then the last Ritz vector
         self.x = np.ones(K.shape[0]) if start is None else start
         self.sigma = 0.0
@@ -521,16 +509,12 @@ class _Lanczos:
         return self.Q[: self.s.size].T @ self.s
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        """F^{-1} b with one solve, counted against ``max_iter``."""
-        if self.applies >= self.max_iter:
+        """F^{-1} b with one solve; ``history`` has a row for each earlier one."""
+        if len(self.history) >= _MAX_APPLIES:
             raise ConvergenceError(
-                f"eigensolve did not converge within {self.max_iter} applications"
+                f"eigensolve did not converge within {_MAX_APPLIES} applications"
             )
-        self.applies += 1
-        w = self.lu.solve(b)
-        if self.history is not None:
-            self.history.append((self.applies, float(w @ (self.K @ w)) / float(w @ (self.M @ w))))
-        return w
+        return self.lu.solve(b)
 
     def step(self) -> bool:
         """One Lanczos step; returns (and sets) ``converged``."""
@@ -557,6 +541,7 @@ class _Lanczos:
         self.value = self.sigma + 1.0 / theta
         error = self.beta * abs(self.s[-1]) / theta**2
         self.converged = error <= _STOP * max(1.0, abs(self.value))
+        self.history.append((len(self.history) + 1, self.value))
         if not self.converged and self.rows < _BASIS_ROWS:
             self.Q[self.rows] = w / self.beta
             self.mq = mw / self.beta
@@ -579,7 +564,7 @@ def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> None:
     factor is dropped before the next one is made, the final lo is
     factored again if its factor was dropped, and the loop restarts on it.
     Raises SolverError when ``lo`` counts above 0 or a count cannot be
-    read, and ConvergenceError when the loop spends ``max_iter``.
+    read, and ConvergenceError when the solve spends ``_MAX_APPLIES``.
     """
     count, lu = _inertia(pencil, lo)
     if count:
@@ -605,25 +590,25 @@ def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> None:
     loop.attach(lo, lu)
 
 
-def eigsh(pencil: Pencil, seed: float, max_iter: int, history, lower: float = -np.inf, start=None):
-    """Polished shift-inverted Lanczos pair: (value, vector, shift, applies).
+def eigsh(pencil: Pencil, seed: float, history: list, lower: float = -np.inf, start=None):
+    """Polished shift-inverted Lanczos pair: (value, vector, shift).
 
     ``_place_shift`` raises the shift from the candidate lower bound
     ``lower`` when it lies above the Gershgorin ``seed``.  When that fails,
     by a count above 0 at ``lower`` or a count that cannot be read,
     placement starts over from ``seed``, where the same failures raise
-    SolverError; a spent ``max_iter`` raises ConvergenceError at once.
+    SolverError; a spent ``_MAX_APPLIES`` raises ConvergenceError at once.
     The loop starts from ``start`` (default: the all-ones vector), runs to
     convergence on the last factor, and the polish makes one more
     application.  Every application of the solve happens inside this call,
     and every factor it makes is freed when it returns, before the caller
-    factors again.  ``history`` is None unless the solve is verbose.  The
+    factors again.  Each application appends its row to ``history``.  The
     name is kept because the benchmark's ``eig.lanczos`` span wraps
     ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the library's own
     instrumentation (ROADMAP item 6) replaces that wrap.
     """
     K, M = pencil.K, pencil.M
-    loop = _Lanczos(K, M, max_iter, history, start)
+    loop = _Lanczos(K, M, history, start)
     placed = False
     if lower > seed:
         try:
@@ -641,7 +626,8 @@ def eigsh(pencil: Pencil, seed: float, max_iter: int, history, lower: float = -n
     # residual's rounding floor below that of the raw Ritz pair
     vector = loop.apply(M @ loop.ritz_vector())
     value = float(vector @ (K @ vector)) / float(vector @ (M @ vector))
-    return value, vector, loop.sigma, loop.applies
+    history.append((len(history) + 1, value))
+    return value, vector, loop.sigma
 
 
 def _measured(K, M, value: float, vector: np.ndarray, tol: float, **fields) -> EigenResult:
@@ -683,8 +669,6 @@ def solve_pencil(
     K,
     M,
     tol: float = 1e-8,
-    max_iter: int = 2000,
-    verbose: bool = False,
     lower: float = -np.inf,
     pencil: Pencil | None = None,
 ) -> EigenResult:
@@ -699,8 +683,7 @@ def solve_pencil(
     principal sub-pencil.  Shift placement starts there instead of at the
     Gershgorin bound when it is larger; an inertia count of 0 must confirm
     it, otherwise placement starts over from the Gershgorin bound, so a
-    wrong value costs one factorization but never changes the answer.  It
-    is ignored on the dense path.
+    wrong value costs one factorization but never changes the answer.
 
     A count above 0 at value - delta means the loop's all-ones start vector
     missed lambda_1 (it can be M-orthogonal to a sign-changing ground
@@ -709,7 +692,7 @@ def solve_pencil(
     runs.
 
     Raises ConvergenceError when the residual stays above ``tol`` or the
-    solve needs more than ``max_iter`` applications of the inverted
+    solve needs more than ``_MAX_APPLIES`` applications of the inverted
     operator, and SolverError when no shift can be placed (the Gershgorin
     seed counts above 0 or SuperLU refuses symmetric pivoting there) or
     the inertia count cannot prove that the returned value is the smallest
@@ -718,23 +701,13 @@ def solve_pencil(
     if pencil is None:
         pencil = Pencil(K, M)
     K, M = pencil.K, pencil.M
-    history: list = []
-    if pencil.n < _DENSE_LIMIT:
-        value, vector = _dense_pair(K, M)
-        return _measured(K, M, value, vector, tol, iterations=0, shift=0.0, method="dense", history=history)
     lb = pencil_lower_bound(K, M)
     seed = lb - 0.01 * max(1.0, abs(lb))
-    applications = 0
+    history: list = []
     for attempt in range(2):
         start = np.random.default_rng(_START_SEED).standard_normal(pencil.n) if attempt else None
-        run = [] if verbose else None
-        value, vector, sigma, applies = eigsh(pencil, seed, max_iter - applications, run, lower, start)
-        history += [(applications + k, rq) for k, rq in run or ()]
-        applications += applies
-        result = _measured(
-            K, M, value, vector, tol,
-            iterations=applications, shift=sigma, method="shift-invert-lanczos", history=history,
-        )
+        value, vector, sigma = eigsh(pencil, seed, history, lower, start)
+        result = _measured(K, M, value, vector, tol, iterations=len(history), shift=sigma, history=history)
         nonpositive = _inertia(pencil, result.certified_lower)[0]
         if not nonpositive:
             return result
@@ -744,23 +717,17 @@ def solve_pencil(
     )
 
 
-def smallest_eigenpair(
-    forms,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-    verbose: bool = False,
-    lower: float = -np.inf,
-) -> EigenResult:
+def smallest_eigenpair(forms, tol: float = 1e-8, lower: float = -np.inf) -> EigenResult:
     """Smallest eigenpair of the assembled forms (K_p + K_q, M); see ``solve_pencil``.
 
     The solve uses the forms' one analysis, ``forms.analysis``.
     """
     pencil = forms.analysis
-    return solve_pencil(
-        pencil.K, pencil.M, tol=tol, max_iter=max_iter, verbose=verbose, lower=lower, pencil=pencil
-    )
+    return solve_pencil(pencil.K, pencil.M, tol=tol, lower=lower, pencil=pencil)
 
 
 def dense_reference(forms) -> tuple[float, np.ndarray]:
     """Dense (LAPACK) smallest eigenpair, as an independent cross-check."""
-    return _dense_pair(*forms.pencil())
+    K, M = forms.pencil()
+    vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
+    return float(vals[0]), vecs[:, 0]

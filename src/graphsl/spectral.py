@@ -164,7 +164,8 @@ class PositiveSolutionCert:
     ``values`` holds the nodal vector over the unconstrained mesh, equal to
     one on the level boundary before normalization and to one at the root
     after.  Flux imbalances at free vertices document the Kirchhoff
-    matching quality.
+    matching quality.  ``forms`` are the forms the solution was solved
+    on, which ``ground_state_transform_check`` reuses.
     """
 
     lam: float
@@ -177,7 +178,7 @@ class PositiveSolutionCert:
     boundary_vertices: frozenset
     kirchhoff_residuals: dict
     dirichlet_bottom: float
-    forms: AssembledForms = dataclass_field(repr=False, default=None)
+    forms: AssembledForms = dataclass_field(repr=False)
 
 
 def positive_solution(
@@ -685,8 +686,7 @@ def ground_state_transform_check(
     for v in cert.boundary_vertices:
         if abs(nodal[mesh.vertex_dof[v]]) > 1e-12 * scale:
             raise SolverError(f"trial function must vanish at boundary vertex {v!r}")
-    forms = cert.forms if cert.forms is not None else assemble(mesh, field)
-    K, _ = forms.pencil()
+    K, _ = cert.forms.pencil()
     lhs = float(trial @ (K @ trial))
     s = mesh_samples(mesh, field)
     y_value, _ = s.p1(cert.values)

@@ -85,3 +85,43 @@ def test_each_wrapped_cli_name_runs_once_per_command(monkeypatch, capsys, comman
     assert graphsl.cli.main(argv) == 0
     capsys.readouterr()
     assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize(
+    "workload, graph, options",
+    [
+        ("persson-path", "halfline40.json", ["--levels", "1", "--outer", "3"]),
+        ("certificate-tree", "star3.json", ["--lambda", "1.0", "--level", "1"]),
+    ],
+)
+def test_the_real_tracer_fires_every_span(monkeypatch, capsys, workload, graph, options):
+    # a wrapped signature that changed would only fail a traced benchmark run:
+    # run the child's own Tracer on a small fixture of each workload's command
+    child, spec = load("child"), load("workloads").WORKLOADS[workload]
+    counted, ran = set(), set()
+
+    class Restoring(child.Tracer):
+        def wrap(self, owner, attr, name, count=None):
+            monkeypatch.setattr(owner, attr, getattr(owner, attr))  # put back after the test
+            if count is not None:
+                counted.add(attr)
+
+                def recorded(out, args, count=count, attr=attr):
+                    counts = count(out, args)
+                    assert counts and all(isinstance(v, (int, float)) for v in counts.values()), attr
+                    ran.add(attr)
+                    return counts
+
+                count = recorded
+            super().wrap(owner, attr, name, count)
+
+    tracer = Restoring(0)
+    child.instrument(tracer, set())
+    tracer.wrap(graphsl.cli, "main", "cli.main")
+    tracer.wrap(graphsl.cli, spec.entry, f"spectral.{spec.entry}")
+    argv = [spec.command, "--graph", str(FIXTURES / graph), "--h", "0.1", *options]
+    assert graphsl.cli.main(argv) == 0
+    capsys.readouterr()
+    assert load("analysis").coverage_problems(tracer.spans, spec.spans) == []
+    # every count function ran on a wrapped call's real return value and arguments
+    assert ran == counted

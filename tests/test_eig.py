@@ -99,25 +99,46 @@ def test_result_contract():
     delta = max(1e-9, 1e-12) * max(1.0, abs(res.value))
     assert res.certified_lower == res.value - delta
     assert res.converged
-    assert res.method == "shift-invert-lanczos"
     assert res.iterations > 0
 
 
-def test_tiny_pencil_uses_dense_path():
-    g = load_graph(
-        {
-            "vertices": ["a", "b"],
-            "edges": [{"id": "e1", "from": "a", "to": "b", "length": 1.0}],
-            "root": "a",
-        }
-    )
-    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
-    res = smallest_eigenpair(assemble(mesh, load_coefficients({}, g)))
-    assert res.method == "dense"
+def tiny_pencil():
+    """One unit edge, Dirichlet at both ends, h = 1/2: a single hat at the midpoint."""
+    return dirichlet_forms(load_graph(path(1)), 0.5)
+
+
+def three_dof_pencil():
+    """Dirichlet path(2) at h = 1/2: the middle vertex and one hat on each edge."""
+    return dirichlet_forms(load_graph(path(2)), 0.5, {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}})
+
+
+def test_tiny_pencil_goes_through_lanczos():
+    forms = tiny_pencil()
+    assert forms.n == 1
+    res = smallest_eigenpair(forms)
     # single hat at the midpoint: Rayleigh quotient (2/h) / (2h/3) with h=1/2
     assert res.value == pytest.approx(12.0, abs=1e-10)
     assert res.certified_lower == res.value - 1e-8 * res.value
-    assert res.shift == 0.0
+    assert eig._inertia(forms.analysis, res.shift)[0] == 0
+    assert len(res.history) == res.iterations > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_small_pencils_match_lapack(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, n))
+        K = sp.csr_matrix(A + A.T)
+        M = sp.csr_matrix(B @ B.T + 0.1 * np.eye(n))
+        res = solve_pencil(K, M, tol=1e-10)
+        vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        assert abs(res.value - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
+        assert np.count_nonzero(vals < res.certified_lower) == 0
+        pencil = eig.Pencil(K, M)
+        assert eig._inertia(pencil, res.shift)[0] == 0
+        assert eig._inertia(pencil, res.certified_lower)[0] == 0
+        assert len(res.history) == res.iterations
 
 
 def test_mass_shift_identity():
@@ -129,16 +150,17 @@ def test_mass_shift_identity():
     assert shifted - base == pytest.approx(5.0, abs=1e-11 * max(1.0, abs(base)))
 
 
-def test_verbose_history_tracks_rayleigh_quotients():
+def test_history_tracks_ritz_values():
     g = load_graph(path(2))
     forms = dirichlet_forms(g, 0.05)
-    res = smallest_eigenpair(forms, tol=1e-10, verbose=True)
+    res = smallest_eigenpair(forms, tol=1e-10)
     assert len(res.history) == res.iterations
     assert [idx for idx, _ in res.history] == list(range(1, res.iterations + 1))
-    quotients = [rq for _, rq in res.history]
-    # every quotient sits above the minimum; the best one gets close to it
-    assert all(rq >= res.value - 1e-9 for rq in quotients)
-    assert min(quotients) == pytest.approx(res.value, rel=1e-2)
+    values = [value for _, value in res.history]
+    # every Ritz value sits above the minimum; the best one gets close to it
+    assert all(value >= res.value - 1e-9 for value in values)
+    assert min(values) == pytest.approx(res.value, rel=1e-2)
+    assert values[-1] == res.value   # the polish's Rayleigh quotient
 
 
 def test_shape_mismatch_rejected():
@@ -170,8 +192,8 @@ def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
     real = eig.eigsh
 
     def eigsh(*args, **kwargs):
-        _, _, sigma, applies = real(*args, **kwargs)
-        return vals[1], vecs[:, 1], sigma, applies   # the loop's pair swapped for lambda_2's
+        _, _, sigma = real(*args, **kwargs)
+        return vals[1], vecs[:, 1], sigma   # the loop's pair swapped for lambda_2's
 
     monkeypatch.setattr(eig, "eigsh", eigsh)
     with pytest.raises(SolverError, match="1 nonpositive pivot"):
@@ -402,10 +424,11 @@ def test_placement_budget(monkeypatch, make_forms):
 # --- the Lanczos loop ------------------------------------------------------------
 
 
-def test_max_iter_caps_the_applies():
+def test_apply_budget_caps_the_applies(monkeypatch):
     K, M = tree5_level().pencil()
+    monkeypatch.setattr(eig, "_MAX_APPLIES", 5)
     with pytest.raises(ConvergenceError, match="within 5 applications"):
-        solve_pencil(K, M, max_iter=5)
+        solve_pencil(K, M)
 
 
 @pytest.mark.parametrize("hinted", [False, True], ids=["gershgorin", "hint"])
@@ -431,10 +454,11 @@ def test_spent_budget_during_placement_factors_no_more(monkeypatch, hinted):
 
     monkeypatch.setattr(eig, "splu", splu)
     monkeypatch.setattr(eig, "_Lanczos", Recorded)
+    monkeypatch.setattr(eig, "_MAX_APPLIES", 5)
     # a proved hint halfway up from the seed leaves the placement window open past 5 steps
     lower = 0.5 * (seed + dense[0]) if hinted else -np.inf
     with pytest.raises(ConvergenceError, match="within 5 applications"):
-        solve_pencil(K, M, max_iter=5, lower=lower)
+        solve_pencil(K, M, lower=lower)
     # one factorization (the hint's or the seed's), and none once the budget ran out
     assert spent == [1] and len(factors) == 1
 
@@ -545,7 +569,7 @@ def test_start_vector_that_misses_the_ground_state_is_rerun(monkeypatch):
 
     def eigsh(*args, **kwargs):
         out = real(*args, **kwargs)
-        runs.append(out)
+        runs.append((*out, len(args[2])))   # and the solve's history rows so far
         return out
 
     monkeypatch.setattr(eig, "eigsh", eigsh)
@@ -555,9 +579,9 @@ def test_start_vector_that_misses_the_ground_state_is_rerun(monkeypatch):
     assert [value for value, *_ in runs] == [pytest.approx(vals[1], rel=1e-10), pytest.approx(vals[0], rel=1e-10)]
     assert res.value == pytest.approx(vals[0], rel=1e-10)
     assert np.count_nonzero(vals < res.certified_lower) == 0
-    assert res.iterations == sum(applies for *_, applies in runs)
-    verbose = solve_pencil(K, M, tol=1e-10, verbose=True)
-    assert [idx for idx, _ in verbose.history] == list(range(1, verbose.iterations + 1))
+    first, total = (rows for *_, rows in runs)
+    assert 0 < first < total == res.iterations   # both runs' applications count
+    assert [idx for idx, _ in res.history] == list(range(1, res.iterations + 1))
 
 
 def test_restricted_annulus_applies_budget():
@@ -856,12 +880,13 @@ def star3_fine():
         cycle_free,
         star_short_arms,
         path_short_free,
+        tiny_pencil,
+        three_dof_pencil,
     ],
 )
 def test_every_lanczos_shift_counts_zero(make_forms):
     forms = make_forms()
     res = smallest_eigenpair(forms, tol=1e-10)
-    assert res.method == "shift-invert-lanczos"
     assert eig._inertia(forms.analysis, res.shift)[0] == 0   # the shift is proved
     # and no bisection step came within delta of lambda_1
     assert res.shift < res.certified_lower < res.value
