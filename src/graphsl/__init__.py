@@ -39,7 +39,7 @@ from .fem import (
     kirchhoff_residual,
     write_matrix_market,
 )
-from .graph import Edge, Exhaustion, MetricGraph, build_exhaustion, load_graph, original_edges
+from .graph import Edge, Exhaustion, MetricGraph, build_exhaustion, load_graph
 from .spectral import (
     APResult,
     CutoffFunction,
@@ -103,7 +103,6 @@ __all__ = [
     "kirchhoff_residual",
     "load_coefficients",
     "load_graph",
-    "original_edges",
     "parse_expression",
     "persson_limit",
     "positive_solution",

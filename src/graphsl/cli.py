@@ -445,6 +445,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for clause in sorted(report.flags):
             status = "PASS" if report.flags[clause] else "FAIL"
             fh.write(f"clause {clause} ({_CLAUSE_TEXT[clause]}): {status}  {measured[clause]}\n")
+            if not report.flags[clause]:
+                fh.writelines(f"  {line}\n" for line in report.details.get(clause, ()))
         fh.write(f"overall: {'PASS' if report.passed else 'FAIL'}\n")
     if not report.passed:
         failing = ",".join(map(str, report.failures()))
@@ -480,9 +482,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attached(argv))
-    # a value error prints the command's usage, as argparse's own errors do
+    args, unknown = parser.parse_known_args(_attached(argv))
+    # an unrecognized option or a value error prints the command's usage, as
+    # argparse's own errors do
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    if unknown:
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     args = _checked(commands[args.command], args)
     try:
         return _COMMANDS[args.command][0](args)

@@ -4,6 +4,8 @@ A coefficient document maps edge ids (or ``"default"``) to per-field
 specifications.  A specification is a number (constant), a piecewise
 constant table ``{"piecewise": [[start, value], ...]}`` over the edge
 coordinate, or an expression ``{"expr": "..."}`` in the edge coordinate x.
+Every edge of the graph, a loop or a parallel edge too, has its own entry
+and its own coordinate, running from 0 at its ``from`` end.
 
 Integrals over edge segments are exact for constants and piecewise tables
 and use composite Gauss quadrature for expressions; :func:`edge_integrals`
@@ -129,28 +131,6 @@ class ExpressionSpec:
         return None
 
 
-class ShiftedSpec:
-    """View of a spec translated by a fixed coordinate shift.
-
-    Used when a split edge inherits the coefficient of its original edge:
-    position x on the half maps to ``shift + x`` on the original.
-    """
-
-    def __init__(self, inner, shift: float):
-        self.inner = inner
-        self.shift = float(shift)
-
-    def evaluate(self, x):
-        return self.inner.evaluate(np.asarray(x, dtype=float) + self.shift)
-
-    def breakpoints(self, length: float) -> tuple[float, ...]:
-        inherited = self.inner.breakpoints(self.shift + length + 1.0)
-        return tuple(b - self.shift for b in inherited if 0.0 < b - self.shift < length)
-
-    def exact_integral(self, transform, a: np.ndarray, b: np.ndarray):
-        return self.inner.exact_integral(transform, a + self.shift, b + self.shift)
-
-
 # built-in constants, one shared spec per field name so that edges without
 # an entry sample together
 _DEFAULTS = {"p": ConstantSpec(1.0), "q": ConstantSpec(0.0), "w": ConstantSpec(1.0)}
@@ -182,7 +162,6 @@ class CoefficientField:
     """Resolved coefficients for every edge of a graph.
 
     Resolution order per edge and per field name: the edge's own entry, the
-    entry of the edge it was split from (with a coordinate shift), the
     ``"default"`` entry, then the built-in constants p=1, q=0, w=1.
     """
 
@@ -195,16 +174,12 @@ class CoefficientField:
         self._resolved: dict[tuple[str, str], object] = {}
         for e in graph.edges:
             for name in _FIELD_NAMES:
-                self._resolved[(e.id, name)] = self._resolve(e, name)
+                self._resolved[(e.id, name)] = self._resolve(e.id, name)
 
-    def _resolve(self, edge, name):
-        entry = self._entries.get(edge.id)
+    def _resolve(self, edge_id, name):
+        entry = self._entries.get(edge_id)
         if entry is not None and name in entry:
             return entry[name]
-        if edge.origin != edge.id:
-            origin_entry = self._entries.get(edge.origin)
-            if origin_entry is not None and name in origin_entry:
-                return ShiftedSpec(origin_entry[name], edge.origin_offset)
         default = self._entries.get("default")
         if default is not None and name in default:
             return default[name]
@@ -232,9 +207,9 @@ class CoefficientField:
 def load_coefficients(document, graph: MetricGraph, **config) -> CoefficientField:
     """Parse a coefficient document (JSON text or dict) against ``graph``.
 
-    Keys must be edge ids of the loaded graph (original, pre-split ids are
-    accepted for edges that were normalized) or ``"default"``.  Each entry
-    may define any subset of ``p``, ``q``, ``w``.
+    Keys must be edge ids of the graph, as loaded, or ``"default"``.  Each
+    entry may define any subset of ``p``, ``q``, ``w``; on a loop or a
+    parallel edge the coordinate runs from the edge's ``from`` end.
     """
     import json
 
@@ -247,7 +222,7 @@ def load_coefficients(document, graph: MetricGraph, **config) -> CoefficientFiel
         document = {}
     if not isinstance(document, dict):
         raise CoefficientError("coefficient document must be a JSON object")
-    known_ids = {e.id for e in graph.edges} | {e.origin for e in graph.edges} | {"default"}
+    known_ids = {e.id for e in graph.edges} | {"default"}
     entries = {}
     for key, raw_entry in document.items():
         if key not in known_ids:
@@ -386,6 +361,9 @@ class HypothesisReport:
       3. edge lengths are bounded below (``min_edge_length``);
       4. the negative part of q has uniformly bounded edge integrals
          (``sup_edge_neg_q``).
+
+    ``flags`` maps each clause to whether it holds; ``details`` maps a
+    clause to lines naming the edges that broke it, where there are any.
     """
 
     eta: float
@@ -421,7 +399,7 @@ def validate_hypotheses(
     once per edge on a grid that sees both sides of every jump.
     """
     flags: dict[int, bool] = {}
-    details: dict[str, object] = {}
+    details: dict[int, list[str]] = {}
     ids = [e.id for e in g.edges]
     edge = np.arange(len(ids))
     lengths = np.array([e.length for e in g.edges])
@@ -446,7 +424,7 @@ def validate_hypotheses(
 
     integrable = np.isfinite(inv_p) & np.isfinite(integrals("|q|")) & np.isfinite(integrals("w"))
     if not integrable.all():
-        details["integrability"] = [
+        details[1] = [
             f"{ids[k]}: (1/p)^eta, |q| or w not finite" for k in np.flatnonzero(~integrable)
         ]
     inv_p_total = 0.0  # summed in edge order
@@ -474,7 +452,7 @@ def validate_hypotheses(
             break
     if np.isnan(w_min).any():
         # no compact choice bounds a weight whose infimum is unknown
-        details["weight"] = [f"{ids[k]}: w not evaluable" for k in np.flatnonzero(np.isnan(w_min))]
+        details[2] = [f"{ids[k]}: w not evaluable" for k in np.flatnonzero(np.isnan(w_min))]
         best_cw = math.nan
     elif best_cw == -math.inf:
         # every candidate swallowed the whole graph; vacuously positive
@@ -486,7 +464,7 @@ def validate_hypotheses(
     neg_q = integrals("q-")
     finite = np.isfinite(neg_q)
     if not finite.all():
-        details["negative-part"] = [f"{ids[k]}: q- not finite" for k in np.flatnonzero(~finite)]
+        details[4] = [f"{ids[k]}: q- not finite" for k in np.flatnonzero(~finite)]
     sup_neg = max([0.0, *neg_q[finite].tolist()])
     flags[4] = bool(finite.all())
 

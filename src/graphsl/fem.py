@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.io import mmwrite
 from scipy.sparse import csr_matrix
 
 from . import _kernels
@@ -428,7 +427,8 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
 
     Derivatives are one-sided difference quotients on the adjacent cell,
     weighted by the cell average of p; for the discrete eigenfunctions this
-    shrinks linearly with the mesh size.  Returns ``{vertex: residual}``.
+    shrinks linearly with the mesh size.  A loop contributes both of its end
+    cells.  Returns ``{vertex: residual}``.
     """
     vertices = list(vertices)
     cells = []  # per end cell: vertex, edge, vertex node, inner node
@@ -437,7 +437,9 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
             raise MeshError(f"vertex {vertex!r} not in mesh")
         if mesh.vertex_dof[vertex] < 0:
             raise MeshError(f"vertex {vertex!r} is constrained; flux balance does not apply")
-        for eid in mesh.graph.adjacency[vertex]:
+        # a loop is listed twice in the adjacency; its two end cells are
+        # found from one visit
+        for eid in dict.fromkeys(mesh.graph.adjacency[vertex]):
             j = mesh.edge_index(eid)
             if j >= 0:
                 e = mesh.graph.edge(eid)
@@ -460,6 +462,8 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
 def write_matrix_market(forms: AssembledForms, directory, prefix: str = "") -> list[str]:
     """Dump stiffness/potential/mass in Matrix Market coordinate format."""
     import os
+
+    from scipy.io import mmwrite
 
     os.makedirs(directory, exist_ok=True)
     written = []

@@ -2,11 +2,8 @@
 
 A metric graph is a combinatorial graph whose edges carry positive lengths;
 points live either at vertices or at an offset along an edge.  Graphs are
-loaded from a strict JSON document and normalized so that downstream code
-only ever sees a simple graph: loops and parallel edges are split at
-artificial midpoint vertices, which is spectrally neutral because a
-degree-two vertex with natural (Kirchhoff) matching conditions is
-indistinguishable from an interior point.
+loaded from a strict JSON document as given: loops and parallel edges are
+ordinary edges, and a loop counts twice toward the degree of its vertex.
 """
 
 from __future__ import annotations
@@ -22,25 +19,15 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import GraphFormatError, GraphStructureError
 
-_ID_SEPARATOR = ":"  # reserved for synthetic vertex/edge ids
-
 
 @dataclass(frozen=True)
 class Edge:
-    """One metric edge.
-
-    ``origin``/``origin_offset`` track provenance through midpoint splitting:
-    a point at offset ``s`` on this edge sits at ``origin_offset + s`` on the
-    originally loaded edge ``origin``.  Unsplit edges have ``origin == id``
-    and offset 0.
-    """
+    """One metric edge, running from ``src`` (offset 0) to ``dst`` (offset ``length``)."""
 
     id: str
     src: str
     dst: str
     length: float
-    origin: str
-    origin_offset: float
 
 
 def _check_length(edge_id: str, length) -> None:
@@ -54,34 +41,26 @@ def _check_length(edge_id: str, length) -> None:
 
 
 class MetricGraph:
-    """Immutable simple metric graph with a path metric.
+    """Immutable metric graph with a path metric; loops and parallel edges allowed.
 
-    Construct via :func:`load_graph` (applies normalization) or from the
-    generators in :mod:`graphsl.families`.  Vertices and edge ids are
-    strings.
+    Construct via :func:`load_graph`, from a document of your own or of
+    :mod:`graphsl.families`.  Vertices and edge ids are strings.
+    ``adjacency[v]`` lists a loop at ``v`` twice.
     """
 
-    def __init__(self, vertices, edges, root=None, synthetic_vertices=()):
+    def __init__(self, vertices, edges, root=None):
         self.vertices = tuple(sorted(set(vertices)))
         self.edges = tuple(edges)
         self.root = root
-        self.synthetic_vertices = frozenset(synthetic_vertices)
         self._edge_by_id = {e.id: e for e in self.edges}
         if len(self._edge_by_id) != len(self.edges):
             raise GraphFormatError("duplicate edge id")
         vset = set(self.vertices)
         adjacency: dict[str, list[str]] = {v: [] for v in self.vertices}
-        seen_pairs = set()
         for e in self.edges:
             if e.src not in vset or e.dst not in vset:
                 raise GraphFormatError(f"edge {e.id!r} references unknown vertex")
             _check_length(e.id, e.length)
-            if e.src == e.dst:
-                raise GraphStructureError(f"edge {e.id!r} is a loop; normalize before constructing")
-            pair = frozenset((e.src, e.dst))
-            if pair in seen_pairs:
-                raise GraphStructureError(f"parallel edge {e.id!r}; normalize before constructing")
-            seen_pairs.add(pair)
             adjacency[e.src].append(e.id)
             adjacency[e.dst].append(e.id)
         self.adjacency = {v: tuple(sorted(ids)) for v, ids in adjacency.items()}
@@ -112,13 +91,20 @@ class MetricGraph:
 
     @cached_property
     def _lengths(self) -> csr_matrix:
-        """Sparse weighted adjacency: one entry ``length`` per edge (src, dst)."""
+        """Sparse weighted adjacency: one entry ``length`` at (src, dst) per vertex pair.
+
+        Of parallel edges only the shortest is entered, since the matrix
+        would add them; the kept entries stay in edge order.
+        """
         n = len(self.vertices)
         idx = self._vertex_index
-        rows = [idx[e.src] for e in self.edges]
-        cols = [idx[e.dst] for e in self.edges]
-        data = [e.length for e in self.edges]
-        return csr_matrix((data, (rows, cols)), shape=(n, n))
+        src = np.array([idx[e.src] for e in self.edges])
+        dst = np.array([idx[e.dst] for e in self.edges])
+        length = np.array([e.length for e in self.edges])
+        pair = np.minimum(src, dst) * n + np.maximum(src, dst)
+        order = np.lexsort((length, pair))
+        keep = np.sort(order[np.diff(pair[order], prepend=-1) != 0])
+        return csr_matrix((length[keep], (src[keep], dst[keep])), shape=(n, n))
 
     def _check_connected(self) -> None:
         ncomp, labels = connected_components(self._lengths, directed=False)
@@ -179,7 +165,7 @@ class MetricGraph:
         return best
 
 
-# --- loading and normalization ----------------------------------------------
+# --- loading -------------------------------------------------------------------
 
 _EDGE_KEYS = {"id", "from", "to", "length"}
 
@@ -190,8 +176,6 @@ def _require_id(value, what: str) -> str:
     text = str(value)
     if not text:
         raise GraphFormatError(f"{what} id must be nonempty")
-    if _ID_SEPARATOR in text:
-        raise GraphFormatError(f"{what} id {text!r} uses reserved character {_ID_SEPARATOR!r}")
     return text
 
 
@@ -204,11 +188,8 @@ def load_graph(document) -> MetricGraph:
          "edges": [{"id": id, "from": id, "to": id, "length": positive}, ...],
          "root": id}            # optional
 
-    Ids are strings (integers are coerced); the character ``:`` is reserved
-    for synthetic vertices created by normalization.  Unknown keys are
-    rejected.  Loops and parallel edges are split at midpoints so that the
-    returned graph is simple; split edges keep provenance in
-    ``Edge.origin``/``Edge.origin_offset``.
+    Ids are nonempty strings (integers are coerced).  Unknown keys are
+    rejected.  Loops and parallel edges are kept as loaded, each one edge.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -242,76 +223,13 @@ def load_graph(document) -> MetricGraph:
             raise GraphFormatError(f"edge {eid!r} length must be a number")
         length = float(entry["length"])
         _check_length(eid, length)
-        edges.append(Edge(eid, src, dst, length, eid, 0.0))
+        edges.append(Edge(eid, src, dst, length))
     root = None
     if "root" in document and document["root"] is not None:
         root = _require_id(document["root"], "root")
         if root not in set(vertices):
             raise GraphFormatError(f"root {root!r} is not a vertex")
-    vertices, edges, synthetic = _normalize(vertices, edges)
-    return MetricGraph(vertices, edges, root=root, synthetic_vertices=synthetic)
-
-
-def _split(edge: Edge) -> tuple[str, Edge, Edge]:
-    """Split an edge at its midpoint; halves keep the original orientation."""
-    mid = f"{edge.id}{_ID_SEPARATOR}m"
-    half = edge.length / 2.0
-    first = Edge(f"{edge.id}{_ID_SEPARATOR}a", edge.src, mid, half, edge.origin, edge.origin_offset)
-    second = Edge(
-        f"{edge.id}{_ID_SEPARATOR}b", mid, edge.dst, half, edge.origin, edge.origin_offset + half
-    )
-    return mid, first, second
-
-
-def _normalize(vertices, edges):
-    """Split loops and parallel edges so that the graph is simple."""
-    vertices = list(vertices)
-    synthetic = set()
-    # loops first: each loop becomes two parallel halves handled below
-    out = []
-    for e in edges:
-        if e.src == e.dst:
-            mid, first, second = _split(e)
-            vertices.append(mid)
-            synthetic.add(mid)
-            out.extend([first, second])
-        else:
-            out.append(e)
-    # parallel classes: keep the lexicographically first edge, split the rest;
-    # fresh midpoints make the new pairs unique, so one pass suffices
-    groups: dict[frozenset, list[Edge]] = {}
-    for e in out:
-        groups.setdefault(frozenset((e.src, e.dst)), []).append(e)
-    to_split = set()
-    for group in groups.values():
-        to_split.update(sorted(e.id for e in group)[1:])
-    result = []
-    for e in out:
-        if e.id in to_split:
-            mid, first, second = _split(e)
-            vertices.append(mid)
-            synthetic.add(mid)
-            result.extend([first, second])
-        else:
-            result.append(e)
-    return vertices, result, synthetic
-
-
-def original_edges(g: MetricGraph) -> list[tuple[str, str, str, float]]:
-    """Reconstruct the pre-normalization edge list from provenance.
-
-    Returns tuples (id, from, to, length) with synthetic midpoints removed;
-    useful for reporting and for checking that splitting is reversible.
-    """
-    chains: dict[str, list[Edge]] = {}
-    for e in g.edges:
-        chains.setdefault(e.origin, []).append(e)
-    restored = []
-    for origin, parts in chains.items():
-        parts.sort(key=lambda e: e.origin_offset)
-        restored.append((origin, parts[0].src, parts[-1].dst, sum(p.length for p in parts)))
-    restored.sort(key=lambda item: item[0])
-    return restored
+    return MetricGraph(vertices, edges, root=root)
 
 
 # --- exhaustions -------------------------------------------------------------

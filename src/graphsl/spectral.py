@@ -90,8 +90,6 @@ def _solve_domain(forms, g, edge_ids, include_host_boundary, tol, lower=-math.in
 class LevelEstimate:
     level: int
     value: float
-    residual: float
-    ndofs: int
 
 
 @dataclass
@@ -99,7 +97,6 @@ class SpectralReport:
     """Monotone trace of Dirichlet truncation eigenvalues over an exhaustion."""
 
     bc: str
-    h: float
     rows: list[LevelEstimate]
     estimate: float
     error_proxy: float
@@ -139,14 +136,13 @@ def inf_spectrum(
                 f"truncation values must not increase: level {n} gave {result.value} "
                 f"after {prev}"
             )
-        rows.append(LevelEstimate(n, result.value, result.residual, len(result.vector)))
+        rows.append(LevelEstimate(n, result.value))
         prev = result.value
     error_proxy = abs(rows[-2].value - rows[-1].value) if len(rows) > 1 else math.inf
     top = rows[-1].level
     touched = exhaustion.haloes[top] >= frozenset(e.id for e in g.edges)
     return SpectralReport(
         bc=bc,
-        h=h,
         rows=rows,
         estimate=rows[-1].value,
         error_proxy=error_proxy,
@@ -336,7 +332,6 @@ class PerssonTrace:
     """
 
     bc: str
-    h: float
     rows: list[PerssonRow]
     per_level: dict
     estimate: float
@@ -448,7 +443,6 @@ def persson_limit(
     touched = exhaustion.haloes[max_outer_used] >= frozenset(e.id for e in g.edges)
     return PerssonTrace(
         bc=bc,
-        h=h,
         rows=rows,
         per_level=per_level,
         estimate=upper,

@@ -99,10 +99,9 @@ def test_usage_errors_exit_two(capsys, argv):
         main(argv)
     assert stop.value.code == 2
     err = capsys.readouterr().err
-    # argparse reports an unrecognized option through the top-level parser;
-    # every value error, argparse's or the range checks', names the command
-    usage = "usage: graphsl [-h] [--version]" if "--workers" in argv else f"usage: graphsl {argv[0]} [-h]"
-    assert err.startswith(usage)
+    # an unrecognized option and every value error, argparse's or the range
+    # checks', name the command
+    assert err.startswith(f"usage: graphsl {argv[0]} [-h]")
     if "-1," in argv[-1]:
         flag = argv[-1].partition("=")[0] if argv[-1].startswith("--") else argv[-2]
         assert RANGE_ERRORS[flag] in err
@@ -571,9 +570,33 @@ def test_validate_reports_unevaluable_weight(tmp_path, capsys):
     coeffs.write_text(json.dumps({"default": {"w": {"expr": "sqrt(x-0.5)"}}}))
     code, out, err = run(capsys, "validate", "--graph", STAR, "--coeffs", str(coeffs))
     assert code == 2
-    assert any(line.startswith("clause 2 (") and "FAIL" in line for line in out.splitlines())
-    assert out.splitlines()[-1] == "overall: FAIL"
+    lines = out.splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("clause 2 ("))
+    assert "FAIL" in lines[at]
+    # the failing clause names the edges that broke it
+    assert lines[at + 1 : at + 4] == [f"  {e}: w not evaluable" for e in ("a1", "a2", "a3")]
+    assert lines[at + 4].startswith("clause 3 (")
+    assert lines[-1] == "overall: FAIL"
     assert "evaluation failed" not in err
+
+
+def test_validate_names_the_loaded_multigraph_lengths(tmp_path, capsys):
+    # d_* is the shortest edge as loaded: a loop of length 2 and a stick of length 1
+    graph = tmp_path / "lollipop.json"
+    graph.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [
+            {"id": "loop", "from": "a", "to": "a", "length": 2.0},
+            {"id": "stick", "from": "a", "to": "b", "length": 1.0},
+        ],
+        "root": "b",
+    }))
+    code, out, err = run(capsys, "validate", "--graph", str(graph))
+    assert code == 0
+    assert "d_* = 1.0" in next(line for line in out.splitlines() if line.startswith("clause 3"))
+    code, out, err = run(capsys, "sobolev", "--graph", str(graph), "--epsilon", "1")
+    assert code == 0
+    assert float(data_rows(out)[1].split(",")[3]) == pytest.approx(8.0, rel=1e-9)
 
 
 def test_validate_echoes_declared_eta(tmp_path, capsys):
@@ -594,6 +617,18 @@ def test_malformed_eta_is_rejected(tmp_path, capsys, command, eta):
     code, out, err = run(capsys, command, "--graph", INTERVAL, "--coeffs", str(coeffs))
     assert code == 2
     assert "eta" in err
+
+
+def test_import_leaves_matrix_market_io_unloaded():
+    # scipy.io is imported only when forms are written out
+    import os
+    import subprocess
+    import sys
+
+    probe = "import sys, graphsl.cli; print('scipy.io' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(graphsl.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- verify ------------------------------------------------------------------------

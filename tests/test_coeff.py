@@ -88,9 +88,8 @@ def test_edge_entry_overrides_default():
     assert edge_integral(f, "a2", "q") == pytest.approx(-3.0)
 
 
-def test_split_edges_inherit_shifted_coefficients():
-    # a loop of length 2 is split into parts; a coefficient declared for the
-    # original edge id must be read through the part's offset window
+def test_loop_coefficient_runs_along_the_whole_loop():
+    # a loop is one edge: its coordinate runs from 0 to its full length
     doc = {
         "vertices": ["a"],
         "edges": [{"id": "loop", "from": "a", "to": "a", "length": 2.0}],
@@ -98,13 +97,22 @@ def test_split_edges_inherit_shifted_coefficients():
     }
     g = load_graph(doc)
     f = load_coefficients({"loop": {"w": {"expr": "x"}}}, g)
-    total = sum(edge_integral(f, e.id, "w") for e in g.edges)
-    assert total == pytest.approx(2.0, abs=1e-12)  # int_0^2 x dx
-    # the part starting at original offset 1 sees values in [1, 2]
-    parts = {e.id: e for e in g.edges}
-    starts = sorted((e.origin_offset, e.id) for e in g.edges)
-    last = starts[-1][1]
-    assert float(f.evaluate(last, "w", 0.0)) == pytest.approx(starts[-1][0])
+    assert edge_integral(f, "loop", "w") == pytest.approx(2.0, abs=1e-12)  # int_0^2 x dx
+    assert float(f.evaluate("loop", "w", 1.5)) == 1.5
+
+
+def test_split_ids_are_unknown_keys():
+    doc = {
+        "vertices": ["a", "b"],
+        "edges": [
+            {"id": "p1", "from": "a", "to": "b", "length": 1.0},
+            {"id": "p2", "from": "a", "to": "b", "length": 2.0},
+        ],
+    }
+    g = load_graph(doc)
+    assert edge_integral(load_coefficients({"p2": {"q": 3.0}}, g), "p2", "q") == 6.0
+    with pytest.raises(CoefficientError, match="unknown edge 'p2:a'"):
+        load_coefficients({"p2:a": {"q": 1.0}}, g)
 
 
 def test_unknown_key_rejected():
@@ -215,7 +223,7 @@ def test_unevaluable_weight_fails_clause_two_with_edges_named():
     report = validate_hypotheses(g, f, exhaustion=build_exhaustion(g, "c", 1))
     assert not report.flags[2]
     assert math.isnan(report.essinf_w_outside)
-    assert report.details["weight"] == [f"{e.id}: w not evaluable" for e in g.edges]
+    assert report.details[2] == [f"{e.id}: w not evaluable" for e in g.edges]
 
 
 def test_hypotheses_declared_eta():

@@ -202,9 +202,8 @@ def test_nonpositive_w_raises():
         assemble(mesh, load_coefficients({"e1": {"p": 0.0}}, g))
 
 
-# a loop and a pair of parallel edges, both split on load; the halves read
-# the original edge's tables through a coordinate shift
-SPLIT_GRAPH = {
+# a loop and a pair of parallel edges, each one edge with its own tables
+MULTIGRAPH = {
     "vertices": ["a", "b"],
     "edges": [
         {"id": "loop", "from": "a", "to": "a", "length": 1.3},
@@ -221,7 +220,7 @@ SPLIT_GRAPH = {
         (star(3), {"default": {"p": 2.0, "q": {"expr": "cos(3*x)"}, "w": {"expr": "1+x"}}}),
         (star(3), {"default": {"p": {"expr": "1+0.3*x"}, "q": {"piecewise": [[0.0, -1.0], [0.43, 2.5]]}}}),
         (
-            SPLIT_GRAPH,
+            MULTIGRAPH,
             {
                 "loop": {"p": {"piecewise": [[0.0, 1.0], [0.37, 2.0], [0.9, 1.5]]}},
                 "s2": {"q": {"piecewise": [[0.0, -1.0], [0.55, 0.5]]}},
@@ -473,6 +472,25 @@ def test_kirchhoff_one_call_matches_vertex_by_vertex(rng):
     assert together == {v: kirchhoff_residual(mesh, field, f, [v])[v] for v in vertices}
     assert all(type(r) is float and r > 0 for r in together.values())
     assert kirchhoff_residual(mesh, field, f, []) == {}
+
+
+def test_kirchhoff_counts_each_end_of_a_loop_once(rng):
+    # with constant p the flux sum at a vertex is minus its row of K_p times f;
+    # reading the twice-listed loop twice would double the loop's two end cells
+    g = load_graph(
+        {
+            "vertices": ["a", "b"],
+            "edges": [
+                {"id": "loop", "from": "a", "to": "a", "length": 2.0},
+                {"id": "stick", "from": "a", "to": "b", "length": 1.0},
+            ],
+        }
+    )
+    field = load_coefficients({"loop": {"p": 2.5}, "stick": {"p": 0.75}}, g)
+    mesh = build_mesh(g, 0.1, dirichlet_vertices={"b"})
+    f = rng.normal(size=mesh.n_free)
+    row = (assemble(mesh, field).stiffness @ f)[mesh.vertex_dof["a"]]
+    assert kirchhoff_residual(mesh, field, f, ["a"])["a"] == pytest.approx(abs(row), rel=1e-12)
 
 
 def test_kirchhoff_rejects_constrained_vertex():

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import floyd_warshall
 
 from graphsl.errors import GraphFormatError, GraphStructureError
 from graphsl.families import cycle, ladder, path, star, tree
-from graphsl.graph import build_exhaustion, load_graph, original_edges
+from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import subgraph_vertices
 
 
@@ -64,13 +64,6 @@ def test_malformed_documents_rejected(mutate):
         load_graph(doc)
 
 
-def test_reserved_id_character_rejected():
-    doc = interval_doc()
-    doc["edges"][0]["id"] = "e:1"
-    with pytest.raises(GraphFormatError):
-        load_graph(doc)
-
-
 @pytest.mark.parametrize(
     "length, message",
     [
@@ -89,7 +82,7 @@ def test_bad_lengths_rejected(length, message):
 
 
 def test_duplicate_ids_on_parallel_edges_rejected():
-    # both copies split at the same synthetic midpoint; one pass then stops
+    # a parallel pair with one id is caught like any other duplicate
     doc = {
         "vertices": ["a", "b"],
         "edges": [
@@ -134,62 +127,75 @@ def test_disconnected_error_lists_components():
     assert "a" in message and "c" in message
 
 
-# --- normalization of loops and parallel edges ---------------------------------
+# --- loops and parallel edges --------------------------------------------------
+
+# a loop of length 2 at "a" with a stick of length 1 to "b"
+LOLLIPOP = {
+    "vertices": ["a", "b"],
+    "edges": [
+        {"id": "loop", "from": "a", "to": "a", "length": 2.0},
+        {"id": "stick", "from": "a", "to": "b", "length": 1.0},
+    ],
+    "root": "a",
+}
 
 
-def test_loop_split_into_three_edges():
-    doc = {
-        "vertices": ["a"],
-        "edges": [{"id": "loop", "from": "a", "to": "a", "length": 2.0}],
-        "root": "a",
-    }
-    g = load_graph(doc)
-    # midpoint split produces two parallel halves; the second half is split
-    # again, so the loop ends up as three edges of lengths 1, 1/2, 1/2
-    assert sorted(e.length for e in g.edges) == [0.5, 0.5, 1.0]
-    assert all(e.origin == "loop" for e in g.edges)
-    assert len(g.synthetic_vertices) == 2
+def test_loop_is_one_edge_counted_twice_in_the_degree():
+    g = load_graph(
+        {"vertices": ["a"], "edges": [{"id": "loop", "from": "a", "to": "a", "length": 2.0}]}
+    )
+    assert [(e.id, e.length) for e in g.edges] == [("loop", 2.0)]
+    assert g.adjacency["a"] == ("loop", "loop")
+    assert g.degree("a") == 2
+    assert g.boundary == frozenset()
 
 
-def test_parallel_edges_split():
-    doc = {
-        "vertices": ["a", "b"],
-        "edges": [
-            {"id": "p1", "from": "a", "to": "b", "length": 1.0},
-            {"id": "p2", "from": "a", "to": "b", "length": 2.0},
-        ],
-    }
-    g = load_graph(doc)
-    ids = sorted(e.id for e in g.edges)
-    assert ids == ["p1", "p2:a", "p2:b"]
-    assert g.edge("p2:a").length == 1.0
-
-
-def test_original_edges_reconstruction():
+@pytest.mark.parametrize("reverse", [False, True], ids=["same-way", "opposite-ways"])
+def test_parallel_edges_keep_the_shorter_distance(reverse):
+    ends = ("b", "a") if reverse else ("a", "b")
     doc = {
         "vertices": ["a", "b"],
         "edges": [
-            {"id": "loop", "from": "a", "to": "a", "length": 2.0},
-            {"id": "p1", "from": "a", "to": "b", "length": 1.0},
-            {"id": "p2", "from": "a", "to": "b", "length": 3.0},
+            {"id": "p1", "from": "a", "to": "b", "length": 3.0},
+            {"id": "p2", "from": ends[0], "to": ends[1], "length": 1.0},
         ],
     }
     g = load_graph(doc)
-    restored = original_edges(g)
-    assert restored == [
-        ("loop", "a", "a", 2.0),
-        ("p1", "a", "b", 1.0),
-        ("p2", "a", "b", 3.0),
-    ]
+    assert sorted(e.id for e in g.edges) == ["p1", "p2"]
+    assert g.degree("a") == g.degree("b") == 2
+    assert g.distance("a", "b") == 1.0
+    assert g.vertex_distances("a") == {"a": 0.0, "b": 1.0}
+    # between points on the two edges, the way through b is the shorter
+    assert g.distance(("p1", 2.5), ("p2", 0.5)) == pytest.approx(1.0)
 
 
-def test_loop_split_is_spectrally_neutral():
-    """Direct periodic FEM on a lollipop loop matches the split-graph solve.
+def test_colon_in_ids_accepted():
+    doc = interval_doc()
+    doc["edges"][0]["id"] = "e:1"
+    assert load_graph(doc).edge("e:1").length == 1.0
+
+
+def test_loop_at_the_root_lies_in_level_zero():
+    ex = build_exhaustion(load_graph(LOLLIPOP), "a", 1)
+    assert ex.levels[0] == {"loop"}
+    assert ex.haloes[0] == {"loop", "stick"}
+    assert ex.levels[1] == {"loop", "stick"}
+
+
+def test_distance_around_a_loop():
+    g = load_graph(LOLLIPOP)
+    assert g.distance(("loop", 0.5), ("loop", 1.75)) == pytest.approx(0.75)
+    assert g.distance(("loop", 0.25), ("loop", 1.75)) == pytest.approx(0.5)
+    assert g.distance(("loop", 1.5), "b") == pytest.approx(1.5)
+
+
+def test_loop_matches_periodic_assembly():
+    """Direct periodic FEM on a lollipop loop matches the loaded loop's solve.
 
     The loop (length 1) is discretized by hand with its two ends identified
     at the junction vertex; the stick carries Dirichlet data at the far
-    end.  With h = 0.05 the split graph meshes the same node set, so the
-    two discrete problems are the same operator up to dof ordering.
+    end.  With h = 0.05 both mesh the same node set, so the two discrete
+    problems are the same operator up to dof ordering.
     """
     from graphsl.coeff import load_coefficients
     from graphsl.eig import smallest_eigenpair, solve_pencil
@@ -207,7 +213,7 @@ def test_loop_split_is_spectrally_neutral():
     g = load_graph(doc)
     field = load_coefficients({}, g)
     mesh = build_mesh(g, 0.05, dirichlet_vertices=frozenset({"b"}))
-    lam_split = smallest_eigenpair(assemble(mesh, field), tol=1e-10).value
+    lam_loop = smallest_eigenpair(assemble(mesh, field), tol=1e-10).value
 
     # hand assembly: loop nodes 0..19 cyclic (node 0 = vertex a), stick
     # nodes 1..19 interior (node 20 = vertex b eliminated by Dirichlet)
@@ -232,7 +238,7 @@ def test_loop_split_is_spectrally_neutral():
             K[ii, jj] += (1.0 if a == b else -1.0) / h
             M[ii, jj] += (2.0 if a == b else 1.0) * h / 6
     lam_direct = solve_pencil(sp.csr_matrix(K), sp.csr_matrix(M), tol=1e-10).value
-    assert lam_split == pytest.approx(lam_direct, abs=1e-10)
+    assert lam_loop == pytest.approx(lam_direct, abs=1e-10)
 
 
 # --- metric -------------------------------------------------------------------

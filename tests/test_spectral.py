@@ -9,6 +9,7 @@ from graphsl.families import path, star, tree
 from graphsl.fem import mesh_samples
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import (
+    _window_starts,
     ap_check,
     cutoff_build,
     ground_state_transform_check,
@@ -377,6 +378,21 @@ def test_cutoff_descends_on_mirrored_halo_edges():
     assert right.values[0] == 0.0 and right.values[-1] == 1.0
 
 
+def test_cutoff_profile_takes_a_jump_of_p_off_the_grid():
+    # sqrt(w/p) is 1 before the jump at 0.37, which no grid point hits, and 2 after it
+    g = load_graph(path(2))
+    ex = build_exhaustion(g, "v00", 2)
+    field = load_coefficients({"e02": {"p": {"piecewise": [[0.0, 1.0], [0.37, 0.25]]}}}, g)
+    cut = cutoff_build(g, field, ex, level=1)
+    prof = cut.profiles["e02"]
+    assert 0.37 in prof.offsets.tolist()
+    total = 0.37 + 2.0 * 0.63
+    assert cut.value("e02", 0.37) == pytest.approx(0.37 / total, rel=1e-13)
+    assert cut.value("e02", 0.685) == pytest.approx((0.37 + 2.0 * 0.315) / total, rel=1e-13)
+    assert prof.values[-1] == pytest.approx(1.0, rel=1e-14)
+    assert prof.rate == pytest.approx(1.0 / total, rel=1e-13)
+
+
 def test_cutoff_samples_each_halo_edge_in_one_evaluate_per_coefficient(monkeypatch):
     g = load_graph(tree(8))
     ex = build_exhaustion(g, "n0", 5)
@@ -408,6 +424,19 @@ def test_sobolev_unit_coefficients_fixture(star3):
     assert est.delta < 0.5
     assert est.window_mass == pytest.approx(0.25, rel=1e-9)
     assert est.constant == pytest.approx(8.0, rel=1e-9)
+
+
+def test_sobolev_windows_see_a_jump_of_p():
+    # 1/p is 4 past the jump at 0.5, so windows of 1/p-mass below 1/2 are
+    # shorter than 1/8; the half-windows then carry w-mass 1/16
+    g = load_graph(path(1))
+    field = load_coefficients({"default": {"p": {"piecewise": [[0.0, 1.0], [0.5, 0.25]]}}}, g)
+    est = sobolev_constant(g, field, epsilon=1.0)
+    assert est.delta == pytest.approx(0.125, rel=1e-9)
+    assert est.window_mass == pytest.approx(0.0625, rel=1e-9)
+    assert est.constant == pytest.approx(32.0, rel=1e-9)
+    # windows that end at the jump and windows that start there
+    assert {0.375, 0.5} <= set(_window_starts(1.0, 0.125, (0.5,)).tolist())
 
 
 def test_sobolev_constant_nonincreasing_in_epsilon(star3):
