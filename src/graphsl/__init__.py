@@ -36,6 +36,7 @@ from .fem import (
     GraphMesh,
     assemble,
     build_mesh,
+    dirichlet_vertices,
     kirchhoff_residual,
     write_matrix_market,
 )
@@ -50,7 +51,6 @@ from .spectral import (
     SpectralReport,
     ap_check,
     cutoff_build,
-    dirichlet_vertices,
     ground_state_transform_check,
     harnack_probe,
     inf_spectrum,

@@ -36,8 +36,6 @@ from .coeff import load_coefficients, validate_hypotheses
 from .errors import CoefficientError, GraphslError, SolverError
 from .graph import build_exhaustion, load_graph
 from .spectral import (
-    BC_DIRICHLET,
-    BC_FREE,
     ap_check,
     inf_spectrum,
     persson_limit,
@@ -286,13 +284,15 @@ def _warn_touched(report) -> None:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g, field, exhaustion, hyp = _setup(args, max(args.levels) if args.levels else None)
-    bc = BC_FREE if args.no_boundary_dirichlet else BC_DIRICHLET
-    report = inf_spectrum(g, field, exhaustion, bc=bc, h=args.h, tol=args.tol, levels=args.levels)
+    host_boundary = not args.no_boundary_dirichlet
+    report = inf_spectrum(
+        g, field, exhaustion, host_boundary=host_boundary, h=args.h, tol=args.tol, levels=args.levels
+    )
     _warn_touched(report)
     comments = [
         f"estimate: {report.estimate!r}",
         f"error-proxy: {report.error_proxy!r}",
-        f"bc: {report.bc}",
+        f"bc: {'dirichlet' if host_boundary else 'free'}",
     ]
     rows = [(row.level, repr(row.value)) for row in report.rows]
     _emit(args, hyp, comments, ["n", "lambda"], rows)
@@ -301,15 +301,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_persson(args: argparse.Namespace) -> int:
     g, field, exhaustion, hyp = _setup(args, max(args.outer))
-    bc = BC_FREE if args.no_boundary_dirichlet else BC_DIRICHLET
+    host_boundary = not args.no_boundary_dirichlet
     trace = persson_limit(
-        g, field, exhaustion, args.levels, args.outer, bc=bc, h=args.h, tol=args.tol
+        g, field, exhaustion, args.levels, args.outer, host_boundary=host_boundary, h=args.h, tol=args.tol
     )
     _warn_touched(trace)
     comments = [
         f"estimate: {trace.estimate!r}",
         f"bracket: {trace.bracket[0]!r},{trace.bracket[1]!r}",
-        f"bc: {trace.bc}",
+        f"bc: {'dirichlet' if host_boundary else 'free'}",
     ]
     rows = [
         (row.inner, row.outer, repr(row.value), repr(row.residual)) for row in trace.rows

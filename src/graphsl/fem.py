@@ -9,8 +9,10 @@ shared through the vertex, discretize the form
 Vertex continuity is built into the degree-of-freedom map, so the natural
 (Kirchhoff) matching conditions come out of the weak form; Dirichlet
 conditions at vertices are imposed by eliminating the constrained rows and
-columns.  Every quadrature over a mesh (assembly, the direct form and mass
-values, the ground-state transform) reads the one flat sample set that
+columns.  A piece cut from a larger mesh by ``restrict`` is its edge set,
+Dirichlet on the vertices :func:`dirichlet_vertices` names.  Every
+quadrature over a mesh (assembly, the direct form and mass values, the
+ground-state transform) reads the one flat sample set that
 :func:`mesh_samples` builds.
 
 Stiffness, potential and mass are one CSR pattern, built once by
@@ -21,6 +23,7 @@ K keep it, so every pencil formed here has K and M on one pattern.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,14 +61,14 @@ class GraphMesh:
         k = bisect_left(self.edge_ids, edge_id)
         return k if k < len(self.edge_ids) and self.edge_ids[k] == edge_id else -1
 
-    def restrict(self, edge_ids, dirichlet_vertices=frozenset()) -> tuple["GraphMesh", np.ndarray]:
-        """Submesh on ``edge_ids`` with ``dirichlet_vertices`` constrained.
+    def restrict(self, edge_ids, *, host_boundary=False) -> tuple["GraphMesh", np.ndarray]:
+        """Submesh on ``edge_ids`` with its :func:`dirichlet_vertices` constrained.
 
         Returns the submesh and the parent dofs it keeps, in increasing
         order (submesh dof k is parent dof ``kept[k]``); cells, offsets and
-        the dof order are the parent's.  Raises MeshError when a free vertex
-        of the submesh touches a meshed edge outside ``edge_ids``, since its
-        parent row then carries that edge's entries.
+        the dof order are the parent's.  Every free vertex of the submesh
+        has all of its edges inside it, so its parent row carries no entry
+        of an edge outside.
         """
         selected = sorted(set(edge_ids))
         if not selected:
@@ -74,23 +77,12 @@ class GraphMesh:
         if (position < 0).any():
             raise MeshError(f"edge {selected[np.argmax(position < 0)]!r} is not in the parent mesh")
         vertices = subgraph_vertices(self.graph, selected)
-        dirichlet = _checked_dirichlet(vertices, dirichlet_vertices)
+        free = vertices - dirichlet_vertices(self.graph, selected, host_boundary)
         keep = np.zeros(self.n_free + 1, dtype=bool)
-        keep[np.fromiter((self.vertex_dof[v] for v in vertices if v not in dirichlet), np.int64)] = True
+        keep[np.fromiter((self.vertex_dof[v] for v in free), np.int64)] = True
         keep[-1] = False  # spare slot: parent dof -1 is never kept
         inside = np.zeros(len(self.edge_ids), dtype=bool)
         inside[position] = True
-        # endpoint nodes carry vertex dofs, so a kept dof at an endpoint of
-        # an edge outside is a free vertex touching that edge
-        free_end = keep[self.dof[self.start[:-1]]] | keep[self.dof[self.start[1:] - 1]]
-        if (free_end & ~inside).any():
-            for v in sorted(vertices - dirichlet):
-                for eid in self.graph.adjacency[v]:
-                    k = self.edge_index(eid)
-                    if keep[self.vertex_dof[v]] and k >= 0 and not inside[k]:
-                        raise MeshError(
-                            f"free vertex {v!r} touches meshed edge {eid!r} outside the restriction"
-                        )
         sizes = np.diff(self.start)
         nodes = np.repeat(inside, sizes)
         keep[self.dof[nodes & _interior(self.start)]] = True
@@ -117,20 +109,26 @@ def subgraph_vertices(g: MetricGraph, edge_ids) -> frozenset:
     return frozenset({v for e in map(g.edge, edge_ids) for v in (e.src, e.dst)})
 
 
+def dirichlet_vertices(g: MetricGraph, edge_ids, include_host_boundary: bool) -> frozenset:
+    """Vertices of the piece ``edge_ids`` of ``g`` that carry a Dirichlet condition.
+
+    A vertex is on the piece's interface when fewer of its edge ends lie in
+    the piece than its degree (a loop has two ends).  With
+    ``include_host_boundary`` the piece's degree-1 vertices of ``g`` are
+    constrained too.
+    """
+    ends = Counter(v for e in map(g.edge, set(edge_ids)) for v in (e.src, e.dst))
+    return frozenset(
+        {v for v, k in ends.items() if k < g.degree(v) or (include_host_boundary and v in g.boundary)}
+    )
+
+
 def _interior(start: np.ndarray) -> np.ndarray:
     """Mask of the nodes that are not an edge endpoint, for the layout ``start``."""
     out = np.ones(start[-1], dtype=bool)
     out[start[:-1]] = False
     out[start[1:] - 1] = False
     return out
-
-
-def _checked_dirichlet(vertices, dirichlet_vertices) -> frozenset:
-    dirichlet = frozenset(dirichlet_vertices)
-    for v in dirichlet:
-        if v not in vertices:
-            raise MeshError(f"constrained vertex {v!r} not in meshed subgraph")
-    return dirichlet
 
 
 def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozenset()) -> GraphMesh:
@@ -147,7 +145,9 @@ def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozense
         raise MeshError("empty edge selection")
     selected = sorted(set(selected))
     vertices = subgraph_vertices(g, selected)
-    dirichlet = _checked_dirichlet(vertices, dirichlet_vertices)
+    dirichlet = frozenset(dirichlet_vertices)
+    if not dirichlet <= vertices:
+        raise MeshError(f"constrained vertex {min(dirichlet - vertices)!r} not in meshed subgraph")
 
     vertex_dof = dict.fromkeys(sorted(vertices), -1)
     free = [v for v in vertex_dof if v not in dirichlet]
@@ -321,15 +321,15 @@ class AssembledForms:
         K, M = self.pencil()
         return Pencil(K.T, M.T)
 
-    def restrict(self, edge_ids, dirichlet_vertices=frozenset()) -> "AssembledForms":
-        """Forms of the problem on ``edge_ids`` with Dirichlet vertices.
+    def restrict(self, edge_ids, *, host_boundary=False) -> "AssembledForms":
+        """Forms of the Dirichlet problem on the piece ``edge_ids`` (see :meth:`GraphMesh.restrict`).
 
         The matrices are principal submatrices of these on the dofs that
         :meth:`GraphMesh.restrict` keeps.  Every kept row only gathers cells
         of the selected edges, so they equal a direct assembly on the
         submesh entry for entry.
         """
-        mesh, kept = self.mesh.restrict(edge_ids, dirichlet_vertices)
+        mesh, kept = self.mesh.restrict(edge_ids, host_boundary=host_boundary)
         if mesh.n_free == 0:
             raise MeshError("mesh has no free degrees of freedom")
         return AssembledForms(*_principal((self.stiffness, self.potential, self.mass), kept), mesh=mesh)
@@ -431,23 +431,19 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
     cells.  Returns ``{vertex: residual}``.
     """
     vertices = list(vertices)
-    cells = []  # per end cell: vertex, edge, vertex node, inner node
-    for k, vertex in enumerate(vertices):
+    requested = np.zeros(mesh.n_free + 1, dtype=bool)  # dof -1 reads the spare slot
+    for vertex in vertices:
         if vertex not in mesh.vertex_dof:
             raise MeshError(f"vertex {vertex!r} not in mesh")
         if mesh.vertex_dof[vertex] < 0:
             raise MeshError(f"vertex {vertex!r} is constrained; flux balance does not apply")
-        # a loop is listed twice in the adjacency; its two end cells are
-        # found from one visit
-        for eid in dict.fromkeys(mesh.graph.adjacency[vertex]):
-            j = mesh.edge_index(eid)
-            if j >= 0:
-                e = mesh.graph.edge(eid)
-                if vertex == e.src:
-                    cells.append((k, j, mesh.start[j], mesh.start[j] + 1))
-                if vertex == e.dst:
-                    cells.append((k, j, mesh.start[j + 1] - 1, mesh.start[j + 1] - 2))
-    owner, edge, at, inner = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+        requested[mesh.vertex_dof[vertex]] = True
+    # every edge's two end cells, src end first, in edge order: the end node
+    # carries its vertex's dof, so a vertex sums its cells in that order
+    at = np.column_stack((mesh.start[:-1], mesh.start[1:] - 1)).ravel()
+    inner = at + np.tile([1, -1], len(mesh.edge_ids))
+    ends = np.flatnonzero(requested[mesh.dof[at]])
+    at, inner, edge = at[ends], inner[ends], ends // 2
     lo, hi = mesh.x[np.minimum(at, inner)], mesh.x[np.maximum(at, inner)]
     delta = hi - lo
     p_int = edge_integrals(field, "p", mesh.edge_ids, edge, lo, hi)
@@ -455,8 +451,8 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
         raise IntegrabilityError("integral of p over an end cell is not finite")
     nodal = np.append(f, 0.0)  # dof -1 reads the appended zero
     flux = p_int / delta * (nodal[mesh.dof[inner]] - nodal[mesh.dof[at]]) / delta
-    totals = np.bincount(owner, weights=flux, minlength=len(vertices))
-    return {v: float(abs(t)) for v, t in zip(vertices, totals)}
+    totals = np.bincount(mesh.dof[at], weights=flux, minlength=mesh.n_free)
+    return {v: float(abs(totals[mesh.vertex_dof[v]])) for v in vertices}
 
 
 def write_matrix_market(forms: AssembledForms, directory, prefix: str = "") -> list[str]:

@@ -17,6 +17,9 @@ Four families of computations share the assembled forms:
   its halo, the edgewise sup-bound constant, the ground-state transform
   identity, and two-sided bounds of normalized positive solutions on a
   fixed compact piece.
+
+Levels and annuli are cut from one union assembly as Dirichlet pieces (see
+:func:`~graphsl.fem.dirichlet_vertices`); ``host_boundary`` is on by default.
 """
 
 from __future__ import annotations
@@ -35,52 +38,21 @@ from .fem import (
     GraphMesh,
     assemble,
     build_mesh,
+    dirichlet_vertices,
     kirchhoff_residual,
     mesh_samples,
     subgraph_vertices,
 )
 from .graph import Exhaustion, MetricGraph
 
-BC_DIRICHLET = "dirichlet"  # forms vanish on the host graph boundary
-BC_FREE = "free"            # no condition at the host graph boundary
 CUTOFF_SAMPLES = 129        # cutoff profile grid points per halo edge
 WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
-
-
-def _check_bc(bc: str) -> None:
-    if bc not in (BC_DIRICHLET, BC_FREE):
-        raise SolverError(f"unknown boundary flavor {bc!r}")
-
-
-def dirichlet_vertices(g: MetricGraph, edge_ids, include_host_boundary: bool) -> frozenset:
-    """Vertices of the subgraph that carry a Dirichlet condition.
-
-    Always includes interface vertices (incident to an edge outside the
-    subgraph); host-graph boundary vertices are added for the flavor with
-    vanishing boundary values.
-    """
-    sub = set(edge_ids)
-    verts = subgraph_vertices(g, sub)
-    cut = {v for v in verts if any(eid not in sub for eid in g.adjacency[v])}
-    if include_host_boundary:
-        cut |= set(g.boundary & verts)
-    return frozenset(cut)
 
 
 def _assemble_union(g, field, domains, h) -> AssembledForms:
     """One unconstrained mesh and assembly over every edge the domains use."""
     edges = frozenset().union(*domains)
     return assemble(build_mesh(g, h, edges=edges), field)
-
-
-def _solve_domain(forms, g, edge_ids, include_host_boundary, tol, lower=-math.inf):
-    """Smallest eigenpair of the Dirichlet problem on one piece of ``forms``.
-
-    ``lower`` is a candidate lower bound of its smallest eigenvalue that the
-    eigensolve checks before placing its shift there.
-    """
-    piece = forms.restrict(edge_ids, dirichlet_vertices(g, edge_ids, include_host_boundary))
-    return smallest_eigenpair(piece, tol=tol, lower=lower)
 
 
 # --- inf spectrum -------------------------------------------------------------
@@ -96,7 +68,6 @@ class LevelEstimate:
 class SpectralReport:
     """Monotone trace of Dirichlet truncation eigenvalues over an exhaustion."""
 
-    bc: str
     rows: list[LevelEstimate]
     estimate: float
     error_proxy: float
@@ -107,7 +78,8 @@ def inf_spectrum(
     g: MetricGraph,
     field: CoefficientField,
     exhaustion: Exhaustion,
-    bc: str = BC_DIRICHLET,
+    *,
+    host_boundary: bool = True,
     h: float = 0.05,
     tol: float = 1e-6,
     levels=None,
@@ -118,7 +90,6 @@ def inf_spectrum(
     values are nonincreasing (checked within 10*tol) and the last one is
     the reported estimate.
     """
-    _check_bc(bc)
     levels = list(range(len(exhaustion.levels)) if levels is None else levels)
     for n in levels:
         if n < 0 or n > exhaustion.max_level:
@@ -130,7 +101,7 @@ def inf_spectrum(
     rows: list[LevelEstimate] = []
     prev = math.inf
     for n in levels:
-        result = _solve_domain(forms, g, exhaustion.levels[n], bc == BC_DIRICHLET, tol)
+        result = smallest_eigenpair(forms.restrict(exhaustion.levels[n], host_boundary=host_boundary), tol=tol)
         if result.value > prev + 10.0 * tol:
             raise SolverError(
                 f"truncation values must not increase: level {n} gave {result.value} "
@@ -142,7 +113,6 @@ def inf_spectrum(
     top = rows[-1].level
     touched = exhaustion.haloes[top] >= frozenset(e.id for e in g.edges)
     return SpectralReport(
-        bc=bc,
         rows=rows,
         estimate=rows[-1].value,
         error_proxy=error_proxy,
@@ -296,11 +266,11 @@ def ap_check(
     if not edge_ids:
         raise SolverError(f"exhaustion level {level} contains no edges")
     forms = _assemble_union(g, field, [edge_ids], h)
-    boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
-    piece = forms.restrict(edge_ids, boundary)
+    piece = forms.restrict(edge_ids, host_boundary=True)
     bottom = smallest_eigenpair(piece, tol=tol).value
     margin = lam - bottom
     if lam < bottom - tol:
+        boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
         cert = _certificate(g, field, exhaustion, forms, piece, boundary, lam, level, bottom)
         return APResult("certificate", lam, level, bottom, margin, cert)
     if lam > bottom + tol:
@@ -321,17 +291,17 @@ class PerssonRow:
 
 @dataclass
 class PerssonTrace:
-    """Two-index trace of annulus eigenvalues and the extracted limit.
+    """Two-index trace of annulus eigenvalues.
 
     For fixed inner level the values decrease in the outer level (larger
     annulus, richer form domain) toward the complement problem; over inner
-    levels they increase toward the bottom of the essential spectrum.  The
-    estimate is the certified upper value at the largest inner level; the
-    bracket pairs a geometric extrapolation of the outer sequence with that
-    upper value.
+    levels they increase toward the bottom of the essential spectrum.
+    ``estimate``, the last value at the largest inner level n_max, is an
+    upper value of λ(n_max), the bottom on the data host minus level n_max,
+    with no proved order against inf σ_ess; the low end of ``bracket`` is a
+    geometric extrapolation of that last outer sweep and bounds nothing.
     """
 
-    bc: str
     rows: list[PerssonRow]
     per_level: dict
     estimate: float
@@ -360,7 +330,8 @@ def persson_limit(
     exhaustion: Exhaustion,
     inner_levels,
     outer_levels,
-    bc: str = BC_DIRICHLET,
+    *,
+    host_boundary: bool = True,
     h: float = 0.05,
     tol: float = 1e-6,
 ) -> PerssonTrace:
@@ -381,7 +352,6 @@ def persson_limit(
     bound.  The seed changes the cost of a solve, not which annuli are
     solved or in what order.
     """
-    _check_bc(bc)
     inner_levels = sorted(set(int(n) for n in inner_levels))
     outer_levels = sorted(set(int(N) for N in outer_levels))
     if not inner_levels or not outer_levels:
@@ -404,9 +374,10 @@ def persson_limit(
         out = []
         prev = None
         for N in [N for N in outer_levels if N > n]:
-            seeds = [low for (m, M), low in proved.items() if m <= n and M >= N]
-            result = _solve_domain(
-                forms, g, annuli[n, N], bc == BC_DIRICHLET, tol, max(seeds, default=-math.inf)
+            lower = max((low for (m, M), low in proved.items() if m <= n and M >= N), default=-math.inf)
+            # the piece goes straight into the solve, so it is freed with it
+            result = smallest_eigenpair(
+                forms.restrict(annuli[n, N], host_boundary=host_boundary), tol=tol, lower=lower
             )
             proved[n, N] = result.certified_lower
             value = result.value
@@ -442,7 +413,6 @@ def persson_limit(
     max_outer_used = max(row.outer for row in rows)
     touched = exhaustion.haloes[max_outer_used] >= frozenset(e.id for e in g.edges)
     return PerssonTrace(
-        bc=bc,
         rows=rows,
         per_level=per_level,
         estimate=upper,

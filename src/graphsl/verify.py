@@ -18,12 +18,11 @@ from .coeff import load_coefficients
 from .eig import Pencil, _inertia, dense_reference, smallest_eigenpair
 from .errors import EvaluationError
 from .families import ladder, path, star
-from .fem import assemble, build_mesh, mesh_samples
+from .fem import assemble, build_mesh, dirichlet_vertices, mesh_samples
 from .graph import build_exhaustion, load_graph
 from .spectral import (
     ap_check,
     cutoff_build,
-    dirichlet_vertices,
     persson_limit,
     sobolev_constant,
 )

@@ -250,6 +250,19 @@ def test_spectrum_free_bc_lowers_value(capsys):
     assert vf == pytest.approx(0.0, abs=1e-9)
 
 
+def test_persson_free_bc_lowers_value(capsys):
+    argv = ("persson", "--graph", STAR, "--h", "0.02", "--levels", "0", "--outer", "1")
+    code_d, out_d, _ = run(capsys, *argv)
+    code_f, out_f, _ = run(capsys, *argv, "--no-boundary-dirichlet")
+    assert code_d == code_f == 0
+    assert comment_lines(out_d)[-1] == "# bc: dirichlet"
+    assert comment_lines(out_f)[-1] == "# bc: free"
+    vd = float(data_rows(out_d)[1].split(",")[2])
+    vf = float(data_rows(out_f)[1].split(",")[2])
+    assert vf < vd
+    assert vf == pytest.approx(0.0, abs=1e-9)
+
+
 def test_spectrum_output_is_deterministic(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -17,9 +17,8 @@ from graphsl.eig import (
 )
 from graphsl.errors import ConvergenceError, SolverError
 from graphsl.families import cycle, ladder, path, star, tree
-from graphsl.fem import assemble, build_mesh
+from graphsl.fem import assemble, build_mesh, dirichlet_vertices
 from graphsl.graph import build_exhaustion, load_graph
-from graphsl.spectral import dirichlet_vertices
 
 
 def dirichlet_forms(g, h, doc=None):
@@ -259,7 +258,7 @@ def restricted_annulus():
     field = load_coefficients({"default": {"q": {"expr": "1/(1+x)"}}}, g)
     parent = assemble(build_mesh(g, 0.05, edges=ex.levels[5]), field)
     annulus = ex.levels[5] - ex.levels[2]
-    return parent.restrict(annulus, dirichlet_vertices(g, annulus, True))
+    return parent.restrict(annulus, host_boundary=True)
 
 
 Q_SIN = {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}

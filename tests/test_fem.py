@@ -11,13 +11,13 @@ from graphsl.families import cycle, ladder, path, star, tree
 from graphsl.fem import (
     assemble,
     build_mesh,
+    dirichlet_vertices,
     form_value,
     kirchhoff_residual,
     mass_value,
     write_matrix_market,
 )
 from graphsl.graph import build_exhaustion, load_graph
-from graphsl.spectral import dirichlet_vertices
 
 
 def unit_interval():
@@ -90,7 +90,7 @@ def test_dof_layout_after_build_and_restrict():
     boundary = dirichlet_vertices(g, level, True)
     assert boundary
     direct = build_mesh(g, 0.15, edges=level, dirichlet_vertices=boundary)
-    for mesh in (direct, whole.restrict(level, boundary)[0]):
+    for mesh in (direct, whole.restrict(level, host_boundary=True)[0]):
         assert_dof_layout(mesh)
         assert all(mesh.vertex_dof[v] == -1 for v in boundary)
 
@@ -395,7 +395,7 @@ def test_restrict_equals_direct_assembly():
     for edges in pieces:
         for host in (True, False):
             vertices = dirichlet_vertices(g, edges, host)
-            assert_same_forms(parent.restrict(edges, vertices), direct(edges, vertices))
+            assert_same_forms(parent.restrict(edges, host_boundary=host), direct(edges, vertices))
 
     # certificate: the free forms of a level, whose interior block is the
     # level's Dirichlet pencil
@@ -403,7 +403,7 @@ def test_restrict_equals_direct_assembly():
     free = direct(level, frozenset())
     boundary = dirichlet_vertices(g, level, True)
     inner = direct(level, boundary)
-    assert_same_forms(free.restrict(level, boundary), inner)
+    assert_same_forms(free.restrict(level, host_boundary=True), inner)
     bdofs = sorted(free.mesh.vertex_dof[v] for v in boundary)
     idofs = np.setdiff1d(np.arange(free.n), bdofs)
     for name in ("stiffness", "potential", "mass"):
@@ -411,16 +411,76 @@ def test_restrict_equals_direct_assembly():
         assert (block != getattr(inner, name)).nnz == 0
 
 
-def test_restrict_rejects_free_vertex_on_cut_edge():
+def test_restrict_rejects_edge_outside_parent():
     g = load_graph(tree(2))
     ex = build_exhaustion(g, "n0", 2)
-    parent = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), load_coefficients({}, g))
-    with pytest.raises(MeshError, match="touches meshed edge"):
-        parent.restrict(ex.levels[1])
     with pytest.raises(MeshError, match="not in the parent mesh"):
         assemble(build_mesh(g, 0.25, edges=ex.levels[1]), load_coefficients({}, g)).restrict(
             ex.levels[2]
         )
+
+
+def test_restrict_constrains_the_cut():
+    # level 1 of tree(2) is cut from the level-2 mesh at n1 and n2, whose
+    # children's edges stay outside; the root has both edges inside
+    g = load_graph(tree(2))
+    ex = build_exhaustion(g, "n0", 2)
+    field = load_coefficients({"default": {"q": {"expr": "0.5+x"}}}, g)
+    parent = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), field)
+    for host in (False, True):
+        piece = parent.restrict(ex.levels[1], host_boundary=host)
+        _, kept = parent.mesh.restrict(ex.levels[1], host_boundary=host)
+        assert not {parent.mesh.vertex_dof[v] for v in ("n1", "n2")} & set(kept)
+        assert parent.mesh.vertex_dof["n0"] in kept
+        direct = assemble(build_mesh(g, 0.25, edges=ex.levels[1], dirichlet_vertices={"n1", "n2"}), field)
+        assert_same_forms(piece, direct)
+
+
+def test_restrict_takes_no_vertex_set():
+    g = load_graph(tree(2))
+    ex = build_exhaustion(g, "n0", 2)
+    forms = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), load_coefficients({}, g))
+    for target in (forms, forms.mesh):
+        for positional in (frozenset({"n1", "n2"}), "free"):
+            with pytest.raises(TypeError):
+                target.restrict(ex.levels[1], positional)
+
+
+LOLLIPOP = {
+    "vertices": ["a", "b"],
+    "edges": [
+        {"id": "loop", "from": "a", "to": "a", "length": 2.0},
+        {"id": "stick", "from": "a", "to": "b", "length": 1.0},
+    ],
+}
+# a and b joined by two parallel edges, with a tail from b to c
+PARALLEL = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"id": "p1", "from": "a", "to": "b", "length": 1.0},
+        {"id": "p2", "from": "b", "to": "a", "length": 1.5},
+        {"id": "tail", "from": "b", "to": "c", "length": 0.5},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, edges, off, on",
+    [
+        # a loop has two ends at its vertex, so a's degree is 3
+        (LOLLIPOP, {"stick"}, {"a"}, {"a", "b"}),
+        (LOLLIPOP, {"loop"}, {"a"}, {"a"}),
+        (LOLLIPOP, {"loop", "stick"}, set(), {"b"}),
+        (PARALLEL, {"p1"}, {"a", "b"}, {"a", "b"}),
+        (PARALLEL, {"p2"}, {"a", "b"}, {"a", "b"}),
+        (PARALLEL, {"p1", "p2"}, {"b"}, {"b"}),
+        (PARALLEL, {"tail"}, {"b"}, {"b", "c"}),
+    ],
+)
+def test_dirichlet_vertices_on_multigraphs(doc, edges, off, on):
+    g = load_graph(doc)
+    assert dirichlet_vertices(g, edges, False) == off
+    assert dirichlet_vertices(g, edges, True) == on
 
 
 # --- kirchhoff flux checks ---------------------------------------------------------
@@ -475,22 +535,28 @@ def test_kirchhoff_one_call_matches_vertex_by_vertex(rng):
 
 
 def test_kirchhoff_counts_each_end_of_a_loop_once(rng):
-    # with constant p the flux sum at a vertex is minus its row of K_p times f;
-    # reading the twice-listed loop twice would double the loop's two end cells
-    g = load_graph(
-        {
-            "vertices": ["a", "b"],
-            "edges": [
-                {"id": "loop", "from": "a", "to": "a", "length": 2.0},
-                {"id": "stick", "from": "a", "to": "b", "length": 1.0},
-            ],
-        }
-    )
-    field = load_coefficients({"loop": {"p": 2.5}, "stick": {"p": 0.75}}, g)
-    mesh = build_mesh(g, 0.1, dirichlet_vertices={"b"})
-    f = rng.normal(size=mesh.n_free)
-    row = (assemble(mesh, field).stiffness @ f)[mesh.vertex_dof["a"]]
-    assert kirchhoff_residual(mesh, field, f, ["a"])["a"] == pytest.approx(abs(row), rel=1e-12)
+    # the flux sum at a vertex is minus its row of K_p times f; reading a
+    # loop's end cells twice, or a parallel edge's once, would break that
+    multigraph = {
+        "vertices": ["a", "b", "c"],
+        "edges": [
+            {"id": "loop", "from": "a", "to": "a", "length": 2.0},
+            {"id": "p1", "from": "a", "to": "b", "length": 1.0},
+            {"id": "p2", "from": "b", "to": "a", "length": 1.3},
+            {"id": "tail", "from": "b", "to": "c", "length": 0.7},
+        ],
+    }
+    cases = [
+        (LOLLIPOP, {"loop": {"p": 2.5}, "stick": {"p": 0.75}}, "b"),
+        (multigraph, {"default": {"p": {"expr": "1+0.5*sin(3*x)"}}}, "c"),
+    ]
+    for doc, coeffs, end in cases:
+        g = load_graph(doc)
+        field = load_coefficients(coeffs, g)
+        mesh = build_mesh(g, 0.1, dirichlet_vertices={end})
+        f = rng.normal(size=mesh.n_free)
+        row = (assemble(mesh, field).stiffness @ f)[mesh.vertex_dof["a"]]
+        assert kirchhoff_residual(mesh, field, f, ["a"])["a"] == pytest.approx(abs(row), rel=1e-12)
 
 
 def test_kirchhoff_rejects_constrained_vertex():

@@ -118,6 +118,19 @@ def test_requested_level_out_of_range(halfline):
         inf_spectrum(g, load_coefficients({}, g), ex, levels=[99])
 
 
+def test_host_boundary_is_keyword_only(star3):
+    # a positional "free" or vertex set would otherwise read as a true flag
+    g, ex = star3
+    field = load_coefficients({}, g)
+    for positional in ("free", frozenset({"l1"})):
+        with pytest.raises(TypeError):
+            inf_spectrum(g, field, ex, positional)
+        with pytest.raises(TypeError):
+            persson_limit(g, field, ex, [0], [1], positional)
+    # without the host boundary the star's leaves are free: constants give 0
+    assert inf_spectrum(g, field, ex, host_boundary=False, h=0.1).estimate == pytest.approx(0.0, abs=1e-9)
+
+
 # --- positive solutions and the trial-value test --------------------------------
 
 
