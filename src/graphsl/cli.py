@@ -33,7 +33,7 @@ from contextlib import nullcontext
 
 from . import __version__
 from .coeff import load_coefficients, validate_hypotheses
-from .errors import CoefficientError, GraphslError, SolverError
+from .errors import GraphslError, SolverError
 from .graph import build_exhaustion, load_graph
 from .spectral import (
     ap_check,
@@ -200,14 +200,7 @@ def _inputs(args: argparse.Namespace, radius: int | None = None):
     exhaustion reaches every vertex.
     """
     g = load_graph(_read_json(args.graph))
-    coeff_doc = _read_json(args.coeffs) if args.coeffs else {}
-    config = {}
-    if isinstance(coeff_doc, dict) and "eta" in coeff_doc:
-        raw = coeff_doc.pop("eta")
-        if raw != "inf" and (isinstance(raw, bool) or not isinstance(raw, (int, float))):
-            raise CoefficientError(f'eta must be a number or "inf", got {raw!r}')
-        config["eta"] = math.inf if raw == "inf" else float(raw)
-    field = load_coefficients(coeff_doc, g, **config)
+    field = load_coefficients(_read_json(args.coeffs) if args.coeffs else {}, g)
     if args.root is None:
         args.root = g.root
     if args.root is None:

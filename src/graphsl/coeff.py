@@ -204,12 +204,14 @@ class CoefficientField:
         return tuple(sorted(points))
 
 
-def load_coefficients(document, graph: MetricGraph, **config) -> CoefficientField:
+def load_coefficients(document, graph: MetricGraph) -> CoefficientField:
     """Parse a coefficient document (JSON text or dict) against ``graph``.
 
-    Keys must be edge ids of the graph, as loaded, or ``"default"``.  Each
-    entry may define any subset of ``p``, ``q``, ``w``; on a loop or a
-    parallel edge the coordinate runs from the edge's ``from`` end.
+    Keys must be edge ids of the graph, as loaded, ``"default"`` or
+    ``"eta"``.  Each entry may define any subset of ``p``, ``q``, ``w``; on
+    a loop or a parallel edge the coordinate runs from the edge's ``from``
+    end.  ``"eta"``, the exponent of the integrability hypothesis on 1/p,
+    is a number >= 1 or ``"inf"``, and 1 when absent.
     """
     import json
 
@@ -222,9 +224,14 @@ def load_coefficients(document, graph: MetricGraph, **config) -> CoefficientFiel
         document = {}
     if not isinstance(document, dict):
         raise CoefficientError("coefficient document must be a JSON object")
+    eta = document.get("eta", 1.0)
+    if eta != "inf" and (isinstance(eta, bool) or not isinstance(eta, (int, float))):
+        raise CoefficientError(f'eta must be a number or "inf", got {eta!r}')
     known_ids = {e.id for e in graph.edges} | {"default"}
     entries = {}
     for key, raw_entry in document.items():
+        if key == "eta":
+            continue
         if key not in known_ids:
             raise CoefficientError(f"coefficient entry for unknown edge {key!r}")
         if not isinstance(raw_entry, dict):
@@ -233,7 +240,7 @@ def load_coefficients(document, graph: MetricGraph, **config) -> CoefficientFiel
         if unknown:
             raise CoefficientError(f"unknown coefficient names for {key!r}: {sorted(unknown)}")
         entries[key] = {name: _parse_spec(raw) for name, raw in raw_entry.items()}
-    return CoefficientField(graph, entries, **config)
+    return CoefficientField(graph, entries, eta=math.inf if eta == "inf" else float(eta))
 
 
 # --- integration -------------------------------------------------------------
@@ -386,15 +393,14 @@ class HypothesisReport:
 def validate_hypotheses(
     g: MetricGraph,
     field: CoefficientField,
-    compact=(),
     exhaustion=None,
 ) -> HypothesisReport:
     """Check the structural hypotheses; failures are reported, never raised.
 
-    ``compact`` names edge ids excluded from the weight lower-bound check.
-    When an exhaustion is supplied the check searches its levels for a
-    compact subgraph that makes the weight bound pass (the hypothesis only
-    asks that some compact subgraph works) and records the one chosen.
+    The weight lower-bound check first excludes no edge.  When an exhaustion
+    is supplied it then searches the exhaustion's levels for a compact
+    subgraph that makes the weight bound pass (the hypothesis only asks
+    that some compact subgraph works) and records the one chosen.
     The infimum of w, and for infinite eta the supremum of 1/p, is sampled
     once per edge on a grid that sees both sides of every jump.
     """
@@ -432,7 +438,7 @@ def validate_hypotheses(
         inv_p_total += value
     flags[1] = bool(integrable.all()) and math.isfinite(inv_p_total)
 
-    candidates = [tuple(sorted(compact))]
+    candidates = [()]
     if exhaustion is not None:
         for level in exhaustion.levels:
             cand = tuple(sorted(level))

@@ -675,7 +675,8 @@ def solve_pencil(
     """Smallest eigenvalue and M-normalized eigenvector of K x = lambda M x.
 
     ``pencil`` is the ``Pencil`` analysis of (K, M) when the caller holds
-    one (``AssembledForms.analysis``); otherwise it is built here.  Every
+    one (a whole assembly's ``analysis``, or a piece that
+    ``AssembledForms.restrict`` cut); otherwise it is built here.  Every
     factorization of the solve uses it.
 
     ``lower`` is a candidate lower bound of the smallest eigenvalue, such
@@ -717,17 +718,12 @@ def solve_pencil(
     )
 
 
-def smallest_eigenpair(forms, tol: float = 1e-8, lower: float = -np.inf) -> EigenResult:
-    """Smallest eigenpair of the assembled forms (K_p + K_q, M); see ``solve_pencil``.
-
-    The solve uses the forms' one analysis, ``forms.analysis``.
-    """
-    pencil = forms.analysis
+def smallest_eigenpair(pencil: Pencil, tol: float = 1e-8, lower: float = -np.inf) -> EigenResult:
+    """Smallest eigenpair of an analysed pencil; see ``solve_pencil``."""
     return solve_pencil(pencil.K, pencil.M, tol=tol, lower=lower, pencil=pencil)
 
 
-def dense_reference(forms) -> tuple[float, np.ndarray]:
-    """Dense (LAPACK) smallest eigenpair, as an independent cross-check."""
-    K, M = forms.pencil()
-    vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
+def dense_reference(pencil: Pencil) -> tuple[float, np.ndarray]:
+    """Dense (LAPACK) smallest eigenpair of an analysed pencil, as an independent cross-check."""
+    vals, vecs = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray())
     return float(vals[0]), vecs[:, 0]

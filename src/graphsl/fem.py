@@ -9,15 +9,18 @@ shared through the vertex, discretize the form
 Vertex continuity is built into the degree-of-freedom map, so the natural
 (Kirchhoff) matching conditions come out of the weak form; Dirichlet
 conditions at vertices are imposed by eliminating the constrained rows and
-columns.  A piece cut from a larger mesh by ``restrict`` is its edge set,
-Dirichlet on the vertices :func:`dirichlet_vertices` names.  Every
+columns.  A Dirichlet piece of an assembly is its edge set, Dirichlet on
+the vertices :func:`dirichlet_vertices` names; ``AssembledForms.restrict``
+cuts it as the analysed ``eig.Pencil`` of the principal submatrices of K
+and M on the piece's free dofs, with no mesh of its own.  Every
 quadrature over a mesh (assembly, the direct form and mass values, the
 ground-state transform) reads the one flat sample set that
 :func:`mesh_samples` builds.
 
 Stiffness, potential and mass are one CSR pattern, built once by
-:func:`assemble`, with three sets of values; restrictions and the pencil's
-K keep it, so every pencil formed here has K and M on one pattern.
+:func:`assemble`, with three sets of values; the pencil's K = K_p + K_q
+keeps it, and a piece's K and M share one principal sub-pattern, so every
+pencil formed here has K and M on one pattern.
 """
 
 from __future__ import annotations
@@ -61,14 +64,12 @@ class GraphMesh:
         k = bisect_left(self.edge_ids, edge_id)
         return k if k < len(self.edge_ids) and self.edge_ids[k] == edge_id else -1
 
-    def restrict(self, edge_ids, *, host_boundary=False) -> tuple["GraphMesh", np.ndarray]:
-        """Submesh on ``edge_ids`` with its :func:`dirichlet_vertices` constrained.
+    def free_dofs(self, edge_ids, *, host_boundary=False) -> np.ndarray:
+        """The dofs of the Dirichlet problem on the piece ``edge_ids``, in increasing order.
 
-        Returns the submesh and the parent dofs it keeps, in increasing
-        order (submesh dof k is parent dof ``kept[k]``); cells, offsets and
-        the dof order are the parent's.  Every free vertex of the submesh
-        has all of its edges inside it, so its parent row carries no entry
-        of an edge outside.
+        A piece keeps the interior nodes of its edges and its vertices off
+        :func:`dirichlet_vertices`.  Every such vertex has all of its edges
+        inside the piece, so its row carries no entry of an edge outside.
         """
         selected = sorted(set(edge_ids))
         if not selected:
@@ -76,30 +77,17 @@ class GraphMesh:
         position = np.fromiter(map(self.edge_index, selected), np.int64, len(selected))
         if (position < 0).any():
             raise MeshError(f"edge {selected[np.argmax(position < 0)]!r} is not in the parent mesh")
-        vertices = subgraph_vertices(self.graph, selected)
-        free = vertices - dirichlet_vertices(self.graph, selected, host_boundary)
+        free = subgraph_vertices(self.graph, selected) - dirichlet_vertices(self.graph, selected, host_boundary)
         keep = np.zeros(self.n_free + 1, dtype=bool)
         keep[np.fromiter((self.vertex_dof[v] for v in free), np.int64)] = True
-        keep[-1] = False  # spare slot: parent dof -1 is never kept
+        keep[-1] = False  # spare slot: dof -1 is never kept
         inside = np.zeros(len(self.edge_ids), dtype=bool)
         inside[position] = True
-        sizes = np.diff(self.start)
-        nodes = np.repeat(inside, sizes)
-        keep[self.dof[nodes & _interior(self.start)]] = True
+        keep[self.dof[np.repeat(inside, np.diff(self.start)) & _interior(self.start)]] = True
         kept = np.flatnonzero(keep[:-1])
-        # the spare slot maps parent dof -1 (and any dropped dof) to -1
-        renumber = np.full(self.n_free + 1, -1, dtype=np.int64)
-        renumber[kept] = np.arange(len(kept))
-        sub = GraphMesh(
-            graph=self.graph,
-            edge_ids=tuple(selected),
-            start=np.concatenate(([0], np.cumsum(sizes[position]))),
-            x=self.x[nodes],
-            dof=renumber[self.dof[nodes]],
-            vertex_dof={v: int(renumber[self.vertex_dof[v]]) for v in sorted(vertices)},
-            n_free=len(kept),
-        )
-        return sub, kept
+        if not kept.size:
+            raise MeshError("mesh has no free degrees of freedom")
+        return kept
 
 
 def subgraph_vertices(g: MetricGraph, edge_ids) -> frozenset:
@@ -310,29 +298,28 @@ class AssembledForms:
     def analysis(self) -> Pencil:
         """The eigensolver's analysis of ``pencil()``, built on first use.
 
-        Every factorization of this problem (the eigensolve's counts,
-        shift-invert factors and proof, and a certificate's interior solve)
-        reuses it, so the pencil is formed and analysed once.  K and M come
-        on the forms' one pattern, so the analysis never needs a pattern
-        union.  Assembly puts each cell's value at (i, j) and (j, i), so the
-        matrices are symmetric entry for entry and their transposes, CSC
-        views of the same arrays, are the matrices themselves.
+        Every factorization of the problem on the whole mesh reuses it; a
+        Dirichlet piece's analysis is what :meth:`restrict` returns.  K and
+        M come on the forms' one pattern, so the analysis never needs a
+        pattern union.  Assembly puts each cell's value at (i, j) and (j,
+        i), so the matrices are symmetric entry for entry and their
+        transposes, CSC views of the same arrays, are the matrices
+        themselves.
         """
         K, M = self.pencil()
         return Pencil(K.T, M.T)
 
-    def restrict(self, edge_ids, *, host_boundary=False) -> "AssembledForms":
-        """Forms of the Dirichlet problem on the piece ``edge_ids`` (see :meth:`GraphMesh.restrict`).
+    def restrict(self, edge_ids, *, host_boundary=False) -> Pencil:
+        """The analysed pencil of the Dirichlet problem on the piece ``edge_ids``.
 
-        The matrices are principal submatrices of these on the dofs that
-        :meth:`GraphMesh.restrict` keeps.  Every kept row only gathers cells
-        of the selected edges, so they equal a direct assembly on the
-        submesh entry for entry.
+        K and M are the principal submatrices of ``pencil()`` on the dofs
+        that :meth:`GraphMesh.free_dofs` keeps.  Every kept row only gathers
+        cells of the selected edges, so they equal a direct assembly on the
+        piece entry for entry.  The piece's eigensolve and certificate
+        solve share this one analysis.
         """
-        mesh, kept = self.mesh.restrict(edge_ids, host_boundary=host_boundary)
-        if mesh.n_free == 0:
-            raise MeshError("mesh has no free degrees of freedom")
-        return AssembledForms(*_principal((self.stiffness, self.potential, self.mass), kept), mesh=mesh)
+        K, M = _principal(self.pencil(), self.mesh.free_dofs(edge_ids, host_boundary=host_boundary))
+        return Pencil(K.T, M.T)  # symmetric CSR, as in ``analysis``
 
 
 def _csr(data, indices, indptr) -> csr_matrix:

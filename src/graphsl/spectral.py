@@ -176,10 +176,10 @@ def _certificate(
 ) -> PositiveSolutionCert:
     """Solve the lifted boundary problem on the free forms of a level.
 
-    ``piece`` is the level's Dirichlet problem on the ``boundary`` vertices,
-    whose dofs are the free dofs of ``forms`` off those vertices, in the
-    same order; its interior solve reuses the analysis that the piece's
-    eigensolve built.
+    ``piece`` is the analysed pencil of the level's Dirichlet problem on the
+    ``boundary`` vertices, whose dofs are the free dofs of ``forms`` off
+    those vertices, in the same order; the interior solve factors it at
+    ``lam`` on the analysis that the piece's eigensolve used.
     """
     edge_ids = exhaustion.levels[level]
     if not boundary:
@@ -192,7 +192,7 @@ def _certificate(
     interior = on_boundary == 0
     K, M = forms.pencil()
     try:
-        factor = Condensed(piece.analysis, lam, splu)
+        factor = Condensed(piece, lam, splu)
     except RuntimeError as exc:
         raise SolverError(f"interior solve failed: {exc}") from exc
     y = np.ones(mesh.n_free)
@@ -429,15 +429,14 @@ class EdgeCutoffProfile:
     """Sampled profile of the cutoff on one halo edge.
 
     ``rate`` is the constant value of sqrt(p/w) * |phi'| on the edge, the
-    reciprocal of the edge integral of sqrt(w/p); ``check_values`` holds
-    that quantity recomputed pointwise from coefficient samples.
+    reciprocal of the edge integral of sqrt(w/p): between two offsets the
+    profile moves by ``rate`` times the integral of sqrt(w/p) between them.
     """
 
     edge_id: str
     offsets: np.ndarray
     values: np.ndarray
     rate: float
-    check_values: np.ndarray
     rises_from_src: bool
 
 
@@ -499,14 +498,11 @@ def cutoff_build(
         rises_from_src = dist[e.src] <= level + 1e-12
         values = cumulative / total if rises_from_src else 1.0 - cumulative / total
         rate = 1.0 / total
-        p_xs, w_xs = field.evaluate(eid, "p", xs), field.evaluate(eid, "w", xs)
-        check_values = np.sqrt(p_xs / w_xs) * np.sqrt(w_xs / p_xs) / total
         profiles[eid] = EdgeCutoffProfile(
             edge_id=eid,
             offsets=xs,
             values=values,
             rate=rate,
-            check_values=check_values,
             rises_from_src=rises_from_src,
         )
         sup_rate = max(sup_rate, rate)

@@ -83,8 +83,8 @@ def check_pencil_shift(rng) -> tuple[bool, str]:
     """q -> q + c*w moves the lowest eigenvalue by exactly c (c = 7)."""
     _, _, base = _star_setup()
     _, _, shifted = _star_setup({"default": {"q": 7.0}})
-    a = smallest_eigenpair(base).value
-    b = smallest_eigenpair(shifted).value
+    a = smallest_eigenpair(base.analysis).value
+    b = smallest_eigenpair(shifted.analysis).value
     err = abs((b - a) - 7.0)
     return err <= 1e-12 * max(1.0, abs(a) + 7.0), f"measured shift {b - a!r}, error {err:.3e}"
 
@@ -93,8 +93,8 @@ def check_pencil_scaling(rng) -> tuple[bool, str]:
     """(p, q, w) -> (cp, cq, cw) leaves eigenvalues unchanged (c = 0.3)."""
     _, _, base = _star_setup({"default": {"q": 2.0}})
     _, _, scaled = _star_setup({"default": {"p": 0.3, "q": 0.6, "w": 0.3}})
-    a = smallest_eigenpair(base).value
-    b = smallest_eigenpair(scaled).value
+    a = smallest_eigenpair(base.analysis).value
+    b = smallest_eigenpair(scaled.analysis).value
     rel = abs(b - a) / max(1.0, abs(a))
     return rel <= 1e-12, f"relative change {rel:.3e}"
 
@@ -104,8 +104,8 @@ def check_dense_iterative_agreement(rng) -> tuple[bool, str]:
     worst = 0.0
     for doc, h in [({}, 1.0 / 40), ({"default": {"q": -1.5}}, 0.05)]:
         _, _, forms = _star_setup(doc, h=h)
-        it = smallest_eigenpair(forms, tol=1e-10)
-        dv, _ = dense_reference(forms)
+        it = smallest_eigenpair(forms.analysis, tol=1e-10)
+        dv, _ = dense_reference(forms.analysis)
         worst = max(worst, abs(it.value - dv))
     return worst <= 1e-10, f"max |iterative - dense| = {worst:.3e}"
 
@@ -138,25 +138,35 @@ def check_ap_consistency(rng) -> tuple[bool, str]:
 
 
 def check_cutoff_contract(rng) -> tuple[bool, str]:
-    """Cutoff profile: range [0,1], exact endpoints, constant weighted slope."""
+    """Cutoff profile: range [0,1], exact endpoints, slope proportional to sqrt(w/p).
+
+    On every segment of the profile, its change over the edge's rate must
+    be the integral of sqrt(w/p) there, which is 1/2 per unit length for p
+    = 4 and log((1+b)/(1+a)) over [a, b] for p = (1+x)^2.
+    """
     g = load_graph(path(6))
-    field = load_coefficients({"default": {"p": 4.0}}, g)
     ex = build_exhaustion(g, "v00", 3)
-    cut = cutoff_build(g, field, ex, 2)
-    if not cut.profiles:
-        return False, "no halo profile built"
-    for prof in cut.profiles.values():
-        inside = prof.values if prof.rises_from_src else prof.values[::-1]
-        if not (inside[0] == 0.0 and inside[-1] == 1.0):
-            return False, f"endpoints {inside[0]}, {inside[-1]} on {prof.edge_id}"
-        if np.min(prof.values) < 0 or np.max(prof.values) > 1:
-            return False, f"range violation on {prof.edge_id}"
-        spread = float(np.max(prof.check_values) - np.min(prof.check_values))
-        if spread > 1e-12:
-            return False, f"weighted slope varies by {spread:.3e} on {prof.edge_id}"
+    cases = (
+        ({"default": {"p": 4.0}}, lambda a, b: 0.5 * (b - a)),
+        ({"default": {"p": {"expr": "(1+x)^2"}}}, lambda a, b: np.log1p((b - a) / (1.0 + a))),
+    )
+    cuts = [cutoff_build(g, load_coefficients(doc, g), ex, 2) for doc, _ in cases]
+    for cut, (_, integral) in zip(cuts, cases):
+        if not cut.profiles:
+            return False, "no halo profile built"
+        for prof in cut.profiles.values():
+            inside = prof.values if prof.rises_from_src else prof.values[::-1]
+            if not (inside[0] == 0.0 and inside[-1] == 1.0):
+                return False, f"endpoints {inside[0]}, {inside[-1]} on {prof.edge_id}"
+            if np.min(prof.values) < 0 or np.max(prof.values) > 1:
+                return False, f"range violation on {prof.edge_id}"
+            want = integral(prof.offsets[:-1], prof.offsets[1:])
+            defect = float(np.max(np.abs(np.abs(np.diff(prof.values)) / prof.rate - want) / want))
+            if defect > 1e-12:
+                return False, f"profile steps miss the integral of sqrt(w/p) by {defect:.3e} on {prof.edge_id}"
     want = 2.0
-    err = abs(cut.sup_weighted_derivative - want)
-    return err <= 1e-12, f"sup weighted slope {cut.sup_weighted_derivative} (expected {want})"
+    err = abs(cuts[0].sup_weighted_derivative - want)
+    return err <= 1e-12, f"sup weighted slope {cuts[0].sup_weighted_derivative} (expected {want})"
 
 
 def check_sobolev_inequality(rng) -> tuple[bool, str]:
@@ -225,15 +235,15 @@ def check_compact_perturbation(rng) -> tuple[bool, str]:
     for a, b in ((fa.stiffness, fb.stiffness), (fa.potential, fb.potential), (fa.mass, fb.mass)):
         if not (np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data)):
             return False, "pencil entries differ on an annulus avoiding the well"
-    lam_a = smallest_eigenpair(fa).value
-    lam_b = smallest_eigenpair(fb).value
+    lam_a = smallest_eigenpair(fa.analysis).value
+    lam_b = smallest_eigenpair(fb.analysis).value
     return lam_a == lam_b, f"annulus eigenvalue {lam_a!r} == {lam_b!r}"
 
 
 def check_pencil_inertia(rng) -> tuple[bool, str]:
     """LAPACK finds no eigenvalue below the certified bound and one within delta above it."""
     _, _, forms = _star_setup({"default": {"q": -1.5}})
-    res = smallest_eigenpair(forms, tol=1e-10)
+    res = smallest_eigenpair(forms.analysis, tol=1e-10)
     K, M = forms.pencil()
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     delta = res.value - res.certified_lower

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from graphsl.coeff import load_coefficients
 from graphsl.eig import dense_reference, smallest_eigenpair, solve_pencil
@@ -49,7 +50,7 @@ def _finish(name: str, start: float, budget: float, checks: list):
 def _dirichlet_bottom(g, doc, h):
     mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
     forms = assemble(mesh, load_coefficients(doc, g))
-    return smallest_eigenpair(forms, tol=1e-10), mesh, forms
+    return smallest_eigenpair(forms.analysis, tol=1e-10), mesh, forms
 
 
 def test_interval_oracle():
@@ -321,7 +322,7 @@ def test_dense_oracle_gate():
             (mesh.n_free <= 200, f"case exceeds the 200-dof gate: {mesh.n_free}")
         )
         it = solve_pencil(*forms.pencil(), tol=tol)
-        dv, _ = dense_reference(forms)
+        dv, _ = dense_reference(forms.analysis)
         gap = abs(it.value - dv)
         limit = max(tol, 1e-10) * max(1.0, abs(dv))
         checks.append(
@@ -354,8 +355,15 @@ def test_cutoff_contract():
                     f"{eid}: endpoints ({prof.values[0]}, {prof.values[-1]}) != ({lo}, {hi})",
                 )
             )
-            spread = float(prof.check_values.max() - prof.check_values.min())
+            def integrand(x):
+                return math.sqrt(field.evaluate(eid, "w", x) / field.evaluate(eid, "p", x))
+
+            # each segment's step over the rate is the integral of sqrt(w/p) there
+            steps = np.abs(np.diff(prof.values)) / prof.rate
+            segments = zip(prof.offsets[:-1], prof.offsets[1:])
+            want = np.array([quad(integrand, a, b, epsabs=0, epsrel=1e-13)[0] for a, b in segments])
+            defect = float(np.max(np.abs(steps - want) / want))
             checks.append(
-                (spread <= 1e-12, f"{eid}: weighted slope varies by {spread:.2e}")
+                (defect <= 1e-12, f"{eid}: profile steps miss the integral of sqrt(w/p) by {defect:.2e}")
             )
     _finish("cutoff-contract", start, math.inf, checks)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -201,7 +202,7 @@ def test_hypotheses_exp_weight_essinf():
     g = load_graph(path(4))
     f = load_coefficients({"default": {"w": {"expr": "exp(-x)"}}}, g)
     ex = build_exhaustion(g, "v00", 4)
-    report = validate_hypotheses(g, f, compact=("e01",), exhaustion=ex)
+    report = validate_hypotheses(g, f, exhaustion=ex)
     assert report.flags[2]
     assert report.essinf_w_outside == pytest.approx(math.exp(-1.0), abs=1e-12)
 
@@ -228,7 +229,7 @@ def test_unevaluable_weight_fails_clause_two_with_edges_named():
 
 def test_hypotheses_declared_eta():
     g = unit_interval()
-    f = load_coefficients({"e1": {"p": 4.0}}, g, eta=2.0)
+    f = load_coefficients({"eta": 2.0, "e1": {"p": 4.0}}, g)
     report = validate_hypotheses(g, f)
     assert report.eta == 2.0
     assert report.inv_p_power_total == pytest.approx((1 / 4.0) ** 2)
@@ -238,9 +239,29 @@ def test_hypotheses_declared_eta():
 def test_eta_inf_sees_narrow_pieces_of_p():
     # p dips to 0.01 on [0.5001, 0.5002), between two points of the grid
     g = unit_interval()
-    doc = {"default": {"p": {"piecewise": [[0, 1], [0.5001, 0.01], [0.5002, 1]]}}}
-    report = validate_hypotheses(g, load_coefficients(doc, g, eta=math.inf))
+    doc = {"eta": "inf", "default": {"p": {"piecewise": [[0, 1], [0.5001, 0.01], [0.5002, 1]]}}}
+    report = validate_hypotheses(g, load_coefficients(doc, g))
     assert report.inv_p_power_total == 100.0
+
+
+def test_eta_is_read_from_the_document():
+    g = unit_interval()
+    assert load_coefficients({}, g).eta == 1.0
+    assert load_coefficients({"eta": 3}, g).eta == 3.0
+    field = load_coefficients(json.dumps({"eta": "inf", "default": {"p": 2.0}}), g)
+    assert field.eta == math.inf
+    assert field.evaluate("e1", "p", [0.5]) == [2.0]
+
+
+@pytest.mark.parametrize("eta", ["abc", None, True, [2]], ids=["string", "null", "bool", "list"])
+def test_malformed_eta_is_rejected_by_the_library(eta):
+    with pytest.raises(CoefficientError, match=r'eta must be a number or "inf", got '):
+        load_coefficients({"eta": eta, "default": {"p": 4.0}}, unit_interval())
+
+
+def test_eta_below_one_is_rejected():
+    with pytest.raises(CoefficientError, match="eta must be >= 1"):
+        load_coefficients({"eta": 0.5}, unit_interval())
 
 
 def test_validation_evaluates_each_expression_spec_once(monkeypatch):

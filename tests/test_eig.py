@@ -26,6 +26,11 @@ def dirichlet_forms(g, h, doc=None):
     return assemble(mesh, load_coefficients(doc or {}, g))
 
 
+def km(pencil):
+    """The analysed pencil's K and M, in CSC."""
+    return pencil.K, pencil.M
+
+
 def test_identity_pencil():
     n = 12
     res = solve_pencil(sp.identity(n, format="csr"), sp.identity(n, format="csr"))
@@ -49,11 +54,28 @@ def test_laplacian_tridiagonal_known_value():
     assert res.value == pytest.approx(expected, rel=1e-10)
 
 
+def test_a_pencil_of_scipy_matrices_is_solved_and_referenced():
+    # the eigensolver's entry points take any analysed pencil, with no mesh or forms behind it
+    n = 29
+    h = 1.0 / (n + 1)
+    main, offd = np.full(n, 2.0), np.full(n - 1, -1.0)
+    K = sp.diags([offd, main, offd], [-1, 0, 1], format="csr") / h
+    M = sp.diags([offd * (-h / 6.0), main * h / 3.0, offd * (-h / 6.0)], [-1, 0, 1], format="csr")
+    pencil = eig.Pencil(K, M)
+    expected = (6.0 / h**2) * (1.0 - math.cos(math.pi * h)) / (2.0 + math.cos(math.pi * h))
+    res = smallest_eigenpair(pencil, tol=1e-10)
+    value, vector = dense_reference(pencil)
+    assert res.value == pytest.approx(expected, rel=1e-10)
+    assert value == pytest.approx(expected, rel=1e-12)
+    # both M-normalized; the ground state has one sign
+    np.testing.assert_allclose(res.vector, vector * np.sign(vector.sum()), atol=1e-8)
+
+
 def test_interval_converges_to_pi_squared_at_second_order():
     g = load_graph(path(1))
     errors = []
     for h in (0.1, 0.05, 0.025):
-        value = smallest_eigenpair(dirichlet_forms(g, h), tol=1e-10).value
+        value = smallest_eigenpair(dirichlet_forms(g, h).analysis, tol=1e-10).value
         errors.append(value - math.pi**2)
     assert all(e > 0 for e in errors)          # P1 Rayleigh quotients overshoot
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
@@ -62,17 +84,17 @@ def test_interval_converges_to_pi_squared_at_second_order():
 
 def test_lower_bound_is_below_dense_minimum():
     g = load_graph(star(4))
-    forms = dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
-    lb = pencil_lower_bound(*forms.pencil())
-    value, _ = dense_reference(forms)
+    pencil = dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}}).analysis
+    lb = pencil_lower_bound(*km(pencil))
+    value, _ = dense_reference(pencil)
     assert lb <= value
 
 
 def test_dense_and_iterative_agree():
     g = load_graph(path(3))
     forms = dirichlet_forms(g, 0.1, {"default": {"w": {"expr": "1+0.5*sin(x)"}}})
-    it = smallest_eigenpair(forms, tol=1e-10)
-    dv, dvec = dense_reference(forms)
+    it = smallest_eigenpair(forms.analysis, tol=1e-10)
+    dv, dvec = dense_reference(forms.analysis)
     assert it.value == pytest.approx(dv, rel=1e-10)
     # same space up to sign and M-normalization
     dvec = dvec / math.sqrt(dvec @ (forms.mass @ dvec))
@@ -83,9 +105,9 @@ def test_dense_and_iterative_agree():
 
 def test_result_contract():
     g = load_graph(star(3))
-    forms = dirichlet_forms(g, 0.1)
-    res = smallest_eigenpair(forms, tol=1e-9)
-    K, M = forms.pencil()
+    pencil = dirichlet_forms(g, 0.1).analysis
+    res = smallest_eigenpair(pencil, tol=1e-9)
+    K, M = km(pencil)
     mx = M @ res.vector
     assert res.vector @ mx == pytest.approx(1.0, abs=1e-12)      # M-normalized
     assert res.vector[np.argmax(np.abs(res.vector))] > 0          # sign fixed
@@ -103,22 +125,22 @@ def test_result_contract():
 
 def tiny_pencil():
     """One unit edge, Dirichlet at both ends, h = 1/2: a single hat at the midpoint."""
-    return dirichlet_forms(load_graph(path(1)), 0.5)
+    return dirichlet_forms(load_graph(path(1)), 0.5).analysis
 
 
 def three_dof_pencil():
     """Dirichlet path(2) at h = 1/2: the middle vertex and one hat on each edge."""
-    return dirichlet_forms(load_graph(path(2)), 0.5, {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}})
+    return dirichlet_forms(load_graph(path(2)), 0.5, {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}).analysis
 
 
 def test_tiny_pencil_goes_through_lanczos():
-    forms = tiny_pencil()
-    assert forms.n == 1
-    res = smallest_eigenpair(forms)
+    pencil = tiny_pencil()
+    assert pencil.n == 1
+    res = smallest_eigenpair(pencil)
     # single hat at the midpoint: Rayleigh quotient (2/h) / (2h/3) with h=1/2
     assert res.value == pytest.approx(12.0, abs=1e-10)
     assert res.certified_lower == res.value - 1e-8 * res.value
-    assert eig._inertia(forms.analysis, res.shift)[0] == 0
+    assert eig._inertia(pencil, res.shift)[0] == 0
     assert len(res.history) == res.iterations > 0
 
 
@@ -151,8 +173,7 @@ def test_mass_shift_identity():
 
 def test_history_tracks_ritz_values():
     g = load_graph(path(2))
-    forms = dirichlet_forms(g, 0.05)
-    res = smallest_eigenpair(forms, tol=1e-10)
+    res = smallest_eigenpair(dirichlet_forms(g, 0.05).analysis, tol=1e-10)
     assert len(res.history) == res.iterations
     assert [idx for idx, _ in res.history] == list(range(1, res.iterations + 1))
     values = [value for _, value in res.history]
@@ -169,9 +190,9 @@ def test_shape_mismatch_rejected():
 
 def test_negative_spectrum_found_without_hints():
     g = load_graph(path(4))
-    forms = dirichlet_forms(g, 0.05, {"default": {"q": -7.0}})
-    res = smallest_eigenpair(forms, tol=1e-10)
-    dv, _ = dense_reference(forms)
+    pencil = dirichlet_forms(g, 0.05, {"default": {"q": -7.0}}).analysis
+    res = smallest_eigenpair(pencil, tol=1e-10)
+    dv, _ = dense_reference(pencil)
     assert res.value < 0
     assert res.value == pytest.approx(dv, rel=1e-10)
 
@@ -216,7 +237,7 @@ def refusing_splu(monkeypatch, refusing):
 
 
 def test_certificate_raises_when_symmetric_pivoting_is_refused(monkeypatch):
-    K, M = tree5_level().pencil()   # its vertex Schur complement has 31 rows, so the roll moves perm_c
+    K, M = km(tree5_level())   # its vertex Schur complement has 31 rows, so the roll moves perm_c
     refusing = [False]
     calls = refusing_splu(monkeypatch, refusing)
     real_eigsh = eig.eigsh
@@ -233,7 +254,7 @@ def test_certificate_raises_when_symmetric_pivoting_is_refused(monkeypatch):
 
 
 def test_refused_pivoting_at_the_gershgorin_seed_raises(monkeypatch):
-    K, M = tree5_level().pencil()
+    K, M = km(tree5_level())
     calls = refusing_splu(monkeypatch, [True])
     with pytest.raises(SolverError, match="symmetric pivoting was refused"):
         solve_pencil(K, M)
@@ -242,14 +263,15 @@ def test_refused_pivoting_at_the_gershgorin_seed_raises(monkeypatch):
 
 def star_piecewise_q():
     g = load_graph(star(4))
-    return dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
+    return dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}}).analysis
 
 
 def tree_negative_q_level():
     g = load_graph(tree(3))
     level = build_exhaustion(g, "n0", 3).levels[2]
     field = load_coefficients({"default": {"q": {"expr": "-4+0.3*sin(2*x)"}}}, g)
-    return assemble(build_mesh(g, 0.05, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True)), field)
+    mesh = build_mesh(g, 0.05, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True))
+    return assemble(mesh, field).analysis
 
 
 def restricted_annulus():
@@ -269,7 +291,8 @@ def ball_level(doc, root, depth, h, coeffs=Q_SIN):
     g = load_graph(doc)
     level = build_exhaustion(g, root, depth).levels[depth]
     field = load_coefficients(coeffs, g)
-    return assemble(build_mesh(g, h, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True)), field)
+    mesh = build_mesh(g, h, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True))
+    return assemble(mesh, field).analysis
 
 
 def tree_level(depth, h):
@@ -300,13 +323,13 @@ def ladder6_level():
 
 
 @pytest.mark.parametrize(
-    "make_forms",
+    "make_pencil",
     [star_piecewise_q, tree_negative_q_level, restricted_annulus, tree5_level, leaf_well_level, ladder6_level],
 )
-def test_inertia_agrees_with_lapack(make_forms):
-    forms = make_forms()
-    res = smallest_eigenpair(forms, tol=1e-10)
-    K, M = forms.pencil()
+def test_inertia_agrees_with_lapack(make_pencil):
+    pencil = make_pencil()
+    res = smallest_eigenpair(pencil, tol=1e-10)
+    K, M = km(pencil)
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     delta = res.value - res.certified_lower
     assert delta > 0
@@ -357,9 +380,9 @@ def test_one_factorization_alive_at_a_time(monkeypatch):
         return Counted(real(A, **kwargs), live, [0])
 
     monkeypatch.setattr(eig, "splu", splu)
-    forms = tree8_level()
-    lb = pencil_lower_bound(*forms.pencil())
-    res = smallest_eigenpair(forms, tol=1e-10)
+    pencil = tree8_level()
+    lb = pencil_lower_bound(*km(pencil))
+    res = smallest_eigenpair(pencil, tol=1e-10)
     assert res.shift > lb + 0.25 * max(1.0, abs(res.value))   # the shift was raised
     assert len(alive_at_call) == 3                  # Gershgorin, first probe, proof
     assert alive_at_call == [0] * len(alive_at_call)
@@ -375,14 +398,14 @@ def test_one_factorization_alive_at_a_time(monkeypatch):
         return (count + 1 if len(calls) == 2 else count), lu
 
     monkeypatch.setattr(eig, "_inertia", inertia)
-    bisected = smallest_eigenpair(forms, tol=1e-10)
+    bisected = smallest_eigenpair(pencil, tol=1e-10)
     assert bisected.value == pytest.approx(res.value, rel=1e-10)
     assert len(alive_at_call) >= 4
     assert alive_at_call == [0] * len(alive_at_call)
 
 
-@pytest.mark.parametrize("make_forms", [tree5_level, restricted_annulus])
-def test_one_triangular_solve_per_apply(monkeypatch, make_forms):
+@pytest.mark.parametrize("make_pencil", [tree5_level, restricted_annulus])
+def test_one_triangular_solve_per_apply(monkeypatch, make_pencil):
     solves = [0]
     during_eigsh = [None]
     real_splu, real_eigsh = eig.splu, eig.eigsh
@@ -398,14 +421,14 @@ def test_one_triangular_solve_per_apply(monkeypatch, make_forms):
 
     monkeypatch.setattr(eig, "splu", splu)
     monkeypatch.setattr(eig, "eigsh", eigsh)
-    res = smallest_eigenpair(make_forms(), tol=1e-10)
+    res = smallest_eigenpair(make_pencil(), tol=1e-10)
     # placement steps, the loop and the polish all apply inside eigsh
     assert during_eigsh[0] == res.iterations == solves[0]
 
 
-@pytest.mark.parametrize("make_forms", [tree5_level, tree8_level, leaf_well_level])
-def test_placement_budget(monkeypatch, make_forms):
-    forms = make_forms()
+@pytest.mark.parametrize("make_pencil", [tree5_level, tree8_level, leaf_well_level])
+def test_placement_budget(monkeypatch, make_pencil):
+    pencil = make_pencil()
     counts = []
     real = eig._inertia
 
@@ -414,7 +437,7 @@ def test_placement_budget(monkeypatch, make_forms):
         return real(pencil, sigma)
 
     monkeypatch.setattr(eig, "_inertia", inertia)
-    res = smallest_eigenpair(forms, tol=1e-10)
+    res = smallest_eigenpair(pencil, tol=1e-10)
     # the Gershgorin count, one probe below the Krylov upper end, the proof
     assert len(counts) <= 3
     assert counts[-1] == res.certified_lower
@@ -424,7 +447,7 @@ def test_placement_budget(monkeypatch, make_forms):
 
 
 def test_apply_budget_caps_the_applies(monkeypatch):
-    K, M = tree5_level().pencil()
+    K, M = km(tree5_level())
     monkeypatch.setattr(eig, "_MAX_APPLIES", 5)
     with pytest.raises(ConvergenceError, match="within 5 applications"):
         solve_pencil(K, M)
@@ -432,7 +455,7 @@ def test_apply_budget_caps_the_applies(monkeypatch):
 
 @pytest.mark.parametrize("hinted", [False, True], ids=["gershgorin", "hint"])
 def test_spent_budget_during_placement_factors_no_more(monkeypatch, hinted):
-    K, M = tree5_level().pencil()
+    K, M = km(tree5_level())
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     lb = pencil_lower_bound(K, M)
     seed = lb - 0.01 * max(1.0, abs(lb))
@@ -469,8 +492,7 @@ def far_shift(monkeypatch):
 
 
 def test_loop_restarts_past_the_basis_cap(monkeypatch):
-    forms = tree5_level()
-    K, M = forms.pencil()
+    K, M = km(tree5_level())
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     rows = []
 
@@ -529,8 +551,8 @@ def test_lanczos_basis_stays_m_orthonormal(monkeypatch):
         # two products with M per step and one per restart; the rest are second passes
         return products[0] - restarts[0] - 2 * steps[0]
 
-    for make_forms, far in ((tree5_level, False), (tree5_level, True), (restricted_annulus, False), (ladder6_level, False)):
-        K, M = make_forms().pencil()
+    for make_pencil, far in ((tree5_level, False), (tree5_level, True), (restricted_annulus, False), (ladder6_level, False)):
+        K, M = km(make_pencil())
         with monkeypatch.context() as patch:
             if far:
                 far_shift(patch)
@@ -648,13 +670,13 @@ def test_wrong_lower_bound_falls_back_to_gershgorin(monkeypatch, refused):
 
 
 def test_proved_lower_bound_starts_the_shift(monkeypatch):
-    forms = restricted_annulus()
-    K, M = forms.pencil()
+    pencil = restricted_annulus()
+    K, M = km(pencil)
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    cold = smallest_eigenpair(forms, tol=1e-10)
+    cold = smallest_eigenpair(pencil, tol=1e-10)
     hint = dense[0] - 1e-3 * max(1.0, abs(dense[0]))
     counts = recorded_inertia(monkeypatch)
-    res = smallest_eigenpair(forms, tol=1e-10, lower=hint)
+    res = smallest_eigenpair(pencil, tol=1e-10, lower=hint)
     # one count proves the hint and the window is closed there: no probe
     assert counts == [(hint, 0), (res.certified_lower, 0)]
     assert res.shift == hint
@@ -672,27 +694,27 @@ def with_lengths(doc, lengths):
     return doc
 
 
-def free_forms(doc, h, coeffs=Q_SIN):
+def free_pencil(doc, h, coeffs=Q_SIN):
     g = load_graph(doc)
-    return assemble(build_mesh(g, h), load_coefficients(coeffs, g))
+    return assemble(build_mesh(g, h), load_coefficients(coeffs, g)).analysis
 
 
 def ladder_free():
-    return free_forms(with_lengths(ladder(3), [1.0, 0.8, 0.65, 0.9]), 0.1)
+    return free_pencil(with_lengths(ladder(3), [1.0, 0.8, 0.65, 0.9]), 0.1)
 
 
 def cycle_free():
-    return free_forms(with_lengths(cycle(5), [0.7, 1.0, 0.85]), 0.1)
+    return free_pencil(with_lengths(cycle(5), [0.7, 1.0, 0.85]), 0.1)
 
 
 def star_short_arms():
     """Free star whose arms have 1, 2, 9 and 17 cells: no chain, a one-row chain, long chains."""
-    return free_forms(with_lengths(star(4), [0.05, 0.1, 0.45, 0.85]), 0.05)
+    return free_pencil(with_lengths(star(4), [0.05, 0.1, 0.45, 0.85]), 0.05)
 
 
 def path_short_free():
     """Free path(2) with a one-cell edge: vertex columns 1 and 2 reach exactly two rows below."""
-    return free_forms(with_lengths(path(2), [0.18, 0.77]), 0.3)
+    return free_pencil(with_lengths(path(2), [0.18, 0.77]), 0.3)
 
 
 def between_eigenvalues(vals, count=5):
@@ -725,7 +747,7 @@ def lapack_shifts(K, M, count=5):
 
 
 @pytest.mark.parametrize(
-    "make_forms",
+    "make_pencil",
     [
         ladder_free,
         cycle_free,
@@ -739,8 +761,8 @@ def lapack_shifts(K, M, count=5):
         ladder6_level,
     ],
 )
-def test_condensed_count_and_solve_agree_with_lapack(make_forms):
-    K, M = make_forms().pencil()
+def test_condensed_count_and_solve_agree_with_lapack(make_pencil):
+    K, M = km(make_pencil())
     pencil, vals, shifts = lapack_shifts(K, M)
     assert len(shifts) == 5
     heads = [check_against_lapack(pencil, sigma, vals).m for sigma in shifts]
@@ -767,7 +789,7 @@ def test_condensed_agrees_with_lapack_on_random_small_graphs():
 
 
 def test_one_analysis_factors_like_a_fresh_one_at_every_shift():
-    K, M = tree5_level().pencil()
+    K, M = km(tree5_level())
     pencil, vals, shifts = lapack_shifts(K, M)
     b = np.random.default_rng(2).normal(size=K.shape[0])
     for sigma in shifts:
@@ -779,7 +801,7 @@ def test_one_analysis_factors_like_a_fresh_one_at_every_shift():
 
 
 def test_forms_analysis_is_the_pencil_in_csc():
-    forms = restricted_annulus()
+    forms = dirichlet_forms(load_graph(tree(3)), 0.05, Q_SIN)
     K, M = forms.pencil()
     pencil = forms.analysis
     assert forms.analysis is pencil                     # built once
@@ -790,7 +812,7 @@ def test_forms_analysis_is_the_pencil_in_csc():
 
 def differing_patterns():
     """(K, M) pairs on different patterns, from the ladder: K with an exact zero dropped, and a lumped M."""
-    K, M = ladder_free().pencil()
+    K, M = km(ladder_free())
     m = eig._head_size(K.tocsc())
     dropped = K.tolil()
     dropped[m + 1, m + 2] = dropped[m + 2, m + 1] = 0.0   # inside the first edge chain
@@ -815,8 +837,7 @@ def test_union_pattern_agrees_with_lapack(case):
 
 
 def test_condensed_refuses_an_indefinite_tail():
-    forms = restricted_annulus()
-    K, M = forms.pencil()
+    K, M = km(restricted_annulus())
     vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     m = eig._head_size(K.tocsc())
     # the smallest Dirichlet eigenvalue of the edge interiors
@@ -851,10 +872,11 @@ def test_superlu_sees_one_row_per_free_vertex(monkeypatch):
         return real(A, **kwargs)
 
     monkeypatch.setattr(eig, "splu", splu)
-    forms = tree8_level()
-    smallest_eigenpair(forms, tol=1e-10)
-    vertices = sum(1 for dof in forms.mesh.vertex_dof.values() if dof >= 0)
-    assert vertices == 255 and forms.n == 4845
+    pencil = tree8_level()
+    smallest_eigenpair(pencil, tol=1e-10)
+    g = load_graph(tree(8))
+    vertices = len(g.vertices) - len(g.boundary)   # the leaves are Dirichlet
+    assert vertices == 255 and pencil.n == 4845
     assert shapes and all(shape == (vertices, vertices) for shape in shapes)
 
 
@@ -862,11 +884,11 @@ def test_superlu_sees_one_row_per_free_vertex(monkeypatch):
 
 
 def star3_fine():
-    return dirichlet_forms(load_graph(star(3)), 0.05)
+    return dirichlet_forms(load_graph(star(3)), 0.05).analysis
 
 
 @pytest.mark.parametrize(
-    "make_forms",
+    "make_pencil",
     [
         star3_fine,
         star_piecewise_q,
@@ -883,9 +905,9 @@ def star3_fine():
         three_dof_pencil,
     ],
 )
-def test_every_lanczos_shift_counts_zero(make_forms):
-    forms = make_forms()
-    res = smallest_eigenpair(forms, tol=1e-10)
-    assert eig._inertia(forms.analysis, res.shift)[0] == 0   # the shift is proved
+def test_every_lanczos_shift_counts_zero(make_pencil):
+    pencil = make_pencil()
+    res = smallest_eigenpair(pencil, tol=1e-10)
+    assert eig._inertia(pencil, res.shift)[0] == 0   # the shift is proved
     # and no bisection step came within delta of lambda_1
     assert res.shift < res.certified_lower < res.value

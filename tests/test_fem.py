@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphsl.coeff import CoefficientField, edge_integral, load_coefficients
-from graphsl.eig import dense_reference, smallest_eigenpair
+from graphsl.eig import Pencil, dense_reference, smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
 from graphsl.families import cycle, ladder, path, star, tree
 from graphsl.fem import (
@@ -90,13 +90,18 @@ def test_dof_layout_after_build_and_restrict():
     boundary = dirichlet_vertices(g, level, True)
     assert boundary
     direct = build_mesh(g, 0.15, edges=level, dirichlet_vertices=boundary)
-    for mesh in (direct, whole.restrict(level, host_boundary=True)[0]):
-        assert_dof_layout(mesh)
-        assert all(mesh.vertex_dof[v] == -1 for v in boundary)
+    assert_dof_layout(direct)
+    assert all(direct.vertex_dof[v] == -1 for v in boundary)
+    # a piece keeps the whole mesh's free dofs, numbered as the direct mesh numbers them
+    kept = whole.free_dofs(level, host_boundary=True)
+    renumber = np.full(whole.n_free, -1)
+    renumber[kept] = np.arange(len(kept))
+    on_level = np.repeat([eid in level for eid in whole.edge_ids], np.diff(whole.start))
+    assert np.array_equal(renumber[whole.dof[on_level]], direct.dof)
 
 
 def test_mesh_memory_is_linear_in_edges():
-    # build_mesh plus one whole-graph restrict peak near 360 bytes per edge
+    # build_mesh plus the free dofs of the whole graph peak near 300 bytes per edge
     # at two cells per edge; a dict entry or a Python object per edge or per
     # node costs on the order of 100 bytes each and breaks the bound
     for doc in (tree(14), path(20000)):
@@ -104,7 +109,7 @@ def test_mesh_memory_is_linear_in_edges():
         tracemalloc.start()
         try:
             mesh = build_mesh(g, 0.5)
-            mesh.restrict(mesh.edge_ids)
+            mesh.free_dofs(mesh.edge_ids)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,7 +278,7 @@ def test_domain_monotonicity_under_constraints():
     for vs in [frozenset(), frozenset({"v00"}), frozenset({"v00", "v03"}),
                frozenset({"v00", "v03", "v01"})]:
         mesh = build_mesh(g, 0.1, dirichlet_vertices=vs)
-        values.append(smallest_eigenpair(assemble(mesh, field), tol=1e-9).value)
+        values.append(smallest_eigenpair(assemble(mesh, field).analysis, tol=1e-9).value)
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-9
 
@@ -283,8 +288,8 @@ def test_q_shift_is_exact():
     mesh = build_mesh(g, 0.2, dirichlet_vertices=g.boundary)
     base = assemble(mesh, load_coefficients({}, g))
     shifted = assemble(mesh, load_coefficients({"default": {"q": 4.0}}, g))
-    a = smallest_eigenpair(base, tol=1e-10).value
-    b = smallest_eigenpair(shifted, tol=1e-10).value
+    a = smallest_eigenpair(base.analysis, tol=1e-10).value
+    b = smallest_eigenpair(shifted.analysis, tol=1e-10).value
     assert b - a == pytest.approx(4.0, abs=1e-12 * max(1, abs(a)))
 
 
@@ -295,8 +300,8 @@ def test_coefficient_scaling_is_exact():
     scaled = assemble(
         mesh, load_coefficients({"default": {"p": 0.3, "q": -0.3, "w": 0.3}}, g)
     )
-    a = smallest_eigenpair(base, tol=1e-10).value
-    b = smallest_eigenpair(scaled, tol=1e-10).value
+    a = smallest_eigenpair(base.analysis, tol=1e-10).value
+    b = smallest_eigenpair(scaled.analysis, tol=1e-10).value
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -355,25 +360,21 @@ def test_exact_cancellation_keeps_the_pencil_on_one_pattern(monkeypatch):
 
     monkeypatch.setattr(eig, "_on_union", refuse)
     assert forms.analysis.K.nnz == M.nnz
-    solved = smallest_eigenpair(forms, tol=1e-10)
-    assert solved.value == pytest.approx(dense_reference(forms)[0], rel=1e-10)
+    solved = smallest_eigenpair(forms.analysis, tol=1e-10)
+    assert solved.value == pytest.approx(dense_reference(forms.analysis)[0], rel=1e-10)
 
 
 # --- restriction ------------------------------------------------------------------
 
 
-def assert_same_forms(a, b):
-    """Raw CSR arrays (unsorted, as stored) and the dof maps agree exactly."""
-    for name in ("stiffness", "potential", "mass"):
-        x, y = getattr(a, name), getattr(b, name)
+def assert_same_pencil(piece, forms):
+    """A restricted piece equals the analysed pencil of a direct assembly, array for array."""
+    direct = Pencil(*forms.pencil())
+    for name in ("K", "M"):
+        x, y = getattr(piece, name), getattr(direct, name)
         assert x.shape == y.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(x, part), getattr(y, part)), (name, part)
-    assert a.mesh.vertex_dof == b.mesh.vertex_dof
-    assert a.mesh.edge_ids == b.mesh.edge_ids
-    for name in ("start", "x", "dof"):
-        x, y = getattr(a.mesh, name), getattr(b.mesh, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 def test_restrict_equals_direct_assembly():
@@ -395,7 +396,7 @@ def test_restrict_equals_direct_assembly():
     for edges in pieces:
         for host in (True, False):
             vertices = dirichlet_vertices(g, edges, host)
-            assert_same_forms(parent.restrict(edges, host_boundary=host), direct(edges, vertices))
+            assert_same_pencil(parent.restrict(edges, host_boundary=host), direct(edges, vertices))
 
     # certificate: the free forms of a level, whose interior block is the
     # level's Dirichlet pencil
@@ -403,7 +404,7 @@ def test_restrict_equals_direct_assembly():
     free = direct(level, frozenset())
     boundary = dirichlet_vertices(g, level, True)
     inner = direct(level, boundary)
-    assert_same_forms(free.restrict(level, host_boundary=True), inner)
+    assert_same_pencil(free.restrict(level, host_boundary=True), inner)
     bdofs = sorted(free.mesh.vertex_dof[v] for v in boundary)
     idofs = np.setdiff1d(np.arange(free.n), bdofs)
     for name in ("stiffness", "potential", "mass"):
@@ -429,21 +430,21 @@ def test_restrict_constrains_the_cut():
     parent = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), field)
     for host in (False, True):
         piece = parent.restrict(ex.levels[1], host_boundary=host)
-        _, kept = parent.mesh.restrict(ex.levels[1], host_boundary=host)
+        kept = parent.mesh.free_dofs(ex.levels[1], host_boundary=host)
         assert not {parent.mesh.vertex_dof[v] for v in ("n1", "n2")} & set(kept)
         assert parent.mesh.vertex_dof["n0"] in kept
         direct = assemble(build_mesh(g, 0.25, edges=ex.levels[1], dirichlet_vertices={"n1", "n2"}), field)
-        assert_same_forms(piece, direct)
+        assert_same_pencil(piece, direct)
 
 
 def test_restrict_takes_no_vertex_set():
     g = load_graph(tree(2))
     ex = build_exhaustion(g, "n0", 2)
     forms = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), load_coefficients({}, g))
-    for target in (forms, forms.mesh):
+    for cut in (forms.restrict, forms.mesh.free_dofs):
         for positional in (frozenset({"n1", "n2"}), "free"):
             with pytest.raises(TypeError):
-                target.restrict(ex.levels[1], positional)
+                cut(ex.levels[1], positional)
 
 
 LOLLIPOP = {
@@ -460,6 +461,16 @@ PARALLEL = {
         {"id": "p1", "from": "a", "to": "b", "length": 1.0},
         {"id": "p2", "from": "b", "to": "a", "length": 1.5},
         {"id": "tail", "from": "b", "to": "c", "length": 0.5},
+    ],
+}
+# a loop at a, a and b joined by two parallel edges, a tail from b to c
+MULTIGRAPH = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"id": "loop", "from": "a", "to": "a", "length": 2.0},
+        {"id": "p1", "from": "a", "to": "b", "length": 1.0},
+        {"id": "p2", "from": "b", "to": "a", "length": 1.3},
+        {"id": "tail", "from": "b", "to": "c", "length": 0.7},
     ],
 }
 
@@ -481,6 +492,19 @@ def test_dirichlet_vertices_on_multigraphs(doc, edges, off, on):
     g = load_graph(doc)
     assert dirichlet_vertices(g, edges, False) == off
     assert dirichlet_vertices(g, edges, True) == on
+
+
+def test_restrict_equals_direct_assembly_on_a_multigraph():
+    # a loop's two ends and both parallel edges meet at a; at h = 0.7 the
+    # tail is one cell, so b's row holds c's entry unless c is constrained
+    g = load_graph(MULTIGRAPH)
+    field = load_coefficients({"default": {"q": {"expr": "-0.5+0.3*sin(3*x)"}}, "loop": {"p": 2.5}}, g)
+    parent = assemble(build_mesh(g, 0.7), field)
+    for edges in ({"loop", "p1"}, {"p1", "p2"}, {"loop", "p1", "p2"}, {"p2", "tail"}, {e.id for e in g.edges}):
+        for host in (True, False):
+            vertices = dirichlet_vertices(g, edges, host)
+            direct = assemble(build_mesh(g, 0.7, edges=edges, dirichlet_vertices=vertices), field)
+            assert_same_pencil(parent.restrict(edges, host_boundary=host), direct)
 
 
 # --- kirchhoff flux checks ---------------------------------------------------------
@@ -513,7 +537,7 @@ def test_kirchhoff_residual_decreases_under_refinement():
     residuals = []
     for h in (0.1, 0.05):
         mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
-        result = smallest_eigenpair(assemble(mesh, field), tol=1e-10)
+        result = smallest_eigenpair(assemble(mesh, field).analysis, tol=1e-10)
         residuals.append(kirchhoff_residual(mesh, field, result.vector, ["c"])["c"])
     assert residuals[1] < residuals[0]
     # one-sided quotients are first order
@@ -537,18 +561,9 @@ def test_kirchhoff_one_call_matches_vertex_by_vertex(rng):
 def test_kirchhoff_counts_each_end_of_a_loop_once(rng):
     # the flux sum at a vertex is minus its row of K_p times f; reading a
     # loop's end cells twice, or a parallel edge's once, would break that
-    multigraph = {
-        "vertices": ["a", "b", "c"],
-        "edges": [
-            {"id": "loop", "from": "a", "to": "a", "length": 2.0},
-            {"id": "p1", "from": "a", "to": "b", "length": 1.0},
-            {"id": "p2", "from": "b", "to": "a", "length": 1.3},
-            {"id": "tail", "from": "b", "to": "c", "length": 0.7},
-        ],
-    }
     cases = [
         (LOLLIPOP, {"loop": {"p": 2.5}, "stick": {"p": 0.75}}, "b"),
-        (multigraph, {"default": {"p": {"expr": "1+0.5*sin(3*x)"}}}, "c"),
+        (MULTIGRAPH, {"default": {"p": {"expr": "1+0.5*sin(3*x)"}}}, "c"),
     ]
     for doc, coeffs, end in cases:
         g = load_graph(doc)

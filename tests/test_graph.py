@@ -213,7 +213,7 @@ def test_loop_matches_periodic_assembly():
     g = load_graph(doc)
     field = load_coefficients({}, g)
     mesh = build_mesh(g, 0.05, dirichlet_vertices=frozenset({"b"}))
-    lam_loop = smallest_eigenpair(assemble(mesh, field), tol=1e-10).value
+    lam_loop = smallest_eigenpair(assemble(mesh, field).analysis, tol=1e-10).value
 
     # hand assembly: loop nodes 0..19 cyclic (node 0 = vertex a), stick
     # nodes 1..19 interior (node 20 = vertex b eliminated by Dirichlet)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from graphsl.coeff import CoefficientField, load_coefficients
 from graphsl.errors import SolverError
@@ -100,6 +101,45 @@ def test_truncation_values_decrease_along_exhaustion(halfline):
         assert row.value == pytest.approx((math.pi / row.level) ** 2, rel=5e-3)
     assert not report.touched_host_boundary
     assert report.error_proxy == pytest.approx(values[-2] - values[-1])
+
+
+def radial_tree_bottom(depth: int) -> float:
+    """Dirichlet bottom of the unit binary ``tree(depth)`` with p = w = 1, q = 0.
+
+    The ground state is radial: u(r) with u(0) = 1, u'(0) = 0 solves
+    -u'' = lam u on each generation, one 2x2 transfer matrix per unit edge,
+    and at an inner vertex the flux of one edge splits evenly over two, so
+    u' halves there.  lam is the first root of u(depth) = 0.
+    """
+
+    def at_leaves(lam: float) -> float:
+        k = math.sqrt(lam)
+        c, s = math.cos(k), math.sin(k)
+        u, du = 1.0, 0.0
+        for generation in range(depth):
+            if generation:
+                du /= 2.0  # the two child edges share their parent's flux
+            u, du = c * u + s / k * du, -k * s * u + c * du
+        return u
+
+    # the bottom lies below pi^2/4, the bottom of tree(1), a unit star of two arms
+    grid = np.linspace(1e-6, math.pi**2 / 4.0, 2001)
+    signs = np.sign([at_leaves(lam) for lam in grid])
+    first = int(np.flatnonzero(signs[1:] != signs[:-1])[0])
+    return brentq(at_leaves, grid[first], grid[first + 1], xtol=1e-16, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("depth, bottom", [(2, 0.9126298408648494), (8, 0.2015948069404249)])
+def test_tree_bottom_converges_to_the_radial_oracle(depth, bottom):
+    oracle = radial_tree_bottom(depth)
+    assert oracle == pytest.approx(bottom, rel=1e-13)
+    g = load_graph(tree(depth))
+    field = load_coefficients({}, g)
+    ex = build_exhaustion(g, "n0", depth)
+    errors = [inf_spectrum(g, field, ex, h=h, tol=1e-12, levels=[depth]).estimate - oracle for h in (0.05, 0.025)]
+    # P1 values lie above the bottom and converge at second order
+    assert min(errors) >= -1e-12
+    assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.2)
 
 
 def test_mass_shift_moves_estimate_exactly(halfline):
@@ -357,8 +397,8 @@ def test_cutoff_contract_uniform_coefficients():
     # sqrt(w/p) = 1/2 everywhere, so the climb is linear: phi(x) = x
     np.testing.assert_allclose(prof.values, prof.offsets, atol=1e-14)
     assert cut.sup_weighted_derivative == pytest.approx(2.0, abs=1e-13)
-    spread = prof.check_values.max() - prof.check_values.min()
-    assert spread <= 1e-12
+    # each segment's step over the rate is the integral of sqrt(w/p) = 1/2 there
+    np.testing.assert_allclose(np.diff(prof.values) / prof.rate, 0.5 * np.diff(prof.offsets), rtol=1e-12)
     assert cut.value("e01", 0.7) == 0.0
     assert cut.value("e05", 0.1) == 1.0
     assert cut.value("e03", 0.25) == pytest.approx(0.25, abs=1e-13)
@@ -372,8 +412,9 @@ def test_cutoff_weighted_slope_constant_for_varying_coefficients():
     prof = cut.profiles["e02"]
     assert np.all(np.diff(prof.values) > 0)
     assert np.all((prof.values >= 0) & (prof.values <= 1))
-    spread = prof.check_values.max() - prof.check_values.min()
-    assert spread <= 1e-12 * prof.rate
+    # each segment's step over the rate is the integral of sqrt(w/p) = sqrt(2/(1+x)) there
+    root = np.sqrt(1.0 + prof.offsets)
+    np.testing.assert_allclose(np.diff(prof.values) / prof.rate, 2.0 * math.sqrt(2.0) * np.diff(root), rtol=1e-12)
     assert prof.rate == pytest.approx(cut.sup_weighted_derivative)
 
 
