@@ -31,11 +31,12 @@ def accumulate(cell_idx, tloc, wq, pv, qv, wv, ncells):
 
 
 def triplets(d0, d1, hcell, ip, q00, q01, q11, m00, m01, m11):
-    """Scatter local matrices to COO triplets, skipping constrained dofs.
+    """Scatter local matrices to COO triplets, four per cell.
 
     Entry order per cell is (00, 01, 10, 11); symmetric off-diagonal values
     are written from the same accumulated number, so assembled matrices are
-    bitwise symmetric.
+    bitwise symmetric.  Every dof is free, so every triplet is emitted;
+    Dirichlet conditions enter only where a piece is cut from the forms.
     """
     s = ip / (hcell * hcell)
     rows = np.stack([d0, d0, d1, d1], axis=1)
@@ -43,14 +44,7 @@ def triplets(d0, d1, hcell, ip, q00, q01, q11, m00, m01, m11):
     vp = np.stack([s, -s, -s, s], axis=1)
     vq = np.stack([q00, q01, q01, q11], axis=1)
     vm = np.stack([m00, m01, m01, m11], axis=1)
-    keep = ((rows >= 0) & (cols >= 0)).ravel()
-    return (
-        rows.ravel()[keep].astype(np.int64),
-        cols.ravel()[keep].astype(np.int64),
-        vp.ravel()[keep],
-        vq.ravel()[keep],
-        vm.ravel()[keep],
-    )
+    return rows.ravel(), cols.ravel(), vp.ravel(), vq.ravel(), vm.ravel()
 
 
 def backend() -> str:

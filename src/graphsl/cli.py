@@ -375,9 +375,9 @@ def cmd_positive_solution(args: argparse.Namespace) -> int:
 
 
 def _certificate_rows(cert):
-    """One CSV row per free vertex, in dof order; the interior nodes follow them."""
+    """One CSV row per vertex, in dof order (sorted vertex order); the interior nodes follow them."""
     mesh, values = cert.mesh, cert.values
-    for d, v in sorted((d, v) for v, d in mesh.vertex_dof.items() if d >= 0):
+    for v, d in mesh.vertex_dof.items():
         yield ("vertex", v, "", repr(float(values[d])))
 
 

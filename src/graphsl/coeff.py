@@ -211,7 +211,8 @@ def load_coefficients(document, graph: MetricGraph) -> CoefficientField:
     ``"eta"``.  Each entry may define any subset of ``p``, ``q``, ``w``; on
     a loop or a parallel edge the coordinate runs from the edge's ``from``
     end.  ``"eta"``, the exponent of the integrability hypothesis on 1/p,
-    is a number >= 1 or ``"inf"``, and 1 when absent.
+    is a number >= 1 or ``"inf"``, and 1 when absent.  A reserved key that
+    is also an edge id of the graph is ambiguous and raises.
     """
     import json
 
@@ -224,15 +225,20 @@ def load_coefficients(document, graph: MetricGraph) -> CoefficientField:
         document = {}
     if not isinstance(document, dict):
         raise CoefficientError("coefficient document must be a JSON object")
+    edge_ids = {e.id for e in graph.edges}
+    clash = sorted(edge_ids & document.keys() & {"default", "eta"})
+    if clash:
+        raise CoefficientError(
+            f"coefficient key {clash[0]!r} is reserved, but the graph has an edge {clash[0]!r}; rename the edge"
+        )
     eta = document.get("eta", 1.0)
     if eta != "inf" and (isinstance(eta, bool) or not isinstance(eta, (int, float))):
         raise CoefficientError(f'eta must be a number or "inf", got {eta!r}')
-    known_ids = {e.id for e in graph.edges} | {"default"}
     entries = {}
     for key, raw_entry in document.items():
         if key == "eta":
             continue
-        if key not in known_ids:
+        if key not in edge_ids and key != "default":
             raise CoefficientError(f"coefficient entry for unknown edge {key!r}")
         if not isinstance(raw_entry, dict):
             raise CoefficientError(f"entry for {key!r} must be an object")

@@ -44,7 +44,7 @@ class IntegrabilityError(GraphslError):
 
 
 class MeshError(GraphslError):
-    """Mesh construction failed (empty selection, bad h, bad constrained vertex)."""
+    """Mesh construction or a piece cut failed (empty selection, bad h, edge outside the mesh, no dof left)."""
 
 
 class SolverError(GraphslError):

@@ -7,20 +7,20 @@ shared through the vertex, discretize the form
     f  |->  integral of p |f'|^2 + q |f|^2,    mass  integral of w |f|^2.
 
 Vertex continuity is built into the degree-of-freedom map, so the natural
-(Kirchhoff) matching conditions come out of the weak form; Dirichlet
-conditions at vertices are imposed by eliminating the constrained rows and
-columns.  A Dirichlet piece of an assembly is its edge set, Dirichlet on
-the vertices :func:`dirichlet_vertices` names; ``AssembledForms.restrict``
-cuts it as the analysed ``eig.Pencil`` of the principal submatrices of K
-and M on the piece's free dofs, with no mesh of its own.  Every
-quadrature over a mesh (assembly, the direct form and mass values, the
-ground-state transform) reads the one flat sample set that
-:func:`mesh_samples` builds.
+(Kirchhoff) matching conditions come out of the weak form.  Every mesh is
+free: each vertex and each node carries a dof.  A Dirichlet condition
+enters a matrix only where a piece is cut: a Dirichlet piece of an
+assembly is its edge set, Dirichlet on the vertices
+:func:`dirichlet_vertices` names, and ``AssembledForms.restrict`` cuts it
+as the analysed ``eig.Pencil`` of the principal submatrices of K and M on
+the piece's kept dofs, with no mesh of its own.  Every quadrature over a
+mesh (assembly, the direct form and mass values, the ground-state
+transform) reads the one flat sample set that :func:`mesh_samples`
+builds.
 
-Stiffness, potential and mass are one CSR pattern, built once by
-:func:`assemble`, with three sets of values; the pencil's K = K_p + K_q
-keeps it, and a piece's K and M share one principal sub-pattern, so every
-pencil formed here has K and M on one pattern.
+:func:`assemble` builds K = K_p + K_q (stiffness plus potential) and the
+mass M on one CSR pattern, which a piece's principal sub-pattern keeps, so
+every pencil formed here has K and M on one pattern.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ class GraphMesh:
 
     Edge ``edge_ids[k]`` owns nodes ``start[k]:start[k+1]``, endpoints
     included; ``x`` holds each node's offset along its edge and ``dof`` its
-    degree of freedom, -1 when constrained.  An endpoint node carries the
-    dof of its vertex (``vertex_dof``).  Free vertices take the first dofs,
-    in sorted vertex order, then interior nodes follow in node order.
+    degree of freedom.  An endpoint node carries the dof of its vertex
+    (``vertex_dof``).  The vertices take dofs 0..V-1, in sorted vertex
+    order, then interior nodes follow in node order; ``n_free`` counts all
+    of them, since no mesh has a constrained dof.
     """
 
     def __init__(self, graph, edge_ids, start, x, dof, vertex_dof, n_free):
@@ -78,15 +79,14 @@ class GraphMesh:
         if (position < 0).any():
             raise MeshError(f"edge {selected[np.argmax(position < 0)]!r} is not in the parent mesh")
         free = subgraph_vertices(self.graph, selected) - dirichlet_vertices(self.graph, selected, host_boundary)
-        keep = np.zeros(self.n_free + 1, dtype=bool)
+        keep = np.zeros(self.n_free, dtype=bool)
         keep[np.fromiter((self.vertex_dof[v] for v in free), np.int64)] = True
-        keep[-1] = False  # spare slot: dof -1 is never kept
         inside = np.zeros(len(self.edge_ids), dtype=bool)
         inside[position] = True
         keep[self.dof[np.repeat(inside, np.diff(self.start)) & _interior(self.start)]] = True
-        kept = np.flatnonzero(keep[:-1])
+        kept = np.flatnonzero(keep)
         if not kept.size:
-            raise MeshError("mesh has no free degrees of freedom")
+            raise MeshError("piece has no free degrees of freedom")
         return kept
 
 
@@ -119,11 +119,10 @@ def _interior(start: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozenset()) -> GraphMesh:
+def build_mesh(g: MetricGraph, h: float, edges=None) -> GraphMesh:
     """Mesh the selected edges with cells of size at most ``h``.
 
-    ``edges`` is an iterable of edge ids (default: the whole graph);
-    ``dirichlet_vertices`` are vertices of the selection that carry no dof.
+    ``edges`` is an iterable of edge ids (default: the whole graph).
     """
     if not (isinstance(h, (int, float)) and h > 0):
         raise MeshError(f"mesh size must be positive, got {h!r}")
@@ -132,14 +131,7 @@ def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozense
     if not selected:
         raise MeshError("empty edge selection")
     selected = sorted(set(selected))
-    vertices = subgraph_vertices(g, selected)
-    dirichlet = frozenset(dirichlet_vertices)
-    if not dirichlet <= vertices:
-        raise MeshError(f"constrained vertex {min(dirichlet - vertices)!r} not in meshed subgraph")
-
-    vertex_dof = dict.fromkeys(sorted(vertices), -1)
-    free = [v for v in vertex_dof if v not in dirichlet]
-    vertex_dof.update(zip(free, range(len(free))))
+    vertex_dof = {v: d for d, v in enumerate(sorted(subgraph_vertices(g, selected)))}
 
     ends = [g.edge(eid) for eid in selected]
     lengths = np.array([e.length for e in ends])
@@ -152,7 +144,7 @@ def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozense
     x[last] = lengths
     n_interior = int(start[-1]) - 2 * len(selected)
     dof = np.empty(start[-1], dtype=np.int64)
-    dof[_interior(start)] = np.arange(len(free), len(free) + n_interior)
+    dof[_interior(start)] = np.arange(len(vertex_dof), len(vertex_dof) + n_interior)
     dof[first] = [vertex_dof[e.src] for e in ends]
     dof[last] = [vertex_dof[e.dst] for e in ends]
     return GraphMesh(
@@ -162,7 +154,7 @@ def build_mesh(g: MetricGraph, h: float, edges=None, dirichlet_vertices=frozense
         x=x,
         dof=dof,
         vertex_dof=vertex_dof,
-        n_free=len(free) + n_interior,
+        n_free=len(vertex_dof) + n_interior,
     )
 
 
@@ -180,7 +172,7 @@ class MeshSamples:
     """
 
     mesh: GraphMesh
-    d0: np.ndarray         # dof of the left cell node (-1 constrained)
+    d0: np.ndarray         # dof of the left cell node
     d1: np.ndarray         # dof of the right cell node
     hcell: np.ndarray      # cell lengths
     cell_idx: np.ndarray   # sample -> cell
@@ -193,8 +185,7 @@ class MeshSamples:
 
     def p1(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and slopes at the samples of the hat-function expansion of f."""
-        nodal = np.append(f, 0.0)  # dof -1 reads the appended zero
-        f0, f1 = nodal[self.d0], nodal[self.d1]
+        f0, f1 = f[self.d0], f[self.d1]
         slope = (f1 - f0) / self.hcell
         c = self.cell_idx
         return f0[c] * (1.0 - self.tloc) + f1[c] * self.tloc, slope[c]
@@ -205,8 +196,7 @@ class MeshSamples:
 
     def edge_sup(self, f: np.ndarray) -> np.ndarray:
         """Per-edge maximum of |f| over the nodes, the sup of its expansion."""
-        nodal = np.abs(np.append(f, 0.0))  # dof -1 reads the appended zero
-        return np.maximum.reduceat(nodal[self.mesh.dof], self.mesh.start[:-1])
+        return np.maximum.reduceat(np.abs(f)[self.mesh.dof], self.mesh.start[:-1])
 
 
 def _all_but_last(sizes) -> np.ndarray:
@@ -278,81 +268,75 @@ def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
 
 @dataclass
 class AssembledForms:
-    """Sparse matrices of the discrete quadratic forms on one mesh, sharing one CSR pattern."""
+    """The pencil (K, M) of the discrete forms on one mesh, on one CSR pattern.
 
-    stiffness: csr_matrix   # integral p f' g'
-    potential: csr_matrix   # integral q f g
-    mass: csr_matrix        # integral w f g
+    K = K_p + K_q holds integral p f' g' + q f g and M integral w f g; the
+    two matrices share their ``indices`` and ``indptr`` arrays.
+    """
+
+    K: csr_matrix
+    M: csr_matrix
     mesh: GraphMesh
-
-    @property
-    def n(self) -> int:
-        return self.stiffness.shape[0]
-
-    def pencil(self):
-        """(K, M) with K = K_p + K_q added on the one pattern; a cancellation stays an explicit zero."""
-        M = self.mass
-        return _csr(self.stiffness.data + self.potential.data, M.indices, M.indptr), M
 
     @cached_property
     def analysis(self) -> Pencil:
-        """The eigensolver's analysis of ``pencil()``, built on first use.
+        """The eigensolver's analysis of (K, M), built on first use.
 
         Every factorization of the problem on the whole mesh reuses it; a
         Dirichlet piece's analysis is what :meth:`restrict` returns.  K and
-        M come on the forms' one pattern, so the analysis never needs a
-        pattern union.  Assembly puts each cell's value at (i, j) and (j,
-        i), so the matrices are symmetric entry for entry and their
-        transposes, CSC views of the same arrays, are the matrices
-        themselves.
+        M come on one pattern, so the analysis never needs a pattern union.
+        Assembly puts each cell's value at (i, j) and (j, i), so the
+        matrices are symmetric entry for entry and their transposes, CSC
+        views of the same arrays, are the matrices themselves.
         """
-        K, M = self.pencil()
-        return Pencil(K.T, M.T)
+        return Pencil(self.K.T, self.M.T)
 
     def restrict(self, edge_ids, *, host_boundary=False) -> Pencil:
         """The analysed pencil of the Dirichlet problem on the piece ``edge_ids``.
 
-        K and M are the principal submatrices of ``pencil()`` on the dofs
-        that :meth:`GraphMesh.free_dofs` keeps.  Every kept row only gathers
-        cells of the selected edges, so they equal a direct assembly on the
-        piece entry for entry.  The piece's eigensolve and certificate
-        solve share this one analysis.
+        K and M are the principal submatrices of the forms on the dofs that
+        :meth:`GraphMesh.free_dofs` keeps.  Every kept row only gathers
+        cells of the selected edges, so they equal the piece's own assembly
+        with its Dirichlet rows and columns removed, entry for entry.  The
+        piece's eigensolve and certificate solve share this one analysis.
         """
-        K, M = _principal(self.pencil(), self.mesh.free_dofs(edge_ids, host_boundary=host_boundary))
+        K, M = _principal(self.K, self.M, self.mesh.free_dofs(edge_ids, host_boundary=host_boundary))
         return Pencil(K.T, M.T)  # symmetric CSR, as in ``analysis``
 
 
-def _csr(data, indices, indptr) -> csr_matrix:
-    """Square CSR matrix on its own copy of the pattern (indices, indptr)."""
+def _pencil(K_data, M_data, indices, indptr):
+    """K and M as square CSR matrices sharing one pattern (indices, indptr)."""
     n = len(indptr) - 1
-    return csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    M = csr_matrix((M_data, indices, indptr), shape=(n, n))
+    return csr_matrix((K_data, M.indices, M.indptr), shape=(n, n)), M
 
 
-def _principal(mats, kept: np.ndarray) -> list:
-    """Principal submatrices, on the increasing indices ``kept``, of CSR matrices on one pattern.
+def _principal(K, M, kept: np.ndarray):
+    """Principal submatrices, on the increasing indices ``kept``, of K and M on one pattern.
 
-    Equal to ``mat[kept][:, kept]`` array for array; one entry mask cuts
-    every matrix.
+    Equal to ``A[kept][:, kept]`` array for array; one entry mask cuts
+    both matrices.
     """
-    pattern = mats[0]
-    n = pattern.shape[0]
-    renumber = np.full(n, -1, dtype=pattern.indices.dtype)
+    n = M.shape[0]
+    renumber = np.full(n, -1, dtype=M.indices.dtype)
     renumber[kept] = np.arange(len(kept))
-    rows = renumber[np.repeat(np.arange(n), np.diff(pattern.indptr))]
-    cols = renumber[pattern.indices]
+    rows = renumber[np.repeat(np.arange(n), np.diff(M.indptr))]
+    cols = renumber[M.indices]
     mask = (rows >= 0) & (cols >= 0)
-    indptr = np.zeros(len(kept) + 1, dtype=pattern.indptr.dtype)
+    indptr = np.zeros(len(kept) + 1, dtype=M.indptr.dtype)
     np.cumsum(np.bincount(rows[mask], minlength=len(kept)), out=indptr[1:])
-    return [_csr(mat.data[mask], cols[mask], indptr) for mat in mats]
+    return _pencil(K.data[mask], M.data[mask], cols[mask], indptr)
 
 
 def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
-    """Assemble stiffness, potential and mass matrices on a mesh.
+    """Assemble the pencil K = K_p + K_q and M on a mesh.
 
-    The pattern is built once, from the cells' triplet keys, and the three
-    matrices are its three sets of values.  Raises CoefficientError if p or
-    w is nonpositive at any quadrature sample, naming the first such edge in
-    mesh order; the mass matrix is then positive definite by construction.
+    The pattern is built once, from the cells' triplet keys; K_p, K_q and M
+    are summed onto it by one bincount each, and K_p + K_q is added there,
+    so an exact cancellation stays an explicit zero.  Raises
+    CoefficientError if p or w is nonpositive at any quadrature sample,
+    naming the first such edge in mesh order; the mass matrix is then
+    positive definite by construction.
     """
     s = mesh_samples(mesh, field)
     checks = (
@@ -370,10 +354,8 @@ def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
         edge, _, name, demand = min(offending)
         raise CoefficientError(f"{name} must be {demand} on edge {mesh.edge_ids[edge]!r}")
     n = mesh.n_free
-    if n == 0:
-        raise MeshError("mesh has no free degrees of freedom")
     acc = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
-    rows, cols, *values = _kernels.triplets(s.d0, s.d1, s.hcell, *acc)
+    rows, cols, vp, vq, vm = _kernels.triplets(s.d0, s.d1, s.hcell, *acc)
     del s, acc  # the samples are assembly's largest arrays; free them before the sort
     # the stable sort keeps each entry's triplets in scatter order, so
     # bincount sums them in the order scipy's COO to CSR conversion does
@@ -385,17 +367,19 @@ def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
     slot[order] = np.cumsum(first) - 1
     pattern = keys[first]
     indices, indptr = pattern % n, np.searchsorted(pattern, np.arange(n + 1) * n)
-    return AssembledForms(
-        *(_csr(np.bincount(slot, weights=v, minlength=len(pattern)), indices, indptr) for v in values),
-        mesh=mesh,
-    )
+
+    def summed(v):
+        return np.bincount(slot, weights=v, minlength=len(pattern))
+
+    K, M = _pencil(summed(vp) + summed(vq), summed(vm), indices, indptr)
+    return AssembledForms(K, M, mesh)
 
 
 def form_value(mesh: GraphMesh, field: CoefficientField, f: np.ndarray) -> float:
     """Direct quadrature of the form integral p|f'|^2 + q|f|^2 for nodal f.
 
     Independent of the assembled matrices; used to cross-check that
-    x^T (K_p + K_q) x reproduces the quadrature value of the form.
+    x^T K x reproduces the quadrature value of the form.
     """
     s = mesh_samples(mesh, field)
     value, slope = s.p1(f)
@@ -418,12 +402,10 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
     cells.  Returns ``{vertex: residual}``.
     """
     vertices = list(vertices)
-    requested = np.zeros(mesh.n_free + 1, dtype=bool)  # dof -1 reads the spare slot
+    requested = np.zeros(mesh.n_free, dtype=bool)
     for vertex in vertices:
         if vertex not in mesh.vertex_dof:
             raise MeshError(f"vertex {vertex!r} not in mesh")
-        if mesh.vertex_dof[vertex] < 0:
-            raise MeshError(f"vertex {vertex!r} is constrained; flux balance does not apply")
         requested[mesh.vertex_dof[vertex]] = True
     # every edge's two end cells, src end first, in edge order: the end node
     # carries its vertex's dof, so a vertex sums its cells in that order
@@ -436,25 +418,21 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
     p_int = edge_integrals(field, "p", mesh.edge_ids, edge, lo, hi)
     if not np.all(np.isfinite(p_int)):
         raise IntegrabilityError("integral of p over an end cell is not finite")
-    nodal = np.append(f, 0.0)  # dof -1 reads the appended zero
-    flux = p_int / delta * (nodal[mesh.dof[inner]] - nodal[mesh.dof[at]]) / delta
+    f = np.asarray(f)
+    flux = p_int / delta * (f[mesh.dof[inner]] - f[mesh.dof[at]]) / delta
     totals = np.bincount(mesh.dof[at], weights=flux, minlength=mesh.n_free)
     return {v: float(abs(totals[mesh.vertex_dof[v]])) for v in vertices}
 
 
 def write_matrix_market(forms: AssembledForms, directory, prefix: str = "") -> list[str]:
-    """Dump stiffness/potential/mass in Matrix Market coordinate format."""
+    """Dump the pencil's K and M as ``K.mtx`` and ``M.mtx``, Matrix Market coordinate format."""
     import os
 
     from scipy.io import mmwrite
 
     os.makedirs(directory, exist_ok=True)
     written = []
-    for name, mat in (
-        ("stiffness", forms.stiffness),
-        ("potential", forms.potential),
-        ("mass", forms.mass),
-    ):
+    for name, mat in (("K", forms.K), ("M", forms.M)):
         path = os.path.join(directory, f"{prefix}{name}.mtx")
         mmwrite(path, mat.tocoo(), symmetry="symmetric")
         written.append(path)

@@ -69,9 +69,7 @@ class MetricGraph:
         if not self.edges:
             raise GraphStructureError("graph has no edges")
         self._check_connected()
-        lengths = [e.length for e in self.edges]
-        self.min_edge_length = min(lengths)
-        self.max_edge_length = max(lengths)
+        self.min_edge_length = min(e.length for e in self.edges)
         self.boundary = frozenset(v for v in self.vertices if len(self.adjacency[v]) == 1)
 
     # -- structure ----------------------------------------------------------

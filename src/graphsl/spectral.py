@@ -50,7 +50,7 @@ WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
 
 
 def _assemble_union(g, field, domains, h) -> AssembledForms:
-    """One unconstrained mesh and assembly over every edge the domains use."""
+    """One mesh and assembly over every edge the domains use."""
     edges = frozenset().union(*domains)
     return assemble(build_mesh(g, h, edges=edges), field)
 
@@ -127,7 +127,7 @@ def inf_spectrum(
 class PositiveSolutionCert:
     """Strictly positive nodal solution of (l - lam) y = 0 on a level.
 
-    ``values`` holds the nodal vector over the unconstrained mesh, equal to
+    ``values`` holds the nodal vector over the level's mesh, equal to
     one on the level boundary before normalization and to one at the root
     after.  Flux imbalances at free vertices document the Kirchhoff
     matching quality.  ``forms`` are the forms the solution was solved
@@ -174,10 +174,10 @@ def positive_solution(
 def _certificate(
     g, field, exhaustion, forms, piece, boundary, lam, level, bottom
 ) -> PositiveSolutionCert:
-    """Solve the lifted boundary problem on the free forms of a level.
+    """Solve the lifted boundary problem on the forms of a level.
 
     ``piece`` is the analysed pencil of the level's Dirichlet problem on the
-    ``boundary`` vertices, whose dofs are the free dofs of ``forms`` off
+    ``boundary`` vertices, whose dofs are the dofs of ``forms`` off
     those vertices, in the same order; the interior solve factors it at
     ``lam`` on the analysis that the piece's eigensolve used.
     """
@@ -190,13 +190,12 @@ def _certificate(
     on_boundary = np.zeros(mesh.n_free)
     on_boundary[[mesh.vertex_dof[v] for v in boundary]] = 1.0
     interior = on_boundary == 0
-    K, M = forms.pencil()
     try:
         factor = Condensed(piece, lam, splu)
     except RuntimeError as exc:
         raise SolverError(f"interior solve failed: {exc}") from exc
     y = np.ones(mesh.n_free)
-    y[interior] = factor.solve((lam * (M @ on_boundary) - K @ on_boundary)[interior])
+    y[interior] = factor.solve((lam * (forms.M @ on_boundary) - forms.K @ on_boundary)[interior])
     root = exhaustion.root
     if root not in mesh.vertex_dof:
         raise SolverError(f"root {root!r} is not a vertex of level {level}")
@@ -642,12 +641,10 @@ def ground_state_transform_check(
             f"trial vector has shape {trial.shape}, mesh has {mesh.n_free} dofs"
         )
     scale = float(np.max(np.abs(trial))) or 1.0
-    nodal = np.append(trial, 0.0)  # dof -1 reads the appended zero
     for v in cert.boundary_vertices:
-        if abs(nodal[mesh.vertex_dof[v]]) > 1e-12 * scale:
+        if abs(trial[mesh.vertex_dof[v]]) > 1e-12 * scale:
             raise SolverError(f"trial function must vanish at boundary vertex {v!r}")
-    K, _ = cert.forms.pencil()
-    lhs = float(trial @ (K @ trial))
+    lhs = float(trial @ (cert.forms.K @ trial))
     s = mesh_samples(mesh, field)
     y_value, _ = s.p1(cert.values)
     g_value, g_slope = s.p1(trial / cert.values)
@@ -697,9 +694,9 @@ def harnack_probe(certs, exhaustion: Exhaustion, m: int) -> HarnackBounds:
             raise SolverError(
                 f"certificate at level {cert.level} does not cover level {m}"
             )
-        # nodal values on the level's edges, constrained nodes read as zero
+        # nodal values on the level's edges
         on_target = np.repeat([eid in target_edges for eid in cert.mesh.edge_ids], np.diff(cert.mesh.start))
-        vals = np.append(cert.values, 0.0)[cert.mesh.dof[on_target]]
+        vals = cert.values[cert.mesh.dof[on_target]]
         sup = float(np.max(vals))
         inf = float(np.min(vals))
         rows.append((cert.level, sup, inf))

@@ -18,7 +18,7 @@ from .coeff import load_coefficients
 from .eig import Pencil, _inertia, dense_reference, smallest_eigenpair
 from .errors import EvaluationError
 from .families import ladder, path, star
-from .fem import assemble, build_mesh, dirichlet_vertices, mesh_samples
+from .fem import assemble, build_mesh, mesh_samples
 from .graph import build_exhaustion, load_graph
 from .spectral import (
     ap_check,
@@ -28,11 +28,15 @@ from .spectral import (
 )
 
 
-def _star_setup(coeff_doc=None, h=0.05):
+def _star_forms(coeff_doc=None, h=0.05):
     g = load_graph(star(3))
-    field = load_coefficients(coeff_doc or {}, g)
-    mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
-    return g, field, assemble(mesh, field)
+    return assemble(build_mesh(g, h), load_coefficients(coeff_doc or {}, g))
+
+
+def _star_dirichlet(coeff_doc=None, h=0.05):
+    """The Dirichlet pencil of star(3): the whole graph, cut at its leaves."""
+    forms = _star_forms(coeff_doc, h)
+    return forms.restrict(forms.mesh.edge_ids, host_boundary=True)
 
 
 # --- individual checks ----------------------------------------------------------
@@ -81,20 +85,16 @@ def check_expression_round_trip(rng) -> tuple[bool, str]:
 
 def check_pencil_shift(rng) -> tuple[bool, str]:
     """q -> q + c*w moves the lowest eigenvalue by exactly c (c = 7)."""
-    _, _, base = _star_setup()
-    _, _, shifted = _star_setup({"default": {"q": 7.0}})
-    a = smallest_eigenpair(base.analysis).value
-    b = smallest_eigenpair(shifted.analysis).value
+    a = smallest_eigenpair(_star_dirichlet()).value
+    b = smallest_eigenpair(_star_dirichlet({"default": {"q": 7.0}})).value
     err = abs((b - a) - 7.0)
     return err <= 1e-12 * max(1.0, abs(a) + 7.0), f"measured shift {b - a!r}, error {err:.3e}"
 
 
 def check_pencil_scaling(rng) -> tuple[bool, str]:
     """(p, q, w) -> (cp, cq, cw) leaves eigenvalues unchanged (c = 0.3)."""
-    _, _, base = _star_setup({"default": {"q": 2.0}})
-    _, _, scaled = _star_setup({"default": {"p": 0.3, "q": 0.6, "w": 0.3}})
-    a = smallest_eigenpair(base.analysis).value
-    b = smallest_eigenpair(scaled.analysis).value
+    a = smallest_eigenpair(_star_dirichlet({"default": {"q": 2.0}})).value
+    b = smallest_eigenpair(_star_dirichlet({"default": {"p": 0.3, "q": 0.6, "w": 0.3}})).value
     rel = abs(b - a) / max(1.0, abs(a))
     return rel <= 1e-12, f"relative change {rel:.3e}"
 
@@ -103,9 +103,9 @@ def check_dense_iterative_agreement(rng) -> tuple[bool, str]:
     """Iterative and dense eigensolves agree on small pencils."""
     worst = 0.0
     for doc, h in [({}, 1.0 / 40), ({"default": {"q": -1.5}}, 0.05)]:
-        _, _, forms = _star_setup(doc, h=h)
-        it = smallest_eigenpair(forms.analysis, tol=1e-10)
-        dv, _ = dense_reference(forms.analysis)
+        pencil = _star_dirichlet(doc, h=h)
+        it = smallest_eigenpair(pencil, tol=1e-10)
+        dv, _ = dense_reference(pencil)
         worst = max(worst, abs(it.value - dv))
     return worst <= 1e-10, f"max |iterative - dense| = {worst:.3e}"
 
@@ -208,9 +208,9 @@ def check_persson_monotone(rng) -> tuple[bool, str]:
 def check_matrix_symmetry(rng) -> tuple[bool, str]:
     """Assembled forms are bitwise symmetric, even with jumping q."""
     doc = {"default": {"q": {"piecewise": [[0.0, -1.0], [0.4, 2.5]]}}}
-    _, _, forms = _star_setup(doc, h=0.07)
+    forms = _star_forms(doc, h=0.07)
     worst = 0
-    for a in (forms.stiffness, forms.potential, forms.mass):
+    for a in (forms.K, forms.M):
         b = a.T.tocsr()  # the forms are CSR on one sorted pattern, and so is the conversion
         same = (
             np.array_equal(a.indptr, b.indptr)
@@ -219,7 +219,7 @@ def check_matrix_symmetry(rng) -> tuple[bool, str]:
         )
         if not same:
             worst += 1
-    return worst == 0, f"{worst} of 3 matrices asymmetric"
+    return worst == 0, f"{worst} of 2 matrices asymmetric"
 
 
 def check_compact_perturbation(rng) -> tuple[bool, str]:
@@ -229,22 +229,22 @@ def check_compact_perturbation(rng) -> tuple[bool, str]:
     well = load_coefficients({"e01": {"q": -5.0}}, g)
     ex = build_exhaustion(g, "v00", 6)
     annulus = ex.levels[4] - ex.levels[1]
-    mesh = build_mesh(g, 0.1, edges=annulus, dirichlet_vertices=dirichlet_vertices(g, annulus, True))
-    fa = assemble(mesh, free)
-    fb = assemble(mesh, well)
-    for a, b in ((fa.stiffness, fb.stiffness), (fa.potential, fb.potential), (fa.mass, fb.mass)):
+    mesh = build_mesh(g, 0.1)
+    pa = assemble(mesh, free).restrict(annulus, host_boundary=True)
+    pb = assemble(mesh, well).restrict(annulus, host_boundary=True)
+    for a, b in ((pa.K, pb.K), (pa.M, pb.M)):
         if not (np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data)):
             return False, "pencil entries differ on an annulus avoiding the well"
-    lam_a = smallest_eigenpair(fa.analysis).value
-    lam_b = smallest_eigenpair(fb.analysis).value
+    lam_a = smallest_eigenpair(pa).value
+    lam_b = smallest_eigenpair(pb).value
     return lam_a == lam_b, f"annulus eigenvalue {lam_a!r} == {lam_b!r}"
 
 
 def check_pencil_inertia(rng) -> tuple[bool, str]:
     """LAPACK finds no eigenvalue below the certified bound and one within delta above it."""
-    _, _, forms = _star_setup({"default": {"q": -1.5}})
-    res = smallest_eigenpair(forms.analysis, tol=1e-10)
-    K, M = forms.pencil()
+    pencil = _star_dirichlet({"default": {"q": -1.5}})
+    res = smallest_eigenpair(pencil, tol=1e-10)
+    K, M = pencil.K, pencil.M
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     delta = res.value - res.certified_lower
     below = int(np.count_nonzero(dense < res.certified_lower))
@@ -265,7 +265,8 @@ def check_condensed_inertia(rng) -> tuple[bool, str]:
     g = load_graph(ladder(3))
     field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}, g)
     h = float(rng.uniform(0.05, 0.2))
-    K, M = assemble(build_mesh(g, h), field).pencil()
+    forms = assemble(build_mesh(g, h), field)
+    K, M = forms.K, forms.M
     vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     distinct = vals[np.diff(vals, prepend=-np.inf) > 1e-8][:6]
     gaps = rng.integers(0, len(distinct) - 1, size=11)

@@ -632,6 +632,17 @@ def test_malformed_eta_is_rejected(tmp_path, capsys, command, eta):
     assert "eta" in err
 
 
+@pytest.mark.parametrize("key", ["eta", "default"])
+def test_reserved_key_that_is_an_edge_id_exits_two(tmp_path, capsys, key):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"], "edges": [{"id": key, "from": "a", "to": "b", "length": 1.0}]}))
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({key: {"p": 2.0}}))
+    code, out, err = run(capsys, "validate", "--graph", str(graph), "--coeffs", str(coeffs))
+    assert code == 2
+    assert f"has an edge {key!r}" in err
+
+
 def test_import_leaves_matrix_market_io_unloaded():
     # scipy.io is imported only when forms are written out
     import os

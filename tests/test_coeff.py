@@ -264,6 +264,38 @@ def test_eta_below_one_is_rejected():
         load_coefficients({"eta": 0.5}, unit_interval())
 
 
+def edge_named(eid):
+    """Two edges in a path, the first of them named ``eid``."""
+    return load_graph(
+        {
+            "vertices": ["a", "b", "c"],
+            "edges": [
+                {"id": eid, "from": "a", "to": "b", "length": 1.0},
+                {"id": "e2", "from": "b", "to": "c", "length": 1.0},
+            ],
+        }
+    )
+
+
+def test_edge_named_eta_clashes_with_the_reserved_key():
+    g = edge_named("eta")
+    with pytest.raises(CoefficientError, match="coefficient key 'eta' is reserved, but the graph has an edge 'eta'"):
+        load_coefficients({"eta": {"p": 2.0}}, g)
+    with pytest.raises(CoefficientError, match="edge 'eta'"):
+        load_coefficients({"eta": 2.0}, g)
+    # without the key the edge is an ordinary edge
+    assert load_coefficients({"e2": {"p": 2.0}}, g).evaluate("eta", "p", [0.5]) == [1.0]
+
+
+def test_edge_named_default_clashes_with_the_reserved_key():
+    g = edge_named("default")
+    with pytest.raises(CoefficientError, match="coefficient key 'default' is reserved, but the graph has an edge 'default'"):
+        load_coefficients({"default": {"p": 2.0}}, g)
+    # without the key no entry spills onto the other edges
+    field = load_coefficients({"e2": {"q": 1.0}}, g)
+    assert field.evaluate("default", "q", [0.5]) == [0.0]
+
+
 def test_validation_evaluates_each_expression_spec_once(monkeypatch):
     calls = []
     original = expressions.evaluate

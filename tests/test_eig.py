@@ -15,15 +15,16 @@ from graphsl.eig import (
     smallest_eigenpair,
     solve_pencil,
 )
-from graphsl.errors import ConvergenceError, SolverError
+from graphsl.errors import ConvergenceError, MeshError, SolverError
 from graphsl.families import cycle, ladder, path, star, tree
-from graphsl.fem import assemble, build_mesh, dirichlet_vertices
+from graphsl.fem import assemble, build_mesh
 from graphsl.graph import build_exhaustion, load_graph
 
 
-def dirichlet_forms(g, h, doc=None):
-    mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
-    return assemble(mesh, load_coefficients(doc or {}, g))
+def dirichlet_pencil(g, h, doc=None):
+    """The Dirichlet pencil of the whole of ``g``: its assembly cut at the leaves."""
+    forms = assemble(build_mesh(g, h), load_coefficients(doc or {}, g))
+    return forms.restrict(forms.mesh.edge_ids, host_boundary=True)
 
 
 def km(pencil):
@@ -75,7 +76,7 @@ def test_interval_converges_to_pi_squared_at_second_order():
     g = load_graph(path(1))
     errors = []
     for h in (0.1, 0.05, 0.025):
-        value = smallest_eigenpair(dirichlet_forms(g, h).analysis, tol=1e-10).value
+        value = smallest_eigenpair(dirichlet_pencil(g, h), tol=1e-10).value
         errors.append(value - math.pi**2)
     assert all(e > 0 for e in errors)          # P1 Rayleigh quotients overshoot
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
@@ -84,7 +85,7 @@ def test_interval_converges_to_pi_squared_at_second_order():
 
 def test_lower_bound_is_below_dense_minimum():
     g = load_graph(star(4))
-    pencil = dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}}).analysis
+    pencil = dirichlet_pencil(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
     lb = pencil_lower_bound(*km(pencil))
     value, _ = dense_reference(pencil)
     assert lb <= value
@@ -92,12 +93,12 @@ def test_lower_bound_is_below_dense_minimum():
 
 def test_dense_and_iterative_agree():
     g = load_graph(path(3))
-    forms = dirichlet_forms(g, 0.1, {"default": {"w": {"expr": "1+0.5*sin(x)"}}})
-    it = smallest_eigenpair(forms.analysis, tol=1e-10)
-    dv, dvec = dense_reference(forms.analysis)
+    pencil = dirichlet_pencil(g, 0.1, {"default": {"w": {"expr": "1+0.5*sin(x)"}}})
+    it = smallest_eigenpair(pencil, tol=1e-10)
+    dv, dvec = dense_reference(pencil)
     assert it.value == pytest.approx(dv, rel=1e-10)
     # same space up to sign and M-normalization
-    dvec = dvec / math.sqrt(dvec @ (forms.mass @ dvec))
+    dvec = dvec / math.sqrt(dvec @ (pencil.M @ dvec))
     if dvec[np.argmax(np.abs(dvec))] < 0:
         dvec = -dvec
     np.testing.assert_allclose(it.vector, dvec, atol=1e-7)
@@ -105,7 +106,7 @@ def test_dense_and_iterative_agree():
 
 def test_result_contract():
     g = load_graph(star(3))
-    pencil = dirichlet_forms(g, 0.1).analysis
+    pencil = dirichlet_pencil(g, 0.1)
     res = smallest_eigenpair(pencil, tol=1e-9)
     K, M = km(pencil)
     mx = M @ res.vector
@@ -125,12 +126,12 @@ def test_result_contract():
 
 def tiny_pencil():
     """One unit edge, Dirichlet at both ends, h = 1/2: a single hat at the midpoint."""
-    return dirichlet_forms(load_graph(path(1)), 0.5).analysis
+    return dirichlet_pencil(load_graph(path(1)), 0.5)
 
 
 def three_dof_pencil():
     """Dirichlet path(2) at h = 1/2: the middle vertex and one hat on each edge."""
-    return dirichlet_forms(load_graph(path(2)), 0.5, {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}).analysis
+    return dirichlet_pencil(load_graph(path(2)), 0.5, {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}})
 
 
 def test_tiny_pencil_goes_through_lanczos():
@@ -164,8 +165,7 @@ def test_random_small_pencils_match_lapack(n):
 
 def test_mass_shift_identity():
     g = load_graph(star(3))
-    forms = dirichlet_forms(g, 0.1)
-    K, M = forms.pencil()
+    K, M = km(dirichlet_pencil(g, 0.1))
     base = solve_pencil(K, M, tol=1e-10).value
     shifted = solve_pencil((K + 5.0 * M).tocsr(), M, tol=1e-10).value
     assert shifted - base == pytest.approx(5.0, abs=1e-11 * max(1.0, abs(base)))
@@ -173,7 +173,7 @@ def test_mass_shift_identity():
 
 def test_history_tracks_ritz_values():
     g = load_graph(path(2))
-    res = smallest_eigenpair(dirichlet_forms(g, 0.05).analysis, tol=1e-10)
+    res = smallest_eigenpair(dirichlet_pencil(g, 0.05), tol=1e-10)
     assert len(res.history) == res.iterations
     assert [idx for idx, _ in res.history] == list(range(1, res.iterations + 1))
     values = [value for _, value in res.history]
@@ -190,7 +190,7 @@ def test_shape_mismatch_rejected():
 
 def test_negative_spectrum_found_without_hints():
     g = load_graph(path(4))
-    pencil = dirichlet_forms(g, 0.05, {"default": {"q": -7.0}}).analysis
+    pencil = dirichlet_pencil(g, 0.05, {"default": {"q": -7.0}})
     res = smallest_eigenpair(pencil, tol=1e-10)
     dv, _ = dense_reference(pencil)
     assert res.value < 0
@@ -202,7 +202,7 @@ def test_negative_spectrum_found_without_hints():
 
 def star_pencil():
     """star(3) Dirichlet pencil and its dense spectrum (lambda_1 = 2.47, lambda_2 = 9.89)."""
-    K, M = dirichlet_forms(load_graph(star(3)), 0.1).pencil()
+    K, M = km(dirichlet_pencil(load_graph(star(3)), 0.1))
     vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
     return K, M, vals, vecs
 
@@ -263,15 +263,14 @@ def test_refused_pivoting_at_the_gershgorin_seed_raises(monkeypatch):
 
 def star_piecewise_q():
     g = load_graph(star(4))
-    return dirichlet_forms(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}}).analysis
+    return dirichlet_pencil(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
 
 
 def tree_negative_q_level():
     g = load_graph(tree(3))
     level = build_exhaustion(g, "n0", 3).levels[2]
     field = load_coefficients({"default": {"q": {"expr": "-4+0.3*sin(2*x)"}}}, g)
-    mesh = build_mesh(g, 0.05, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True))
-    return assemble(mesh, field).analysis
+    return assemble(build_mesh(g, 0.05, edges=level), field).restrict(level, host_boundary=True)
 
 
 def restricted_annulus():
@@ -291,8 +290,7 @@ def ball_level(doc, root, depth, h, coeffs=Q_SIN):
     g = load_graph(doc)
     level = build_exhaustion(g, root, depth).levels[depth]
     field = load_coefficients(coeffs, g)
-    mesh = build_mesh(g, h, edges=level, dirichlet_vertices=dirichlet_vertices(g, level, True))
-    return assemble(mesh, field).analysis
+    return assemble(build_mesh(g, h, edges=level), field).restrict(level, host_boundary=True)
 
 
 def tree_level(depth, h):
@@ -770,22 +768,45 @@ def test_condensed_count_and_solve_agree_with_lapack(make_pencil):
     assert heads[0] < K.shape[0]
 
 
+def looped_multigraph():
+    """A loop at a, two parallel edges from a to b and a tail from b to c."""
+    return {
+        "vertices": ["a", "b", "c"],
+        "edges": [
+            {"id": "loop", "from": "a", "to": "a", "length": 1.0},
+            {"id": "p1", "from": "a", "to": "b", "length": 1.0},
+            {"id": "p2", "from": "b", "to": "a", "length": 1.0},
+            {"id": "tail", "from": "b", "to": "c", "length": 1.0},
+        ],
+        "root": "a",
+    }
+
+
 def test_condensed_agrees_with_lapack_on_random_small_graphs():
     # short edges put a vertex's coupling right below the vertex rows and
-    # leave one-row or no chains; some ends are Dirichlet, some shifts lie
-    # above an edge's Dirichlet bottom
+    # leave one-row or no chains; each pencil is a random piece of a random
+    # graph, cut at its interface and, half the time, at the host's leaves;
+    # some shifts lie above an edge's Dirichlet bottom
     rng = np.random.default_rng(1)
-    split = 0
+    split = pieces = 0
     for _ in range(40):
-        doc = [path(3), star(3), tree(2), ladder(2), cycle(3)][rng.integers(5)]
+        doc = [path(3), star(3), tree(2), ladder(2), cycle(3), looped_multigraph()][rng.integers(6)]
         g = load_graph(with_lengths(doc, list(rng.uniform(0.05, 1.2, len(doc["edges"])))))
-        dirichlet = frozenset(v for v in g.boundary if rng.random() < 0.5)
-        mesh = build_mesh(g, rng.uniform(0.05, 0.4), dirichlet_vertices=dirichlet)
-        K, M = assemble(mesh, load_coefficients(Q_SIN, g)).pencil()
+        mesh = build_mesh(g, rng.uniform(0.05, 0.4))
+        assert mesh.dof.min() >= 0
+        forms = assemble(mesh, load_coefficients(Q_SIN, g))
+        ids = [e.id for e in g.edges]
+        piece = [eid for eid in ids if rng.random() < 0.7] or [ids[rng.integers(len(ids))]]
+        try:
+            K, M = km(forms.restrict(piece, host_boundary=bool(rng.random() < 0.5)))
+        except MeshError as exc:  # a piece of one-cell edges, cut at every vertex
+            assert "no free degrees of freedom" in str(exc)
+            continue
+        pieces += 1
         pencil, vals, shifts = lapack_shifts(K, M, count=8)
         for sigma in shifts:
             split += check_against_lapack(pencil, sigma, vals).m < K.shape[0]
-    assert split > 0
+    assert split > 0 and pieces >= 30
 
 
 def test_one_analysis_factors_like_a_fresh_one_at_every_shift():
@@ -801,8 +822,9 @@ def test_one_analysis_factors_like_a_fresh_one_at_every_shift():
 
 
 def test_forms_analysis_is_the_pencil_in_csc():
-    forms = dirichlet_forms(load_graph(tree(3)), 0.05, Q_SIN)
-    K, M = forms.pencil()
+    g = load_graph(tree(3))
+    forms = assemble(build_mesh(g, 0.05), load_coefficients(Q_SIN, g))
+    K, M = forms.K, forms.M
     pencil = forms.analysis
     assert forms.analysis is pencil                     # built once
     for mine, theirs in ((pencil.K, K.tocsc()), (pencil.M, M.tocsc())):
@@ -884,7 +906,7 @@ def test_superlu_sees_one_row_per_free_vertex(monkeypatch):
 
 
 def star3_fine():
-    return dirichlet_forms(load_graph(star(3)), 0.05).analysis
+    return dirichlet_pencil(load_graph(star(3)), 0.05)
 
 
 @pytest.mark.parametrize(

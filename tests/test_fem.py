@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphsl import _kernels
 from graphsl.coeff import CoefficientField, edge_integral, load_coefficients
 from graphsl.eig import Pencil, dense_reference, smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
@@ -15,6 +16,7 @@ from graphsl.fem import (
     form_value,
     kirchhoff_residual,
     mass_value,
+    mesh_samples,
     write_matrix_market,
 )
 from graphsl.graph import build_exhaustion, load_graph
@@ -33,16 +35,26 @@ def unit_interval():
 # --- meshing --------------------------------------------------------------------
 
 
+def dirichlet_whole(g, h, doc=None):
+    """The forms of the free mesh of ``g`` and its Dirichlet pencil, cut at the leaves."""
+    forms = assemble(build_mesh(g, h), load_coefficients(doc or {}, g))
+    return forms, forms.restrict(forms.mesh.edge_ids, host_boundary=True)
+
+
 def test_unit_edge_half_h_dirichlet_one_dof():
     g = unit_interval()
-    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
-    assert mesh.n_free == 1
+    mesh = build_mesh(g, 0.5)
+    assert mesh.n_free == 3
+    assert mesh.free_dofs(mesh.edge_ids, host_boundary=True).tolist() == [mesh.n_free - 1]
 
 
 def test_star_half_h_dirichlet_four_dofs():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
-    assert mesh.n_free == 4  # center + one midpoint per arm
+    mesh = build_mesh(g, 0.5)
+    assert mesh.n_free == 7
+    kept = mesh.free_dofs(mesh.edge_ids, host_boundary=True)
+    assert len(kept) == 4  # center + one midpoint per arm
+    assert mesh.vertex_dof["c"] in kept
 
 
 def test_free_two_edge_path_seven_dofs():
@@ -64,8 +76,9 @@ def test_cell_sizes_at_most_h():
 
 
 def assert_dof_layout(mesh):
-    """Free vertices take dofs 0.. in sorted order, interior nodes follow in node order."""
-    free = sorted(v for v, d in mesh.vertex_dof.items() if d >= 0)
+    """Vertices take dofs 0.. in sorted order, interior nodes follow in node order."""
+    assert mesh.dof.min() >= 0
+    free = sorted(mesh.vertex_dof)
     assert [mesh.vertex_dof[v] for v in free] == list(range(len(free)))
     first, last = mesh.start[:-1], mesh.start[1:] - 1
     interior = np.ones(len(mesh.x), dtype=bool)
@@ -89,15 +102,18 @@ def test_dof_layout_after_build_and_restrict():
     level = ex.levels[2]
     boundary = dirichlet_vertices(g, level, True)
     assert boundary
-    direct = build_mesh(g, 0.15, edges=level, dirichlet_vertices=boundary)
+    direct = build_mesh(g, 0.15, edges=level)
     assert_dof_layout(direct)
-    assert all(direct.vertex_dof[v] == -1 for v in boundary)
-    # a piece keeps the whole mesh's free dofs, numbered as the direct mesh numbers them
+    # the level's own mesh with its Dirichlet vertices' dofs removed
+    direct_kept = np.setdiff1d(np.arange(direct.n_free), [direct.vertex_dof[v] for v in boundary])
+    direct_renumber = np.full(direct.n_free, -1)
+    direct_renumber[direct_kept] = np.arange(len(direct_kept))
+    # a piece keeps the whole mesh's dofs, numbered as the direct elimination numbers them
     kept = whole.free_dofs(level, host_boundary=True)
     renumber = np.full(whole.n_free, -1)
     renumber[kept] = np.arange(len(kept))
     on_level = np.repeat([eid in level for eid in whole.edge_ids], np.diff(whole.start))
-    assert np.array_equal(renumber[whole.dof[on_level]], direct.dof)
+    assert np.array_equal(renumber[whole.dof[on_level]], direct_renumber[direct.dof])
 
 
 def test_mesh_memory_is_linear_in_edges():
@@ -136,32 +152,34 @@ def test_empty_selection_rejected():
 def test_interval_third_h_interior_matrices():
     """p=w=1, q=0, h=1/3, Dirichlet ends: classical tridiagonal blocks."""
     g = unit_interval()
-    mesh = build_mesh(g, 1.0 / 3.0, dirichlet_vertices=g.boundary)
-    forms = assemble(mesh, load_coefficients({}, g))
-    K = forms.stiffness.toarray()
-    M = forms.mass.toarray()
+    field = load_coefficients({}, g)
+    mesh = build_mesh(g, 1.0 / 3.0)
+    piece = assemble(mesh, field).restrict(mesh.edge_ids, host_boundary=True)
+    K = piece.K.toarray()
+    M = piece.M.toarray()
     np.testing.assert_allclose(K, [[6.0, -3.0], [-3.0, 6.0]], atol=1e-13)
     np.testing.assert_allclose(M, [[2 / 9, 1 / 18], [1 / 18, 2 / 9]], atol=1e-15)
-    assert np.all(forms.potential.toarray() == 0.0)
+    # the potential's cell moments, which K adds to the stiffness, are exact zeros
+    s = mesh_samples(mesh, field)
+    _, q00, q01, q11, *_ = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
+    assert np.all(np.concatenate((q00, q01, q11)) == 0.0)
 
 
 def test_constant_q_matches_scaled_mass():
+    # compared on the cell moments: K - K_p would add eps/h^2 rounding
     g = load_graph(path(2))
-    mesh = build_mesh(g, 0.2)
-    forms = assemble(mesh, load_coefficients({"default": {"q": 3.0}}, g))
-    np.testing.assert_allclose(
-        forms.potential.toarray(), 3.0 * forms.mass.toarray(), rtol=1e-14, atol=1e-16
-    )
+    s = mesh_samples(build_mesh(g, 0.2), load_coefficients({"default": {"q": 3.0}}, g))
+    _, *qm, m00, m01, m11 = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
+    np.testing.assert_allclose(np.array(qm), 3.0 * np.array([m00, m01, m11]), rtol=1e-14, atol=1e-16)
 
 
 def test_star_center_row():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.5, dirichlet_vertices=g.boundary)
-    forms = assemble(mesh, load_coefficients({}, g))
-    K = forms.stiffness.toarray()
-    c = mesh.vertex_dof["c"]
+    forms, piece = dirichlet_whole(g, 0.5)
+    K = piece.K.toarray()
+    c = forms.mesh.free_dofs(forms.mesh.edge_ids, host_boundary=True).tolist().index(forms.mesh.vertex_dof["c"])
     assert K[c, c] == pytest.approx(6.0)
-    off = sorted(K[c, j] for j in range(mesh.n_free) if j != c)
+    off = sorted(K[c, j] for j in range(piece.n) if j != c)
     assert off == pytest.approx([-2.0, -2.0, -2.0])
 
 
@@ -170,7 +188,7 @@ def test_matrices_bitwise_symmetric():
     doc = {"default": {"p": {"expr": "1+0.3*sin(2*x)"}, "q": {"piecewise": [[0, -1], [0.3, 2]]}}}
     mesh = build_mesh(g, 0.13)
     forms = assemble(mesh, load_coefficients(doc, g))
-    for mat in (forms.stiffness, forms.potential, forms.mass):
+    for mat in (forms.K, forms.M):
         a = mat.tocsr()
         a.sort_indices()
         b = mat.T.tocsr()
@@ -185,8 +203,8 @@ def test_constant_kernel_of_stiffness():
     mesh = build_mesh(g, 0.1)
     forms = assemble(mesh, load_coefficients({}, g))
     ones = np.ones(mesh.n_free)
-    resid = np.abs(forms.stiffness @ ones).max()
-    scale = np.abs(forms.stiffness.data).max()
+    resid = np.abs(forms.K @ ones).max()  # q = 0, so K is the stiffness alone
+    scale = np.abs(forms.K.data).max()
     assert resid <= 1e-12 * scale
 
 
@@ -194,7 +212,7 @@ def test_mass_positive_definite():
     g = load_graph(path(2))
     mesh = build_mesh(g, 0.25)
     forms = assemble(mesh, load_coefficients({"default": {"w": 0.7}}, g))
-    eigs = np.linalg.eigvalsh(forms.mass.toarray())
+    eigs = np.linalg.eigvalsh(forms.M.toarray())
     assert eigs.min() > 0
 
 
@@ -242,9 +260,9 @@ def test_form_value_matches_matrix_quadratic_form(rng, doc, coeffs):
     forms = assemble(mesh, field)
     f = rng.normal(size=mesh.n_free)
     quad = form_value(mesh, field, f)
-    matrix = f @ ((forms.stiffness + forms.potential) @ f)
+    matrix = f @ (forms.K @ f)
     assert quad == pytest.approx(matrix, rel=1e-12, abs=1e-12)
-    assert mass_value(mesh, field, f) == pytest.approx(f @ (forms.mass @ f), rel=1e-12)
+    assert mass_value(mesh, field, f) == pytest.approx(f @ (forms.M @ f), rel=1e-12)
     # the constant function integrates q and w exactly across the breakpoints
     ones = np.ones(mesh.n_free)
     for value, which in ((form_value, "q"), (mass_value, "w")):
@@ -271,37 +289,38 @@ def test_assemble_evaluates_each_distinct_spec_once(monkeypatch):
 
 
 def test_domain_monotonicity_under_constraints():
-    """Adding a Dirichlet constraint never lowers the smallest eigenvalue."""
+    """A smaller form domain never lowers the smallest eigenvalue.
+
+    The pieces' domains are nested: the free path, the path Dirichlet at
+    its ends, the piece cut at the interior vertex v01, and that piece
+    cut again at v02.
+    """
     g = load_graph(path(3))
-    field = load_coefficients({}, g)
+    forms = assemble(build_mesh(g, 0.1), load_coefficients({}, g))
     values = []
-    for vs in [frozenset(), frozenset({"v00"}), frozenset({"v00", "v03"}),
-               frozenset({"v00", "v03", "v01"})]:
-        mesh = build_mesh(g, 0.1, dirichlet_vertices=vs)
-        values.append(smallest_eigenpair(assemble(mesh, field).analysis, tol=1e-9).value)
+    for edges, host in [({"e01", "e02", "e03"}, False), ({"e01", "e02", "e03"}, True),
+                        ({"e02", "e03"}, True), ({"e03"}, True)]:
+        values.append(smallest_eigenpair(forms.restrict(edges, host_boundary=host), tol=1e-9).value)
+    assert dirichlet_vertices(g, {"e02", "e03"}, True) == {"v01", "v03"}
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-9
 
 
 def test_q_shift_is_exact():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.2, dirichlet_vertices=g.boundary)
-    base = assemble(mesh, load_coefficients({}, g))
-    shifted = assemble(mesh, load_coefficients({"default": {"q": 4.0}}, g))
-    a = smallest_eigenpair(base.analysis, tol=1e-10).value
-    b = smallest_eigenpair(shifted.analysis, tol=1e-10).value
+    _, base = dirichlet_whole(g, 0.2)
+    _, shifted = dirichlet_whole(g, 0.2, {"default": {"q": 4.0}})
+    a = smallest_eigenpair(base, tol=1e-10).value
+    b = smallest_eigenpair(shifted, tol=1e-10).value
     assert b - a == pytest.approx(4.0, abs=1e-12 * max(1, abs(a)))
 
 
 def test_coefficient_scaling_is_exact():
     g = load_graph(star(3))
-    mesh = build_mesh(g, 0.2, dirichlet_vertices=g.boundary)
-    base = assemble(mesh, load_coefficients({"default": {"q": -1.0}}, g))
-    scaled = assemble(
-        mesh, load_coefficients({"default": {"p": 0.3, "q": -0.3, "w": 0.3}}, g)
-    )
-    a = smallest_eigenpair(base.analysis, tol=1e-10).value
-    b = smallest_eigenpair(scaled.analysis, tol=1e-10).value
+    _, base = dirichlet_whole(g, 0.2, {"default": {"q": -1.0}})
+    _, scaled = dirichlet_whole(g, 0.2, {"default": {"p": 0.3, "q": -0.3, "w": 0.3}})
+    a = smallest_eigenpair(base, tol=1e-10).value
+    b = smallest_eigenpair(scaled, tol=1e-10).value
     assert b == pytest.approx(a, rel=1e-12)
 
 
@@ -317,7 +336,11 @@ PATTERN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PATTERN_CASES))
 def test_one_pattern_scatter_equals_scipy_coo_conversion(monkeypatch, case):
-    """bincount on the one pattern gives scipy's COO to CSR arrays, bit for bit."""
+    """bincount on the one pattern gives scipy's COO to CSR arrays, bit for bit.
+
+    M is the mass's conversion; K has the same pattern, and its values are
+    the stiffness's plus the potential's, added once on that pattern.
+    """
     from scipy.sparse import coo_matrix
 
     from graphsl import _kernels
@@ -336,13 +359,19 @@ def test_one_pattern_scatter_equals_scipy_coo_conversion(monkeypatch, case):
     (rows, cols, *values), = scattered
     if case == "star12":
         assert np.bincount(rows).max() == 24   # the center row: 12 arms, 2 entries per end cell
-    for name, v in zip(("stiffness", "potential", "mass"), values):
-        want = coo_matrix((v, (rows, cols)), shape=(forms.n, forms.n)).tocsr()
+    n = forms.M.shape[0]
+    stiffness, potential, mass = (coo_matrix((v, (rows, cols)), shape=(n, n)).tocsr() for v in values)
+    for want in (stiffness, potential, mass):
         want.sum_duplicates()
-        got = getattr(forms, name)
-        for part in ("data", "indices", "indptr"):
+    for name, got, want in (("K", forms.K, stiffness), ("M", forms.M, mass)):
+        for part in ("data", "indices", "indptr") if name == "M" else ("indices", "indptr"):
             x, y = getattr(got, part), getattr(want, part)
             assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
+    assert np.array_equal(potential.indices, mass.indices) and np.array_equal(potential.indptr, mass.indptr)
+    assert forms.K.data.dtype == mass.data.dtype
+    assert np.array_equal(forms.K.data, stiffness.data + potential.data)
+    # K and M share the one pattern's arrays
+    assert np.shares_memory(forms.K.indices, forms.M.indices) and np.shares_memory(forms.K.indptr, forms.M.indptr)
 
 
 def test_exact_cancellation_keeps_the_pencil_on_one_pattern(monkeypatch):
@@ -351,7 +380,7 @@ def test_exact_cancellation_keeps_the_pencil_on_one_pattern(monkeypatch):
 
     g = load_graph(path(1))
     forms = assemble(build_mesh(g, 0.2), load_coefficients({"default": {"q": 149.99999999999997}}, g))
-    K, M = forms.pencil()
+    K, M = forms.K, forms.M
     assert np.count_nonzero(K.data == 0.0) == 4
     assert np.array_equal(K.indices, M.indices) and np.array_equal(K.indptr, M.indptr)
 
@@ -367,9 +396,18 @@ def test_exact_cancellation_keeps_the_pencil_on_one_pattern(monkeypatch):
 # --- restriction ------------------------------------------------------------------
 
 
-def assert_same_pencil(piece, forms):
-    """A restricted piece equals the analysed pencil of a direct assembly, array for array."""
-    direct = Pencil(*forms.pencil())
+def eliminated(g, h, field, edges, vertices):
+    """The piece ``edges`` assembled on its own mesh, with the rows and columns of ``vertices`` removed."""
+    forms = assemble(build_mesh(g, h, edges=edges), field)
+    mesh = forms.mesh
+    assert mesh.dof.min() >= 0
+    kept = np.setdiff1d(np.arange(mesh.n_free), [mesh.vertex_dof[v] for v in vertices])
+    return forms.K[kept][:, kept], forms.M[kept][:, kept]
+
+
+def assert_same_pencil(piece, reference):
+    """A restricted piece equals the analysed pencil of a reference (K, M), array for array."""
+    direct = Pencil(*reference)
     for name in ("K", "M"):
         x, y = getattr(piece, name), getattr(direct, name)
         assert x.shape == y.shape
@@ -378,7 +416,11 @@ def assert_same_pencil(piece, forms):
 
 
 def test_restrict_equals_direct_assembly():
-    """Levels, annuli and certificate blocks are slices of one assembly."""
+    """Levels, annuli and certificate blocks are slices of one assembly.
+
+    The reference is each piece assembled on its own mesh, with its
+    Dirichlet rows and columns removed by scipy's indexing.
+    """
     g = load_graph(tree(3))
     ex = build_exhaustion(g, "n0", 3)
     field = load_coefficients(
@@ -388,26 +430,23 @@ def test_restrict_equals_direct_assembly():
     h = 0.15
     parent = assemble(build_mesh(g, h, edges=ex.levels[3]), field)
 
-    def direct(edges, vertices):
-        return assemble(build_mesh(g, h, edges=edges, dirichlet_vertices=vertices), field)
-
     pieces = [ex.levels[n] for n in (1, 2, 3)]
     pieces += [ex.levels[N] - ex.levels[n] for n, N in ((1, 2), (1, 3), (2, 3))]
     for edges in pieces:
         for host in (True, False):
             vertices = dirichlet_vertices(g, edges, host)
-            assert_same_pencil(parent.restrict(edges, host_boundary=host), direct(edges, vertices))
+            assert_same_pencil(parent.restrict(edges, host_boundary=host), eliminated(g, h, field, edges, vertices))
 
-    # certificate: the free forms of a level, whose interior block is the
+    # certificate: the forms of a level, whose interior block is the
     # level's Dirichlet pencil
     level = ex.levels[2]
-    free = direct(level, frozenset())
+    free = assemble(build_mesh(g, h, edges=level), field)
     boundary = dirichlet_vertices(g, level, True)
-    inner = direct(level, boundary)
-    assert_same_pencil(free.restrict(level, host_boundary=True), inner)
+    inner = free.restrict(level, host_boundary=True)
+    assert_same_pencil(inner, eliminated(g, h, field, level, boundary))
     bdofs = sorted(free.mesh.vertex_dof[v] for v in boundary)
-    idofs = np.setdiff1d(np.arange(free.n), bdofs)
-    for name in ("stiffness", "potential", "mass"):
+    idofs = np.setdiff1d(np.arange(free.M.shape[0]), bdofs)
+    for name in ("K", "M"):
         block = getattr(free, name)[np.ix_(idofs, idofs)]
         assert (block != getattr(inner, name)).nnz == 0
 
@@ -433,8 +472,7 @@ def test_restrict_constrains_the_cut():
         kept = parent.mesh.free_dofs(ex.levels[1], host_boundary=host)
         assert not {parent.mesh.vertex_dof[v] for v in ("n1", "n2")} & set(kept)
         assert parent.mesh.vertex_dof["n0"] in kept
-        direct = assemble(build_mesh(g, 0.25, edges=ex.levels[1], dirichlet_vertices={"n1", "n2"}), field)
-        assert_same_pencil(piece, direct)
+        assert_same_pencil(piece, eliminated(g, 0.25, field, ex.levels[1], {"n1", "n2"}))
 
 
 def test_restrict_takes_no_vertex_set():
@@ -503,8 +541,7 @@ def test_restrict_equals_direct_assembly_on_a_multigraph():
     for edges in ({"loop", "p1"}, {"p1", "p2"}, {"loop", "p1", "p2"}, {"p2", "tail"}, {e.id for e in g.edges}):
         for host in (True, False):
             vertices = dirichlet_vertices(g, edges, host)
-            direct = assemble(build_mesh(g, 0.7, edges=edges, dirichlet_vertices=vertices), field)
-            assert_same_pencil(parent.restrict(edges, host_boundary=host), direct)
+            assert_same_pencil(parent.restrict(edges, host_boundary=host), eliminated(g, 0.7, field, edges, vertices))
 
 
 # --- kirchhoff flux checks ---------------------------------------------------------
@@ -536,9 +573,11 @@ def test_kirchhoff_residual_decreases_under_refinement():
     field = load_coefficients({}, g)
     residuals = []
     for h in (0.1, 0.05):
-        mesh = build_mesh(g, h, dirichlet_vertices=g.boundary)
-        result = smallest_eigenpair(assemble(mesh, field).analysis, tol=1e-10)
-        residuals.append(kirchhoff_residual(mesh, field, result.vector, ["c"])["c"])
+        mesh = build_mesh(g, h)
+        result = smallest_eigenpair(assemble(mesh, field).restrict(mesh.edge_ids, host_boundary=True), tol=1e-10)
+        f = np.zeros(mesh.n_free)  # the eigenvector, zero at the Dirichlet leaves
+        f[mesh.free_dofs(mesh.edge_ids, host_boundary=True)] = result.vector
+        residuals.append(kirchhoff_residual(mesh, field, f, ["c"])["c"])
     assert residuals[1] < residuals[0]
     # one-sided quotients are first order
     assert residuals[0] / residuals[1] == pytest.approx(2.0, rel=0.35)
@@ -554,32 +593,26 @@ def test_kirchhoff_one_call_matches_vertex_by_vertex(rng):
     vertices = sorted(mesh.vertex_dof)
     together = kirchhoff_residual(mesh, field, f, vertices)
     assert together == {v: kirchhoff_residual(mesh, field, f, [v])[v] for v in vertices}
+    assert kirchhoff_residual(mesh, field, f.tolist(), vertices) == together  # a list reads as its array
     assert all(type(r) is float and r > 0 for r in together.values())
     assert kirchhoff_residual(mesh, field, f, []) == {}
 
 
 def test_kirchhoff_counts_each_end_of_a_loop_once(rng):
-    # the flux sum at a vertex is minus its row of K_p times f; reading a
-    # loop's end cells twice, or a parallel edge's once, would break that
+    # the flux sum at a vertex is minus its row of K_p times f (K, with
+    # q = 0); reading a loop's end cells twice, or a parallel edge's once,
+    # would break that
     cases = [
-        (LOLLIPOP, {"loop": {"p": 2.5}, "stick": {"p": 0.75}}, "b"),
-        (MULTIGRAPH, {"default": {"p": {"expr": "1+0.5*sin(3*x)"}}}, "c"),
+        (LOLLIPOP, {"loop": {"p": 2.5}, "stick": {"p": 0.75}}),
+        (MULTIGRAPH, {"default": {"p": {"expr": "1+0.5*sin(3*x)"}}}),
     ]
-    for doc, coeffs, end in cases:
+    for doc, coeffs in cases:
         g = load_graph(doc)
         field = load_coefficients(coeffs, g)
-        mesh = build_mesh(g, 0.1, dirichlet_vertices={end})
+        mesh = build_mesh(g, 0.1)
         f = rng.normal(size=mesh.n_free)
-        row = (assemble(mesh, field).stiffness @ f)[mesh.vertex_dof["a"]]
+        row = (assemble(mesh, field).K @ f)[mesh.vertex_dof["a"]]
         assert kirchhoff_residual(mesh, field, f, ["a"])["a"] == pytest.approx(abs(row), rel=1e-12)
-
-
-def test_kirchhoff_rejects_constrained_vertex():
-    g = unit_interval()
-    field = load_coefficients({}, g)
-    mesh = build_mesh(g, 0.25, dirichlet_vertices=g.boundary)
-    with pytest.raises(MeshError):
-        kirchhoff_residual(mesh, field, np.ones(mesh.n_free), ["a"])
 
 
 # --- export ---------------------------------------------------------------------
@@ -587,15 +620,15 @@ def test_kirchhoff_rejects_constrained_vertex():
 
 def test_matrix_market_export(tmp_path):
     g = unit_interval()
-    mesh = build_mesh(g, 0.25, dirichlet_vertices=g.boundary)
-    forms = assemble(mesh, load_coefficients({"e1": {"q": 1.0}}, g))
-    write_matrix_market(forms, tmp_path)
+    forms = assemble(build_mesh(g, 0.25), load_coefficients({"e1": {"q": {"expr": "1+x"}}}, g))
+    written = write_matrix_market(forms, tmp_path, prefix="u-")
     import scipy.io
 
-    for name in ("stiffness", "potential", "mass"):
-        target = tmp_path / f"{name}.mtx"
-        assert target.exists()
-        header = target.read_text().splitlines()[0]
+    assert written == [str(tmp_path / "u-K.mtx"), str(tmp_path / "u-M.mtx")]
+    for path, mat in zip(written, (forms.K, forms.M)):
+        header = open(path).read().splitlines()[0]
         assert "symmetric" in header
-        mat = scipy.io.mmread(target).toarray()
-        np.testing.assert_allclose(mat, getattr(forms, name).toarray(), atol=0)
+        back = scipy.io.mmread(path).tocsr()
+        back.sort_indices()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back, part), getattr(mat, part)), (path, part)

@@ -26,7 +26,7 @@ def interval_doc():
 def test_single_edge():
     g = load_graph(interval_doc())
     assert g.boundary == {"a", "b"}
-    assert g.min_edge_length == g.max_edge_length == 1.0
+    assert g.min_edge_length == 1.0
     assert g.degree("a") == 1
 
 
@@ -199,7 +199,7 @@ def test_loop_matches_periodic_assembly():
     """
     from graphsl.coeff import load_coefficients
     from graphsl.eig import smallest_eigenpair, solve_pencil
-    from graphsl.fem import assemble, build_mesh
+    from graphsl.fem import assemble, build_mesh, dirichlet_vertices
     import scipy.sparse as sp
 
     doc = {
@@ -212,8 +212,9 @@ def test_loop_matches_periodic_assembly():
     }
     g = load_graph(doc)
     field = load_coefficients({}, g)
-    mesh = build_mesh(g, 0.05, dirichlet_vertices=frozenset({"b"}))
-    lam_loop = smallest_eigenpair(assemble(mesh, field).analysis, tol=1e-10).value
+    mesh = build_mesh(g, 0.05)
+    assert dirichlet_vertices(g, mesh.edge_ids, True) == {"b"}
+    lam_loop = smallest_eigenpair(assemble(mesh, field).restrict(mesh.edge_ids, host_boundary=True), tol=1e-10).value
 
     # hand assembly: loop nodes 0..19 cyclic (node 0 = vertex a), stick
     # nodes 1..19 interior (node 20 = vertex b eliminated by Dirichlet)
