@@ -252,22 +252,20 @@ def load_coefficients(document, graph: MetricGraph) -> CoefficientField:
 # --- integration -------------------------------------------------------------
 
 
-def map_by_spec(field: CoefficientField, name: str, edge_ids, edge, fn) -> np.ndarray:
+def map_by_spec(field: CoefficientField, name: str, edge_ids, edge, fn, columns=None) -> np.ndarray:
     """Array over entries, entry k on edge ``edge_ids[edge[k]]``, filled group by group.
 
     Entries are grouped by the spec object of field ``name`` on their edge.
     Each group, in ``edge_ids`` order, takes ``fn(edge_id, spec, idx)``:
     the id of its first edge, the spec and its entry positions, increasing.
+    With ``columns`` set, each entry is a row of that many values.
     """
     specs = [field.spec(eid, name) for eid in edge_ids]
     first: dict = {}  # spec -> position of the first edge carrying it
     head = np.array([first.setdefault(spec, k) for k, spec in enumerate(specs)])[edge]
     order = np.argsort(head, kind="stable")
     grouped = head[order]
-    # allocated after the grouping arrays, so that once freed they stay on
-    # the heap below it for the solver's factors to reuse; allocated first,
-    # they were trimmed and the certificate-tree eigensolve ran ~0.1 s slower
-    out = np.empty(len(head))
+    out = np.empty(len(head) if columns is None else (len(head), columns))
     for idx in np.split(order, np.flatnonzero(grouped[1:] != grouped[:-1]) + 1):
         if idx.size:
             k = head[idx[0]]

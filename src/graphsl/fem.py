@@ -13,14 +13,17 @@ enters a matrix only where a piece is cut: a Dirichlet piece of an
 assembly is its edge set, Dirichlet on the vertices
 :func:`dirichlet_vertices` names, and ``AssembledForms.restrict`` cuts it
 as the analysed ``eig.Pencil`` of the principal submatrices of K and M on
-the piece's kept dofs, with no mesh of its own.  Every quadrature over a
-mesh (assembly, the direct form and mass values, the ground-state
-transform) reads the one flat sample set that :func:`mesh_samples`
-builds.
+the piece's kept dofs, with no mesh of its own.
 
 :func:`assemble` builds K = K_p + K_q (stiffness plus potential) and the
 mass M on one CSR pattern, which a piece's principal sub-pattern keeps, so
-every pencil formed here has K and M on one pattern.
+every pencil formed here has K and M on one pattern.  It reads each cell's
+moments (the integral of p and the hat moments of q and w), exact for
+constants and piecewise tables and Gauss sums for expressions, with no
+sample arrays over the whole mesh.  The quadratures that check it (the
+direct form and mass values, the ground-state transform) are independent
+of assembly: they read the flat sample set that :func:`mesh_samples`
+builds, Gauss panels split at every breakpoint.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from scipy.sparse import csr_matrix
 from . import _kernels
 from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals, sample_field
 from .eig import Pencil
-from .errors import CoefficientError, IntegrabilityError, MeshError
+from .errors import IntegrabilityError, MeshError
 from .graph import MetricGraph
 
 
@@ -237,15 +240,8 @@ def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
     plo = knots[panel][:, None]
     width = (knots[panel + 1] - knots[panel])[:, None]
 
-    tref = 0.5 * (GAUSS_NODES + 1.0)
-    xs = plo + width * tref
-    tloc = np.tile(tref, (len(panel), 1))
-    # on edges with a jump the points are placed per panel instead; the two
-    # placements round differently, and each kind of edge keeps its own so
-    # that assembled matrices stay bitwise reproducible
-    cut = split[pedge]
-    xs[cut] = 0.5 * width[cut] * (GAUSS_NODES + 1.0) + plo[cut]
-    tloc[cut] = (xs[cut] - nodes[left][pcell[cut], None]) / hcell[pcell[cut], None]
+    xs = plo + width * (0.5 * (GAUSS_NODES + 1.0))
+    tloc = (xs - nodes[left][pcell, None]) / hcell[pcell, None]
     xs, tloc = xs.ravel(), tloc.ravel()
     edge = np.repeat(pedge, len(GAUSS_NODES))
     return MeshSamples(
@@ -331,41 +327,37 @@ def _principal(K, M, kept: np.ndarray):
 def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
     """Assemble the pencil K = K_p + K_q and M on a mesh.
 
-    The pattern is built once, from the cells' triplet keys; K_p, K_q and M
-    are summed onto it by one bincount each, and K_p + K_q is added there,
-    so an exact cancellation stays an explicit zero.  Raises
-    CoefficientError if p or w is nonpositive at any quadrature sample,
-    naming the first such edge in mesh order; the mass matrix is then
-    positive definite by construction.
+    Each cell's moments (the integral of p, and the hat moments of q and
+    w) come from ``_kernels.accumulate``: exact for constants and piecewise
+    tables, Gauss sums for expressions, with no sample arrays over the
+    whole mesh.  The pattern is built once, from the cells' triplet keys;
+    K_p, K_q and M are summed onto it by one bincount each, and K_p + K_q
+    is added there, so an exact cancellation stays an explicit zero.
+    Raises CoefficientError if p or w is not positive and finite, or q not
+    finite, naming the first such edge in mesh order: exactly for constants
+    and tables, at the Gauss points for expressions.  The mass matrix is
+    then positive definite by construction.
     """
-    s = mesh_samples(mesh, field)
-    checks = (
-        ("p", "positive and finite", ~(np.isfinite(s.p) & (s.p > 0.0))),
-        ("w", "positive and finite", ~(np.isfinite(s.w) & (s.w > 0.0))),
-        ("q", "finite", ~np.isfinite(s.q)),
-    )
-    # the first offending edge in mesh order, then its first offending field
-    offending = [
-        (s.edge[np.argmax(bad)], rank, name, demand)
-        for rank, (name, demand, bad) in enumerate(checks)
-        if bad.any()
-    ]
-    if offending:
-        edge, _, name, demand = min(offending)
-        raise CoefficientError(f"{name} must be {demand} on edge {mesh.edge_ids[edge]!r}")
-    n = mesh.n_free
-    acc = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
-    rows, cols, vp, vq, vm = _kernels.triplets(s.d0, s.d1, s.hcell, *acc)
-    del s, acc  # the samples are assembly's largest arrays; free them before the sort
+    sizes = np.diff(mesh.start) - 1  # cells per edge
+    left = _all_but_last(sizes + 1)  # first node of each cell
+    a, b = mesh.x[left], mesh.x[left + 1]
+    acc = _kernels.accumulate(field, mesh.edge_ids, np.repeat(np.arange(len(sizes)), sizes), a, b)
+    rows, cols, vp, vq, vm = _kernels.triplets(mesh.dof[left], mesh.dof[left + 1], b - a, *acc)
+    del left, a, b, acc
     # the stable sort keeps each entry's triplets in scatter order, so
-    # bincount sums them in the order scipy's COO to CSR conversion does
+    # bincount sums them in the order scipy's COO to CSR conversion does;
+    # each sort array is freed once read
+    n = mesh.n_free
     keys = rows * n + cols
+    del rows, cols
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.diff(keys, prepend=-1) != 0
+    pattern = keys[first]
+    del keys
     slot = np.empty_like(order)
     slot[order] = np.cumsum(first) - 1
-    pattern = keys[first]
+    del order, first
     indices, indptr = pattern % n, np.searchsorted(pattern, np.arange(n + 1) * n)
 
     def summed(v):

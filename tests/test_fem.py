@@ -149,6 +149,14 @@ def test_empty_selection_rejected():
 # --- assembly against hand-computed elements --------------------------------------
 
 
+def cell_moments(mesh, field):
+    """``_kernels.accumulate`` over every cell of ``mesh``: the seven moments assembly reads."""
+    cells = np.diff(mesh.start) - 1
+    left = np.setdiff1d(np.arange(mesh.start[-1]), mesh.start[1:] - 1)  # every node but an edge's last
+    edge = np.repeat(np.arange(len(cells)), cells)
+    return _kernels.accumulate(field, mesh.edge_ids, edge, mesh.x[left], mesh.x[left + 1])
+
+
 def test_interval_third_h_interior_matrices():
     """p=w=1, q=0, h=1/3, Dirichlet ends: classical tridiagonal blocks."""
     g = unit_interval()
@@ -160,16 +168,14 @@ def test_interval_third_h_interior_matrices():
     np.testing.assert_allclose(K, [[6.0, -3.0], [-3.0, 6.0]], atol=1e-13)
     np.testing.assert_allclose(M, [[2 / 9, 1 / 18], [1 / 18, 2 / 9]], atol=1e-15)
     # the potential's cell moments, which K adds to the stiffness, are exact zeros
-    s = mesh_samples(mesh, field)
-    _, q00, q01, q11, *_ = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
+    _, q00, q01, q11, *_ = cell_moments(mesh, field)
     assert np.all(np.concatenate((q00, q01, q11)) == 0.0)
 
 
 def test_constant_q_matches_scaled_mass():
     # compared on the cell moments: K - K_p would add eps/h^2 rounding
     g = load_graph(path(2))
-    s = mesh_samples(build_mesh(g, 0.2), load_coefficients({"default": {"q": 3.0}}, g))
-    _, *qm, m00, m01, m11 = _kernels.accumulate(s.cell_idx, s.tloc, s.wq, s.p, s.q, s.w, len(s.hcell))
+    _, *qm, m00, m01, m11 = cell_moments(build_mesh(g, 0.2), load_coefficients({"default": {"q": 3.0}}, g))
     np.testing.assert_allclose(np.array(qm), 3.0 * np.array([m00, m01, m11]), rtol=1e-14, atol=1e-16)
 
 
@@ -272,7 +278,7 @@ def test_form_value_matches_matrix_quadratic_form(rng, doc, coeffs):
 
 
 def test_assemble_evaluates_each_distinct_spec_once(monkeypatch):
-    """Edges that share a coefficient spec are sampled in one call per field."""
+    """Edges that share an expression are sampled in one call; constants and tables never are."""
     g = load_graph(tree(3))
     field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}, "t003": {"p": 2.0}}, g)
     mesh = build_mesh(g, 0.1)
@@ -285,8 +291,8 @@ def test_assemble_evaluates_each_distinct_spec_once(monkeypatch):
 
     monkeypatch.setattr(CoefficientField, "evaluate", counting)
     assemble(mesh, field)
-    # p: the t003 entry and the built-in constant; q: the default; w: built-in
-    assert sorted(calls) == ["p", "p", "q", "w"]
+    # p (the t003 entry and the built-in) and w (built-in) are constants; q is one expression
+    assert calls == ["q"]
 
 
 def test_domain_monotonicity_under_constraints():
@@ -542,6 +548,110 @@ def test_restrict_equals_direct_assembly_on_a_multigraph():
         for host in (True, False):
             vertices = dirichlet_vertices(g, edges, host)
             assert_same_pencil(parent.restrict(edges, host_boundary=host), eliminated(g, 0.7, field, edges, vertices))
+
+
+# --- closed-form cell moments against Gauss panels ---------------------------------
+
+
+def panel_reference(mesh, field):
+    """Dense K and M from the Gauss panels of ``mesh_samples``, summed by scipy.
+
+    Every cell takes Gauss-5 on each panel between its nodes and the
+    breakpoints of p, q and w on its edge.
+    """
+    from scipy.sparse import coo_matrix
+
+    s = mesh_samples(mesh, field)
+    b0, b1 = 1.0 - s.tloc, s.tloc
+
+    def cell_sums(v):
+        return np.bincount(s.cell_idx, weights=s.wq * v, minlength=len(s.hcell))
+
+    stiff = cell_sums(s.p) / s.hcell**2
+    q00, q01, q11 = (cell_sums(s.q * u * v) for u, v in ((b0, b0), (b0, b1), (b1, b1)))
+    m00, m01, m11 = (cell_sums(s.w * u * v) for u, v in ((b0, b0), (b0, b1), (b1, b1)))
+    rows = np.concatenate((s.d0, s.d0, s.d1, s.d1))
+    cols = np.concatenate((s.d0, s.d1, s.d0, s.d1))
+    n = mesh.n_free
+    K = coo_matrix((np.concatenate((stiff + q00, q01 - stiff, q01 - stiff, stiff + q11)), (rows, cols)), (n, n))
+    M = coo_matrix((np.concatenate((m00, m01, m01, m11)), (rows, cols)), (n, n))
+    return K.toarray(), M.toarray()
+
+
+# Edges of length 1 at h = 0.25 have nodes at 0.25, 0.5 and 0.75: a start
+# at 0.3 cuts a cell, one at 0.5 falls on a node, one at 1.2 lies past the
+# edge's end (its value is never read).  Assembly takes Gauss-5 on whole
+# cells for an expression, the panels on each side of a breakpoint; a
+# quadratic w times a hat moment is a quartic, which both integrate
+# exactly, and a smooth w is compared on an edge that no breakpoint cuts.
+TABLES = {
+    "p": {"piecewise": [[0.0, 1.0], [0.3, 2.5], [0.5, 1.5], [1.2, -4.0]]},
+    "q": {"piecewise": [[0.0, -1.0], [0.3, 2.0], [0.5, 0.5], [1.2, math.nan]]},
+    "w": {"expr": "1+0.5*x*x"},
+}
+MOMENT_CASES = {
+    "constants": (star(3), 0.1, {"default": {"p": 2.0, "q": -0.7, "w": 1.5}}),
+    "tables": (path(2), 0.25, {"e01": TABLES, "e02": {"p": 1.2, "w": {"expr": "1+0.5*sin(3*x)"}}}),
+    # at h = 0.7 the tail is one cell, which its q table cuts
+    "multigraph": (
+        MULTIGRAPH,
+        0.7,
+        {
+            "loop": {"p": {"piecewise": [[0.0, 1.0], [0.37, 2.0], [0.9, 1.5]]}},
+            "p2": {"q": {"piecewise": [[0.0, -1.0], [0.65, 0.5]]}},
+            "tail": {"q": {"piecewise": [[0.0, 1.0], [0.2, -2.0]]}, "p": 0.6},
+            "default": {"w": {"expr": "1+0.2*x*(2-x)"}},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOMENT_CASES))
+def test_assembled_entries_match_gauss_panels(case):
+    doc, h, coeffs = MOMENT_CASES[case]
+    g = load_graph(doc)
+    field = load_coefficients(coeffs, g)
+    mesh = build_mesh(g, h)
+    forms = assemble(mesh, field)
+    for got, want in zip((forms.K.toarray(), forms.M.toarray()), panel_reference(mesh, field)):
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_assembly_memory_per_cell():
+    # the cell moments come without sample arrays over the whole mesh;
+    # Gauss samples of p, q and w at every cell took about 680 bytes per cell
+    g = load_graph(tree(8))
+    field = load_coefficients({"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}, g)
+    mesh = build_mesh(g, 0.02)
+    cells = mesh.start[-1] - len(mesh.edge_ids)
+    assert cells == 25500
+    tracemalloc.start()
+    try:
+        assemble(mesh, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cells < 400
+
+
+def test_coefficient_error_names_the_first_edge_then_p_w_q():
+    g = load_graph(path(2))
+    mesh = build_mesh(g, 0.1)
+    # w is positive at every node of e01 but zero at the middle Gauss point
+    # of its first cell, x = 0.05; p is negative on the later edge e02
+    doc = {"e01": {"w": {"expr": "(x-0.05)^2"}}, "e02": {"p": -1.0}}
+    with pytest.raises(CoefficientError, match=r"^w must be positive and finite on edge 'e01'$"):
+        assemble(mesh, load_coefficients(doc, g))
+    doc = {"e02": {"p": -1.0, "w": {"piecewise": [[0.0, 1.0], [0.5, 0.0]]}, "q": math.inf}}
+    with pytest.raises(CoefficientError, match=r"^p must be positive and finite on edge 'e02'$"):
+        assemble(mesh, load_coefficients(doc, g))
+    doc = {"e02": {"w": {"piecewise": [[0.0, 1.0], [0.95, 0.0]]}, "q": math.inf}}
+    with pytest.raises(CoefficientError, match=r"^w must be positive and finite on edge 'e02'$"):
+        assemble(mesh, load_coefficients(doc, g))
+    # a piece that starts past the edge's end is never read
+    doc = {"default": {"p": {"piecewise": [[0.0, 1.0], [1.5, -2.0]]}, "w": {"piecewise": [[0.0, 1.0], [1.0, 0.0]]}}}
+    assemble(mesh, load_coefficients(doc, g))
 
 
 # --- kirchhoff flux checks ---------------------------------------------------------

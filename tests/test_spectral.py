@@ -103,6 +103,35 @@ def test_truncation_values_decrease_along_exhaustion(halfline):
     assert report.error_proxy == pytest.approx(values[-2] - values[-1])
 
 
+def test_inf_spectrum_seeds_each_level_from_the_next_larger(monkeypatch, halfline):
+    import graphsl.spectral as spectral
+
+    g, ex = halfline
+    field = load_coefficients({"default": {"q": {"expr": "0.3*sin(x)"}}}, g)
+    solves = []
+    real = spectral.smallest_eigenpair
+
+    def spy(piece, **kwargs):
+        result = real(piece, **kwargs)
+        solves.append((kwargs["lower"], result))
+        return result
+
+    monkeypatch.setattr(spectral, "smallest_eigenpair", spy)
+    report = inf_spectrum(g, field, ex, h=0.05, levels=[2, 4, 8, 12])
+    assert [row.level for row in report.rows] == [2, 4, 8, 12]
+    # solved largest first; a level's pencil is a principal sub-pencil of
+    # the next larger one's, so its bottom lies above that level's proof
+    assert [result.value for _, result in solves] == [row.value for row in reversed(report.rows)]
+    assert solves[0][0] == -math.inf
+    for (_, larger), (lower, result) in zip(solves, solves[1:]):
+        assert lower == larger.certified_lower
+        assert result.value >= lower
+    monkeypatch.undo()
+    for level, (_, result) in zip((12, 8, 4, 2), solves):
+        cold = inf_spectrum(g, field, ex, h=0.05, levels=[level]).estimate
+        assert result.value == pytest.approx(cold, rel=1e-12)
+
+
 def radial_tree_bottom(depth: int) -> float:
     """Dirichlet bottom of the unit binary ``tree(depth)`` with p = w = 1, q = 0.
 
