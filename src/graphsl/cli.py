@@ -132,6 +132,11 @@ def _attached(argv: list[str]) -> list[str]:
 
 def _checked(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
     """Reject values of the command's options that argparse does not check itself."""
+    for name, flag in (("h", "--h"), ("tol", "--tol"), ("lam", "--lambda")):
+        if name in args and not math.isfinite(getattr(args, name)):
+            parser.error(f"{flag} must be finite")
+    if "epsilon" in args and not all(map(math.isfinite, args.epsilon)):
+        parser.error("--epsilon values must be finite")
     if "h" in args and args.h <= 0:
         parser.error("--h must be positive")
     if "tol" in args and args.tol <= 0:

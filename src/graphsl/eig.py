@@ -10,23 +10,32 @@ gives the pencil's Ritz value shift + 1/theta; with the shift below
 lambda_1 it is an upper end by Courant-Fischer.  The basis holds at most
 ``_BASIS_ROWS`` rows; past that, and on every new factor, the loop
 restarts from its current Ritz vector.  It stops once the error estimate
-beta |s_k| / theta^2 (s the unit Ritz vector of the tridiagonal T) is at
-most 1e-14 * max(1, |value|).
+beta |s_k| / theta^2 (s the unit Ritz vector of the tridiagonal T;
+Parlett, *The Symmetric Eigenvalue Problem*, ch. 13) is at most
+``_MARGIN`` = 1/100 of what the proof below needs, delta = max(tol, 1e-12)
+* max(1, |value|), and never later than at the floor ``_STOP`` = 1e-14 *
+max(1, |value|), which is that stop at tol <= 1e-12.  If the polished pair
+then misses the residual check or the proof, the same loop steps on to
+the floor before any error path runs, so a pair that a loop run straight
+to the floor would give is never lost.
 
 The shift is placed by inertia counts, and the loop's own steps supply
 the upper end.  A count of 0 proves a shift lo just below a Gershgorin
 lower bound of the pencil spectrum; the loop starts on lo's factor, and
 after each step its Ritz value hi is an upper end.  Once hi - lo <=
-max(1, |hi|) / 4, or the loop has converged, placement ends and the same
-basis goes on to convergence on that factor.  If the window is still open
-after ``_PLACEMENT_STEPS`` steps, the basis and the factor are freed and
+max(1, |hi|) / 4 placement ends, and the same basis goes on to
+convergence on that factor.  If the window is still open after
+``_PLACEMENT_STEPS`` steps, or when the loop converges with the window
+open (a Krylov space that runs out, as in a pencil of n unknowns at step
+n), the basis and the factor are freed and
 the first probe goes to hi - max(1, |hi|) / 16: a count of 0 there places
 the shift, otherwise bisection takes over, and the loop restarts from its
 Ritz vector on the placed shift's LDL^T factor.  A caller may pass a
 candidate lower bound ``lower`` of lambda_1 (for a Dirichlet piece, the
 proved lower bound of a solved piece that contains it: by Cauchy
 interlacing a principal sub-pencil's lambda_1 is no smaller than the
-whole pencil's).  Placement then starts at the larger of the Gershgorin
+whole pencil's; or a guess, such as an extrapolation along a sweep of
+nested pieces).  Placement then starts at the larger of the Gershgorin
 seed and ``lower``.  The hint is checked, never trusted: its
 factorization's count must be 0, and if it is not, or SuperLU refuses
 symmetric pivoting there, placement runs again from the Gershgorin seed,
@@ -82,14 +91,19 @@ state never have), and the solve runs once more from a seeded random
 start vector; if that count is above 0 too, the solve raises
 SolverError.  Placement and this proof share one counting routine, and
 every factor is released before the next one is made, so two factors are
-never alive at once.
+never alive at once: the loop's basis outlives its factor through the
+proof, and a loop that steps on after a failed proof gets its factor made
+again at its own shift.
 
 Two accuracy measures are reported.  The residual ||K x - lambda M x|| /
 ||M x|| is unscaled: with unit roundoff u its floor is about
 u ||K|| ||x|| / ||M x||, which grows like h^-2 on a P1 mesh of width h,
-and it is what ``tol`` is checked against.  The normwise backward error
-||K x - lambda M x|| / ((||K||_1 + |lambda| ||M||_1) ||x||) is scale-free
-and stays near machine precision at every mesh width.
+and it is what ``tol`` is checked against.  With the loop stopped at a
+fraction of delta it typically lies a few orders of magnitude below tol,
+not at the floor.  The normwise backward error ||K x - lambda M x|| /
+((||K||_1 + |lambda| ||M||_1) ||x||) is scale-free.  Its 1-norms come
+with the Gershgorin bound from K's and M's absolute row sums, worked out
+once per pencil (``Pencil.bounds``).
 
 A dense reference (LAPACK) is exposed separately for cross-checks.
 """
@@ -97,6 +111,7 @@ A dense reference (LAPACK) is exposed separately for cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -117,7 +132,8 @@ _SYMMETRIC = {
 _PLACEMENT_STEPS = 8  # Lanczos steps on the Gershgorin factor before the first probe
 _BASIS_ROWS = 20  # Lanczos basis rows; past them the loop restarts from its Ritz vector
 _MAX_APPLIES = 2000  # applications of the inverted operator one solve may make
-_STOP = 1e-14  # Ritz-value error estimate, relative to max(1, |value|), that ends the loop
+_STOP = 1e-14  # the loop's floor: a Ritz-value error estimate, relative to max(1, |value|), that ends it
+_MARGIN = 1e-2  # the loop stops at this fraction of the proof's delta (the floor once tol <= 1e-12)
 _MASS_HALVINGS = 64  # tries at proving a lower bound of M below its smallest diagonal entry
 _DGKS = 1.0 / np.sqrt(2.0)  # a Gram-Schmidt pass that keeps less of ||w||_M than this is repeated
 _START_SEED = 0  # the seeded start vector of the one rerun after a failed proof
@@ -128,22 +144,25 @@ class EigenResult:
     """Converged smallest eigenpair with diagnostics.
 
     ``vector`` is the Ritz vector after one inverse-iteration polish with
-    the shift's factor, and ``value`` is its Rayleigh quotient.
+    the shift's factor, and ``value`` is its Rayleigh quotient.  The loop
+    stops once its error estimate is 1/100 of delta (below), so the pair
+    is as accurate as the proof needs, not as the arithmetic allows.
     ``residual`` is ||K x - value * M x|| / ||M x|| recomputed from the
-    returned pair; it is unscaled, with a rounding floor that grows like
-    h^-2.  ``backward_error`` is the scale-free
+    returned pair, at most max(tol, 1e-12); it is unscaled, with a rounding
+    floor that grows like h^-2.  ``backward_error`` is the scale-free
     ||K x - value * M x|| / ((||K||_1 + |value| ||M||_1) ||x||).
     ``certified_lower`` is value - delta with delta = max(tol, 1e-12) *
     max(1, |value|): no eigenvalue of the pencil lies below it, proved by
     an inertia count.  ``iterations`` counts applications of the inverted
     operator: the Lanczos steps on every factor, those that placed the
-    shift included, and the polish.  ``shift`` is the Lanczos shift, placed
+    shift included, and each polish (one more for a pair that a failed
+    check sent on to the floor).  ``shift`` is the Lanczos shift, placed
     by inertia counts: a count of 0 proves that no eigenvalue lies at or
     below it, so, like ``certified_lower``, it is a proved lower bound of
     the spectrum; it also lies below ``certified_lower`` unless a ``lower``
     hint or a bisection step lands within delta of lambda_1.  ``history``
     holds one (apply index, value) row per application: the Ritz value
-    after each Lanczos step, then the polish's Rayleigh quotient, so it has
+    after each Lanczos step, and each polish's Rayleigh quotient, so it has
     ``iterations`` rows.
     """
 
@@ -159,11 +178,10 @@ class EigenResult:
 
 
 def _abs_row_sums(A) -> np.ndarray:
-    """Sums of |a_ij| over each row: a bincount over the CSC row indices.
+    """Sums of |a_ij| over each row of a CSC matrix: a bincount over its row indices.
 
     No symmetry is assumed and no |A| matrix is built.
     """
-    A = csc_matrix(A)
     return np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[0])
 
 
@@ -190,25 +208,23 @@ def _mass_lower_bound(M) -> float:
     raise SolverError(f"no positive lower bound of the mass matrix above {mu!r}")
 
 
-def pencil_lower_bound(K, M) -> float:
+def pencil_lower_bound(pencil: Pencil) -> float:
     """Gershgorin lower bound for the smallest eigenvalue of K x = lambda M x.
 
     With alpha the lower Gershgorin bound of K, the Rayleigh quotient is
     at least alpha divided by the upper Gershgorin bound of M when alpha
     is nonnegative, and alpha divided by a positive lower bound of M's
-    spectrum otherwise.  One pass over each matrix's arrays; it seeds the
-    lower end of the bracket in which ``solve_pencil`` places its default
-    shift, and ``solve_pencil`` proves the smallest eigenvalue by an
-    inertia count.
+    spectrum otherwise.  It reads the pencil's ``bounds``, worked out once
+    per pencil; it seeds the lower end of the bracket in which
+    ``solve_pencil`` places its default shift, and ``solve_pencil`` proves
+    the smallest eigenvalue by an inertia count.
     """
-    dm = M.diagonal()
-    if np.any(dm <= 0):
+    mass_diagonal, alpha, mass_upper, _, _ = pencil.bounds
+    if mass_diagonal <= 0:
         raise SolverError("mass matrix has a nonpositive diagonal entry")
-    dk = K.diagonal()
-    alpha = float(np.min(dk - (_abs_row_sums(K) - np.abs(dk))))  # lower Gershgorin bound of K
     if alpha >= 0:
-        return alpha / float(np.max(dm + (_abs_row_sums(M) - np.abs(dm))))  # upper Gershgorin bound of M
-    return alpha / _mass_lower_bound(M)
+        return alpha / mass_upper
+    return alpha / _mass_lower_bound(pencil.M)
 
 
 def _canonical_csc(A):
@@ -255,9 +271,11 @@ class Pencil:
     The symbolic half of the factorization, built once per pencil: every
     inertia count, shift-invert factor and proof of the pencil is a
     ``Condensed`` on it, which only does value work.  K and M share one
-    pattern, as assembled forms do by construction; a caller's pencil whose
-    patterns differ, such as ``(M, I)`` in ``_mass_lower_bound``, is spread
-    onto their union.  So K.data - sigma*M.data is scipy's K - sigma*M.
+    pattern, as assembled forms do by construction, and reach the analysis
+    through ``on_pattern`` as they are; a caller's pencil is made canonical
+    here, and if its patterns differ, such as ``(M, I)`` in
+    ``_mass_lower_bound``, spread onto their union.  So K.data -
+    sigma*M.data is scipy's K - sigma*M.
 
     With A = K - sigma*M = [[A_VV, A_VE], [A_EV, A_EE]], the head size ``m``
     is one past the last column holding a row index below its subdiagonal,
@@ -284,10 +302,45 @@ class Pencil:
             raise SolverError("pencil matrices must share a shape")
         if not (np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)):
             K, M = _on_union(K, M)
-        self.K, self.M, self.n = K, M, n
+        self._analyse(K, M)
+
+    @classmethod
+    def on_pattern(cls, K: csc_matrix, M: csc_matrix) -> Pencil:
+        """The analysis of K and M given on one canonical CSC pattern, taken as it is.
+
+        The caller guarantees what ``__init__`` would otherwise establish:
+        both matrices are CSC with sorted, summed indices, and they share
+        their ``indices`` and ``indptr`` arrays.  ``AssembledForms.restrict``
+        cuts its pieces that way.
+        """
+        pencil = cls.__new__(cls)
+        pencil._analyse(K, M)
+        return pencil
+
+    def _analyse(self, K, M) -> None:
+        self.K, self.M, self.n = K, M, K.shape[0]
         self.m = _head_size(K)
-        if self.m < n:
+        if self.m < self.n:
             self._split()
+
+    @cached_property
+    def bounds(self) -> tuple[float, float, float, float, float]:
+        """(min diag M, lower Gershgorin end of K, upper Gershgorin end of M, ||K||_1, ||M||_1).
+
+        One bincount of absolute values per matrix gives the Gershgorin
+        ends that ``pencil_lower_bound`` reads and the 1-norms (the largest
+        absolute row sums, K and M being symmetric) that the backward error
+        reads, once per pencil however often it is solved.
+        """
+        dk, dm = self.K.diagonal(), self.M.diagonal()
+        rk, rm = _abs_row_sums(self.K), _abs_row_sums(self.M)
+        return (
+            float(np.min(dm)),
+            float(np.min(dk - (rk - np.abs(dk)))),
+            float(np.max(dm + (rm - np.abs(dm)))),
+            float(np.max(rk)),
+            float(np.max(rm)),
+        )
 
     def _split(self) -> None:
         K, m, n, nnz = self.K, self.m, self.n, self.K.nnz
@@ -461,24 +514,34 @@ class _Lanczos:
     subtraction are removed with the rest.  Each pass's M w gives the next
     pass's projection or beta, so a step makes two products with M, three
     with a second pass.  ``value`` is sigma + 1/theta for the eigenvalue
-    theta of T of largest modulus, and beta |s_k| / theta^2 (s the unit
-    eigenvector of theta, beta the norm of the next residual) estimates
-    its distance to an eigenvalue of the pencil.  Each step appends
-    (apply index, value) to ``history``, the solve's one row per
-    application, which ``_MAX_APPLIES`` caps.  Past ``_BASIS_ROWS`` rows
-    the loop restarts from its Ritz vector, and ``detach`` keeps only that
-    vector, so the basis never grows with the applications.
+    theta of T of largest modulus, and ``error`` = beta |s_k| / theta^2 (s
+    the unit eigenvector of theta, beta the norm of the next residual)
+    estimates its distance to an eigenvalue of the pencil (Parlett, *The
+    Symmetric Eigenvalue Problem*, ch. 13).  The loop has ``converged``
+    once ``error`` <= ``stop`` * max(1, |value|); the solve sets ``stop``,
+    and may lower it to the floor ``_STOP`` and step on.  A step stores the
+    next basis row whenever there is room for it, converged or not, and the
+    next step counts it, so a loop that stopped early goes on exactly as if
+    it had not stopped.  Each step appends (apply index, value) to
+    ``history``, the solve's one row per application, which
+    ``_MAX_APPLIES`` caps.  Past ``_BASIS_ROWS`` rows the loop restarts
+    from its Ritz vector, and ``detach`` keeps only that vector, so the
+    basis never grows with the applications.
     """
 
-    def __init__(self, K, M, history: list, start=None):
+    def __init__(self, K, M, history: list, start=None, stop: float = _STOP):
         self.K, self.M = K, M
         self.history = history
+        self.stop = stop
         # the start vector, then the last Ritz vector
         self.x = np.ones(K.shape[0]) if start is None else start
         self.sigma = 0.0
         self.lu = self.Q = self.s = None
         self.T = np.zeros((_BASIS_ROWS, _BASIS_ROWS))  # entries past the current basis are never read
-        self.converged = False
+
+    @property
+    def converged(self) -> bool:
+        return self.s is not None and self.error <= self.stop * max(1.0, abs(self.value))
 
     def attach(self, sigma: float, lu) -> None:
         """Restart from the Ritz vector on the factor ``lu`` of K - sigma*M."""
@@ -500,7 +563,6 @@ class _Lanczos:
         self.beta = 0.0
         self.s = None
         self.value = np.inf
-        self.converged = False
 
     def ritz_vector(self) -> np.ndarray:
         """The Ritz vector of ``value``, or the start vector before any step."""
@@ -517,9 +579,15 @@ class _Lanczos:
         return self.lu.solve(b)
 
     def step(self) -> bool:
-        """One Lanczos step; returns (and sets) ``converged``."""
-        if self.s is not None and self.s.size == _BASIS_ROWS:
-            self._restart(self.ritz_vector())
+        """One Lanczos step; returns ``converged``."""
+        if self.s is not None:  # go on from the last step's next row, or restart from a full basis
+            if self.s.size == _BASIS_ROWS:
+                self._restart(self.ritz_vector())
+            else:
+                k = self.rows - 1
+                self.T[k, k + 1] = self.T[k + 1, k] = self.beta
+                self.mq = self.next_mq
+                self.rows += 1
         k = self.rows - 1
         Q, T = self.Q[: k + 1], self.T
         w = self.apply(self.mq)
@@ -539,14 +607,12 @@ class _Lanczos:
         top = int(np.argmax(np.abs(thetas)))
         theta, self.s = float(thetas[top]), vecs[:, top]
         self.value = self.sigma + 1.0 / theta
-        error = self.beta * abs(self.s[-1]) / theta**2
-        self.converged = error <= _STOP * max(1.0, abs(self.value))
+        self.error = self.beta * abs(self.s[-1]) / theta**2
         self.history.append((len(self.history) + 1, self.value))
-        if not self.converged and self.rows < _BASIS_ROWS:
+        if self.beta > 0 and self.rows < _BASIS_ROWS:
+            # the next row, counted only when the loop steps on
             self.Q[self.rows] = w / self.beta
-            self.mq = mw / self.beta
-            T[k, k + 1] = T[k + 1, k] = self.beta
-            self.rows += 1
+            self.next_mq = mw / self.beta
         return self.converged
 
 
@@ -555,16 +621,17 @@ def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> None:
 
     A count of 0 proves ``lo``, and the loop runs on lo's factor; its Ritz
     value after each step is the upper end hi.  Placement ends as soon as
-    hi - lo <= max(1, |hi|) / 4, or the loop converges, with the loop
-    still attached.  After ``_PLACEMENT_STEPS`` steps the loop is detached
-    and the first probe goes close below hi, at hi - max(1, |hi|) / 16: a
-    count of 0 there ends placement, since a Ritz upper end is usually
-    close to lambda_1.  Otherwise hi drops to the probe and midpoint
-    counts move lo up (0) or hi down (above 0) until the window closes.  A
-    factor is dropped before the next one is made, the final lo is
-    factored again if its factor was dropped, and the loop restarts on it.
-    Raises SolverError when ``lo`` counts above 0 or a count cannot be
-    read, and ConvergenceError when the solve spends ``_MAX_APPLIES``.
+    hi - lo <= max(1, |hi|) / 4, with the loop still attached.  After
+    ``_PLACEMENT_STEPS`` steps, or as soon as the loop converges with the
+    window still open, the loop is detached and the first probe goes close
+    below hi, at hi - max(1, |hi|) / 16: a count of 0 there ends
+    placement, since a Ritz upper end is usually close to lambda_1.
+    Otherwise hi drops to the probe and midpoint counts move lo up (0) or
+    hi down (above 0) until the window closes.  A factor is dropped before
+    the next one is made, the final lo is factored again if its factor was
+    dropped, and the loop restarts on it.  Raises SolverError when ``lo``
+    counts above 0 or a count cannot be read, and ConvergenceError when the
+    solve spends ``_MAX_APPLIES``.
     """
     count, lu = _inertia(pencil, lo)
     if count:
@@ -572,8 +639,11 @@ def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> None:
     loop.attach(lo, lu)
     lu = None  # the loop owns the factor now, so detaching frees it
     for _ in range(_PLACEMENT_STEPS):
-        if loop.step() or not _window(lo, loop.value):
+        loop.step()
+        if not _window(lo, loop.value):
             return
+        if loop.converged:
+            break
     hi = loop.value
     loop.detach()
     mid = hi - max(1.0, abs(hi)) / 16
@@ -590,51 +660,63 @@ def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> None:
     loop.attach(lo, lu)
 
 
-def eigsh(pencil: Pencil, seed: float, history: list, lower: float = -np.inf, start=None):
-    """Polished shift-inverted Lanczos pair: (value, vector, shift).
+def eigsh(pencil: Pencil, seed: float, loop: _Lanczos, lower: float, tol: float) -> EigenResult:
+    """Run ``loop`` to a polished, measured pair (``EigenResult``) that is not yet proved.
 
-    ``_place_shift`` raises the shift from the candidate lower bound
-    ``lower`` when it lies above the Gershgorin ``seed``.  When that fails,
-    by a count above 0 at ``lower`` or a count that cannot be read,
-    placement starts over from ``seed``, where the same failures raise
-    SolverError; a spent ``_MAX_APPLIES`` raises ConvergenceError at once.
-    The loop starts from ``start`` (default: the all-ones vector), runs to
-    convergence on the last factor, and the polish makes one more
-    application.  Every application of the solve happens inside this call,
-    and every factor it makes is freed when it returns, before the caller
-    factors again.  Each application appends its row to ``history``.  The
-    name is kept because the benchmark's ``eig.lanczos`` span wraps
-    ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the library's own
-    instrumentation (ROADMAP item 6) replaces that wrap.
+    A new loop has its shift placed first: ``_place_shift`` raises it from
+    the candidate lower bound ``lower`` when that lies above the Gershgorin
+    ``seed``.  When that fails, by a count above 0 at ``lower`` or a count
+    that cannot be read, placement starts over from ``seed``, where the
+    same failures raise SolverError; a spent ``_MAX_APPLIES`` raises
+    ConvergenceError at once.  A loop handed back after a failed proof
+    gets its factor again, made at its own shift, so it goes on with the
+    same basis.  The loop steps until it has converged at its ``stop``, and
+    one inverse-iteration step with the shift's factor, y = (K -
+    shift*M)^{-1} M x, polishes the Ritz vector x; the value is the
+    Rayleigh quotient of y.  When that pair's residual is above
+    max(tol, 1e-12), the same loop steps on to the floor ``_STOP`` and is
+    polished again.  The factor is released on return, so the caller's
+    proof factors with none alive; the basis stays with the loop.  Every
+    application happens inside this call, and each appends its row to the
+    loop's ``history``.  The name is kept because the benchmark's
+    ``eig.lanczos`` span wraps ``graphsl.eig.eigsh`` (``perfbench/child.py``),
+    until the library's own instrumentation (ROADMAP item 6) replaces that
+    wrap.
     """
     K, M = pencil.K, pencil.M
-    loop = _Lanczos(K, M, history, start)
-    placed = False
-    if lower > seed:
-        try:
-            _place_shift(loop, pencil, lower)
-            placed = True
-        except ConvergenceError:
-            raise
-        except SolverError:  # a wrong hint: start over from the seed
-            loop.detach()
-    if not placed:
-        _place_shift(loop, pencil, seed)
-    while not loop.converged:
-        loop.step()
-    # one inverse-iteration step with the shift's factor lowers the
-    # residual's rounding floor below that of the raw Ritz pair
-    vector = loop.apply(M @ loop.ritz_vector())
-    value = float(vector @ (K @ vector)) / float(vector @ (M @ vector))
-    history.append((len(history) + 1, value))
-    return value, vector, loop.sigma
+    if loop.Q is None:
+        placed = False
+        if lower > seed:
+            try:
+                _place_shift(loop, pencil, lower)
+                placed = True
+            except ConvergenceError:
+                raise
+            except SolverError:  # a wrong hint: start over from the seed
+                loop.detach()
+        if not placed:
+            _place_shift(loop, pencil, seed)
+    elif loop.lu is None:
+        loop.lu = _inertia(pencil, loop.sigma)[1]
+    while True:
+        while not loop.converged:
+            loop.step()
+        # one inverse-iteration step with the shift's factor lowers the
+        # residual's rounding floor below that of the raw Ritz pair
+        vector = loop.apply(M @ loop.ritz_vector())
+        value = float(vector @ (K @ vector)) / float(vector @ (M @ vector))
+        history = loop.history
+        history.append((len(history) + 1, value))
+        result = _measured(pencil, value, vector, tol, iterations=len(history), shift=loop.sigma, history=history)
+        if result.residual <= max(tol, 1e-12) or loop.stop <= _STOP:
+            loop.lu = None
+            return result
+        loop.stop = _STOP
 
 
-def _measured(K, M, value: float, vector: np.ndarray, tol: float, **fields) -> EigenResult:
-    """The pair M-normalized with its largest entry positive, and its accuracy.
-
-    Raises ConvergenceError when the residual is above ``tol``.
-    """
+def _measured(pencil: Pencil, value: float, vector: np.ndarray, tol: float, **fields) -> EigenResult:
+    """The pair M-normalized with its largest entry positive, and its accuracy."""
+    K, M = pencil.K, pencil.M
     mx = M @ vector
     norm = float(np.sqrt(vector @ mx))
     if norm <= 0 or not np.isfinite(norm):
@@ -647,13 +729,8 @@ def _measured(K, M, value: float, vector: np.ndarray, tol: float, **fields) -> E
     residual_vec = K @ vector - value * mx
     residual_norm = float(np.linalg.norm(residual_vec))
     residual = residual_norm / float(np.linalg.norm(mx))
-    # K and M are symmetric: a 1-norm is the largest absolute row sum
-    scale = float(np.max(_abs_row_sums(K))) + abs(value) * float(np.max(_abs_row_sums(M)))
-    backward_error = residual_norm / (scale * float(np.linalg.norm(vector)))
-    if not residual <= max(tol, 1e-12):
-        raise ConvergenceError(
-            f"eigensolve residual {residual:.3e} above tolerance {tol:.3e}"
-        )
+    _, _, _, norm_k, norm_m = pencil.bounds
+    backward_error = residual_norm / ((norm_k + abs(value) * norm_m) * float(np.linalg.norm(vector)))
     return EigenResult(
         value=value,
         vector=vector,
@@ -686,32 +763,46 @@ def solve_pencil(
     it, otherwise placement starts over from the Gershgorin bound, so a
     wrong value costs one factorization but never changes the answer.
 
-    A count above 0 at value - delta means the loop's all-ones start vector
-    missed lambda_1 (it can be M-orthogonal to a sign-changing ground
-    state), and the solve runs once more from a seeded random start vector
-    before it gives up; ``iterations`` and ``history`` then cover both
-    runs.
+    The Lanczos loop stops once its error estimate is ``_MARGIN`` of the
+    proof's delta = max(tol, 1e-12) * max(1, |value|), which at tol <=
+    1e-12 is the floor ``_STOP``.  When the polished pair misses the residual
+    check or the proof, the same loop goes on to the floor before any
+    error path runs, so the pair is then the one a loop run straight to
+    the floor gives.  A count above 0 at value - delta after that means
+    the loop's all-ones start vector missed lambda_1 (it can be
+    M-orthogonal to a sign-changing ground state), and the solve runs once
+    more from a seeded random start vector before it gives up;
+    ``iterations`` and ``history`` then cover both runs.
 
-    Raises ConvergenceError when the residual stays above ``tol`` or the
-    solve needs more than ``_MAX_APPLIES`` applications of the inverted
-    operator, and SolverError when no shift can be placed (the Gershgorin
-    seed counts above 0 or SuperLU refuses symmetric pivoting there) or
-    the inertia count cannot prove that the returned value is the smallest
-    eigenvalue.
+    Raises SolverError for a ``tol`` that is not positive and finite, when
+    no shift can be placed (the Gershgorin seed counts above 0 or SuperLU
+    refuses symmetric pivoting there) or the inertia count cannot prove
+    that the returned value is the smallest eigenvalue; ConvergenceError
+    when the residual stays above ``tol`` or the solve needs more than
+    ``_MAX_APPLIES`` applications of the inverted operator.
     """
+    if not 0 < tol < np.inf:
+        raise SolverError(f"tolerance must be positive and finite, got {tol!r}")
     if pencil is None:
         pencil = Pencil(K, M)
-    K, M = pencil.K, pencil.M
-    lb = pencil_lower_bound(K, M)
+    lb = pencil_lower_bound(pencil)
     seed = lb - 0.01 * max(1.0, abs(lb))
     history: list = []
     for attempt in range(2):
         start = np.random.default_rng(_START_SEED).standard_normal(pencil.n) if attempt else None
-        value, vector, sigma = eigsh(pencil, seed, history, lower, start)
-        result = _measured(K, M, value, vector, tol, iterations=len(history), shift=sigma, history=history)
-        nonpositive = _inertia(pencil, result.certified_lower)[0]
-        if not nonpositive:
-            return result
+        loop = _Lanczos(pencil.K, pencil.M, history, start, max(_STOP, _MARGIN * tol))
+        while True:
+            result = eigsh(pencil, seed, loop, lower, tol)
+            if not result.residual <= max(tol, 1e-12):
+                raise ConvergenceError(
+                    f"eigensolve residual {result.residual:.3e} above tolerance {tol:.3e}"
+                )
+            nonpositive = _inertia(pencil, result.certified_lower)[0]
+            if not nonpositive:
+                return result
+            if loop.stop <= _STOP:
+                break
+            loop.stop = _STOP  # the same loop goes on to the floor
     raise SolverError(
         f"K - {result.certified_lower!r}*M has {nonpositive} nonpositive pivot(s): "
         "the eigensolve did not find the smallest eigenvalue"

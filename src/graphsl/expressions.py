@@ -206,8 +206,9 @@ def evaluate(node, x):
 
 def _eval(node, x):
     if isinstance(node, Const):
-        # np.float64 keeps scalar arithmetic under errstate control
-        return np.full(x.shape, node.value) if x.shape else np.float64(node.value)
+        # a scalar that every operator broadcasts; np.float64 keeps scalar
+        # arithmetic under errstate control
+        return np.float64(node.value)
     if isinstance(node, Coord):
         return x
     if isinstance(node, Neg):
@@ -225,6 +226,11 @@ def _eval(node, x):
         return left * right
     if node.op == "/":
         return np.divide(left, right)
+    if np.ndim(right) < x.ndim:
+        # numpy's power computes a scalar exponent 0.5, 2 or -1 as sqrt, square
+        # or reciprocal, which can round differently from pow: as elsewhere, the
+        # exponent goes in as an array
+        right = np.full(x.shape, right)
     return np.power(left, right)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from . import _kernels
 from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals, sample_field
@@ -68,12 +68,21 @@ class GraphMesh:
         k = bisect_left(self.edge_ids, edge_id)
         return k if k < len(self.edge_ids) and self.edge_ids[k] == edge_id else -1
 
+    @cached_property
+    def vertex_degree(self) -> np.ndarray:
+        """Each vertex's degree in the host graph, in vertex dof order (a loop counts twice)."""
+        return np.fromiter(map(self.graph.degree, self.vertex_dof), np.int64, len(self.vertex_dof))
+
     def free_dofs(self, edge_ids, *, host_boundary=False) -> np.ndarray:
         """The dofs of the Dirichlet problem on the piece ``edge_ids``, in increasing order.
 
         A piece keeps the interior nodes of its edges and its vertices off
-        :func:`dirichlet_vertices`.  Every such vertex has all of its edges
-        inside the piece, so its row carries no entry of an edge outside.
+        :func:`dirichlet_vertices`: a vertex stays free when all of its edge
+        ends in the host lie in the piece, and, with ``host_boundary``, it
+        is not a degree-1 vertex of the host.  Every such vertex has all of
+        its edges inside the piece, so its row carries no entry of an edge
+        outside.  One bincount of the piece's edge ends finds them; each
+        edge's interior dofs are one consecutive run.
         """
         selected = sorted(set(edge_ids))
         if not selected:
@@ -81,13 +90,14 @@ class GraphMesh:
         position = np.fromiter(map(self.edge_index, selected), np.int64, len(selected))
         if (position < 0).any():
             raise MeshError(f"edge {selected[np.argmax(position < 0)]!r} is not in the parent mesh")
-        free = subgraph_vertices(self.graph, selected) - dirichlet_vertices(self.graph, selected, host_boundary)
-        keep = np.zeros(self.n_free, dtype=bool)
-        keep[np.fromiter((self.vertex_dof[v] for v in free), np.int64)] = True
-        inside = np.zeros(len(self.edge_ids), dtype=bool)
-        inside[position] = True
-        keep[self.dof[np.repeat(inside, np.diff(self.start)) & _interior(self.start)]] = True
-        kept = np.flatnonzero(keep)
+        first, last = self.start[position], self.start[position + 1] - 1
+        degree = self.vertex_degree
+        ends = np.bincount(np.concatenate((self.dof[first], self.dof[last])), minlength=degree.size)
+        free = (ends == degree) & ~(host_boundary & (degree == 1))
+        counts = last - first - 1
+        # the first interior dof of each edge (a vertex's when the edge has none), then its run
+        runs = np.repeat(self.dof[first + 1] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        kept = np.concatenate((np.flatnonzero(free), runs))
         if not kept.size:
             raise MeshError("piece has no free degrees of freedom")
         return kept
@@ -285,7 +295,7 @@ class AssembledForms:
         matrices are symmetric entry for entry and their transposes, CSC
         views of the same arrays, are the matrices themselves.
         """
-        return Pencil(self.K.T, self.M.T)
+        return Pencil.on_pattern(self.K.T, self.M.T)
 
     def restrict(self, edge_ids, *, host_boundary=False) -> Pencil:
         """The analysed pencil of the Dirichlet problem on the piece ``edge_ids``.
@@ -294,34 +304,40 @@ class AssembledForms:
         :meth:`GraphMesh.free_dofs` keeps.  Every kept row only gathers
         cells of the selected edges, so they equal the piece's own assembly
         with its Dirichlet rows and columns removed, entry for entry.  The
-        piece's eigensolve and certificate solve share this one analysis.
+        cut is handed to the analysis as it is: one canonical pattern that
+        both matrices share.  The piece's eigensolve and certificate solve
+        share this one analysis.
         """
-        K, M = _principal(self.K, self.M, self.mesh.free_dofs(edge_ids, host_boundary=host_boundary))
-        return Pencil(K.T, M.T)  # symmetric CSR, as in ``analysis``
+        kept = self.mesh.free_dofs(edge_ids, host_boundary=host_boundary)
+        return Pencil.on_pattern(*_principal(self.K, self.M, kept))
 
 
-def _pencil(K_data, M_data, indices, indptr):
-    """K and M as square CSR matrices sharing one pattern (indices, indptr)."""
+def _pencil(K_data, M_data, indices, indptr, matrix=csr_matrix):
+    """K and M as square matrices of the format ``matrix`` sharing one pattern (indices, indptr)."""
     n = len(indptr) - 1
-    M = csr_matrix((M_data, indices, indptr), shape=(n, n))
-    return csr_matrix((K_data, M.indices, M.indptr), shape=(n, n)), M
+    M = matrix((M_data, indices, indptr), shape=(n, n))
+    return matrix((K_data, M.indices, M.indptr), shape=(n, n)), M
 
 
 def _principal(K, M, kept: np.ndarray):
     """Principal submatrices, on the increasing indices ``kept``, of K and M on one pattern.
 
     Equal to ``A[kept][:, kept]`` array for array; one entry mask cuts
-    both matrices.
+    both matrices.  K and M are symmetric, so the cut's CSR arrays are its
+    CSC arrays, and it is returned in CSC.
     """
-    n = M.shape[0]
-    renumber = np.full(n, -1, dtype=M.indices.dtype)
+    renumber = np.full(M.shape[0], -1, dtype=M.indices.dtype)
     renumber[kept] = np.arange(len(kept))
-    rows = renumber[np.repeat(np.arange(n), np.diff(M.indptr))]
-    cols = renumber[M.indices]
-    mask = (rows >= 0) & (cols >= 0)
+    rows = np.flatnonzero(np.repeat(renumber >= 0, np.diff(M.indptr)))  # the kept rows' entries
+    cols = renumber.take(M.indices.take(rows))
+    inside = cols >= 0
+    # a kept row loses only its entries in dropped columns, a few per row at most
+    lengths = np.diff(M.indptr)[kept]
+    lost = np.bincount(np.searchsorted(np.cumsum(lengths), np.flatnonzero(~inside), side="right"), minlength=len(kept))
     indptr = np.zeros(len(kept) + 1, dtype=M.indptr.dtype)
-    np.cumsum(np.bincount(rows[mask], minlength=len(kept)), out=indptr[1:])
-    return _pencil(K.data[mask], M.data[mask], cols[mask], indptr)
+    np.cumsum(lengths - lost, out=indptr[1:])
+    at = rows[inside]
+    return _pencil(K.data[at], M.data[at], cols[inside], indptr, csc_matrix)
 
 
 def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:

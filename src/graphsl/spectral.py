@@ -358,13 +358,18 @@ def persson_limit(
 
     Each annulus A(n, N) is seeded with the largest ``certified_lower`` of
     the annuli A(m, M) already solved with m <= n and M >= N, which contain
-    it; the first sweep has none.  Its Dirichlet unknowns are then a subset
-    of A(m, M)'s, and both pencils are cut from the one union assembly, so
-    A(n, N)'s pencil is a principal sub-pencil of A(m, M)'s.  By Cauchy
-    interlacing its smallest eigenvalue is at least A(m, M)'s, hence above
-    that proved lower bound, and the eigensolve starts its shift there
-    (after checking it by an inertia count) instead of at the Gershgorin
-    bound.  The seed changes the cost of a solve, not which annuli are
+    it.  Its Dirichlet unknowns are then a subset of A(m, M)'s, and both
+    pencils are cut from the one union assembly, so A(n, N)'s pencil is a
+    principal sub-pencil of A(m, M)'s.  By Cauchy interlacing its smallest
+    eigenvalue is at least A(m, M)'s, hence above that proved lower bound,
+    and the eigensolve starts its shift there (after checking it by an
+    inertia count) instead of at the Gershgorin bound.  An annulus that no
+    solved annulus contains, as in the first sweep, is seeded from its own
+    sweep instead: the last value less the last decrement, or less
+    max(1, |value|) / 8 after one value, half the eigensolve's placement
+    window.  That candidate is proved by nothing, but the eigensolve checks
+    it by the same count, so a wrong one costs one factorization and never
+    the answer.  The seeds change the cost of a solve, not which annuli are
     solved or in what order.
     """
     inner_levels = sorted(set(int(n) for n in inner_levels))
@@ -390,6 +395,11 @@ def persson_limit(
         prev = None
         for N in [N for N in outer_levels if N > n]:
             lower = max((low for (m, M), low in proved.items() if m <= n and M >= N), default=-math.inf)
+            if lower == -math.inf and out:
+                # no solved annulus contains A(n, N): a candidate from this sweep,
+                # the last value less the last decrement, which the solve checks
+                last = out[-1].value
+                lower = last - (out[-2].value - last if len(out) > 1 else max(1.0, abs(last)) / 8)
             # the piece goes straight into the solve, so it is freed with it
             result = smallest_eigenpair(
                 forms.restrict(annuli[n, N], host_boundary=host_boundary), tol=tol, lower=lower

@@ -107,6 +107,28 @@ def test_usage_errors_exit_two(capsys, argv):
         assert RANGE_ERRORS[flag] in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # at --tol nan the solve failed on "residual above tolerance nan" (exit 3),
+        # and at --tol inf it certified a lower bound of -inf (exit 0)
+        (["spectrum", "--graph", INTERVAL, "--tol", "nan"], "--tol must be finite"),
+        (["spectrum", "--graph", INTERVAL, "--tol", "inf"], "--tol must be finite"),
+        (["spectrum", "--graph", INTERVAL, "--h", "nan"], "--h must be finite"),
+        (["ap-check", "--graph", STAR, "--level", "1", "--lambda", "inf"], "--lambda must be finite"),
+        (["sobolev", "--graph", INTERVAL, "--epsilon", "0.1,nan"], "--epsilon values must be finite"),
+    ],
+    ids=["tol-nan", "tol-inf", "h-nan", "lambda-inf", "epsilon-nan"],
+)
+def test_non_finite_numbers_exit_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: graphsl {argv[0]} [-h]")
+    assert message in err
+
+
 # the options each command accepts; every other (command, option) pair is a usage error
 ACCEPTED = {
     "spectrum": {"--graph", "--coeffs", "--root", "--h", "--tol", "--levels", "--no-boundary-dirichlet",
@@ -323,6 +345,28 @@ def test_persson_halfline_table(capsys):
     )
     assert keys(block[4:]) == ["# estimate", "# bracket", "# bc"]
     assert block[-1] == "# bc: dirichlet"
+
+
+def test_persson_halfline_applies_budget(capsys, monkeypatch):
+    import graphsl.eig as eig
+
+    applies = []
+    real = eig.solve_pencil
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        applies.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(eig, "solve_pencil", counted)
+    code, out, _ = run(
+        capsys, "persson", "--graph", HALFLINE, "--levels", "1,2,4,8", "--outer", "10,20,30,40", "--h", "0.05"
+    )
+    assert code == 0
+    # 86 applications over 16 annuli; 122 when every loop ran to the 1e-14 floor
+    assert len(applies) == 16
+    assert sum(applies) <= 95
+    assert all(float(row.split(",")[3]) <= 1e-6 for row in data_rows(out)[1:])
 
 
 def test_persson_gate_blocks_without_override(capsys):

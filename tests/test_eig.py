@@ -86,7 +86,7 @@ def test_interval_converges_to_pi_squared_at_second_order():
 def test_lower_bound_is_below_dense_minimum():
     g = load_graph(star(4))
     pencil = dirichlet_pencil(g, 0.1, {"default": {"q": {"piecewise": [[0, -3], [0.4, 1]]}}})
-    lb = pencil_lower_bound(*km(pencil))
+    lb = pencil_lower_bound(pencil)
     value, _ = dense_reference(pencil)
     assert lb <= value
 
@@ -145,14 +145,21 @@ def test_tiny_pencil_goes_through_lanczos():
     assert len(res.history) == res.iterations > 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_random_small_pencils_match_lapack(n):
+@pytest.mark.parametrize(
+    "n, ridge",
+    [pytest.param(n, 0.1, id=str(n)) for n in (1, 2, 3)]
+    + [pytest.param(n, 0.01, id=f"{n}-ill-conditioned-mass") for n in (1, 2, 3, 4, 5)],
+)
+def test_random_small_pencils_match_lapack(n, ridge):
+    # a Krylov space of n steps is the whole space: the loop converges
+    # within n steps, often on the Gershgorin factor with the window open;
+    # the smaller ridge makes M ill-conditioned
     rng = np.random.default_rng(n)
     for _ in range(40):
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
         K = sp.csr_matrix(A + A.T)
-        M = sp.csr_matrix(B @ B.T + 0.1 * np.eye(n))
+        M = sp.csr_matrix(B @ B.T + ridge * np.eye(n))
         res = solve_pencil(K, M, tol=1e-10)
         vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
         assert abs(res.value - vals[0]) <= 1e-12 * max(1.0, abs(vals[0]))
@@ -161,6 +168,13 @@ def test_random_small_pencils_match_lapack(n):
         assert eig._inertia(pencil, res.shift)[0] == 0
         assert eig._inertia(pencil, res.certified_lower)[0] == 0
         assert len(res.history) == res.iterations
+        # a loop that converged with the window open was not accepted there:
+        # the window was closed by counts first
+        lb = pencil_lower_bound(pencil)
+        start = lb - 0.01 * max(1.0, abs(lb))
+        scale = 0.25 * max(1.0, abs(res.value))
+        if res.value - start > scale:
+            assert res.value - res.shift <= scale
 
 
 def test_mass_shift_identity():
@@ -181,6 +195,14 @@ def test_history_tracks_ritz_values():
     assert all(value >= res.value - 1e-9 for value in values)
     assert min(values) == pytest.approx(res.value, rel=1e-2)
     assert values[-1] == res.value   # the polish's Rayleigh quotient
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # the loop's stop and the proof's delta both read tol
+    identity = sp.identity(3, format="csr")
+    with pytest.raises(SolverError, match="tolerance must be positive and finite"):
+        solve_pencil(identity, identity, tol=tol)
 
 
 def test_shape_mismatch_rejected():
@@ -209,15 +231,22 @@ def star_pencil():
 
 def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
     K, M, vals, vecs = star_pencil()
-    real = eig.eigsh
+    real_measured, real_eigsh = eig._measured, eig.eigsh
+    stops = []
 
-    def eigsh(*args, **kwargs):
-        _, _, sigma = real(*args, **kwargs)
-        return vals[1], vecs[:, 1], sigma   # the loop's pair swapped for lambda_2's
+    def measured(pencil, value, vector, *args, **kwargs):
+        return real_measured(pencil, vals[1], vecs[:, 1], *args, **kwargs)   # the loop's pair swapped for lambda_2's
 
+    def eigsh(pencil, seed, loop, *args, **kwargs):
+        stops.append(loop.stop)
+        return real_eigsh(pencil, seed, loop, *args, **kwargs)
+
+    monkeypatch.setattr(eig, "_measured", measured)
     monkeypatch.setattr(eig, "eigsh", eigsh)
     with pytest.raises(SolverError, match="1 nonpositive pivot"):
         solve_pencil(K, M)
+    # each start vector's loop goes on to the floor before the error path runs
+    assert stops == [eig._MARGIN * 1e-8, eig._STOP] * 2
 
 
 def refusing_splu(monkeypatch, refusing):
@@ -336,7 +365,7 @@ def test_inertia_agrees_with_lapack(make_pencil):
     # the placed shift is a lower bound, and within a quarter of the scale
     # of the value whenever the Gershgorin start was further away
     assert np.count_nonzero(dense < res.shift) == 0
-    lb = pencil_lower_bound(K, M)
+    lb = pencil_lower_bound(pencil)
     start = lb - 0.01 * max(1.0, abs(lb))
     assert res.shift >= start
     scale = 0.25 * max(1.0, abs(res.value))
@@ -379,7 +408,7 @@ def test_one_factorization_alive_at_a_time(monkeypatch):
 
     monkeypatch.setattr(eig, "splu", splu)
     pencil = tree8_level()
-    lb = pencil_lower_bound(*km(pencil))
+    lb = pencil_lower_bound(pencil)
     res = smallest_eigenpair(pencil, tol=1e-10)
     assert res.shift > lb + 0.25 * max(1.0, abs(res.value))   # the shift was raised
     assert len(alive_at_call) == 3                  # Gershgorin, first probe, proof
@@ -455,7 +484,7 @@ def test_apply_budget_caps_the_applies(monkeypatch):
 def test_spent_budget_during_placement_factors_no_more(monkeypatch, hinted):
     K, M = km(tree5_level())
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    lb = pencil_lower_bound(K, M)
+    lb = pencil_lower_bound(eig.Pencil(K, M))
     seed = lb - 0.01 * max(1.0, abs(lb))
     factors, spent = [], []
     real = eig.splu
@@ -485,7 +514,7 @@ def test_spent_budget_during_placement_factors_no_more(monkeypatch, hinted):
 
 def far_shift(monkeypatch):
     """Keep the shift at the seed below a Gershgorin bound of -20: the placement window is always closed."""
-    monkeypatch.setattr(eig, "pencil_lower_bound", lambda K, M: -20.0)
+    monkeypatch.setattr(eig, "pencil_lower_bound", lambda pencil: -20.0)
     monkeypatch.setattr(eig, "_window", lambda lo, hi: False)
 
 
@@ -508,7 +537,7 @@ def test_loop_restarts_past_the_basis_cap(monkeypatch):
     assert len(rows) > eig._BASIS_ROWS
     assert max(r for r, _ in rows) == eig._BASIS_ROWS == 20
     assert all(cap == eig._BASIS_ROWS for _, cap in rows)
-    assert rows[eig._BASIS_ROWS][0] == 2                  # a new basis from the Ritz vector
+    assert rows[eig._BASIS_ROWS][0] == 1                  # a new basis: the Ritz vector alone
     assert res.value == pytest.approx(dense[0], rel=1e-10)
     assert np.count_nonzero(dense < res.certified_lower) == 0
 
@@ -579,27 +608,46 @@ def sign_changing_ground_state():
     return K, sp.identity(n, format="csr")
 
 
+def odd_ground_state_next_to_an_even_one():
+    """2x2 pencil whose ground state (1, -1) lies 1e-3 below the all-ones eigenvector (1, 1).
+
+    K = [[1, b], [b, 1]] with b = 5e-4, M = I.  The all-ones start vector
+    is an eigenvector, and every shift lies at least 0.01 below both
+    eigenvalues, so the rounding of a solve grows the ground state's share
+    by at most about 10 % per step: no loop from all-ones finds it.
+    """
+    b = 5e-4
+    return sp.csr_matrix(np.array([[1.0, b], [b, 1.0]])), sp.identity(2, format="csr")
+
+
 def test_start_vector_that_misses_the_ground_state_is_rerun(monkeypatch):
-    K, M = sign_changing_ground_state()
+    K, M = odd_ground_state_next_to_an_even_one()
     vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
-    assert abs(vecs[:, 0] @ np.ones(6)) < 1e-12
+    assert abs(vecs[:, 0] @ np.ones(2)) < 1e-15
     runs = []
     real = eig.eigsh
 
-    def eigsh(*args, **kwargs):
-        out = real(*args, **kwargs)
-        runs.append((*out, len(args[2])))   # and the solve's history rows so far
+    def eigsh(pencil, seed, loop, *args, **kwargs):
+        stop = loop.stop
+        out = real(pencil, seed, loop, *args, **kwargs)
+        runs.append((stop, out.value, len(loop.history)))   # and the solve's history rows so far
         return out
 
     monkeypatch.setattr(eig, "eigsh", eigsh)
     res = solve_pencil(K, M, tol=1e-10)
-    # from all-ones the loop finds the smallest even eigenvalue; the proof
-    # catches it and the seeded start vector finds lambda_1
-    assert [value for value, *_ in runs] == [pytest.approx(vals[1], rel=1e-10), pytest.approx(vals[0], rel=1e-10)]
-    assert res.value == pytest.approx(vals[0], rel=1e-10)
+    # from all-ones the loop finds lambda_2; the proof catches it, the same
+    # loop goes on to the floor and still has lambda_2, and the seeded start
+    # vector finds lambda_1
+    loose = eig._MARGIN * 1e-10
+    assert [(stop, value) for stop, value, _ in runs] == [
+        (loose, pytest.approx(vals[1], rel=1e-12)),
+        (eig._STOP, pytest.approx(vals[1], rel=1e-12)),
+        (loose, pytest.approx(vals[0], rel=1e-12)),
+    ]
+    assert res.value == pytest.approx(vals[0], rel=1e-12)
     assert np.count_nonzero(vals < res.certified_lower) == 0
-    first, total = (rows for *_, rows in runs)
-    assert 0 < first < total == res.iterations   # both runs' applications count
+    rows = [rows for *_, rows in runs]
+    assert 0 < rows[0] < rows[1] < rows[2] == res.iterations   # every run's applications count
     assert [idx for idx, _ in res.history] == list(range(1, res.iterations + 1))
 
 
@@ -607,6 +655,58 @@ def test_restricted_annulus_applies_budget():
     # every apply counts: the placement steps, the loop and the polish
     res = smallest_eigenpair(restricted_annulus(), tol=1e-10)
     assert res.iterations <= 14
+
+
+def interval_400():
+    """Dirichlet path(1) at h = 1/400 (399 dofs), whose residual floor lies near 3e-11."""
+    return dirichlet_pencil(load_graph(path(1)), 1.0 / 400)
+
+
+@pytest.mark.parametrize(
+    "make_pencil, misses", [(interval_400, 0), (leaf_well_level, 1)], ids=["interval-400", "leaf-well"]
+)
+def test_a_pair_that_misses_the_residual_check_steps_on_to_the_floor(monkeypatch, make_pencil, misses):
+    pencil = make_pencil()
+    events = []
+    real_measured, real_inertia = eig._measured, eig._inertia
+
+    def measured(*args, **kwargs):
+        out = real_measured(*args, **kwargs)
+        events.append(("pair", out.residual))
+        return out
+
+    def inertia(pencil, sigma):
+        events.append(("count", sigma))
+        return real_inertia(pencil, sigma)
+
+    monkeypatch.setattr(eig, "_measured", measured)
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    res = smallest_eigenpair(pencil, tol=1e-10)
+    assert res.residual <= 1e-10
+    dense = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    assert res.value == pytest.approx(dense[0], rel=1e-10)
+    assert np.count_nonzero(dense < res.certified_lower) == 0
+    # a polished pair above tol sends the same loop on, on the same factor:
+    # no count comes between it and the next pair, and only the last pair is proved
+    pairs = [i for i, (kind, _) in enumerate(events) if kind == "pair"]
+    assert [events[i][1] > 1e-10 for i in pairs] == [True] * misses + [False]
+    assert pairs == list(range(pairs[0], pairs[0] + misses + 1))
+    assert events[pairs[-1] + 1 :] == [("count", res.certified_lower)]
+
+
+@pytest.mark.parametrize("make_pencil", [restricted_annulus, tree5_level, leaf_well_level])
+def test_a_candidate_above_lambda_1_costs_one_factorization(monkeypatch, make_pencil):
+    pencil = make_pencil()
+    counts = recorded_inertia(monkeypatch)
+    cold = smallest_eigenpair(pencil, tol=1e-6)
+    cold_counts = counts[:]
+    candidate = cold.value + 1e-3 * max(1.0, abs(cold.value))
+    del counts[:]
+    res = smallest_eigenpair(pencil, tol=1e-6, lower=candidate)
+    # the candidate's count, then the cold solve, count for count
+    assert counts[0][0] == candidate and counts[0][1] >= 1
+    assert counts[1:] == cold_counts
+    assert res.value == cold.value and res.iterations == cold.iterations
 
 
 def test_mass_bound_proved_by_inertia_when_gershgorin_fails(monkeypatch):
@@ -627,7 +727,7 @@ def test_mass_bound_proved_by_inertia_when_gershgorin_fails(monkeypatch):
     assert 0 < mu <= 0.7
     assert counts[-1] == (mu, 0)                          # the returned bound is proved
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    assert pencil_lower_bound(K, M) <= dense[0]
+    assert pencil_lower_bound(eig.Pencil(K, M)) <= dense[0]
     assert solve_pencil(K, M, tol=1e-10).value == pytest.approx(dense[0], rel=1e-10)
 
 
@@ -655,7 +755,7 @@ def recorded_inertia(monkeypatch, refuse=None):
 def test_wrong_lower_bound_falls_back_to_gershgorin(monkeypatch, refused):
     K, M, vals, _ = star_pencil()
     cold = solve_pencil(K, M, tol=1e-10)
-    lb = pencil_lower_bound(K, M)
+    lb = pencil_lower_bound(eig.Pencil(K, M))
     seed = lb - 0.01 * max(1.0, abs(lb))
     # lambda_2 counts 1 eigenvalue below it; a hint below lambda_1 can fail to factor
     hint = 0.5 * (vals[0] + seed) if refused else vals[1]

@@ -167,3 +167,54 @@ def test_round_trip_random_expressions(rng):
                 continue
             got = evaluate(reparsed, float(x))
             assert got == pytest.approx(want, abs=1e-14, rel=1e-14)
+
+
+def full_array_eval(node, x):
+    """The evaluator with every literal a full array, the reference for bitwise checks."""
+    if isinstance(node, Const):
+        return np.full(x.shape, node.value)
+    if isinstance(node, Coord):
+        return x
+    if isinstance(node, Neg):
+        return -full_array_eval(node.arg, x)
+    if isinstance(node, Call):
+        return getattr(np, node.name)(full_array_eval(node.arg, x))
+    left, right = full_array_eval(node.left, x), full_array_eval(node.right, x)
+    return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}[node.op](left, right)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "x+0.3", "0.3+x", "x-0.3", "0.3-x", "x*0.3", "0.3*x", "x/0.3", "0.3/x", "-x", "-(0.3)*x",
+        "x^0.5", "x^2", "x^3", "x^-1", "x^(1/2)", "2^x", "0.5^x",
+        "sin(2)*x", "cos(0.3)+x", "exp(-1)*x", "sqrt(2)/x", "abs(-3)-x", "2^0.5+x",
+        "-1+0.3*sin(2*x+0.2)", "1/(1+0.04+x)",
+    ],
+)
+def test_literals_as_scalars_round_like_full_arrays(src):
+    # literals are scalars that numpy broadcasts; every result is bitwise the
+    # one full arrays give, also for the exponents numpy's power computes by
+    # sqrt, square or reciprocal when it is handed a scalar
+    xs = np.concatenate((np.random.default_rng(3).uniform(0.01, 20.0, 20_000), [1.0, 2.0, 0.5]))
+    node = parse_expression(src)
+    got, want = evaluate(node, xs), full_array_eval(node, xs)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_evaluation_memory_is_two_results():
+    # certificate-tree's q on its 507,065 Gauss points: with every literal a
+    # full array the evaluation peaked at five times the result (20.3 MB for
+    # 4.1 MB); with scalars only an operator's operand and result are alive
+    import tracemalloc
+
+    xs = np.linspace(0.0, 1.0, 507_065)
+    node = parse_expression("-1+0.3*sin(2*x+0.2)")
+    tracemalloc.start()
+    try:
+        result = evaluate(node, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * result.nbytes
