@@ -43,16 +43,11 @@ from .fem import (
 from .graph import Edge, Exhaustion, MetricGraph, build_exhaustion, load_graph
 from .spectral import (
     APResult,
-    CutoffFunction,
-    HarnackBounds,
     PerssonTrace,
     PositiveSolutionCert,
     SobolevEstimate,
     SpectralReport,
     ap_check,
-    cutoff_build,
-    ground_state_transform_check,
-    harnack_probe,
     inf_spectrum,
     persson_limit,
     positive_solution,
@@ -67,7 +62,6 @@ __all__ = [
     "CoefficientError",
     "CoefficientField",
     "ConvergenceError",
-    "CutoffFunction",
     "Edge",
     "EigenResult",
     "EvaluationError",
@@ -77,7 +71,6 @@ __all__ = [
     "GraphMesh",
     "GraphStructureError",
     "GraphslError",
-    "HarnackBounds",
     "HypothesisError",
     "HypothesisReport",
     "IntegrabilityError",
@@ -92,13 +85,10 @@ __all__ = [
     "assemble",
     "build_exhaustion",
     "build_mesh",
-    "cutoff_build",
     "dense_reference",
     "dirichlet_vertices",
     "edge_integral",
     "evaluate_expression",
-    "ground_state_transform_check",
-    "harnack_probe",
     "inf_spectrum",
     "kirchhoff_residual",
     "load_coefficients",

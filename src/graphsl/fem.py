@@ -21,9 +21,9 @@ every pencil formed here has K and M on one pattern.  It reads each cell's
 moments (the integral of p and the hat moments of q and w), exact for
 constants and piecewise tables and Gauss sums for expressions, with no
 sample arrays over the whole mesh.  The quadratures that check it (the
-direct form and mass values, the ground-state transform) are independent
-of assembly: they read the flat sample set that :func:`mesh_samples`
-builds, Gauss panels split at every breakpoint.
+Sobolev self-check in ``verify`` and the tests' direct form and mass
+values) are independent of assembly: they read the flat sample set that
+:func:`mesh_samples` builds, Gauss panels split at every breakpoint.
 """
 
 from __future__ import annotations
@@ -381,24 +381,6 @@ def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
 
     K, M = _pencil(summed(vp) + summed(vq), summed(vm), indices, indptr)
     return AssembledForms(K, M, mesh)
-
-
-def form_value(mesh: GraphMesh, field: CoefficientField, f: np.ndarray) -> float:
-    """Direct quadrature of the form integral p|f'|^2 + q|f|^2 for nodal f.
-
-    Independent of the assembled matrices; used to cross-check that
-    x^T K x reproduces the quadrature value of the form.
-    """
-    s = mesh_samples(mesh, field)
-    value, slope = s.p1(f)
-    return float(np.dot(s.wq, s.p * slope**2 + s.q * value**2))
-
-
-def mass_value(mesh: GraphMesh, field: CoefficientField, f: np.ndarray) -> float:
-    """Direct quadrature of integral w |f|^2 for a nodal vector."""
-    s = mesh_samples(mesh, field)
-    value, _ = s.p1(f)
-    return float(np.dot(s.wq, s.w * value**2))
 
 
 def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, vertices) -> dict:

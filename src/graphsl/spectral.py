@@ -1,6 +1,6 @@
 """Spectral bounds on metric graphs via truncation and positive solutions.
 
-Four families of computations share the assembled forms:
+Three families of computations share the assembled forms:
 
 * ``inf_spectrum``: bottom of the spectrum approximated from above by
   Dirichlet truncations over an exhaustion (monotone nonincreasing).
@@ -13,10 +13,9 @@ Four families of computations share the assembled forms:
   Dirichlet problems on the complements of the exhaustion, realized on
   annuli between two levels (nonincreasing in the outer level,
   nondecreasing in the inner level).
-* supporting constructions: the weighted cutoff profile between a level and
-  its halo, the edgewise sup-bound constant, the ground-state transform
-  identity, and two-sided bounds of normalized positive solutions on a
-  fixed compact piece.
+
+``sobolev_constant`` gives the constants of the edgewise sup bound from
+edge integrals of the coefficients alone, with no mesh.
 
 Levels and annuli are cut from one union assembly as Dirichlet pieces (see
 :func:`~graphsl.fem.dirichlet_vertices`); ``host_boundary`` is on by default.
@@ -25,12 +24,12 @@ Levels and annuli are cut from one union assembly as Dirichlet pieces (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals
+from .coeff import CoefficientField, edge_integrals
 from .eig import Condensed, smallest_eigenpair
 from .errors import HypothesisError, IntegrabilityError, SolverError
 from .fem import (
@@ -40,12 +39,10 @@ from .fem import (
     build_mesh,
     dirichlet_vertices,
     kirchhoff_residual,
-    mesh_samples,
     subgraph_vertices,
 )
 from .graph import Exhaustion, MetricGraph
 
-CUTOFF_SAMPLES = 129        # cutoff profile grid points per halo edge
 WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
 
 
@@ -146,8 +143,8 @@ class PositiveSolutionCert:
     ``values`` holds the nodal vector over the level's mesh, equal to
     one on the level boundary before normalization and to one at the root
     after.  Flux imbalances at free vertices document the Kirchhoff
-    matching quality.  ``forms`` are the forms the solution was solved
-    on, which ``ground_state_transform_check`` reuses.
+    matching quality.  The certificate keeps the mesh and the nodal vector,
+    not the assembled forms, which are freed once the solution is built.
     """
 
     lam: float
@@ -160,7 +157,6 @@ class PositiveSolutionCert:
     boundary_vertices: frozenset
     kirchhoff_residuals: dict
     dirichlet_bottom: float
-    forms: AssembledForms = dataclass_field(repr=False)
 
 
 def positive_solution(
@@ -243,7 +239,6 @@ def _certificate(
         boundary_vertices=boundary,
         kirchhoff_residuals=kirch,
         dirichlet_bottom=float(bottom),
-        forms=forms,
     )
 
 
@@ -446,100 +441,6 @@ def persson_limit(
     )
 
 
-# --- cutoff profiles ------------------------------------------------------------
-
-
-@dataclass
-class EdgeCutoffProfile:
-    """Sampled profile of the cutoff on one halo edge.
-
-    ``rate`` is the constant value of sqrt(p/w) * |phi'| on the edge, the
-    reciprocal of the edge integral of sqrt(w/p): between two offsets the
-    profile moves by ``rate`` times the integral of sqrt(w/p) between them.
-    """
-
-    edge_id: str
-    offsets: np.ndarray
-    values: np.ndarray
-    rate: float
-    rises_from_src: bool
-
-
-@dataclass
-class CutoffFunction:
-    """Weighted cutoff between a level and the rest of the graph.
-
-    Zero on the level, one beyond its halo; on each halo edge the profile
-    climbs with slope proportional to sqrt(w/p), which makes the weighted
-    steepness sqrt(p/w)*|phi'| constant along the edge.
-    """
-
-    level: int
-    zero_edges: frozenset
-    one_edges: frozenset
-    profiles: dict
-    sup_weighted_derivative: float
-
-    def value(self, edge_id: str, offset: float) -> float:
-        if edge_id in self.zero_edges:
-            return 0.0
-        if edge_id in self.one_edges:
-            return 1.0
-        profile = self.profiles[edge_id]
-        return float(np.interp(offset, profile.offsets, profile.values))
-
-
-def cutoff_build(
-    g: MetricGraph,
-    field: CoefficientField,
-    exhaustion: Exhaustion,
-    level: int,
-) -> CutoffFunction:
-    """Build the weighted cutoff profile for one exhaustion level."""
-    if level < 0 or level > exhaustion.max_level:
-        raise SolverError(f"level {level} outside exhaustion range")
-    zero = exhaustion.levels[level]
-    halo_only = exhaustion.haloes[level] - zero
-    one = frozenset(e.id for e in g.edges) - exhaustion.haloes[level]
-    dist = g.vertex_distances(exhaustion.root)
-    profiles = {}
-    sup_rate = 0.0
-    for eid in sorted(halo_only):
-        e = g.edge(eid)
-        xs = np.linspace(0.0, e.length, CUTOFF_SAMPLES)
-        breaks = np.asarray(field.breakpoints(eid))
-        if breaks.size:
-            xs = np.unique(np.concatenate([xs, breaks]))
-        half = 0.5 * (xs[1:] - xs[:-1])
-        px = (half[:, None] * (GAUSS_NODES + 1.0) + xs[:-1, None]).ravel()
-        integrand = np.sqrt(field.evaluate(eid, "w", px) / field.evaluate(eid, "p", px))
-        if not np.all(np.isfinite(integrand)):
-            raise IntegrabilityError(f"sqrt(w/p) not integrable on edge {eid!r}")
-        increments = half * (integrand.reshape(-1, len(GAUSS_NODES)) @ GAUSS_WEIGHTS)
-        cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-        total = cumulative[-1]
-        if not (total > 0 and math.isfinite(total)):
-            raise IntegrabilityError(f"edge integral of sqrt(w/p) degenerate on {eid!r}")
-        rises_from_src = dist[e.src] <= level + 1e-12
-        values = cumulative / total if rises_from_src else 1.0 - cumulative / total
-        rate = 1.0 / total
-        profiles[eid] = EdgeCutoffProfile(
-            edge_id=eid,
-            offsets=xs,
-            values=values,
-            rate=rate,
-            rises_from_src=rises_from_src,
-        )
-        sup_rate = max(sup_rate, rate)
-    return CutoffFunction(
-        level=level,
-        zero_edges=zero,
-        one_edges=one,
-        profiles=profiles,
-        sup_weighted_derivative=sup_rate,
-    )
-
-
 # --- edgewise sup bound -----------------------------------------------------------
 
 
@@ -635,97 +536,3 @@ def sobolev_constant(
         window_mass=float(mass),
         constant=2.0 / float(mass),
     )
-
-
-# --- ground state transform ---------------------------------------------------------
-
-
-@dataclass
-class GSTReport:
-    lhs: float        # form value of the trial function
-    rhs: float        # transformed representation through the positive solution
-    residual: float   # |lhs - rhs| / (1 + |lhs|)
-
-
-def ground_state_transform_check(
-    field: CoefficientField,
-    cert: PositiveSolutionCert,
-    trial: np.ndarray,
-    lam: float,
-) -> GSTReport:
-    """Compare the form of a trial function with its ground-state transform.
-
-    With y the certificate solution at ``lam`` and g = trial / y nodal, the
-    form of the trial equals the weighted gradient energy of g against y
-    plus lam times the weighted mass of g*y; the discrete residual shrinks
-    at first order under mesh refinement.
-    """
-    mesh = cert.mesh
-    trial = np.asarray(trial, dtype=float)
-    if trial.shape != (mesh.n_free,):
-        raise SolverError(
-            f"trial vector has shape {trial.shape}, mesh has {mesh.n_free} dofs"
-        )
-    scale = float(np.max(np.abs(trial))) or 1.0
-    for v in cert.boundary_vertices:
-        if abs(trial[mesh.vertex_dof[v]]) > 1e-12 * scale:
-            raise SolverError(f"trial function must vanish at boundary vertex {v!r}")
-    lhs = float(trial @ (cert.forms.K @ trial))
-    s = mesh_samples(mesh, field)
-    y_value, _ = s.p1(cert.values)
-    g_value, g_slope = s.p1(trial / cert.values)
-    rhs = float(np.dot(s.wq, s.p * (g_slope * y_value) ** 2))
-    rhs += lam * float(np.dot(s.wq, s.w * (g_value * y_value) ** 2))
-    residual = abs(lhs - rhs) / (1.0 + abs(lhs))
-    return GSTReport(lhs=lhs, rhs=rhs, residual=residual)
-
-
-# --- two-sided bounds on a fixed compact piece ----------------------------------------
-
-
-@dataclass
-class HarnackBounds:
-    """Extremes of normalized positive solutions over a fixed level.
-
-    ``rows`` holds (certificate level, sup, inf) restricted to the edges of
-    level ``m``; ``upper``/``lower`` are the running extremes across all
-    certificates, two-sided bounds independent of the certificate level.
-    """
-
-    level: int
-    upper: float
-    lower: float
-    rows: list
-
-
-def harnack_probe(certs, exhaustion: Exhaustion, m: int) -> HarnackBounds:
-    """Probe two-sided bounds of normalized certificates on level ``m``."""
-    if not certs:
-        raise SolverError("no certificates supplied")
-    lam0 = certs[0].lam
-    target_edges = exhaustion.levels[m]
-    if not target_edges:
-        raise SolverError(f"exhaustion level {m} contains no edges")
-    rows = []
-    upper = -math.inf
-    lower = math.inf
-    for cert in certs:
-        if abs(cert.lam - lam0) > 1e-12 * max(1.0, abs(lam0)):
-            raise SolverError("certificates probe different trial values")
-        root_val = cert.values[cert.mesh.vertex_dof[cert.root]]
-        if abs(root_val - 1.0) > 1e-10:
-            raise SolverError("certificate is not normalized at the root")
-        missing = target_edges - set(cert.mesh.edge_ids)
-        if missing:
-            raise SolverError(
-                f"certificate at level {cert.level} does not cover level {m}"
-            )
-        # nodal values on the level's edges
-        on_target = np.repeat([eid in target_edges for eid in cert.mesh.edge_ids], np.diff(cert.mesh.start))
-        vals = cert.values[cert.mesh.dof[on_target]]
-        sup = float(np.max(vals))
-        inf = float(np.min(vals))
-        rows.append((cert.level, sup, inf))
-        upper = max(upper, sup)
-        lower = min(lower, inf)
-    return HarnackBounds(level=m, upper=upper, lower=lower, rows=rows)

@@ -9,6 +9,7 @@ line as ``verify``.
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 import scipy.linalg
@@ -20,12 +21,7 @@ from .errors import EvaluationError
 from .families import ladder, path, star
 from .fem import assemble, build_mesh, mesh_samples
 from .graph import build_exhaustion, load_graph
-from .spectral import (
-    ap_check,
-    cutoff_build,
-    persson_limit,
-    sobolev_constant,
-)
+from .spectral import ap_check, persson_limit, sobolev_constant
 
 
 def _star_forms(coeff_doc=None, h=0.05):
@@ -111,12 +107,17 @@ def check_dense_iterative_agreement(rng) -> tuple[bool, str]:
 
 
 def check_ap_consistency(rng) -> tuple[bool, str]:
-    """ap_check outcomes match the sign of lam - bottom on random trials."""
+    """ap_check outcomes match the sign of lam - bottom on 20 random trials.
+
+    A 21st trial, 2.4674 (about (pi/2)^2, the continuum bottom), sits 1.3 tol
+    below the discrete bottom, next to the indeterminate band, and goes
+    through the same comparison.
+    """
     g = load_graph(star(3))
     field = load_coefficients({}, g)
     ex = build_exhaustion(g, "c", 1)
     tol = 1e-3
-    lams = list(rng.uniform(-1.0, 6.0, size=20))
+    lams = list(rng.uniform(-1.0, 6.0, size=20)) + [2.4674]
     counts = {"certificate": 0, "refutation": 0, "indeterminate": 0}
     for lam in lams:
         res = ap_check(g, field, ex, float(lam), 1, h=0.05, tol=tol)
@@ -132,41 +133,7 @@ def check_ap_consistency(rng) -> tuple[bool, str]:
             return False, f"lam={lam}: got {res.kind}, expected {expected}"
         if res.kind == "certificate" and not res.cert.min_value > 0:
             return False, f"lam={lam}: certificate with min {res.cert.min_value}"
-    exact = ap_check(g, field, ex, 2.4674, 1, h=0.05, tol=tol)
-    counts[exact.kind] += 1
-    return True, f"21 trials consistent: {counts}"
-
-
-def check_cutoff_contract(rng) -> tuple[bool, str]:
-    """Cutoff profile: range [0,1], exact endpoints, slope proportional to sqrt(w/p).
-
-    On every segment of the profile, its change over the edge's rate must
-    be the integral of sqrt(w/p) there, which is 1/2 per unit length for p
-    = 4 and log((1+b)/(1+a)) over [a, b] for p = (1+x)^2.
-    """
-    g = load_graph(path(6))
-    ex = build_exhaustion(g, "v00", 3)
-    cases = (
-        ({"default": {"p": 4.0}}, lambda a, b: 0.5 * (b - a)),
-        ({"default": {"p": {"expr": "(1+x)^2"}}}, lambda a, b: np.log1p((b - a) / (1.0 + a))),
-    )
-    cuts = [cutoff_build(g, load_coefficients(doc, g), ex, 2) for doc, _ in cases]
-    for cut, (_, integral) in zip(cuts, cases):
-        if not cut.profiles:
-            return False, "no halo profile built"
-        for prof in cut.profiles.values():
-            inside = prof.values if prof.rises_from_src else prof.values[::-1]
-            if not (inside[0] == 0.0 and inside[-1] == 1.0):
-                return False, f"endpoints {inside[0]}, {inside[-1]} on {prof.edge_id}"
-            if np.min(prof.values) < 0 or np.max(prof.values) > 1:
-                return False, f"range violation on {prof.edge_id}"
-            want = integral(prof.offsets[:-1], prof.offsets[1:])
-            defect = float(np.max(np.abs(np.abs(np.diff(prof.values)) / prof.rate - want) / want))
-            if defect > 1e-12:
-                return False, f"profile steps miss the integral of sqrt(w/p) by {defect:.3e} on {prof.edge_id}"
-    want = 2.0
-    err = abs(cuts[0].sup_weighted_derivative - want)
-    return err <= 1e-12, f"sup weighted slope {cuts[0].sup_weighted_derivative} (expected {want})"
+    return True, f"{len(lams)} trials consistent: {counts}"
 
 
 def check_sobolev_inequality(rng) -> tuple[bool, str]:
@@ -296,7 +263,6 @@ CHECKS = [
     ("pencil-scaling", check_pencil_scaling),
     ("dense-iterative-agreement", check_dense_iterative_agreement),
     ("ap-consistency", check_ap_consistency),
-    ("cutoff-contract", check_cutoff_contract),
     ("sobolev-inequality", check_sobolev_inequality),
     ("persson-monotone", check_persson_monotone),
     ("matrix-symmetry", check_matrix_symmetry),
@@ -309,18 +275,17 @@ CHECKS = [
 def run_suite(seed: int = 0, names=None, stream=None) -> int:
     """Run the named checks (default: all); return the number of failures.
 
-    Each check gets its own generator seeded from (seed, index) so that
-    skipping or reordering checks never changes another check's draws.
+    Each check gets its own generator seeded from (seed, CRC-32 of its
+    name), so that selecting, reordering, adding or deleting checks never
+    changes another check's draws.
     """
     import sys
 
     stream = stream or sys.stdout
     selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
     failures = 0
-    for index, (name, fn) in enumerate(CHECKS):
-        if (name, fn) not in selected:
-            continue
-        rng = np.random.default_rng([seed, index])
+    for name, fn in selected:
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         try:
             ok, detail = fn(rng)
         except Exception as exc:  # a crashed check is a failed check

@@ -13,9 +13,7 @@ from graphsl.fem import (
     assemble,
     build_mesh,
     dirichlet_vertices,
-    form_value,
     kirchhoff_residual,
-    mass_value,
     mesh_samples,
     write_matrix_market,
 )
@@ -242,6 +240,24 @@ MULTIGRAPH = {
     ],
     "root": "a",
 }
+
+
+def form_value(mesh, field, f):
+    """Direct quadrature of the form integral p|f'|^2 + q|f|^2 for nodal f.
+
+    Independent of the assembled matrices; cross-checks that x^T K x
+    reproduces the quadrature value of the form.
+    """
+    s = mesh_samples(mesh, field)
+    value, slope = s.p1(f)
+    return float(np.dot(s.wq, s.p * slope**2 + s.q * value**2))
+
+
+def mass_value(mesh, field, f):
+    """Direct quadrature of integral w |f|^2 for a nodal vector."""
+    s = mesh_samples(mesh, field)
+    value, _ = s.p1(f)
+    return float(np.dot(s.wq, s.w * value**2))
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from graphsl.coeff import CoefficientField, load_coefficients
+from graphsl.coeff import load_coefficients
 from graphsl.errors import SolverError
 from graphsl.families import path, star, tree
 from graphsl.fem import mesh_samples
@@ -12,9 +12,6 @@ from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import (
     _window_starts,
     ap_check,
-    cutoff_build,
-    ground_state_transform_check,
-    harnack_probe,
     inf_spectrum,
     persson_limit,
     positive_solution,
@@ -215,6 +212,34 @@ def test_cosh_profile_on_unit_segment(halfline):
     assert cert.values[cert.mesh.vertex_dof["v00"]] == pytest.approx(1.0)
     assert cert.min_value > 0
     assert cert.lam == -1.0
+
+
+def _on_level(cert, ex, m):
+    """The certificate's nodal values on the edges of level ``m``."""
+    mesh = cert.mesh
+    on_level = np.repeat([eid in ex.levels[m] for eid in mesh.edge_ids], np.diff(mesh.start))
+    return cert.values[mesh.dof[on_level]]
+
+
+def test_flat_and_decaying_solutions_match_closed_form(halfline, star3):
+    """lam = 0 gives y = 1.  lam = -1/4 on the half-line gives, at level n,
+    cosh((x - n/2)/2) / cosh(n/4): on level 2 its maximum is 1 at the root
+    and its minimum is at x = 2, decreasing in n."""
+    g, ex = halfline
+    field = load_coefficients({}, g)
+    for n in (4, 6, 8):
+        cert = positive_solution(g, field, ex, lam=0.0, level=n, h=0.1)
+        np.testing.assert_allclose(_on_level(cert, ex, 2), 1.0, rtol=0, atol=1e-12)
+    minima = []
+    for n in (4, 8, 12):
+        values = _on_level(positive_solution(g, field, ex, lam=-0.25, level=n, h=0.02), ex, 2)
+        assert values.max() == pytest.approx(1.0, abs=1e-10)
+        assert values.min() == pytest.approx(math.cosh((n - 4) / 4.0) / math.cosh(n / 4.0), rel=2e-4)
+        minima.append(values.min())
+    assert minima == sorted(minima, reverse=True)
+    g, ex = star3
+    cert = positive_solution(g, load_coefficients({}, g), ex, lam=0.0, level=1, h=0.05)
+    np.testing.assert_allclose(cert.values, 1.0, rtol=0, atol=1e-12)
 
 
 def test_positive_solution_rejects_value_at_or_above_bottom(halfline):
@@ -427,91 +452,6 @@ def test_persson_validates_level_lists(halfline):
         persson_limit(g, field, ex, inner_levels=[1], outer_levels=[99])
 
 
-# --- cutoff profiles --------------------------------------------------------------
-
-
-def test_cutoff_contract_uniform_coefficients():
-    g = load_graph(path(6))
-    ex = build_exhaustion(g, "v00", 6)
-    field = load_coefficients({"default": {"p": 4.0}}, g)
-    cut = cutoff_build(g, field, ex, level=2)
-    assert cut.zero_edges == frozenset({"e01", "e02"})
-    assert cut.one_edges == frozenset({"e04", "e05", "e06"})
-    assert set(cut.profiles) == {"e03"}
-    prof = cut.profiles["e03"]
-    assert prof.values[0] == 0.0 and prof.values[-1] == 1.0
-    assert prof.rises_from_src
-    # sqrt(w/p) = 1/2 everywhere, so the climb is linear: phi(x) = x
-    np.testing.assert_allclose(prof.values, prof.offsets, atol=1e-14)
-    assert cut.sup_weighted_derivative == pytest.approx(2.0, abs=1e-13)
-    # each segment's step over the rate is the integral of sqrt(w/p) = 1/2 there
-    np.testing.assert_allclose(np.diff(prof.values) / prof.rate, 0.5 * np.diff(prof.offsets), rtol=1e-12)
-    assert cut.value("e01", 0.7) == 0.0
-    assert cut.value("e05", 0.1) == 1.0
-    assert cut.value("e03", 0.25) == pytest.approx(0.25, abs=1e-13)
-
-
-def test_cutoff_weighted_slope_constant_for_varying_coefficients():
-    g = load_graph(path(4))
-    ex = build_exhaustion(g, "v00", 4)
-    field = load_coefficients({"default": {"p": {"expr": "1+x"}, "w": 2.0}}, g)
-    cut = cutoff_build(g, field, ex, level=1)
-    prof = cut.profiles["e02"]
-    assert np.all(np.diff(prof.values) > 0)
-    assert np.all((prof.values >= 0) & (prof.values <= 1))
-    # each segment's step over the rate is the integral of sqrt(w/p) = sqrt(2/(1+x)) there
-    root = np.sqrt(1.0 + prof.offsets)
-    np.testing.assert_allclose(np.diff(prof.values) / prof.rate, 2.0 * math.sqrt(2.0) * np.diff(root), rtol=1e-12)
-    assert prof.rate == pytest.approx(cut.sup_weighted_derivative)
-
-
-def test_cutoff_descends_on_mirrored_halo_edges():
-    # rooted at the middle of a path, both halo edges climb away from the root
-    g = load_graph(path(4))
-    ex = build_exhaustion(g, "v02", 2)
-    field = load_coefficients({}, g)
-    cut = cutoff_build(g, field, ex, level=1)
-    left = cut.profiles["e01"]   # v00 -- v01, root side is dst
-    right = cut.profiles["e04"]  # v03 -- v04, root side is src
-    assert not left.rises_from_src
-    assert right.rises_from_src
-    assert left.values[0] == 1.0 and left.values[-1] == 0.0
-    assert right.values[0] == 0.0 and right.values[-1] == 1.0
-
-
-def test_cutoff_profile_takes_a_jump_of_p_off_the_grid():
-    # sqrt(w/p) is 1 before the jump at 0.37, which no grid point hits, and 2 after it
-    g = load_graph(path(2))
-    ex = build_exhaustion(g, "v00", 2)
-    field = load_coefficients({"e02": {"p": {"piecewise": [[0.0, 1.0], [0.37, 0.25]]}}}, g)
-    cut = cutoff_build(g, field, ex, level=1)
-    prof = cut.profiles["e02"]
-    assert 0.37 in prof.offsets.tolist()
-    total = 0.37 + 2.0 * 0.63
-    assert cut.value("e02", 0.37) == pytest.approx(0.37 / total, rel=1e-13)
-    assert cut.value("e02", 0.685) == pytest.approx((0.37 + 2.0 * 0.315) / total, rel=1e-13)
-    assert prof.values[-1] == pytest.approx(1.0, rel=1e-14)
-    assert prof.rate == pytest.approx(1.0 / total, rel=1e-13)
-
-
-def test_cutoff_samples_each_halo_edge_in_one_evaluate_per_coefficient(monkeypatch):
-    g = load_graph(tree(8))
-    ex = build_exhaustion(g, "n0", 5)
-    field = load_coefficients({"default": {"p": {"expr": "1+x"}, "w": {"expr": "2+x*x"}}}, g)
-    calls = []
-    original = CoefficientField.evaluate
-
-    def counted(self, edge_id, name, x):
-        calls.append((edge_id, name))
-        return original(self, edge_id, name, x)
-
-    monkeypatch.setattr(CoefficientField, "evaluate", counted)
-    cut = cutoff_build(g, field, ex, level=5)
-    halo_edges = len(cut.profiles)
-    assert halo_edges == 64
-    assert len(calls) <= 4 * halo_edges
-
-
 # --- edgewise sup bound ------------------------------------------------------------
 
 
@@ -593,127 +533,3 @@ def test_sobolev_rejects_bad_epsilon(star3):
     g, _ = star3
     with pytest.raises(HypothesisError):
         sobolev_constant(g, load_coefficients({}, g), epsilon=0.0)
-
-
-# --- ground state transform --------------------------------------------------------
-
-
-def test_gst_identity_exact_for_flat_solution(star3, rng):
-    g, ex = star3
-    field = load_coefficients({}, g)
-    cert = positive_solution(g, field, ex, lam=0.0, level=1, h=0.05)
-    np.testing.assert_allclose(cert.values, 1.0, atol=1e-12)
-    trial = rng.normal(size=cert.mesh.n_free)
-    for v in cert.boundary_vertices:
-        trial[cert.mesh.vertex_dof[v]] = 0.0
-    report = ground_state_transform_check(field, cert, trial, lam=0.0)
-    assert report.residual <= 1e-12
-
-
-def test_gst_residual_halves_with_mesh(halfline):
-    g, ex = halfline
-    field = load_coefficients({}, g)
-    residuals = []
-    for h in (0.02, 0.01):
-        cert = positive_solution(g, field, ex, lam=-1.0, level=1, h=h)
-        mesh = cert.mesh
-        trial = np.zeros(mesh.n_free)
-        interior = np.ones(len(mesh.x), dtype=bool)  # vertex dofs stay zero
-        interior[mesh.start[:-1]] = False
-        interior[mesh.start[1:] - 1] = False
-        trial[mesh.dof[interior]] = [math.sin(math.pi * x) for x in mesh.x[interior]]
-        report = ground_state_transform_check(field, cert, trial, lam=-1.0)
-        residuals.append(report.residual)
-    assert residuals[0] / residuals[1] >= 1.8
-
-
-def test_gst_rejects_nonvanishing_trial(star3):
-    g, ex = star3
-    field = load_coefficients({}, g)
-    cert = positive_solution(g, field, ex, lam=0.0, level=1, h=0.1)
-    with pytest.raises(SolverError):
-        ground_state_transform_check(field, cert, np.ones(cert.mesh.n_free), lam=0.0)
-
-
-# --- two-sided bounds on a fixed level ----------------------------------------------
-
-
-def test_flat_solutions_give_unit_bounds(halfline):
-    g, ex = halfline
-    field = load_coefficients({}, g)
-    certs = [
-        positive_solution(g, field, ex, lam=0.0, level=n, h=0.1) for n in (4, 6, 8)
-    ]
-    bounds = harnack_probe(certs, ex, m=2)
-    assert bounds.upper == pytest.approx(1.0, abs=1e-12)
-    assert bounds.lower == pytest.approx(1.0, abs=1e-12)
-    assert [lvl for lvl, _, _ in bounds.rows] == [4, 6, 8]
-
-
-def test_decaying_solutions_match_closed_form(halfline):
-    """lam = -1/4 on the half-line: the lifted solution at level n is
-    cosh((x - n/2)/2) / cosh(n/4), with minimum over the first two edges at
-    x = 2."""
-    g, ex = halfline
-    field = load_coefficients({}, g)
-    certs = [
-        positive_solution(g, field, ex, lam=-0.25, level=n, h=0.02) for n in (4, 8, 12)
-    ]
-    bounds = harnack_probe(certs, ex, m=2)
-    assert bounds.upper == pytest.approx(1.0, abs=1e-10)
-    for (level, sup, inf), n in zip(bounds.rows, (4, 8, 12)):
-        assert level == n
-        expected = math.cosh((n - 4) / 4.0) / math.cosh(n / 4.0)
-        assert inf == pytest.approx(expected, rel=2e-4)
-    infs = [inf for _, _, inf in bounds.rows]
-    assert bounds.lower == pytest.approx(min(infs))
-    # the two-sided gap keeps tightening toward its limit 1/cosh... slowly
-    assert infs == sorted(infs, reverse=True)
-
-
-def test_harnack_lower_bound_stabilizes_slowly(halfline):
-    """Measured stabilization of the two-sided bounds at lam = -1/4, m = 2.
-
-    The upper constant is 1 at every level.  The lower constant keeps the
-    closed form cosh((n-4)/4)/cosh(n/4), whose successive relative changes
-    for n up to 10 are 6.5%, 4.2% and 2.6% -- still shrinking well above the
-    percent mark; sub-1% changes only appear near n = 12.  These frozen
-    values document the honest (slow, geometric) approach to exp(-1).
-    """
-    g, ex = halfline
-    field = load_coefficients({}, g)
-    lowers = {}
-    for n in range(4, 11):
-        cert = positive_solution(g, field, ex, lam=-0.25, level=n, h=0.05)
-        bounds = harnack_probe([cert], ex, m=2)
-        assert bounds.upper == pytest.approx(1.0, abs=1e-9)
-        lowers[n] = bounds.lower
-    closed = {n: math.cosh((n - 4) / 4.0) / math.cosh(n / 4.0) for n in lowers}
-    for n in lowers:
-        assert lowers[n] == pytest.approx(closed[n], rel=1e-3)
-    changes = {
-        n: (lowers[n - 1] - lowers[n]) / lowers[n] for n in range(5, 11)
-    }
-    assert changes[8] == pytest.approx(0.0649, abs=0.002)
-    assert changes[9] == pytest.approx(0.0418, abs=0.002)
-    assert changes[10] == pytest.approx(0.0263, abs=0.002)
-    # monotone decay toward the limit, but no sub-1% step in this range
-    assert all(changes[n] > 0.01 for n in changes)
-    assert all(changes[n] > changes[n + 1] for n in range(5, 10))
-
-
-def test_harnack_probe_rejects_mixed_trial_values(halfline):
-    g, ex = halfline
-    field = load_coefficients({}, g)
-    a = positive_solution(g, field, ex, lam=0.0, level=3, h=0.1)
-    b = positive_solution(g, field, ex, lam=-0.5, level=3, h=0.1)
-    with pytest.raises(SolverError):
-        harnack_probe([a, b], ex, m=1)
-
-
-def test_harnack_probe_requires_coverage(halfline):
-    g, ex = halfline
-    field = load_coefficients({}, g)
-    cert = positive_solution(g, field, ex, lam=0.0, level=2, h=0.1)
-    with pytest.raises(SolverError):
-        harnack_probe([cert], ex, m=5)

@@ -28,13 +28,22 @@ def test_name_filter_runs_single_check():
 
 
 def test_selection_does_not_change_draws():
-    """A check's random draws depend only on (seed, its index)."""
+    """A check's random draws depend only on (seed, its name)."""
     name = verify.CHECKS[4][0]
     full, only = io.StringIO(), io.StringIO()
     verify.run_suite(5, stream=full)
     verify.run_suite(5, names=[name], stream=only)
     matching = [l for l in full.getvalue().splitlines() if f" {name}:" in l]
     assert matching == only.getvalue().splitlines()
+
+
+def test_deleting_a_check_does_not_change_other_draws(monkeypatch):
+    """Every check after the deleted first one moves up a place; no line changes."""
+    full, fewer = io.StringIO(), io.StringIO()
+    verify.run_suite(5, stream=full)
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[1:])
+    verify.run_suite(5, stream=fewer)
+    assert fewer.getvalue().splitlines() == full.getvalue().splitlines()[1:]
 
 
 def test_crashing_check_counts_as_failure(monkeypatch):
