@@ -221,15 +221,24 @@ def _on_level(cert, ex, m):
     return cert.values[mesh.dof[on_level]]
 
 
-def test_flat_and_decaying_solutions_match_closed_form(halfline, star3):
-    """lam = 0 gives y = 1.  lam = -1/4 on the half-line gives, at level n,
-    cosh((x - n/2)/2) / cosh(n/4): on level 2 its maximum is 1 at the root
-    and its minimum is at x = 2, decreasing in n."""
+def test_flat_solutions_give_unit_bounds(halfline, star3):
+    """lam = 0 gives y = 1 on every level of the half-line and on the star."""
     g, ex = halfline
     field = load_coefficients({}, g)
     for n in (4, 6, 8):
         cert = positive_solution(g, field, ex, lam=0.0, level=n, h=0.1)
         np.testing.assert_allclose(_on_level(cert, ex, 2), 1.0, rtol=0, atol=1e-12)
+    g, ex = star3
+    cert = positive_solution(g, load_coefficients({}, g), ex, lam=0.0, level=1, h=0.05)
+    np.testing.assert_allclose(cert.values, 1.0, rtol=0, atol=1e-12)
+
+
+def test_decaying_solutions_match_closed_form(halfline):
+    """lam = -1/4 on the half-line gives, at level n, cosh((x - n/2)/2) / cosh(n/4):
+    on level 2 its maximum is 1 at the root and its minimum is at x = 2,
+    decreasing in n."""
+    g, ex = halfline
+    field = load_coefficients({}, g)
     minima = []
     for n in (4, 8, 12):
         values = _on_level(positive_solution(g, field, ex, lam=-0.25, level=n, h=0.02), ex, 2)
@@ -237,9 +246,6 @@ def test_flat_and_decaying_solutions_match_closed_form(halfline, star3):
         assert values.min() == pytest.approx(math.cosh((n - 4) / 4.0) / math.cosh(n / 4.0), rel=2e-4)
         minima.append(values.min())
     assert minima == sorted(minima, reverse=True)
-    g, ex = star3
-    cert = positive_solution(g, load_coefficients({}, g), ex, lam=0.0, level=1, h=0.05)
-    np.testing.assert_allclose(cert.values, 1.0, rtol=0, atol=1e-12)
 
 
 def test_positive_solution_rejects_value_at_or_above_bottom(halfline):
