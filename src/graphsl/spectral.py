@@ -144,7 +144,9 @@ class PositiveSolutionCert:
     one on the level boundary before normalization and to one at the root
     after.  Flux imbalances at free vertices document the Kirchhoff
     matching quality.  The certificate keeps the mesh and the nodal vector,
-    not the assembled forms, which are freed once the solution is built.
+    not the assembled forms: :func:`ap_check` reads the union forms only
+    for the lifted right-hand side, and frees them before the level's
+    eigensolve.
     """
 
     lam: float
@@ -183,31 +185,36 @@ def positive_solution(
     return result.cert
 
 
+def _unit_data(mesh: GraphMesh, boundary) -> np.ndarray:
+    """Unit boundary data on ``mesh``: one at the dofs of the ``boundary`` vertices, zero elsewhere."""
+    e_b = np.zeros(mesh.n_free)
+    e_b[[mesh.vertex_dof[v] for v in boundary]] = 1.0
+    return e_b
+
+
 def _certificate(
-    g, field, exhaustion, forms, piece, boundary, lam, level, bottom
+    g, field, exhaustion, mesh, piece, boundary, lifted, lam, level, bottom
 ) -> PositiveSolutionCert:
-    """Solve the lifted boundary problem on the forms of a level.
+    """Solve the lifted boundary problem of a level.
 
     ``piece`` is the analysed pencil of the level's Dirichlet problem on the
-    ``boundary`` vertices, whose dofs are the dofs of ``forms`` off
-    those vertices, in the same order; the interior solve factors it at
-    ``lam`` on the analysis that the piece's eigensolve used.
+    ``boundary`` vertices, whose dofs are the dofs of ``mesh`` off those
+    vertices, in the same order; ``lifted`` is (lam M - K) e_B on those
+    dofs, e_B the unit boundary data, formed from the union forms before
+    they were freed.  The interior solve factors the piece at ``lam`` on
+    the analysis that its eigensolve used.
     """
     edge_ids = exhaustion.levels[level]
     if not boundary:
         raise SolverError(
             "level has no boundary vertices; the lifted boundary problem is empty"
         )
-    mesh = forms.mesh
-    on_boundary = np.zeros(mesh.n_free)
-    on_boundary[[mesh.vertex_dof[v] for v in boundary]] = 1.0
-    interior = on_boundary == 0
     try:
         factor = Condensed(piece, lam, splu)
     except RuntimeError as exc:
         raise SolverError(f"interior solve failed: {exc}") from exc
-    y = np.ones(mesh.n_free)
-    y[interior] = factor.solve((lam * (forms.M @ on_boundary) - forms.K @ on_boundary)[interior])
+    y = _unit_data(mesh, boundary)
+    y[y == 0] = factor.solve(lifted)
     root = exhaustion.root
     if root not in mesh.vertex_dof:
         raise SolverError(f"root {root!r} is not a vertex of level {level}")
@@ -269,6 +276,11 @@ def ap_check(
     value is below the level's Dirichlet bottom by more than ``tol``, a
     refutation when above by more than ``tol``, and indeterminate inside
     the band.
+
+    The level's pencil is cut from its union assembly, and the lifted
+    right-hand side of the certificate is formed from the union at once,
+    whatever the outcome; only the mesh is kept, so the union's K and M are
+    freed before the eigensolve, whose working set then reuses their memory.
     """
     if level < 0 or level > exhaustion.max_level:
         raise SolverError(f"level {level} outside exhaustion range")
@@ -277,11 +289,15 @@ def ap_check(
         raise SolverError(f"exhaustion level {level} contains no edges")
     forms = _assemble_union(g, field, [edge_ids], h)
     piece = forms.restrict(edge_ids, host_boundary=True)
+    boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
+    mesh = forms.mesh
+    e_b = _unit_data(mesh, boundary)
+    lifted = (lam * (forms.M @ e_b) - forms.K @ e_b)[e_b == 0]
+    del forms, e_b
     bottom = smallest_eigenpair(piece, tol=tol).value
     margin = lam - bottom
     if lam < bottom - tol:
-        boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
-        cert = _certificate(g, field, exhaustion, forms, piece, boundary, lam, level, bottom)
+        cert = _certificate(g, field, exhaustion, mesh, piece, boundary, lifted, lam, level, bottom)
         return APResult("certificate", lam, level, bottom, margin, cert)
     if lam > bottom + tol:
         return APResult("refutation", lam, level, bottom, margin, None)

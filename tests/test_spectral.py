@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.optimize import brentq
 
 from graphsl.coeff import load_coefficients
 from graphsl.errors import SolverError
-from graphsl.families import path, star, tree
+from graphsl.families import cycle, path, star, tree
 from graphsl.fem import mesh_samples
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import (
@@ -300,6 +301,45 @@ def test_ap_outcomes_agree_with_bottom_ordering(halfline, rng):
             assert res.kind == "certificate"
         elif lam > bottom + 1e-6:
             assert res.kind == "refutation"
+
+
+@pytest.mark.parametrize("lam, kind", [(-1.0, "certificate"), (20.0, "refutation")])
+def test_ap_check_frees_the_union_before_the_eigensolve(monkeypatch, lam, kind):
+    import graphsl.spectral as spectral
+
+    g = load_graph(tree(4))
+    ex = build_exhaustion(g, "n0", 4)
+    unions, alive = [], []
+    real_union, real_solve = spectral._assemble_union, spectral.smallest_eigenpair
+
+    def assemble_union(*args, **kwargs):
+        forms = real_union(*args, **kwargs)
+        unions.append(weakref.ref(forms))
+        return forms
+
+    def solve(*args, **kwargs):
+        alive.extend(ref() is not None for ref in unions)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_assemble_union", assemble_union)
+    monkeypatch.setattr(spectral, "smallest_eigenpair", solve)
+    result = ap_check(g, load_coefficients({}, g), ex, lam, 3, h=0.1)
+    assert result.kind == kind
+    assert alive == [False]
+
+
+def test_ap_check_on_a_level_without_boundary():
+    """On a closed cycle the whole graph has no Dirichlet vertex: only a certificate needs one."""
+    g = load_graph(cycle(4))
+    ex = build_exhaustion(g, "v0", 2)
+    field = load_coefficients({}, g)
+    refut = ap_check(g, field, ex, 1.0, 2, h=0.1)
+    assert refut.kind == "refutation"
+    # the free problem's bottom is 0, with the constants
+    assert refut.dirichlet_bottom == pytest.approx(0.0, abs=1e-9)
+    assert ap_check(g, field, ex, refut.dirichlet_bottom, 2, h=0.1).kind == "indeterminate"
+    with pytest.raises(SolverError, match="^level has no boundary vertices; the lifted boundary problem is empty$"):
+        ap_check(g, field, ex, -1.0, 2, h=0.1)
 
 
 # --- essential spectrum via annuli -----------------------------------------------
