@@ -4,14 +4,13 @@ The library assembles piecewise-linear finite element forms for
 (1/w)(-(p f')' + q f) with Kirchhoff vertex matching, then drives two
 complementary procedures: the positive-solution test for the bottom of the
 spectrum and the exhaustion limit for the bottom of the essential
-spectrum.  Graphs, coefficients, and exhaustions are immutable once built
-and safe to share across worker threads.
+spectrum.  Graphs, coefficients, and exhaustions are not changed once
+built.
 """
 
 from .coeff import (
     CoefficientField,
     HypothesisReport,
-    edge_integral,
     load_coefficients,
     validate_hypotheses,
 )
@@ -38,7 +37,6 @@ from .fem import (
     build_mesh,
     dirichlet_vertices,
     kirchhoff_residual,
-    write_matrix_market,
 )
 from .graph import Edge, Exhaustion, MetricGraph, build_exhaustion, load_graph
 from .spectral import (
@@ -87,7 +85,6 @@ __all__ = [
     "build_mesh",
     "dense_reference",
     "dirichlet_vertices",
-    "edge_integral",
     "evaluate_expression",
     "inf_spectrum",
     "kirchhoff_residual",
@@ -101,5 +98,4 @@ __all__ = [
     "sobolev_constant",
     "solve_pencil",
     "validate_hypotheses",
-    "write_matrix_market",
 ]

@@ -1,9 +1,10 @@
 """Hot assembly kernels: per-cell moments and the triplet scatter.
 
-Both run once per assembly over every cell of a mesh, laid out edge after
-edge.  The moments are computed spec group by spec group: constants and
-piecewise tables in closed form, expressions by one Gauss rule per cell,
-with one evaluation per spec.
+Both run over every cell of a mesh, laid out edge after edge, once per
+assembly; ``verify``'s Sobolev check reads the same moments.  The moments
+are computed spec group by spec group: constants and piecewise tables in
+closed form, expressions by one Gauss rule per cell, with one evaluation
+per spec.
 """
 
 from __future__ import annotations

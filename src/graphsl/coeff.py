@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import expressions
-from .errors import CoefficientError, EvaluationError, IntegrabilityError
+from .errors import CoefficientError, EvaluationError
 from .graph import MetricGraph
 
 _FIELD_NAMES = ("p", "q", "w")
@@ -273,11 +273,6 @@ def map_by_spec(field: CoefficientField, name: str, edge_ids, edge, fn, columns=
     return out
 
 
-def sample_field(field: CoefficientField, name: str, edge_ids, edge, xs: np.ndarray) -> np.ndarray:
-    """Field ``name`` at offset ``xs[k]`` of edge ``edge_ids[edge[k]]``, one evaluation per spec."""
-    return map_by_spec(field, name, edge_ids, edge, lambda eid, _, idx: field.evaluate(eid, name, xs[idx]))
-
-
 def edge_integrals(field: CoefficientField, which: str, edge_ids, edge, a, b, power: float = 1.0) -> np.ndarray:
     """Integrals over [a[k], b[k]] on edge ``edge_ids[edge[k]]``, as an array.
 
@@ -320,32 +315,6 @@ def _quadrature(field, edge_id, name, transform, a, b) -> np.ndarray:
         return np.full(len(a), math.nan)
     panel_sums = 0.5 * width * (values * GAUSS_WEIGHTS).sum(axis=1)
     return np.bincount(entry, weights=panel_sums, minlength=len(a))
-
-
-def edge_integral(
-    field: CoefficientField, edge_id: str, which: str, a: float = 0.0, b=None, power: float = 1.0
-):
-    """Integral of a coefficient (or derived quantity) over [a, b] on an edge.
-
-    ``which`` is one of ``p, 1/p, q, q+, q-, |q|, w``; the integrand is that
-    quantity raised to ``power``.  Exact for constants and piecewise tables;
-    composite Gauss quadrature otherwise.  Nonfinite results raise
-    IntegrabilityError.
-    """
-    edge = field.graph.edge(edge_id)
-    if b is None:
-        b = edge.length
-    a, b = float(a), float(b)
-    if not (-1e-12 <= a <= b <= edge.length + 1e-12):
-        raise CoefficientError(
-            f"integration bounds [{a}, {b}] outside edge {edge_id!r} of length {edge.length}"
-        )
-    a = min(max(a, 0.0), edge.length)
-    b = min(max(b, 0.0), edge.length)
-    value = float(edge_integrals(field, which, (edge_id,), [0], [a], [b], power)[0])
-    if not math.isfinite(value):
-        raise IntegrabilityError(f"integral of {which} over edge {edge_id!r} is not finite")
-    return value
 
 
 def _edge_grid(field: CoefficientField, edge_id: str) -> np.ndarray:

@@ -752,8 +752,8 @@ def solve_pencil(
     """Smallest eigenvalue and M-normalized eigenvector of K x = lambda M x.
 
     ``pencil`` is the ``Pencil`` analysis of (K, M) when the caller holds
-    one (a whole assembly's ``analysis``, or a piece that
-    ``AssembledForms.restrict`` cut); otherwise it is built here.  Every
+    one (a piece that ``AssembledForms.restrict`` cut, or a
+    ``Pencil(K, M)`` of its own); otherwise it is built here.  Every
     factorization of the solve uses it.
 
     ``lower`` is a candidate lower bound of the smallest eigenvalue, such

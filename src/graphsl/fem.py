@@ -20,10 +20,8 @@ mass M on one CSR pattern, which a piece's principal sub-pattern keeps, so
 every pencil formed here has K and M on one pattern.  It reads each cell's
 moments (the integral of p and the hat moments of q and w), exact for
 constants and piecewise tables and Gauss sums for expressions, with no
-sample arrays over the whole mesh.  The quadratures that check it (the
-Sobolev self-check in ``verify`` and the tests' direct form and mass
-values) are independent of assembly: they read the flat sample set that
-:func:`mesh_samples` builds, Gauss panels split at every breakpoint.
+sample arrays over the whole mesh.  The Sobolev self-check in ``verify``
+reads the same moments over the same cells.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
 from . import _kernels
-from .coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, edge_integrals, sample_field
+from .coeff import CoefficientField, edge_integrals
 from .eig import Pencil
 from .errors import IntegrabilityError, MeshError
 from .graph import MetricGraph
@@ -171,104 +169,6 @@ def build_mesh(g: MetricGraph, h: float, edges=None) -> GraphMesh:
     )
 
 
-# --- quadrature samples -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeshSamples:
-    """Gauss samples over every cell of a mesh, edge after edge.
-
-    Cells follow ``mesh.edge_ids`` and run along each edge; ``d0``, ``d1``
-    and ``hcell`` hold one entry per cell, the other arrays one per sample.
-    A cell cut by a coefficient breakpoint carries one Gauss panel per
-    piece, in order along the edge.
-    """
-
-    mesh: GraphMesh
-    d0: np.ndarray         # dof of the left cell node
-    d1: np.ndarray         # dof of the right cell node
-    hcell: np.ndarray      # cell lengths
-    cell_idx: np.ndarray   # sample -> cell
-    edge: np.ndarray       # sample -> position in mesh.edge_ids
-    tloc: np.ndarray       # sample position within its cell, in [0, 1]
-    wq: np.ndarray         # quadrature weights
-    p: np.ndarray
-    q: np.ndarray
-    w: np.ndarray
-
-    def p1(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and slopes at the samples of the hat-function expansion of f."""
-        f0, f1 = f[self.d0], f[self.d1]
-        slope = (f1 - f0) / self.hcell
-        c = self.cell_idx
-        return f0[c] * (1.0 - self.tloc) + f1[c] * self.tloc, slope[c]
-
-    def edge_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-edge sums of a sample array, in ``mesh.edge_ids`` order."""
-        return np.bincount(self.edge, weights=values, minlength=len(self.mesh.edge_ids))
-
-    def edge_sup(self, f: np.ndarray) -> np.ndarray:
-        """Per-edge maximum of |f| over the nodes, the sup of its expansion."""
-        return np.maximum.reduceat(np.abs(f)[self.mesh.dof], self.mesh.start[:-1])
-
-
-def _all_but_last(sizes) -> np.ndarray:
-    """Positions of every entry but the last of each run of ``sizes``."""
-    keep = np.ones(int(np.sum(sizes)), dtype=bool)
-    keep[np.cumsum(sizes) - 1] = False
-    return np.flatnonzero(keep)
-
-
-def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
-    """Flat quadrature samples of p, q, w over every cell of ``mesh``.
-
-    Uncut cells take the Gauss rule scaled to the cell.  On an edge where
-    p, q or w jumps, every cell is split at the jumps into Gauss panels.
-    """
-    ids, start, nodes = mesh.edge_ids, mesh.start, mesh.x
-    breaks = [field.breakpoints(eid) for eid in ids]
-    split = np.array([bool(b) for b in breaks])
-    sizes = np.diff(start)
-    left = _all_but_last(sizes)  # first node of each cell
-    hcell = nodes[left + 1] - nodes[left]
-
-    # panels run between consecutive knots of an edge: its nodes and its
-    # breakpoints; a panel lies in the cell of the last node at or before it
-    at, cuts = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for e in np.flatnonzero(split):
-        own = nodes[start[e] : start[e + 1]]
-        b = np.setdiff1d(breaks[e], own)
-        at.append(start[e] + np.searchsorted(own, b))
-        cuts.append(b)
-        sizes[e] += len(b)
-    at = np.concatenate(at)
-    knots = np.insert(nodes, at, np.concatenate(cuts))
-    is_node = np.insert(np.ones(len(nodes), dtype=bool), at, False)
-    panel = _all_but_last(sizes)
-    pedge = np.repeat(np.arange(len(ids)), sizes)[panel]
-    pcell = (np.cumsum(is_node) - 1)[panel] - pedge  # each earlier edge has one spare node
-    plo = knots[panel][:, None]
-    width = (knots[panel + 1] - knots[panel])[:, None]
-
-    xs = plo + width * (0.5 * (GAUSS_NODES + 1.0))
-    tloc = (xs - nodes[left][pcell, None]) / hcell[pcell, None]
-    xs, tloc = xs.ravel(), tloc.ravel()
-    edge = np.repeat(pedge, len(GAUSS_NODES))
-    return MeshSamples(
-        mesh=mesh,
-        d0=mesh.dof[left],
-        d1=mesh.dof[left + 1],
-        hcell=hcell,
-        cell_idx=np.repeat(pcell, len(GAUSS_NODES)),
-        edge=edge,
-        tloc=tloc,
-        wq=(0.5 * width * GAUSS_WEIGHTS).ravel(),
-        p=sample_field(field, "p", ids, edge, xs),
-        q=sample_field(field, "q", ids, edge, xs),
-        w=sample_field(field, "w", ids, edge, xs),
-    )
-
-
 # --- assembly -----------------------------------------------------------------
 
 
@@ -283,19 +183,6 @@ class AssembledForms:
     K: csr_matrix
     M: csr_matrix
     mesh: GraphMesh
-
-    @cached_property
-    def analysis(self) -> Pencil:
-        """The eigensolver's analysis of (K, M), built on first use.
-
-        Every factorization of the problem on the whole mesh reuses it; a
-        Dirichlet piece's analysis is what :meth:`restrict` returns.  K and
-        M come on one pattern, so the analysis never needs a pattern union.
-        Assembly puts each cell's value at (i, j) and (j, i), so the
-        matrices are symmetric entry for entry and their transposes, CSC
-        views of the same arrays, are the matrices themselves.
-        """
-        return Pencil.on_pattern(self.K.T, self.M.T)
 
     def restrict(self, edge_ids, *, host_boundary=False) -> Pencil:
         """The analysed pencil of the Dirichlet problem on the piece ``edge_ids``.
@@ -340,6 +227,20 @@ def _principal(K, M, kept: np.ndarray):
     return _pencil(K.data[at], M.data[at], cols[inside], indptr, csc_matrix)
 
 
+def _all_but_last(sizes) -> np.ndarray:
+    """Positions of every entry but the last of each run of ``sizes``."""
+    keep = np.ones(int(np.sum(sizes)), dtype=bool)
+    keep[np.cumsum(sizes) - 1] = False
+    return np.flatnonzero(keep)
+
+
+def _cells(mesh: GraphMesh):
+    """Every cell of ``mesh``, edge after edge: its edge's position in ``edge_ids``, first node, ends a and b."""
+    sizes = np.diff(mesh.start) - 1  # cells per edge
+    left = _all_but_last(sizes + 1)  # first node of each cell
+    return np.repeat(np.arange(len(sizes)), sizes), left, mesh.x[left], mesh.x[left + 1]
+
+
 def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
     """Assemble the pencil K = K_p + K_q and M on a mesh.
 
@@ -354,10 +255,9 @@ def assemble(mesh: GraphMesh, field: CoefficientField) -> AssembledForms:
     and tables, at the Gauss points for expressions.  The mass matrix is
     then positive definite by construction.
     """
-    sizes = np.diff(mesh.start) - 1  # cells per edge
-    left = _all_but_last(sizes + 1)  # first node of each cell
-    a, b = mesh.x[left], mesh.x[left + 1]
-    acc = _kernels.accumulate(field, mesh.edge_ids, np.repeat(np.arange(len(sizes)), sizes), a, b)
+    edge, left, a, b = _cells(mesh)
+    acc = _kernels.accumulate(field, mesh.edge_ids, edge, a, b)
+    del edge
     rows, cols, vp, vq, vm = _kernels.triplets(mesh.dof[left], mesh.dof[left + 1], b - a, *acc)
     del left, a, b, acc
     # the stable sort keeps each entry's triplets in scatter order, so
@@ -413,17 +313,3 @@ def kirchhoff_residual(mesh: GraphMesh, field: CoefficientField, f: np.ndarray, 
     totals = np.bincount(mesh.dof[at], weights=flux, minlength=mesh.n_free)
     return {v: float(abs(totals[mesh.vertex_dof[v]])) for v in vertices}
 
-
-def write_matrix_market(forms: AssembledForms, directory, prefix: str = "") -> list[str]:
-    """Dump the pencil's K and M as ``K.mtx`` and ``M.mtx``, Matrix Market coordinate format."""
-    import os
-
-    from scipy.io import mmwrite
-
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for name, mat in (("K", forms.K), ("M", forms.M)):
-        path = os.path.join(directory, f"{prefix}{name}.mtx")
-        mmwrite(path, mat.tocoo(), symmetry="symmetric")
-        written.append(path)
-    return written

@@ -1,7 +1,7 @@
 """Metric graphs, the path metric, and nested exhaustions.
 
 A metric graph is a combinatorial graph whose edges carry positive lengths;
-points live either at vertices or at an offset along an edge.  Graphs are
+an edge's coordinate runs from 0 at its ``src`` end.  Graphs are
 loaded from a strict JSON document as given: loops and parallel edges are
 ordinary edges, and a loop counts twice toward the degree of its vertex.
 """
@@ -126,41 +126,6 @@ class MetricGraph:
             raise GraphFormatError(f"unknown vertex {v!r}")
         row = dijkstra(self._lengths, directed=False, indices=self._vertex_index[v])
         return dict(zip(self.vertices, row.tolist()))
-
-    def _as_point(self, point):
-        """``(None, vertex id)`` for a vertex, ``(edge, offset clamped to it)`` otherwise."""
-        if isinstance(point, str):
-            if point not in self._vertex_index:
-                raise GraphFormatError(f"unknown vertex {point!r}")
-            return None, point
-        try:
-            edge_id, offset = point
-        except (TypeError, ValueError):
-            raise GraphFormatError(f"point must be a vertex id or (edge, offset), got {point!r}")
-        e = self.edge(edge_id)
-        offset = float(offset)
-        if not (-1e-12 <= offset <= e.length + 1e-12):
-            raise GraphStructureError(
-                f"offset {offset} outside edge {edge_id!r} of length {e.length}"
-            )
-        return e, min(max(offset, 0.0), e.length)
-
-    def distance(self, x, y) -> float:
-        """Path metric between two points (vertex id or (edge, offset))."""
-        ex, sx = self._as_point(x)
-        ey, sy = self._as_point(y)
-        # map each point to candidate (vertex, tail) pairs
-        cand_x = [(sx, 0.0)] if ex is None else [(ex.src, sx), (ex.dst, ex.length - sx)]
-        cand_y = [(sy, 0.0)] if ey is None else [(ey.src, sy), (ey.dst, ey.length - sy)]
-        idx = self._vertex_index
-        rows = dijkstra(self._lengths, directed=False, indices=[idx[u] for u, _ in cand_x])
-        best = math.inf
-        for row, (_, tu) in zip(rows, cand_x):
-            for v, tv in cand_y:
-                best = min(best, tu + float(row[idx[v]]) + tv)
-        if ex is not None and ey is not None and ex.id == ey.id:
-            best = min(best, abs(sx - sy))
-        return best
 
 
 # --- loading -------------------------------------------------------------------

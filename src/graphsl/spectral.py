@@ -46,6 +46,13 @@ from .graph import Exhaustion, MetricGraph
 WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
 
 
+def _check_levels(exhaustion: Exhaustion, levels) -> None:
+    """Raise SolverError for a level outside ``0..exhaustion.max_level``."""
+    for n in levels:
+        if n < 0 or n > exhaustion.max_level:
+            raise SolverError(f"level {n} outside exhaustion range 0..{exhaustion.max_level}")
+
+
 def _assemble_union(g, field, domains, h) -> AssembledForms:
     """One mesh and assembly over every edge the domains use."""
     edges = frozenset().union(*domains)
@@ -98,9 +105,7 @@ def inf_spectrum(
     :func:`persson_limit`.  The rows keep the requested order.
     """
     levels = list(range(len(exhaustion.levels)) if levels is None else levels)
-    for n in levels:
-        if n < 0 or n > exhaustion.max_level:
-            raise SolverError(f"level {n} outside exhaustion range 0..{exhaustion.max_level}")
+    _check_levels(exhaustion, levels)
     levels = [n for n in levels if exhaustion.levels[n]]
     if not levels:
         raise SolverError("no nonempty exhaustion level was requested")
@@ -281,9 +286,11 @@ def ap_check(
     right-hand side of the certificate is formed from the union at once,
     whatever the outcome; only the mesh is kept, so the union's K and M are
     freed before the eigensolve, whose working set then reuses their memory.
+    A trial value that is not finite raises SolverError before any work.
     """
-    if level < 0 or level > exhaustion.max_level:
-        raise SolverError(f"level {level} outside exhaustion range")
+    if not math.isfinite(lam):
+        raise SolverError(f"trial value must be finite, got {lam!r}")
+    _check_levels(exhaustion, [level])
     edge_ids = exhaustion.levels[level]
     if not edge_ids:
         raise SolverError(f"exhaustion level {level} contains no edges")
@@ -335,10 +342,6 @@ class PerssonTrace:
     touched_host_boundary: bool
 
 
-def _annulus_edges(exhaustion: Exhaustion, n: int, N: int) -> frozenset:
-    return exhaustion.levels[N] - exhaustion.levels[n]
-
-
 def _extrapolate(seq: list[float]) -> float:
     if len(seq) < 3:
         return seq[-1]
@@ -387,15 +390,14 @@ def persson_limit(
     outer_levels = sorted(set(int(N) for N in outer_levels))
     if not inner_levels or not outer_levels:
         raise SolverError("persson needs nonempty inner and outer level lists")
-    if max(outer_levels) > exhaustion.max_level:
-        raise SolverError("outer levels exceed the exhaustion range")
+    _check_levels(exhaustion, inner_levels + outer_levels)
     for n in inner_levels:
         if not [N for N in outer_levels if N > n]:
             raise SolverError(f"no outer level exceeds inner level {n}")
     annuli = {}
     for n in inner_levels:
         for N in [N for N in outer_levels if N > n]:
-            annuli[n, N] = _annulus_edges(exhaustion, n, N)
+            annuli[n, N] = exhaustion.levels[N] - exhaustion.levels[n]
             if not annuli[n, N]:
                 raise SolverError(f"annulus between levels {n} and {N} is empty")
     forms = _assemble_union(g, field, annuli.values(), h)
@@ -503,7 +505,7 @@ def sobolev_constant(
     Each admissibility test and the mass take one grouped integral call
     over the windows of every edge.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise HypothesisError("epsilon must be positive")
     half_min = g.min_edge_length / 2.0
     ids = [e.id for e in g.edges]

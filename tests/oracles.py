@@ -1,0 +1,111 @@
+"""Gauss-panel quadrature over a mesh: the tests' reference for assembly's cell moments.
+
+Assembly (``graphsl._kernels.accumulate``) integrates constants and tables
+in closed form and expressions by one Gauss rule per cell.  The sampler
+here is independent of it: it splits every cell at each breakpoint of p,
+q and w on its edge and samples the fields on Gauss panels, so the form
+and mass values built from its samples check assembly and the moments
+that ``verify`` reads.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from graphsl.coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, map_by_spec
+from graphsl.fem import GraphMesh, _all_but_last
+
+
+def sample_field(field: CoefficientField, name: str, edge_ids, edge, xs: np.ndarray) -> np.ndarray:
+    """Field ``name`` at offset ``xs[k]`` of edge ``edge_ids[edge[k]]``, one evaluation per spec."""
+    return map_by_spec(field, name, edge_ids, edge, lambda eid, _, idx: field.evaluate(eid, name, xs[idx]))
+
+
+@dataclass(frozen=True)
+class MeshSamples:
+    """Gauss samples over every cell of a mesh, edge after edge.
+
+    Cells follow ``mesh.edge_ids`` and run along each edge; ``d0``, ``d1``
+    and ``hcell`` hold one entry per cell, the other arrays one per sample.
+    A cell cut by a coefficient breakpoint carries one Gauss panel per
+    piece, in order along the edge.
+    """
+
+    mesh: GraphMesh
+    d0: np.ndarray         # dof of the left cell node
+    d1: np.ndarray         # dof of the right cell node
+    hcell: np.ndarray      # cell lengths
+    cell_idx: np.ndarray   # sample -> cell
+    edge: np.ndarray       # sample -> position in mesh.edge_ids
+    tloc: np.ndarray       # sample position within its cell, in [0, 1]
+    wq: np.ndarray         # quadrature weights
+    p: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
+
+    def p1(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and slopes at the samples of the hat-function expansion of f."""
+        f0, f1 = f[self.d0], f[self.d1]
+        slope = (f1 - f0) / self.hcell
+        c = self.cell_idx
+        return f0[c] * (1.0 - self.tloc) + f1[c] * self.tloc, slope[c]
+
+    def edge_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge sums of a sample array, in ``mesh.edge_ids`` order."""
+        return np.bincount(self.edge, weights=values, minlength=len(self.mesh.edge_ids))
+
+    def edge_sup(self, f: np.ndarray) -> np.ndarray:
+        """Per-edge maximum of |f| over the nodes, the sup of its expansion."""
+        return np.maximum.reduceat(np.abs(f)[self.mesh.dof], self.mesh.start[:-1])
+
+
+def mesh_samples(mesh: GraphMesh, field: CoefficientField) -> MeshSamples:
+    """Flat quadrature samples of p, q, w over every cell of ``mesh``.
+
+    Uncut cells take the Gauss rule scaled to the cell.  On an edge where
+    p, q or w jumps, every cell is split at the jumps into Gauss panels.
+    """
+    ids, start, nodes = mesh.edge_ids, mesh.start, mesh.x
+    breaks = [field.breakpoints(eid) for eid in ids]
+    split = np.array([bool(b) for b in breaks])
+    sizes = np.diff(start)
+    left = _all_but_last(sizes)  # first node of each cell
+    hcell = nodes[left + 1] - nodes[left]
+
+    # panels run between consecutive knots of an edge: its nodes and its
+    # breakpoints; a panel lies in the cell of the last node at or before it
+    at, cuts = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for e in np.flatnonzero(split):
+        own = nodes[start[e] : start[e + 1]]
+        b = np.setdiff1d(breaks[e], own)
+        at.append(start[e] + np.searchsorted(own, b))
+        cuts.append(b)
+        sizes[e] += len(b)
+    at = np.concatenate(at)
+    knots = np.insert(nodes, at, np.concatenate(cuts))
+    is_node = np.insert(np.ones(len(nodes), dtype=bool), at, False)
+    panel = _all_but_last(sizes)
+    pedge = np.repeat(np.arange(len(ids)), sizes)[panel]
+    pcell = (np.cumsum(is_node) - 1)[panel] - pedge  # each earlier edge has one spare node
+    plo = knots[panel][:, None]
+    width = (knots[panel + 1] - knots[panel])[:, None]
+
+    xs = plo + width * (0.5 * (GAUSS_NODES + 1.0))
+    tloc = (xs - nodes[left][pcell, None]) / hcell[pcell, None]
+    xs, tloc = xs.ravel(), tloc.ravel()
+    edge = np.repeat(pedge, len(GAUSS_NODES))
+    return MeshSamples(
+        mesh=mesh,
+        d0=mesh.dof[left],
+        d1=mesh.dof[left + 1],
+        hcell=hcell,
+        cell_idx=np.repeat(pcell, len(GAUSS_NODES)),
+        edge=edge,
+        tloc=tloc,
+        wq=(0.5 * width * GAUSS_WEIGHTS).ravel(),
+        p=sample_field(field, "p", ids, edge, xs),
+        q=sample_field(field, "q", ids, edge, xs),
+        w=sample_field(field, "w", ids, edge, xs),
+    )

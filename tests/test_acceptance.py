@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+from oracles import mesh_samples
 
 from graphsl.coeff import load_coefficients
 from graphsl.eig import dense_reference, smallest_eigenpair, solve_pencil
@@ -22,7 +23,6 @@ from graphsl.fem import (
     assemble,
     build_mesh,
     kirchhoff_residual,
-    mesh_samples,
 )
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import (

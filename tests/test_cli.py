@@ -688,7 +688,7 @@ def test_reserved_key_that_is_an_edge_id_exits_two(tmp_path, capsys, key):
 
 
 def test_import_leaves_matrix_market_io_unloaded():
-    # scipy.io is imported only when forms are written out
+    # no command reads or writes Matrix Market files, so the CLI never loads scipy.io
     import os
     import subprocess
     import sys

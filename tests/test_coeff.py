@@ -6,7 +6,6 @@ import pytest
 
 from graphsl import expressions
 from graphsl.coeff import (
-    edge_integral,
     edge_integrals,
     load_coefficients,
     validate_hypotheses,
@@ -14,6 +13,7 @@ from graphsl.coeff import (
 from graphsl.errors import CoefficientError, IntegrabilityError
 from graphsl.families import path, star, tree
 from graphsl.graph import build_exhaustion, load_graph
+from graphsl.spectral import sobolev_constant
 
 
 def unit_interval():
@@ -24,6 +24,12 @@ def unit_interval():
             "root": "a",
         }
     )
+
+
+def edge_integral(field, edge_id, which, a=0.0, b=None):
+    """The integral of ``which`` over [a, b] on one edge (default: the whole edge), by ``edge_integrals``."""
+    b = field.graph.edge(edge_id).length if b is None else b
+    return float(edge_integrals(field, which, [edge_id], [0], [a], [b])[0])
 
 
 def test_defaults_are_free_laplacian():
@@ -143,8 +149,8 @@ def test_sampled_min_sees_both_sides_of_jumps():
 
 
 def test_grouped_integrals_match_one_by_one():
-    # entries of several specs in one call: each equals its own checked
-    # integral, and a nonfinite one comes back nonfinite instead of raising
+    # entries of several specs in one call: each equals its own integral,
+    # and a nonfinite one comes back nonfinite instead of raising
     g = load_graph(star(3))
     f = load_coefficients(
         {
@@ -166,14 +172,14 @@ def test_grouped_integrals_match_one_by_one():
 
 
 def test_nonintegrable_reciprocal_raises():
+    # the integral comes back infinite, exactly and through the quadrature
+    # path (an expression that vanishes at nodes), and its reader raises
     g = unit_interval()
-    f = load_coefficients({"e1": {"p": 0.0}}, g)
-    with pytest.raises(IntegrabilityError):
-        edge_integral(f, "e1", "1/p")
-    # same through the quadrature path: an expression that vanishes at nodes
-    fx = load_coefficients({"e1": {"p": {"expr": "x-x"}}}, g)
-    with pytest.raises(IntegrabilityError):
-        edge_integral(fx, "e1", "1/p")
+    for p in (0.0, {"expr": "x-x"}):
+        f = load_coefficients({"e1": {"p": p}}, g)
+        assert edge_integral(f, "e1", "1/p") == math.inf
+        with pytest.raises(IntegrabilityError, match="integral of 1/p over edge 'e1' is not finite"):
+            sobolev_constant(g, f, 1.0)
 
 
 # --- hypothesis validation ------------------------------------------------------

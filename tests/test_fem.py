@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import mesh_samples
+
 from graphsl import _kernels
-from graphsl.coeff import CoefficientField, edge_integral, load_coefficients
+from graphsl.coeff import CoefficientField, edge_integrals, load_coefficients
 from graphsl.eig import Pencil, dense_reference, smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
 from graphsl.families import cycle, ladder, path, star, tree
@@ -14,8 +16,6 @@ from graphsl.fem import (
     build_mesh,
     dirichlet_vertices,
     kirchhoff_residual,
-    mesh_samples,
-    write_matrix_market,
 )
 from graphsl.graph import build_exhaustion, load_graph
 
@@ -288,8 +288,9 @@ def test_form_value_matches_matrix_quadratic_form(rng, doc, coeffs):
     assert mass_value(mesh, field, f) == pytest.approx(f @ (forms.M @ f), rel=1e-12)
     # the constant function integrates q and w exactly across the breakpoints
     ones = np.ones(mesh.n_free)
+    ids, lengths = [e.id for e in g.edges], [e.length for e in g.edges]
     for value, which in ((form_value, "q"), (mass_value, "w")):
-        exact = sum(edge_integral(field, e.id, which) for e in g.edges)
+        exact = edge_integrals(field, which, ids, np.arange(len(ids)), np.zeros(len(ids)), lengths).sum()
         assert value(mesh, field, ones) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
@@ -410,9 +411,10 @@ def test_exact_cancellation_keeps_the_pencil_on_one_pattern(monkeypatch):
         raise AssertionError("assembled forms reached the pattern union")
 
     monkeypatch.setattr(eig, "_on_union", refuse)
-    assert forms.analysis.K.nnz == M.nnz
-    solved = smallest_eigenpair(forms.analysis, tol=1e-10)
-    assert solved.value == pytest.approx(dense_reference(forms.analysis)[0], rel=1e-10)
+    pencil = Pencil(K, M)
+    assert pencil.K.nnz == M.nnz
+    solved = smallest_eigenpair(pencil, tol=1e-10)
+    assert solved.value == pytest.approx(dense_reference(pencil)[0], rel=1e-10)
 
 
 # --- restriction ------------------------------------------------------------------
@@ -740,21 +742,3 @@ def test_kirchhoff_counts_each_end_of_a_loop_once(rng):
         row = (assemble(mesh, field).K @ f)[mesh.vertex_dof["a"]]
         assert kirchhoff_residual(mesh, field, f, ["a"])["a"] == pytest.approx(abs(row), rel=1e-12)
 
-
-# --- export ---------------------------------------------------------------------
-
-
-def test_matrix_market_export(tmp_path):
-    g = unit_interval()
-    forms = assemble(build_mesh(g, 0.25), load_coefficients({"e1": {"q": {"expr": "1+x"}}}, g))
-    written = write_matrix_market(forms, tmp_path, prefix="u-")
-    import scipy.io
-
-    assert written == [str(tmp_path / "u-K.mtx"), str(tmp_path / "u-M.mtx")]
-    for path, mat in zip(written, (forms.K, forms.M)):
-        header = open(path).read().splitlines()[0]
-        assert "symmetric" in header
-        back = scipy.io.mmread(path).tocsr()
-        back.sort_indices()
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(back, part), getattr(mat, part)), (path, part)

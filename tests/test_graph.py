@@ -163,10 +163,8 @@ def test_parallel_edges_keep_the_shorter_distance(reverse):
     g = load_graph(doc)
     assert sorted(e.id for e in g.edges) == ["p1", "p2"]
     assert g.degree("a") == g.degree("b") == 2
-    assert g.distance("a", "b") == 1.0
     assert g.vertex_distances("a") == {"a": 0.0, "b": 1.0}
-    # between points on the two edges, the way through b is the shorter
-    assert g.distance(("p1", 2.5), ("p2", 0.5)) == pytest.approx(1.0)
+    assert g.vertex_distances("b") == {"a": 1.0, "b": 0.0}
 
 
 def test_colon_in_ids_accepted():
@@ -180,13 +178,6 @@ def test_loop_at_the_root_lies_in_level_zero():
     assert ex.levels[0] == {"loop"}
     assert ex.haloes[0] == {"loop", "stick"}
     assert ex.levels[1] == {"loop", "stick"}
-
-
-def test_distance_around_a_loop():
-    g = load_graph(LOLLIPOP)
-    assert g.distance(("loop", 0.5), ("loop", 1.75)) == pytest.approx(0.75)
-    assert g.distance(("loop", 0.25), ("loop", 1.75)) == pytest.approx(0.5)
-    assert g.distance(("loop", 1.5), "b") == pytest.approx(1.5)
 
 
 def test_loop_matches_periodic_assembly():
@@ -247,8 +238,7 @@ def test_loop_matches_periodic_assembly():
 
 def test_distance_same_point_zero():
     g = load_graph(interval_doc())
-    assert g.distance("a", "a") == 0.0
-    assert g.distance(("e1", 0.4), ("e1", 0.4)) == 0.0
+    assert g.vertex_distances("a")["a"] == 0.0
 
 
 def test_distance_two_edge_path():
@@ -260,41 +250,33 @@ def test_distance_two_edge_path():
         ],
     }
     g = load_graph(doc)
-    assert g.distance("a", "c") == 3.0
+    assert g.vertex_distances("a") == {"a": 0.0, "b": 1.0, "c": 3.0}
 
 
 def test_distance_cycle_opposite_vertices():
     g = load_graph(cycle(4))
     # v0 and v2 are opposite on the 4-cycle
-    assert g.distance("v0", "v2") == 2.0
-
-
-def test_distance_within_edge():
-    g = load_graph(interval_doc())
-    assert g.distance(("e1", 0.3), ("e1", 0.7)) == pytest.approx(0.4)
-    assert g.distance("a", ("e1", 0.25)) == pytest.approx(0.25)
+    assert g.vertex_distances("v0")["v2"] == 2.0
 
 
 def test_distance_off_graph_point():
     g = load_graph(interval_doc())
-    with pytest.raises(GraphFormatError):
-        g.distance("nope", "a")
-    with pytest.raises(GraphStructureError):
-        g.distance(("e1", 5.0), "a")
+    with pytest.raises(GraphFormatError, match="unknown vertex 'nope'"):
+        g.vertex_distances("nope")
 
 
 def test_metric_axioms_random_points(rng):
-    g = load_graph(tree(3))
-    edges = [e.id for e in g.edges]
-    points = [
-        (edges[int(rng.integers(0, len(edges)))], float(rng.uniform(0, 1)))
-        for _ in range(12)
-    ]
+    # random vertices of a graph with cycles and unequal lengths
+    doc = ladder(4)
+    for edge in doc["edges"]:
+        edge["length"] = float(rng.uniform(0.5, 2.0))
+    g = load_graph(doc)
+    points = [g.vertices[k] for k in rng.integers(0, len(g.vertices), size=6)]
+    d = {x: g.vertex_distances(x) for x in points}
     for x, y, z in itertools.combinations(points, 3):
-        dxy = g.distance(x, y)
-        assert dxy == pytest.approx(g.distance(y, x), abs=1e-12)
-        assert dxy >= 0
-        assert dxy <= g.distance(x, z) + g.distance(z, y) + 1e-12
+        assert d[x][y] == pytest.approx(d[y][x], abs=1e-12)
+        assert d[x][y] >= 0
+        assert d[x][y] <= d[x][z] + d[z][y] + 1e-12
 
 
 # --- exhaustions ----------------------------------------------------------------

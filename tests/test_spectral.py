@@ -3,12 +3,12 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import mesh_samples
 from scipy.optimize import brentq
 
 from graphsl.coeff import load_coefficients
 from graphsl.errors import SolverError
 from graphsl.families import cycle, path, star, tree
-from graphsl.fem import mesh_samples
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import (
     _window_starts,
@@ -342,6 +342,21 @@ def test_ap_check_on_a_level_without_boundary():
         ap_check(g, field, ex, -1.0, 2, h=0.1)
 
 
+@pytest.mark.parametrize("lam", [math.nan, -math.inf, math.inf])
+def test_ap_check_rejects_a_nonfinite_trial_value_before_any_work(monkeypatch, star3, lam):
+    import graphsl.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled for a non-finite trial value")
+
+    monkeypatch.setattr(spectral, "_assemble_union", refuse)
+    g, ex = star3
+    field = load_coefficients({}, g)
+    for check in (ap_check, positive_solution):
+        with pytest.raises(SolverError, match=f"^trial value must be finite, got {lam!r}$"):
+            check(g, field, ex, lam, 1, h=0.1)
+
+
 # --- essential spectrum via annuli -----------------------------------------------
 
 
@@ -498,6 +513,17 @@ def test_persson_validates_level_lists(halfline):
         persson_limit(g, field, ex, inner_levels=[1], outer_levels=[99])
 
 
+@pytest.mark.parametrize(
+    "inner, outer, bad",
+    [([-1], [3], -1), ([1], [3, -1], -1), ([1, 17], [3], 17), ([1], [3, 17], 17)],
+    ids=["negative-inner", "negative-outer", "inner-past-range", "outer-past-range"],
+)
+def test_persson_rejects_levels_outside_the_exhaustion(halfline, inner, outer, bad):
+    g, ex = halfline
+    with pytest.raises(SolverError, match=f"^level {bad} outside exhaustion range 0..16$"):
+        persson_limit(g, load_coefficients({}, g), ex, inner_levels=inner, outer_levels=outer)
+
+
 # --- edgewise sup bound ------------------------------------------------------------
 
 
@@ -577,5 +603,9 @@ def test_sobolev_rejects_bad_epsilon(star3):
     from graphsl.errors import HypothesisError
 
     g, _ = star3
-    with pytest.raises(HypothesisError):
-        sobolev_constant(g, load_coefficients({}, g), epsilon=0.0)
+    field = load_coefficients({}, g)
+    for epsilon in (0.0, -1.0, math.nan):
+        with pytest.raises(HypothesisError, match="^epsilon must be positive$"):
+            sobolev_constant(g, field, epsilon=epsilon)
+    # an infinite epsilon admits every window, so delta is half the shortest edge
+    assert sobolev_constant(g, field, epsilon=math.inf).constant == pytest.approx(8.0, rel=1e-9)
