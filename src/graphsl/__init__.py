@@ -30,14 +30,7 @@ from .errors import (
 )
 from .expressions import evaluate as evaluate_expression
 from .expressions import parse_expression, pretty
-from .fem import (
-    AssembledForms,
-    GraphMesh,
-    assemble,
-    build_mesh,
-    dirichlet_vertices,
-    kirchhoff_residual,
-)
+from .fem import AssembledForms, GraphMesh, assemble, build_mesh, kirchhoff_residual
 from .graph import Edge, Exhaustion, MetricGraph, build_exhaustion, load_graph
 from .spectral import (
     APResult,
@@ -84,7 +77,6 @@ __all__ = [
     "build_exhaustion",
     "build_mesh",
     "dense_reference",
-    "dirichlet_vertices",
     "evaluate_expression",
     "inf_spectrum",
     "kirchhoff_residual",

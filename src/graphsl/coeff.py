@@ -33,8 +33,6 @@ _FIELD_NAMES = ("p", "q", "w")
 WHICH = {
     "p": ("p", lambda v: v),
     "1/p": ("p", lambda v: np.divide(1.0, v)),
-    "q": ("q", lambda v: v),
-    "q+": ("q", lambda v: np.maximum(v, 0.0)),
     "q-": ("q", lambda v: np.maximum(-np.asarray(v), 0.0)),
     "|q|": ("q", lambda v: np.abs(v)),
     "w": ("w", lambda v: v),
@@ -276,7 +274,7 @@ def map_by_spec(field: CoefficientField, name: str, edge_ids, edge, fn, columns=
 def edge_integrals(field: CoefficientField, which: str, edge_ids, edge, a, b, power: float = 1.0) -> np.ndarray:
     """Integrals over [a[k], b[k]] on edge ``edge_ids[edge[k]]``, as an array.
 
-    ``which`` is one of ``p, 1/p, q, q+, q-, |q|, w``; the integrand is that
+    ``which`` is one of ``p, 1/p, q-, |q|, w``; the integrand is that
     quantity raised to ``power``.  Entries are grouped by spec object: exact
     for constants and piecewise tables, composite Gauss quadrature with one
     evaluation per group otherwise.  Entries whose integrand is not finite,

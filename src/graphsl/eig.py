@@ -405,7 +405,7 @@ class Condensed:
     first and last row (``corner``), and one bincount sums S_V's values
     into the analysed pattern.  Otherwise ``m`` is n and ``lu_factor``
     factors A itself.  ``lu`` is S_V's factor, A's, or None when the split
-    leaves no head.
+    leaves no head.  A failed ``lu_factor`` raises SolverError naming sigma.
 
     A = [[I, A_VE A_EE^{-1}], [0, I]] diag(S_V, A_EE) [[I, 0], [A_EE^{-1}
     A_EV, I]] is a congruence, so In(A) = In(S_V) + In(A_EE) (Haynsworth):
@@ -423,12 +423,17 @@ class Condensed:
         np.subtract(K.data, data, out=data)  # scipy's K - sigma*M, entry for entry
         self.pencil, self.m, self.lu, self.corner = pencil, pencil.n, None, None
         if pencil.m < pencil.n and self._condense(values):
-            if self.m:
-                indices, indptr = pencil.schur
-                schur = np.bincount(pencil.slot, weights=self._schur_terms(values), minlength=indices.size)
-                self.lu = lu_factor(csc_matrix((schur, indices, indptr), shape=(self.m, self.m)), **_SYMMETRIC)
+            if not self.m:
+                return
+            indices, indptr = pencil.schur
+            schur = np.bincount(pencil.slot, weights=self._schur_terms(values), minlength=indices.size)
+            A = csc_matrix((schur, indices, indptr), shape=(self.m, self.m))
         else:
-            self.lu = lu_factor(csc_matrix((data, K.indices, K.indptr), shape=K.shape), **_SYMMETRIC)
+            A = csc_matrix((data, K.indices, K.indptr), shape=K.shape)
+        try:
+            self.lu = lu_factor(A, **_SYMMETRIC)
+        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular" and the like
+            raise SolverError(f"factorization of K - {sigma!r}*M failed: {exc}") from exc
 
     def _condense(self, values: np.ndarray) -> bool:
         """Factor A_EE and its corners; False when A_EE is not positive definite."""
@@ -480,10 +485,7 @@ def _inertia(pencil: Pencil, sigma: float):
     factorization fails or SuperLU left the diagonal (perm_r != perm_c),
     since no count can then be read from U.
     """
-    try:
-        factor = Condensed(pencil, sigma, splu)
-    except RuntimeError as exc:
-        raise SolverError(f"inertia factorization of K - {sigma!r}*M failed: {exc}") from exc
+    factor = Condensed(pencil, sigma, splu)
     lu = factor.lu
     if lu is None:
         return 0, factor

@@ -10,10 +10,10 @@ Vertex continuity is built into the degree-of-freedom map, so the natural
 (Kirchhoff) matching conditions come out of the weak form.  Every mesh is
 free: each vertex and each node carries a dof.  A Dirichlet condition
 enters a matrix only where a piece is cut: a Dirichlet piece of an
-assembly is its edge set, Dirichlet on the vertices
-:func:`dirichlet_vertices` names, and ``AssembledForms.restrict`` cuts it
-as the analysed ``eig.Pencil`` of the principal submatrices of K and M on
-the piece's kept dofs, with no mesh of its own.
+assembly is its edge set, and :meth:`GraphMesh.free_dofs`, the one rule
+for which of its vertices are free, gives its kept dofs.
+``AssembledForms.restrict`` cuts it as the analysed ``eig.Pencil`` of the
+principal submatrices of K and M on those dofs, with no mesh of its own.
 
 :func:`assemble` builds K = K_p + K_q (stiffness plus potential) and the
 mass M on one CSR pattern, which a piece's principal sub-pattern keeps, so
@@ -27,7 +27,6 @@ reads the same moments over the same cells.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,13 +73,15 @@ class GraphMesh:
     def free_dofs(self, edge_ids, *, host_boundary=False) -> np.ndarray:
         """The dofs of the Dirichlet problem on the piece ``edge_ids``, in increasing order.
 
-        A piece keeps the interior nodes of its edges and its vertices off
-        :func:`dirichlet_vertices`: a vertex stays free when all of its edge
-        ends in the host lie in the piece, and, with ``host_boundary``, it
-        is not a degree-1 vertex of the host.  Every such vertex has all of
-        its edges inside the piece, so its row carries no entry of an edge
-        outside.  One bincount of the piece's edge ends finds them; each
-        edge's interior dofs are one consecutive run.
+        This is the library's one Dirichlet rule.  A piece keeps the
+        interior nodes of its edges and its free vertices, and every other
+        vertex of the piece is Dirichlet.  A vertex stays free when all of
+        its edge ends in the host lie in the piece (a loop has two), and,
+        with ``host_boundary``, it is not a degree-1 vertex of the host.
+        Every such vertex has all of its edges inside the piece, so its row
+        carries no entry of an edge outside.  One bincount of the piece's
+        edge ends finds them; each edge's interior dofs are one consecutive
+        run.
         """
         selected = sorted(set(edge_ids))
         if not selected:
@@ -106,20 +107,6 @@ def subgraph_vertices(g: MetricGraph, edge_ids) -> frozenset:
     # copied from a set, the frozenset is sized to fit; built straight from
     # a generator it keeps the table's growth slack
     return frozenset({v for e in map(g.edge, edge_ids) for v in (e.src, e.dst)})
-
-
-def dirichlet_vertices(g: MetricGraph, edge_ids, include_host_boundary: bool) -> frozenset:
-    """Vertices of the piece ``edge_ids`` of ``g`` that carry a Dirichlet condition.
-
-    A vertex is on the piece's interface when fewer of its edge ends lie in
-    the piece than its degree (a loop has two ends).  With
-    ``include_host_boundary`` the piece's degree-1 vertices of ``g`` are
-    constrained too.
-    """
-    ends = Counter(v for e in map(g.edge, set(edge_ids)) for v in (e.src, e.dst))
-    return frozenset(
-        {v for v, k in ends.items() if k < g.degree(v) or (include_host_boundary and v in g.boundary)}
-    )
 
 
 def _interior(start: np.ndarray) -> np.ndarray:

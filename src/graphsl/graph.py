@@ -44,8 +44,9 @@ class MetricGraph:
     """Immutable metric graph with a path metric; loops and parallel edges allowed.
 
     Construct via :func:`load_graph`, from a document of your own or of
-    :mod:`graphsl.families`.  Vertices and edge ids are strings.
-    ``adjacency[v]`` lists a loop at ``v`` twice.
+    :mod:`graphsl.families`.  Vertices and edge ids are strings.  Each
+    vertex keeps only its degree, the count of edge ends at it, so a loop
+    counts twice; ``boundary`` holds the degree-1 vertices.
     """
 
     def __init__(self, vertices, edges, root=None):
@@ -55,22 +56,21 @@ class MetricGraph:
         self._edge_by_id = {e.id: e for e in self.edges}
         if len(self._edge_by_id) != len(self.edges):
             raise GraphFormatError("duplicate edge id")
-        vset = set(self.vertices)
-        adjacency: dict[str, list[str]] = {v: [] for v in self.vertices}
+        degree = dict.fromkeys(self.vertices, 0)
         for e in self.edges:
-            if e.src not in vset or e.dst not in vset:
+            if e.src not in degree or e.dst not in degree:
                 raise GraphFormatError(f"edge {e.id!r} references unknown vertex")
             _check_length(e.id, e.length)
-            adjacency[e.src].append(e.id)
-            adjacency[e.dst].append(e.id)
-        self.adjacency = {v: tuple(sorted(ids)) for v, ids in adjacency.items()}
-        if root is not None and root not in vset:
+            degree[e.src] += 1
+            degree[e.dst] += 1
+        self._degree = degree
+        if root is not None and root not in degree:
             raise GraphFormatError(f"root {root!r} is not a vertex")
         if not self.edges:
             raise GraphStructureError("graph has no edges")
         self._check_connected()
         self.min_edge_length = min(e.length for e in self.edges)
-        self.boundary = frozenset(v for v in self.vertices if len(self.adjacency[v]) == 1)
+        self.boundary = frozenset(v for v, k in degree.items() if k == 1)
 
     # -- structure ----------------------------------------------------------
 
@@ -81,7 +81,7 @@ class MetricGraph:
             raise GraphFormatError(f"unknown edge {edge_id!r}") from None
 
     def degree(self, vertex: str) -> int:
-        return len(self.adjacency[vertex])
+        return self._degree[vertex]
 
     @cached_property
     def _vertex_index(self) -> dict[str, int]:
@@ -184,14 +184,10 @@ def load_graph(document) -> MetricGraph:
         dst = _require_id(entry["to"], "edge endpoint")
         if isinstance(entry["length"], bool) or not isinstance(entry["length"], (int, float)):
             raise GraphFormatError(f"edge {eid!r} length must be a number")
-        length = float(entry["length"])
-        _check_length(eid, length)
-        edges.append(Edge(eid, src, dst, length))
+        edges.append(Edge(eid, src, dst, float(entry["length"])))
     root = None
     if "root" in document and document["root"] is not None:
         root = _require_id(document["root"], "root")
-        if root not in set(vertices):
-            raise GraphFormatError(f"root {root!r} is not a vertex")
     return MetricGraph(vertices, edges, root=root)
 
 
@@ -203,14 +199,16 @@ class Exhaustion:
     """Nested compact pieces of a graph around a root vertex.
 
     ``levels[n]`` holds the ids of edges whose endpoints both lie within
-    path distance ``n`` of the root; ``haloes[n]`` additionally holds edges
-    with exactly one endpoint within distance ``n``.
+    path distance ``n`` of the root.  ``halo_radius`` is the largest
+    distance from the root to the nearer endpoint of an edge: every edge
+    has an endpoint within distance ``n`` exactly when ``halo_radius <= n``
+    (to 1e-12, as the levels are cut).
     """
 
     graph: MetricGraph
     root: str
     levels: tuple[frozenset, ...]
-    haloes: tuple[frozenset, ...]
+    halo_radius: float
 
     @property
     def max_level(self) -> int:
@@ -225,17 +223,12 @@ def build_exhaustion(g: MetricGraph, root: str, max_level: int) -> Exhaustion:
         raise GraphStructureError("max_level must be >= 0")
     dist = g.vertex_distances(root)
     ends = np.array([(dist[e.src], dist[e.dst]) for e in g.edges])
-    bounds = np.arange(max_level + 1) + 1e-12
-
-    def balls(reach: np.ndarray) -> tuple[frozenset, ...]:
-        # edges with reach <= n + 1e-12, as prefixes of one sort by reach
-        order = np.argsort(reach, kind="stable")
-        ids = [g.edges[i].id for i in order]
-        cuts = np.searchsorted(reach[order], bounds, side="right")
-        return tuple(frozenset(ids[:k]) for k in cuts)
-
-    # level n: both endpoints within n of the root; halo n: at least one
-    ex = Exhaustion(g, root, balls(ends.max(axis=1)), balls(ends.min(axis=1)))
+    # level n: the edges with both ends within n + 1e-12, a prefix of one sort by the farther end
+    reach = ends.max(axis=1)
+    order = np.argsort(reach, kind="stable")
+    ids = [g.edges[i].id for i in order]
+    cuts = np.searchsorted(reach[order], np.arange(max_level + 1) + 1e-12, side="right")
+    ex = Exhaustion(g, root, tuple(frozenset(ids[:k]) for k in cuts), float(ends.min(axis=1).max()))
     for n in range(max_level):
         if not ex.levels[n] <= ex.levels[n + 1]:
             raise GraphStructureError("exhaustion levels failed to nest")

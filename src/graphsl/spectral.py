@@ -18,7 +18,8 @@ Three families of computations share the assembled forms:
 edge integrals of the coefficients alone, with no mesh.
 
 Levels and annuli are cut from one union assembly as Dirichlet pieces (see
-:func:`~graphsl.fem.dirichlet_vertices`); ``host_boundary`` is on by default.
+:meth:`~graphsl.fem.GraphMesh.free_dofs`, the one rule that says which
+vertices of a piece are free); ``host_boundary`` is on by default.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from scipy.sparse.linalg import splu
 from .coeff import CoefficientField, edge_integrals
 from .eig import Condensed, smallest_eigenpair
 from .errors import HypothesisError, IntegrabilityError, SolverError
-from .fem import (
-    AssembledForms,
-    GraphMesh,
-    assemble,
-    build_mesh,
-    dirichlet_vertices,
-    kirchhoff_residual,
-    subgraph_vertices,
-)
+from .fem import AssembledForms, GraphMesh, assemble, build_mesh, kirchhoff_residual
 from .graph import Exhaustion, MetricGraph
 
 WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
@@ -129,7 +122,7 @@ def inf_spectrum(
         prev = values[n]
     error_proxy = abs(rows[-2].value - rows[-1].value) if len(rows) > 1 else math.inf
     top = rows[-1].level
-    touched = exhaustion.haloes[top] >= frozenset(e.id for e in g.edges)
+    touched = exhaustion.halo_radius <= top + 1e-12
     return SpectralReport(
         rows=rows,
         estimate=rows[-1].value,
@@ -190,35 +183,23 @@ def positive_solution(
     return result.cert
 
 
-def _unit_data(mesh: GraphMesh, boundary) -> np.ndarray:
-    """Unit boundary data on ``mesh``: one at the dofs of the ``boundary`` vertices, zero elsewhere."""
-    e_b = np.zeros(mesh.n_free)
-    e_b[[mesh.vertex_dof[v] for v in boundary]] = 1.0
-    return e_b
-
-
-def _certificate(
-    g, field, exhaustion, mesh, piece, boundary, lifted, lam, level, bottom
-) -> PositiveSolutionCert:
+def _certificate(field, exhaustion, mesh, piece, dirichlet, lifted, lam, level, bottom) -> PositiveSolutionCert:
     """Solve the lifted boundary problem of a level.
 
-    ``piece`` is the analysed pencil of the level's Dirichlet problem on the
-    ``boundary`` vertices, whose dofs are the dofs of ``mesh`` off those
-    vertices, in the same order; ``lifted`` is (lam M - K) e_B on those
-    dofs, e_B the unit boundary data, formed from the union forms before
-    they were freed.  The interior solve factors the piece at ``lam`` on
-    the analysis that its eigensolve used.
+    ``piece`` is the analysed pencil of the level's Dirichlet problem,
+    whose dofs are the dofs of ``mesh`` off the increasing vertex dofs
+    ``dirichlet``, in the same order; ``lifted`` is (lam M - K) e_B on
+    those dofs, e_B the unit boundary data (one at ``dirichlet``), formed
+    from the union forms before they were freed.  The interior solve
+    factors the piece at ``lam`` on the analysis that its eigensolve used.
     """
-    edge_ids = exhaustion.levels[level]
-    if not boundary:
+    if not dirichlet.size:
         raise SolverError(
             "level has no boundary vertices; the lifted boundary problem is empty"
         )
-    try:
-        factor = Condensed(piece, lam, splu)
-    except RuntimeError as exc:
-        raise SolverError(f"interior solve failed: {exc}") from exc
-    y = _unit_data(mesh, boundary)
+    factor = Condensed(piece, lam, splu)
+    y = np.zeros(mesh.n_free)
+    y[dirichlet] = 1.0
     y[y == 0] = factor.solve(lifted)
     root = exhaustion.root
     if root not in mesh.vertex_dof:
@@ -239,7 +220,9 @@ def _certificate(
             f"{min_value:.6g} at dof {bad} (trial value too close to the bottom "
             "or minimum principle violated)"
         )
-    kirch = kirchhoff_residual(mesh, field, y, sorted(subgraph_vertices(g, edge_ids) - boundary))
+    vertices = list(mesh.vertex_dof)  # in dof order, which is sorted order
+    boundary = frozenset(vertices[d] for d in dirichlet)
+    kirch = kirchhoff_residual(mesh, field, y, [v for v in vertices if v not in boundary])
     return PositiveSolutionCert(
         lam=float(lam),
         level=int(level),
@@ -286,7 +269,10 @@ def ap_check(
     right-hand side of the certificate is formed from the union at once,
     whatever the outcome; only the mesh is kept, so the union's K and M are
     freed before the eigensolve, whose working set then reuses their memory.
-    A trial value that is not finite raises SolverError before any work.
+    The level's Dirichlet vertices, which carry the unit boundary data and
+    leave the Kirchhoff check, are the vertex dofs that
+    :meth:`GraphMesh.free_dofs` does not keep.  A trial value that is not
+    finite raises SolverError before any work.
     """
     if not math.isfinite(lam):
         raise SolverError(f"trial value must be finite, got {lam!r}")
@@ -296,15 +282,18 @@ def ap_check(
         raise SolverError(f"exhaustion level {level} contains no edges")
     forms = _assemble_union(g, field, [edge_ids], h)
     piece = forms.restrict(edge_ids, host_boundary=True)
-    boundary = dirichlet_vertices(g, edge_ids, include_host_boundary=True)
     mesh = forms.mesh
-    e_b = _unit_data(mesh, boundary)
-    lifted = (lam * (forms.M @ e_b) - forms.K @ e_b)[e_b == 0]
-    del forms, e_b
+    # the unit boundary data: one at every dof the piece does not keep, all of them vertex dofs
+    kept = mesh.free_dofs(edge_ids, host_boundary=True)
+    e_b = np.ones(mesh.n_free)
+    e_b[kept] = 0.0
+    lifted = (lam * (forms.M @ e_b) - forms.K @ e_b)[kept]
+    dirichlet = np.flatnonzero(e_b)
+    del forms, e_b, kept
     bottom = smallest_eigenpair(piece, tol=tol).value
     margin = lam - bottom
     if lam < bottom - tol:
-        cert = _certificate(g, field, exhaustion, mesh, piece, boundary, lifted, lam, level, bottom)
+        cert = _certificate(field, exhaustion, mesh, piece, dirichlet, lifted, lam, level, bottom)
         return APResult("certificate", lam, level, bottom, margin, cert)
     if lam > bottom + tol:
         return APResult("refutation", lam, level, bottom, margin, None)
@@ -449,7 +438,7 @@ def persson_limit(
     upper = last_seq[-1]
     lower = min(_extrapolate(last_seq), upper)
     max_outer_used = max(row.outer for row in rows)
-    touched = exhaustion.haloes[max_outer_used] >= frozenset(e.id for e in g.edges)
+    touched = exhaustion.halo_radius <= max_outer_used + 1e-12
     return PerssonTrace(
         rows=rows,
         per_level=per_level,

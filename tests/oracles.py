@@ -1,4 +1,4 @@
-"""Gauss-panel quadrature over a mesh: the tests' reference for assembly's cell moments.
+"""Independent references for the tests: Gauss-panel quadrature and Dirichlet vertices.
 
 Assembly (``graphsl._kernels.accumulate``) integrates constants and tables
 in closed form and expressions by one Gauss rule per cell.  The sampler
@@ -6,16 +6,36 @@ here is independent of it: it splits every cell at each breakpoint of p,
 q and w on its edge and samples the fields on Gauss panels, so the form
 and mass values built from its samples check assembly and the moments
 that ``verify`` reads.
+
+``GraphMesh.free_dofs`` decides which vertices of a piece are free, by one
+bincount over the mesh; :func:`dirichlet_vertices` states the same rule
+over the graph's edges, vertex by vertex, and checks it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from graphsl.coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, map_by_spec
 from graphsl.fem import GraphMesh, _all_but_last
+from graphsl.graph import MetricGraph
+
+
+def dirichlet_vertices(g: MetricGraph, edge_ids, include_host_boundary: bool) -> frozenset:
+    """Vertices of the piece ``edge_ids`` of ``g`` that carry a Dirichlet condition.
+
+    A vertex is on the piece's interface when fewer of its edge ends lie in
+    the piece than its degree (a loop has two ends).  With
+    ``include_host_boundary`` the piece's degree-1 vertices of ``g`` are
+    constrained too.
+    """
+    ends = Counter(v for e in map(g.edge, set(edge_ids)) for v in (e.src, e.dst))
+    return frozenset(
+        {v for v, k in ends.items() if k < g.degree(v) or (include_host_boundary and v in g.boundary)}
+    )
 
 
 def sample_field(field: CoefficientField, name: str, edge_ids, edge, xs: np.ndarray) -> np.ndarray:

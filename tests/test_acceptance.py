@@ -14,7 +14,7 @@ import math
 import time
 
 import numpy as np
-from oracles import mesh_samples
+from oracles import dirichlet_vertices, mesh_samples
 
 from graphsl.coeff import load_coefficients
 from graphsl.eig import dense_reference, smallest_eigenpair, solve_pencil
@@ -181,11 +181,7 @@ def test_persson_suite():
     identical = True
     for n, N in [(1, 10), (2, 15), (4, 30)]:
         edge_ids = ex.levels[N] - ex.levels[n]
-        boundary = frozenset(
-            v
-            for v in {x for e in edge_ids for x in (g.edge(e).src, g.edge(e).dst)}
-            if any(eid not in edge_ids for eid in g.adjacency[v])
-        )
+        boundary = dirichlet_vertices(g, edge_ids, False)
         mesh = build_mesh(g, h, edges=edge_ids)
         kept = np.setdiff1d(np.arange(mesh.n_free), [mesh.vertex_dof[v] for v in boundary])
         mats = []

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,9 +53,13 @@ def test_piecewise_negative_positive_parts():
     g = unit_interval()
     f = load_coefficients({"e1": {"q": {"piecewise": [[0, -2], [0.5, 1]]}}}, g)
     assert edge_integral(f, "e1", "q-") == pytest.approx(1.0, abs=1e-15)
-    assert edge_integral(f, "e1", "q+") == pytest.approx(0.5, abs=1e-15)
-    assert edge_integral(f, "e1", "q") == pytest.approx(-0.5, abs=1e-15)
     assert edge_integral(f, "e1", "|q|") == pytest.approx(1.5, abs=1e-15)
+    # the positive part and the signed integral are |q| less one or two negative parts
+    assert edge_integral(f, "e1", "|q|") - edge_integral(f, "e1", "q-") == pytest.approx(0.5, abs=1e-15)
+    assert edge_integral(f, "e1", "|q|") - 2 * edge_integral(f, "e1", "q-") == pytest.approx(-0.5, abs=1e-15)
+    for which in ("q+", "q"):
+        with pytest.raises(CoefficientError, match=re.escape(f"unknown integrand '{which}'")):
+            edge_integral(f, "e1", which)
 
 
 def test_exponential_weight_integral():
@@ -65,9 +70,10 @@ def test_exponential_weight_integral():
 
 def test_partial_range_and_additivity():
     g = unit_interval()
+    # sin(3x) > 0 on (0, 1], so |q| is q
     f = load_coefficients({"e1": {"q": {"expr": "sin(3*x)"}}}, g)
-    whole = edge_integral(f, "e1", "q")
-    split = edge_integral(f, "e1", "q", 0.0, 0.37) + edge_integral(f, "e1", "q", 0.37, 1.0)
+    whole = edge_integral(f, "e1", "|q|")
+    split = edge_integral(f, "e1", "|q|", 0.0, 0.37) + edge_integral(f, "e1", "|q|", 0.37, 1.0)
     assert split == pytest.approx(whole, rel=1e-13, abs=1e-15)
 
 
@@ -91,8 +97,9 @@ def test_default_entry_applies_to_all_edges():
 def test_edge_entry_overrides_default():
     g = load_graph(star(3))
     f = load_coefficients({"default": {"q": 1.0}, "a2": {"q": -3.0}}, g)
-    assert edge_integral(f, "a1", "q") == pytest.approx(1.0)
-    assert edge_integral(f, "a2", "q") == pytest.approx(-3.0)
+    assert edge_integral(f, "a1", "|q|") == pytest.approx(1.0)
+    assert edge_integral(f, "a1", "q-") == 0.0
+    assert edge_integral(f, "a2", "q-") == pytest.approx(3.0)
 
 
 def test_loop_coefficient_runs_along_the_whole_loop():
@@ -117,7 +124,7 @@ def test_split_ids_are_unknown_keys():
         ],
     }
     g = load_graph(doc)
-    assert edge_integral(load_coefficients({"p2": {"q": 3.0}}, g), "p2", "q") == 6.0
+    assert edge_integral(load_coefficients({"p2": {"q": 3.0}}, g), "p2", "|q|") == 6.0
     with pytest.raises(CoefficientError, match="unknown edge 'p2:a'"):
         load_coefficients({"p2:a": {"q": 1.0}}, g)
 
@@ -164,7 +171,7 @@ def test_grouped_integrals_match_one_by_one():
     edge = [0, 1, 0, 1, 0, 2]
     a = [0.0, 0.0, 0.1, 0.25, 0.3, 0.0]
     b = [1.0, 1.0, 0.7, 0.35, 0.3, 1.0]
-    for which in ("q", "q-", "|q|"):
+    for which in ("q-", "|q|"):
         values = edge_integrals(f, which, ids, edge, a, b)
         assert not np.isfinite(values[-1])
         expected = [edge_integral(f, ids[e], which, lo, hi) for e, lo, hi in zip(edge[:-1], a, b)]

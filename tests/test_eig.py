@@ -349,6 +349,14 @@ def ladder6_level():
     return ball_level(ladder(6), "u0", 4, 0.05)
 
 
+def test_a_failed_factorization_names_the_shift():
+    # K - 0*M = diag(1, 0) is exactly singular, which SuperLU reports by RuntimeError
+    pencil = eig.Pencil(sp.csr_matrix(np.diag([1.0, 0.0])), sp.identity(2, format="csr"))
+    for call in (lambda: eig.Condensed(pencil, 0.0, scipy.sparse.linalg.splu), lambda: eig._inertia(pencil, 0.0)):
+        with pytest.raises(SolverError, match=r"factorization of K - 0\.0\*M failed: .*singular"):
+            call()
+
+
 @pytest.mark.parametrize(
     "make_pencil",
     [star_piecewise_q, tree_negative_q_level, restricted_annulus, tree5_level, leaf_well_level, ladder6_level],

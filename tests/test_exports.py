@@ -31,7 +31,6 @@ PUBLIC = [
     "build_exhaustion",
     "build_mesh",
     "dense_reference",
-    "dirichlet_vertices",
     "evaluate_expression",
     "inf_spectrum",
     "kirchhoff_residual",

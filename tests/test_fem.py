@@ -4,17 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import mesh_samples
+from oracles import dirichlet_vertices, mesh_samples
 
 from graphsl import _kernels
-from graphsl.coeff import CoefficientField, edge_integrals, load_coefficients
+from graphsl.coeff import CoefficientField, load_coefficients
 from graphsl.eig import Pencil, dense_reference, smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
 from graphsl.families import cycle, ladder, path, star, tree
 from graphsl.fem import (
     assemble,
     build_mesh,
-    dirichlet_vertices,
     kirchhoff_residual,
 )
 from graphsl.graph import build_exhaustion, load_graph
@@ -130,6 +129,20 @@ def test_mesh_memory_is_linear_in_edges():
         assert peak / len(g.edges) < 600
 
 
+def test_graph_memory_is_linear_in_edges():
+    # loading peaks near 350 bytes per edge (the edges, a degree per vertex
+    # and the sparse length matrix); a tuple of edge ids kept per vertex
+    # adds over 150 more and breaks the bound
+    for doc in (tree(14), path(20000)):
+        tracemalloc.start()
+        try:
+            g = load_graph(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(g.edges) < 500
+
+
 def test_bad_h_rejected():
     g = unit_interval()
     with pytest.raises(MeshError):
@@ -231,7 +244,7 @@ def test_nonpositive_w_raises():
 
 
 # a loop and a pair of parallel edges, each one edge with its own tables
-MULTIGRAPH = {
+LOOP_AND_PAIR = {
     "vertices": ["a", "b"],
     "edges": [
         {"id": "loop", "from": "a", "to": "a", "length": 1.3},
@@ -260,13 +273,28 @@ def mass_value(mesh, field, f):
     return float(np.dot(s.wq, s.w * value**2))
 
 
+def graph_integral(field, name):
+    """Integral of the field ``name`` over the graph: 40-point Gauss-Legendre between its breakpoints.
+
+    Every field in these tests is a constant, a table or an analytic
+    expression, so each smooth piece integrates to rounding.
+    """
+    t, wt = np.polynomial.legendre.leggauss(40)
+    total = 0.0
+    for e in field.graph.edges:
+        cuts = [0.0, *field.breakpoints(e.id), e.length]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += 0.5 * (b - a) * wt @ field.evaluate(e.id, name, 0.5 * (a + b) + 0.5 * (b - a) * t)
+    return total
+
+
 @pytest.mark.parametrize(
     "doc, coeffs",
     [
         (star(3), {"default": {"p": 2.0, "q": {"expr": "cos(3*x)"}, "w": {"expr": "1+x"}}}),
         (star(3), {"default": {"p": {"expr": "1+0.3*x"}, "q": {"piecewise": [[0.0, -1.0], [0.43, 2.5]]}}}),
         (
-            MULTIGRAPH,
+            LOOP_AND_PAIR,
             {
                 "loop": {"p": {"piecewise": [[0.0, 1.0], [0.37, 2.0], [0.9, 1.5]]}},
                 "s2": {"q": {"piecewise": [[0.0, -1.0], [0.55, 0.5]]}},
@@ -288,10 +316,8 @@ def test_form_value_matches_matrix_quadratic_form(rng, doc, coeffs):
     assert mass_value(mesh, field, f) == pytest.approx(f @ (forms.M @ f), rel=1e-12)
     # the constant function integrates q and w exactly across the breakpoints
     ones = np.ones(mesh.n_free)
-    ids, lengths = [e.id for e in g.edges], [e.length for e in g.edges]
     for value, which in ((form_value, "q"), (mass_value, "w")):
-        exact = edge_integrals(field, which, ids, np.arange(len(ids)), np.zeros(len(ids)), lengths).sum()
-        assert value(mesh, field, ones) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        assert value(mesh, field, ones) == pytest.approx(graph_integral(field, which), rel=1e-12, abs=1e-12)
 
 
 def test_assemble_evaluates_each_distinct_spec_once(monkeypatch):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import floyd_warshall
 
+from oracles import dirichlet_vertices
+
 from graphsl.errors import GraphFormatError, GraphStructureError
 from graphsl.families import cycle, ladder, path, star, tree
+from graphsl.fem import subgraph_vertices
 from graphsl.graph import build_exhaustion, load_graph
-from graphsl.spectral import subgraph_vertices
 
 
 def interval_doc():
@@ -145,8 +147,8 @@ def test_loop_is_one_edge_counted_twice_in_the_degree():
         {"vertices": ["a"], "edges": [{"id": "loop", "from": "a", "to": "a", "length": 2.0}]}
     )
     assert [(e.id, e.length) for e in g.edges] == [("loop", 2.0)]
-    assert g.adjacency["a"] == ("loop", "loop")
     assert g.degree("a") == 2
+    assert sum(map(g.degree, g.vertices)) == 2 * len(g.edges)
     assert g.boundary == frozenset()
 
 
@@ -176,7 +178,7 @@ def test_colon_in_ids_accepted():
 def test_loop_at_the_root_lies_in_level_zero():
     ex = build_exhaustion(load_graph(LOLLIPOP), "a", 1)
     assert ex.levels[0] == {"loop"}
-    assert ex.haloes[0] == {"loop", "stick"}
+    assert ex.halo_radius == 0.0  # the stick's nearer end is the root
     assert ex.levels[1] == {"loop", "stick"}
 
 
@@ -190,7 +192,7 @@ def test_loop_matches_periodic_assembly():
     """
     from graphsl.coeff import load_coefficients
     from graphsl.eig import smallest_eigenpair, solve_pencil
-    from graphsl.fem import assemble, build_mesh, dirichlet_vertices
+    from graphsl.fem import assemble, build_mesh
     import scipy.sparse as sp
 
     doc = {
@@ -286,14 +288,14 @@ def test_exhaustion_two_edge_path():
     g = load_graph(path(2))
     ex = build_exhaustion(g, "v00", 2)
     assert ex.levels[1] == {"e01"}
-    assert ex.haloes[1] == {"e01", "e02"}
+    assert ex.halo_radius == 1.0  # e02's nearer end is at distance 1
 
 
 def test_exhaustion_level_zero_degenerate():
     g = load_graph(star(3))
     ex = build_exhaustion(g, "c", 1)
     assert ex.levels[0] == frozenset()
-    assert ex.haloes[0] == {"a1", "a2", "a3"}
+    assert ex.halo_radius == 0.0  # every arm has the centre as an end
 
 
 def test_exhaustion_binary_tree_level_two():
@@ -310,8 +312,6 @@ def test_exhaustion_nesting(doc):
     ex = build_exhaustion(g, g.root, max_level)
     for n in range(ex.max_level):
         assert ex.levels[n] <= ex.levels[n + 1]
-        assert ex.levels[n] <= ex.haloes[n]
-        assert not ex.levels[n] & (ex.haloes[n] - ex.levels[n])
     # all-pairs reference; unit lengths put vertices exactly on level boundaries
     n_v = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
@@ -324,7 +324,9 @@ def test_exhaustion_nesting(doc):
             (dist[idx[e.src]] <= n + 1e-12, dist[idx[e.dst]] <= n + 1e-12) for e in g.edges
         ]
         assert ex.levels[n] == {e.id for e, ins in zip(g.edges, inside) if all(ins)}
-        assert ex.haloes[n] == {e.id for e, ins in zip(g.edges, inside) if any(ins)}
+        # every edge has an endpoint within n exactly when the halo radius is at most n
+        assert (ex.halo_radius <= n + 1e-12) == all(map(any, inside))
+    assert ex.halo_radius == max(min(dist[idx[e.src]], dist[idx[e.dst]]) for e in g.edges)
 
 
 def test_exhaustion_memory_is_linear_in_edges():

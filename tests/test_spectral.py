@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import mesh_samples
+from oracles import dirichlet_vertices, mesh_samples
 from scipy.optimize import brentq
 
 from graphsl.coeff import load_coefficients
@@ -268,6 +268,37 @@ def test_kirchhoff_matching_improves_with_mesh(halfline):
         "v02",
     }
     assert residuals[1] < residuals[0]
+
+
+# the root r has degree 1; a loop at a; a and m joined by two parallel
+# edges; a degree-1 stub a-l; b at distance 2 has its edge to c outside level 2
+CERT_MULTIGRAPH = {
+    "vertices": ["r", "a", "m", "b", "l", "c"],
+    "edges": [
+        {"id": "e1", "from": "r", "to": "a", "length": 1.0},
+        {"id": "loop", "from": "a", "to": "a", "length": 1.5},
+        {"id": "p1", "from": "a", "to": "m", "length": 0.5},
+        {"id": "p2", "from": "m", "to": "a", "length": 0.75},
+        {"id": "mb", "from": "m", "to": "b", "length": 0.5},
+        {"id": "stub", "from": "a", "to": "l", "length": 0.5},
+        {"id": "far", "from": "b", "to": "c", "length": 1.0},
+    ],
+    "root": "r",
+}
+
+
+def test_certificate_boundary_on_a_multigraph_level():
+    g = load_graph(CERT_MULTIGRAPH)
+    ex = build_exhaustion(g, "r", 2)
+    assert ex.levels[2] == {"e1", "loop", "p1", "p2", "mb", "stub"}
+    cert = positive_solution(g, load_coefficients({}, g), ex, lam=-1.0, level=2, h=0.05)
+    boundary = dirichlet_vertices(g, ex.levels[2], True)
+    assert boundary == {"r", "l", "b"}
+    assert cert.boundary_vertices == boundary
+    # the root is a boundary vertex, so the unit data survive the normalization exactly
+    assert [cert.values[cert.mesh.vertex_dof[v]] for v in sorted(boundary)] == [1.0, 1.0, 1.0]
+    assert list(cert.kirchhoff_residuals) == sorted(set(cert.mesh.vertex_dof) - boundary) == ["a", "m"]
+    assert cert.min_value > 0
 
 
 def test_ap_check_three_outcomes(star3):
