@@ -369,9 +369,11 @@ def validate_hypotheses(
     """Check the structural hypotheses; failures are reported, never raised.
 
     The weight lower-bound check first excludes no edge.  When an exhaustion
-    is supplied it then searches the exhaustion's levels for a compact
-    subgraph that makes the weight bound pass (the hypothesis only asks
-    that some compact subgraph works) and records the one chosen.
+    is supplied it then searches the exhaustion's distinct levels, smallest
+    first, for a compact subgraph that makes the weight bound pass (the
+    hypothesis only asks that some compact subgraph works) and records the
+    one chosen.  The levels are prefixes of one edge order, so the minimum
+    of w outside each is one reversed running minimum in that order.
     The infimum of w, and for infinite eta the supremum of 1/p, is sampled
     once per edge on a grid that sees both sides of every jump.
     """
@@ -409,22 +411,17 @@ def validate_hypotheses(
         inv_p_total += value
     flags[1] = bool(integrable.all()) and math.isfinite(inv_p_total)
 
-    candidates = [()]
-    if exhaustion is not None:
-        for level in exhaustion.levels:
-            cand = tuple(sorted(level))
-            if cand not in candidates:
-                candidates.append(cand)
-    best_cw = -math.inf
-    best_compact = candidates[0]
-    for cand in candidates:
-        inside = set(cand)
-        outside = np.array([eid not in inside for eid in ids], dtype=bool)
-        if not outside.any():
+    order, cuts = (ids, [0]) if exhaustion is None else (exhaustion.edges, exhaustion.cuts)
+    position = {eid: k for k, eid in enumerate(ids)}
+    # a NaN minimum (w not evaluable) spreads to every level that leaves its edge outside
+    outside_min = np.minimum.accumulate(w_min[[position[eid] for eid in order]][::-1])[::-1]
+    best_cw, best_cut = -math.inf, 0
+    for cut in np.unique([0, *cuts]):
+        if cut == len(ids):  # the whole graph leaves nothing outside
             continue
-        cw = float(np.min(w_min[outside]))
+        cw = float(outside_min[cut])
         if cw > best_cw:
-            best_cw, best_compact = cw, cand
+            best_cw, best_cut = cw, cut
         if cw > 0:
             break
     if np.isnan(w_min).any():
@@ -449,7 +446,7 @@ def validate_hypotheses(
         eta=field.eta,
         inv_p_power_total=float(inv_p_total),
         essinf_w_outside=float(best_cw),
-        compact=tuple(best_compact),
+        compact=tuple(sorted(order[:best_cut])),
         min_edge_length=float(g.min_edge_length),
         sup_edge_neg_q=float(sup_neg),
         flags=flags,

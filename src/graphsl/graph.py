@@ -196,28 +196,37 @@ def load_graph(document) -> MetricGraph:
 
 @dataclass(frozen=True)
 class Exhaustion:
-    """Nested compact pieces of a graph around a root vertex.
+    """Nested compact pieces of a graph around a root vertex, in memory linear in the edges.
 
-    ``levels[n]`` holds the ids of edges whose endpoints both lie within
-    path distance ``n`` of the root.  ``halo_radius`` is the largest
-    distance from the root to the nearer endpoint of an edge: every edge
-    has an endpoint within distance ``n`` exactly when ``halo_radius <= n``
-    (to 1e-12, as the levels are cut).
+    ``edges`` sorts every edge id by the root distance of its farther end,
+    in graph order among equals.  Level n, ``edges[:cuts[n]]``, holds the
+    edges whose endpoints both lie within path distance n of the root, so
+    the levels nest.  ``halo_radius`` is the largest distance from the root
+    to the nearer endpoint of an edge: every edge has an endpoint within
+    distance ``n`` exactly when ``halo_radius <= n`` (to 1e-12, as the
+    levels are cut).
     """
 
-    graph: MetricGraph
     root: str
-    levels: tuple[frozenset, ...]
+    edges: tuple[str, ...]
+    cuts: tuple[int, ...]
     halo_radius: float
 
     @property
     def max_level(self) -> int:
-        return len(self.levels) - 1
+        return len(self.cuts) - 1
+
+    def level(self, n: int) -> tuple[str, ...]:
+        return self.edges[: self.cuts[n]]
+
+    def annulus(self, n: int, N: int) -> tuple[str, ...]:
+        """The edges of level N outside level n."""
+        return self.edges[self.cuts[n] : self.cuts[N]]
 
 
 def build_exhaustion(g: MetricGraph, root: str, max_level: int) -> Exhaustion:
     """Build distance-ball levels Gamma_0 .. Gamma_max_level around ``root``."""
-    if root not in set(g.vertices):
+    if root not in g._vertex_index:
         raise GraphFormatError(f"root {root!r} is not a vertex")
     if max_level < 0:
         raise GraphStructureError("max_level must be >= 0")
@@ -226,10 +235,6 @@ def build_exhaustion(g: MetricGraph, root: str, max_level: int) -> Exhaustion:
     # level n: the edges with both ends within n + 1e-12, a prefix of one sort by the farther end
     reach = ends.max(axis=1)
     order = np.argsort(reach, kind="stable")
-    ids = [g.edges[i].id for i in order]
     cuts = np.searchsorted(reach[order], np.arange(max_level + 1) + 1e-12, side="right")
-    ex = Exhaustion(g, root, tuple(frozenset(ids[:k]) for k in cuts), float(ends.min(axis=1).max()))
-    for n in range(max_level):
-        if not ex.levels[n] <= ex.levels[n + 1]:
-            raise GraphStructureError("exhaustion levels failed to nest")
-    return ex
+    ids = tuple(g.edges[i].id for i in order)
+    return Exhaustion(root, ids, tuple(cuts.tolist()), float(ends.min(axis=1).max()))

@@ -17,9 +17,12 @@ Three families of computations share the assembled forms:
 ``sobolev_constant`` gives the constants of the edgewise sup bound from
 edge integrals of the coefficients alone, with no mesh.
 
-Levels and annuli are cut from one union assembly as Dirichlet pieces (see
-:meth:`~graphsl.fem.GraphMesh.free_dofs`, the one rule that says which
-vertices of a piece are free); ``host_boundary`` is on by default.
+Each command meshes and assembles once, over its largest level or its
+widest annulus; every level and annulus it solves is a slice of the
+exhaustion's one edge order inside that one, cut from the assembly as a
+Dirichlet piece (see :meth:`~graphsl.fem.GraphMesh.free_dofs`, the one
+rule that says which vertices of a piece are free); ``host_boundary`` is
+on by default.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from scipy.sparse.linalg import splu
 from .coeff import CoefficientField, edge_integrals
 from .eig import Condensed, smallest_eigenpair
 from .errors import HypothesisError, IntegrabilityError, SolverError
-from .fem import AssembledForms, GraphMesh, assemble, build_mesh, kirchhoff_residual
+from .fem import GraphMesh, assemble, build_mesh, kirchhoff_residual
 from .graph import Exhaustion, MetricGraph
 
 WINDOW_STARTS = 65          # evenly spaced Sobolev window starts per edge
@@ -44,12 +47,6 @@ def _check_levels(exhaustion: Exhaustion, levels) -> None:
     for n in levels:
         if n < 0 or n > exhaustion.max_level:
             raise SolverError(f"level {n} outside exhaustion range 0..{exhaustion.max_level}")
-
-
-def _assemble_union(g, field, domains, h) -> AssembledForms:
-    """One mesh and assembly over every edge the domains use."""
-    edges = frozenset().union(*domains)
-    return assemble(build_mesh(g, h, edges=edges), field)
 
 
 # --- inf spectrum -------------------------------------------------------------
@@ -90,24 +87,24 @@ def inf_spectrum(
     The levels are solved largest first, each seeded with the
     ``certified_lower`` of the next larger level solved.  The levels nest,
     so a level's Dirichlet unknowns are a subset of the larger level's;
-    both pencils are cut from the one union assembly, so the smaller
-    level's pencil is a principal sub-pencil of the larger one's.  By
-    Cauchy interlacing its smallest eigenvalue lies above that proved
-    lower bound, and the eigensolve starts its shift there (after an
-    inertia count) instead of at the Gershgorin bound, as in
+    both pencils are cut from the one assembly over the largest level, so
+    the smaller level's pencil is a principal sub-pencil of the larger
+    one's.  By Cauchy interlacing its smallest eigenvalue lies above that
+    proved lower bound, and the eigensolve starts its shift there (after
+    an inertia count) instead of at the Gershgorin bound, as in
     :func:`persson_limit`.  The rows keep the requested order.
     """
-    levels = list(range(len(exhaustion.levels)) if levels is None else levels)
+    levels = list(range(exhaustion.max_level + 1) if levels is None else levels)
     _check_levels(exhaustion, levels)
-    levels = [n for n in levels if exhaustion.levels[n]]
+    levels = [n for n in levels if exhaustion.cuts[n]]
     if not levels:
         raise SolverError("no nonempty exhaustion level was requested")
-    forms = _assemble_union(g, field, [exhaustion.levels[n] for n in levels], h)
+    forms = assemble(build_mesh(g, h, edges=exhaustion.level(max(levels))), field)
     values = {}
     lower = -math.inf
     for n in sorted(set(levels), reverse=True):
         result = smallest_eigenpair(
-            forms.restrict(exhaustion.levels[n], host_boundary=host_boundary), tol=tol, lower=lower
+            forms.restrict(exhaustion.level(n), host_boundary=host_boundary), tol=tol, lower=lower
         )
         values[n], lower = result.value, result.certified_lower
     rows: list[LevelEstimate] = []
@@ -142,7 +139,7 @@ class PositiveSolutionCert:
     one on the level boundary before normalization and to one at the root
     after.  Flux imbalances at free vertices document the Kirchhoff
     matching quality.  The certificate keeps the mesh and the nodal vector,
-    not the assembled forms: :func:`ap_check` reads the union forms only
+    not the assembled forms: :func:`ap_check` reads the level's forms only
     for the lifted right-hand side, and frees them before the level's
     eigensolve.
     """
@@ -190,7 +187,7 @@ def _certificate(field, exhaustion, mesh, piece, dirichlet, lifted, lam, level, 
     whose dofs are the dofs of ``mesh`` off the increasing vertex dofs
     ``dirichlet``, in the same order; ``lifted`` is (lam M - K) e_B on
     those dofs, e_B the unit boundary data (one at ``dirichlet``), formed
-    from the union forms before they were freed.  The interior solve
+    from the level's forms before they were freed.  The interior solve
     factors the piece at ``lam`` on the analysis that its eigensolve used.
     """
     if not dirichlet.size:
@@ -265,9 +262,9 @@ def ap_check(
     refutation when above by more than ``tol``, and indeterminate inside
     the band.
 
-    The level's pencil is cut from its union assembly, and the lifted
-    right-hand side of the certificate is formed from the union at once,
-    whatever the outcome; only the mesh is kept, so the union's K and M are
+    The level's pencil is cut from the level's assembly, and the lifted
+    right-hand side of the certificate is formed from it at once,
+    whatever the outcome; only the mesh is kept, so the level's K and M are
     freed before the eigensolve, whose working set then reuses their memory.
     The level's Dirichlet vertices, which carry the unit boundary data and
     leave the Kirchhoff check, are the vertex dofs that
@@ -277,10 +274,10 @@ def ap_check(
     if not math.isfinite(lam):
         raise SolverError(f"trial value must be finite, got {lam!r}")
     _check_levels(exhaustion, [level])
-    edge_ids = exhaustion.levels[level]
+    edge_ids = exhaustion.level(level)
     if not edge_ids:
         raise SolverError(f"exhaustion level {level} contains no edges")
-    forms = _assemble_union(g, field, [edge_ids], h)
+    forms = assemble(build_mesh(g, h, edges=edge_ids), field)
     piece = forms.restrict(edge_ids, host_boundary=True)
     mesh = forms.mesh
     # the unit boundary data: one at every dof the piece does not keep, all of them vertex dofs
@@ -362,11 +359,12 @@ def persson_limit(
     Each annulus A(n, N) is seeded with the largest ``certified_lower`` of
     the annuli A(m, M) already solved with m <= n and M >= N, which contain
     it.  Its Dirichlet unknowns are then a subset of A(m, M)'s, and both
-    pencils are cut from the one union assembly, so A(n, N)'s pencil is a
-    principal sub-pencil of A(m, M)'s.  By Cauchy interlacing its smallest
-    eigenvalue is at least A(m, M)'s, hence above that proved lower bound,
-    and the eigensolve starts its shift there (after checking it by an
-    inertia count) instead of at the Gershgorin bound.  An annulus that no
+    pencils are cut from the one assembly over the widest annulus,
+    A(min n, max N), so A(n, N)'s pencil is a principal sub-pencil of
+    A(m, M)'s.  By Cauchy interlacing its smallest eigenvalue is at least
+    A(m, M)'s, hence above that proved lower bound, and the eigensolve
+    starts its shift there (after checking it by an inertia count)
+    instead of at the Gershgorin bound.  An annulus that no
     solved annulus contains, as in the first sweep, is seeded from its own
     sweep instead: the last value less the last decrement, or less
     max(1, |value|) / 8 after one value, half the eigensolve's placement
@@ -383,13 +381,11 @@ def persson_limit(
     for n in inner_levels:
         if not [N for N in outer_levels if N > n]:
             raise SolverError(f"no outer level exceeds inner level {n}")
-    annuli = {}
     for n in inner_levels:
         for N in [N for N in outer_levels if N > n]:
-            annuli[n, N] = exhaustion.levels[N] - exhaustion.levels[n]
-            if not annuli[n, N]:
+            if exhaustion.cuts[N] == exhaustion.cuts[n]:
                 raise SolverError(f"annulus between levels {n} and {N} is empty")
-    forms = _assemble_union(g, field, annuli.values(), h)
+    forms = assemble(build_mesh(g, h, edges=exhaustion.annulus(inner_levels[0], outer_levels[-1])), field)
     proved = {}  # (m, M) -> certified_lower of every annulus solved so far
 
     def sweep(n: int) -> list[PerssonRow]:
@@ -404,7 +400,7 @@ def persson_limit(
                 lower = last - (out[-2].value - last if len(out) > 1 else max(1.0, abs(last)) / 8)
             # the piece goes straight into the solve, so it is freed with it
             result = smallest_eigenpair(
-                forms.restrict(annuli[n, N], host_boundary=host_boundary), tol=tol, lower=lower
+                forms.restrict(exhaustion.annulus(n, N), host_boundary=host_boundary), tol=tol, lower=lower
             )
             proved[n, N] = result.certified_lower
             value = result.value

@@ -210,7 +210,7 @@ def check_compact_perturbation(rng) -> tuple[bool, str]:
     free = load_coefficients({}, g)
     well = load_coefficients({"e01": {"q": -5.0}}, g)
     ex = build_exhaustion(g, "v00", 6)
-    annulus = ex.levels[4] - ex.levels[1]
+    annulus = ex.annulus(1, 4)
     mesh = build_mesh(g, 0.1)
     pa = assemble(mesh, free).restrict(annulus, host_boundary=True)
     pb = assemble(mesh, well).restrict(annulus, host_boundary=True)

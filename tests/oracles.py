@@ -10,16 +10,22 @@ that ``verify`` reads.
 ``GraphMesh.free_dofs`` decides which vertices of a piece are free, by one
 bincount over the mesh; :func:`dirichlet_vertices` states the same rule
 over the graph's edges, vertex by vertex, and checks it.
+
+``validate_hypotheses`` finds its compact subgraph by one running minimum
+over the exhaustion's edge order; :func:`compact_search` tries each level
+as its own sorted set of edge ids and masks the edges outside it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from graphsl.coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, map_by_spec
+from graphsl.coeff import GAUSS_NODES, GAUSS_WEIGHTS, CoefficientField, _edge_grid, map_by_spec
+from graphsl.errors import EvaluationError
 from graphsl.fem import GraphMesh, _all_but_last
 from graphsl.graph import MetricGraph
 
@@ -36,6 +42,50 @@ def dirichlet_vertices(g: MetricGraph, edge_ids, include_host_boundary: bool) ->
     return frozenset(
         {v for v, k in ends.items() if k < g.degree(v) or (include_host_boundary and v in g.boundary)}
     )
+
+
+def compact_search(g: MetricGraph, field: CoefficientField, exhaustion=None):
+    """Clause 2 of ``validate_hypotheses`` by direct search over the levels.
+
+    Returns ``(compact, essinf_w_outside, flag, details)``.  The candidates
+    are the empty compact and each level not seen before, smallest first;
+    the first with a positive minimum of w outside wins, otherwise the
+    first with the largest.  A level that leaves no edge outside is passed
+    over, and a w that cannot be evaluated on some edge makes the minimum
+    NaN and names the edge.
+    """
+    ids = [e.id for e in g.edges]
+    w_min = np.empty(len(ids))
+    for k, eid in enumerate(ids):
+        try:
+            w_min[k] = np.min(field.evaluate(eid, "w", _edge_grid(field, eid)))
+        except EvaluationError:
+            w_min[k] = math.nan
+    candidates = [()]
+    if exhaustion is not None:
+        for n in range(exhaustion.max_level + 1):
+            cand = tuple(sorted(exhaustion.level(n)))
+            if cand not in candidates:
+                candidates.append(cand)
+    best_cw = -math.inf
+    best_compact = candidates[0]
+    for cand in candidates:
+        inside = set(cand)
+        outside = np.array([eid not in inside for eid in ids], dtype=bool)
+        if not outside.any():
+            continue
+        cw = float(np.min(w_min[outside]))
+        if cw > best_cw:
+            best_cw, best_compact = cw, cand
+        if cw > 0:
+            break
+    details = None
+    if np.isnan(w_min).any():
+        details = [f"{ids[k]}: w not evaluable" for k in np.flatnonzero(np.isnan(w_min))]
+        best_cw = math.nan
+    elif best_cw == -math.inf:
+        best_cw = math.inf
+    return best_compact, best_cw, best_cw > 0, details
 
 
 def sample_field(field: CoefficientField, name: str, edge_ids, edge, xs: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def test_persson_suite():
     # ... while every annulus with n >= 1 never samples the well edge
     identical = True
     for n, N in [(1, 10), (2, 15), (4, 30)]:
-        edge_ids = ex.levels[N] - ex.levels[n]
+        edge_ids = ex.annulus(n, N)
         boundary = dirichlet_vertices(g, edge_ids, False)
         mesh = build_mesh(g, h, edges=edge_ids)
         kept = np.setdiff1d(np.arange(mesh.n_free), [mesh.vertex_dof[v] for v in boundary])

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+from oracles import compact_search
+
 from graphsl import expressions
 from graphsl.coeff import (
     edge_integrals,
@@ -12,7 +14,7 @@ from graphsl.coeff import (
     validate_hypotheses,
 )
 from graphsl.errors import CoefficientError, IntegrabilityError
-from graphsl.families import path, star, tree
+from graphsl.families import ladder, path, star, tree
 from graphsl.graph import build_exhaustion, load_graph
 from graphsl.spectral import sobolev_constant
 
@@ -238,6 +240,34 @@ def test_unevaluable_weight_fails_clause_two_with_edges_named():
     assert not report.flags[2]
     assert math.isnan(report.essinf_w_outside)
     assert report.details[2] == [f"{e.id}: w not evaluable" for e in g.edges]
+
+
+@pytest.mark.parametrize("doc", [path(9), tree(3), ladder(5), star(4)], ids=["path9", "tree3", "ladder5", "star4"])
+def test_compact_search_matches_the_direct_search(doc):
+    # random weights with zero edges and edges where w cannot be evaluated,
+    # against every exhaustion depth and none
+    g = load_graph(doc)
+    rng = np.random.default_rng(len(g.edges))
+    depths = [None, *range(len(g.edges) + 1)]
+    for trial in range(30):
+        coeffs = {}
+        for e in g.edges:
+            u = rng.random()
+            if u < 0.2:
+                coeffs[e.id] = {"w": 0.0}
+            elif u < 0.27:
+                coeffs[e.id] = {"w": {"expr": "sqrt(x-0.5)"}}
+            else:
+                coeffs[e.id] = {"w": {"expr": f"{rng.uniform(-0.5, 2.0)!r}+x"}}
+        field = load_coefficients(coeffs, g)
+        depth = depths[trial % len(depths)]
+        ex = None if depth is None else build_exhaustion(g, g.root, depth)
+        report = validate_hypotheses(g, field, exhaustion=ex)
+        compact, essinf, flag, details = compact_search(g, field, ex)
+        assert report.compact == compact
+        assert report.essinf_w_outside == essinf or math.isnan(report.essinf_w_outside) and math.isnan(essinf)
+        assert report.flags[2] == flag
+        assert report.details.get(2) == details
 
 
 def test_hypotheses_declared_eta():

@@ -297,7 +297,7 @@ def star_piecewise_q():
 
 def tree_negative_q_level():
     g = load_graph(tree(3))
-    level = build_exhaustion(g, "n0", 3).levels[2]
+    level = build_exhaustion(g, "n0", 3).level(2)
     field = load_coefficients({"default": {"q": {"expr": "-4+0.3*sin(2*x)"}}}, g)
     return assemble(build_mesh(g, 0.05, edges=level), field).restrict(level, host_boundary=True)
 
@@ -306,8 +306,8 @@ def restricted_annulus():
     g = load_graph(path(8))
     ex = build_exhaustion(g, "v00", 6)
     field = load_coefficients({"default": {"q": {"expr": "1/(1+x)"}}}, g)
-    parent = assemble(build_mesh(g, 0.05, edges=ex.levels[5]), field)
-    annulus = ex.levels[5] - ex.levels[2]
+    parent = assemble(build_mesh(g, 0.05, edges=ex.level(5)), field)
+    annulus = ex.annulus(2, 5)
     return parent.restrict(annulus, host_boundary=True)
 
 
@@ -317,7 +317,7 @@ Q_SIN = {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}}
 def ball_level(doc, root, depth, h, coeffs=Q_SIN):
     """Dirichlet pencil of the level-``depth`` ball of ``doc`` around ``root``."""
     g = load_graph(doc)
-    level = build_exhaustion(g, root, depth).levels[depth]
+    level = build_exhaustion(g, root, depth).level(depth)
     field = load_coefficients(coeffs, g)
     return assemble(build_mesh(g, h, edges=level), field).restrict(level, host_boundary=True)
 

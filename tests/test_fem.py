@@ -7,7 +7,7 @@ import pytest
 from oracles import dirichlet_vertices, mesh_samples
 
 from graphsl import _kernels
-from graphsl.coeff import CoefficientField, load_coefficients
+from graphsl.coeff import CoefficientField, load_coefficients, validate_hypotheses
 from graphsl.eig import Pencil, dense_reference, smallest_eigenpair
 from graphsl.errors import CoefficientError, MeshError
 from graphsl.families import cycle, ladder, path, star, tree
@@ -94,9 +94,9 @@ def assert_dof_layout(mesh):
 def test_dof_layout_after_build_and_restrict():
     g = load_graph(tree(3))
     ex = build_exhaustion(g, "n0", 3)
-    whole = build_mesh(g, 0.15, edges=ex.levels[3])
+    whole = build_mesh(g, 0.15, edges=ex.level(3))
     assert_dof_layout(whole)
-    level = ex.levels[2]
+    level = ex.level(2)
     boundary = dirichlet_vertices(g, level, True)
     assert boundary
     direct = build_mesh(g, 0.15, edges=level)
@@ -141,6 +141,23 @@ def test_graph_memory_is_linear_in_edges():
         finally:
             tracemalloc.stop()
         assert peak / len(g.edges) < 500
+
+
+def test_exhaustion_and_validation_memory_is_linear_in_edges():
+    # every solving command builds the exhaustion to full radius and searches
+    # it for a compact; on a path that peaks near 250 bytes per edge, while a
+    # set of edge ids kept per level grows with the square of the radius
+    # (about 29 and 75 KB per edge here) and breaks the bound
+    for n in (1000, 2000):
+        g = load_graph(path(n))
+        field = load_coefficients({}, g)
+        tracemalloc.start()
+        try:
+            validate_hypotheses(g, field, exhaustion=build_exhaustion(g, g.root, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(g.edges) < 1000
 
 
 def test_bad_h_rejected():
@@ -478,10 +495,10 @@ def test_restrict_equals_direct_assembly():
         g,
     )
     h = 0.15
-    parent = assemble(build_mesh(g, h, edges=ex.levels[3]), field)
+    parent = assemble(build_mesh(g, h, edges=ex.level(3)), field)
 
-    pieces = [ex.levels[n] for n in (1, 2, 3)]
-    pieces += [ex.levels[N] - ex.levels[n] for n, N in ((1, 2), (1, 3), (2, 3))]
+    pieces = [ex.level(n) for n in (1, 2, 3)]
+    pieces += [ex.annulus(n, N) for n, N in ((1, 2), (1, 3), (2, 3))]
     for edges in pieces:
         for host in (True, False):
             vertices = dirichlet_vertices(g, edges, host)
@@ -489,7 +506,7 @@ def test_restrict_equals_direct_assembly():
 
     # certificate: the forms of a level, whose interior block is the
     # level's Dirichlet pencil
-    level = ex.levels[2]
+    level = ex.level(2)
     free = assemble(build_mesh(g, h, edges=level), field)
     boundary = dirichlet_vertices(g, level, True)
     inner = free.restrict(level, host_boundary=True)
@@ -505,8 +522,8 @@ def test_restrict_rejects_edge_outside_parent():
     g = load_graph(tree(2))
     ex = build_exhaustion(g, "n0", 2)
     with pytest.raises(MeshError, match="not in the parent mesh"):
-        assemble(build_mesh(g, 0.25, edges=ex.levels[1]), load_coefficients({}, g)).restrict(
-            ex.levels[2]
+        assemble(build_mesh(g, 0.25, edges=ex.level(1)), load_coefficients({}, g)).restrict(
+            ex.level(2)
         )
 
 
@@ -516,23 +533,23 @@ def test_restrict_constrains_the_cut():
     g = load_graph(tree(2))
     ex = build_exhaustion(g, "n0", 2)
     field = load_coefficients({"default": {"q": {"expr": "0.5+x"}}}, g)
-    parent = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), field)
+    parent = assemble(build_mesh(g, 0.25, edges=ex.level(2)), field)
     for host in (False, True):
-        piece = parent.restrict(ex.levels[1], host_boundary=host)
-        kept = parent.mesh.free_dofs(ex.levels[1], host_boundary=host)
+        piece = parent.restrict(ex.level(1), host_boundary=host)
+        kept = parent.mesh.free_dofs(ex.level(1), host_boundary=host)
         assert not {parent.mesh.vertex_dof[v] for v in ("n1", "n2")} & set(kept)
         assert parent.mesh.vertex_dof["n0"] in kept
-        assert_same_pencil(piece, eliminated(g, 0.25, field, ex.levels[1], {"n1", "n2"}))
+        assert_same_pencil(piece, eliminated(g, 0.25, field, ex.level(1), {"n1", "n2"}))
 
 
 def test_restrict_takes_no_vertex_set():
     g = load_graph(tree(2))
     ex = build_exhaustion(g, "n0", 2)
-    forms = assemble(build_mesh(g, 0.25, edges=ex.levels[2]), load_coefficients({}, g))
+    forms = assemble(build_mesh(g, 0.25, edges=ex.level(2)), load_coefficients({}, g))
     for cut in (forms.restrict, forms.mesh.free_dofs):
         for positional in (frozenset({"n1", "n2"}), "free"):
             with pytest.raises(TypeError):
-                cut(ex.levels[1], positional)
+                cut(ex.level(1), positional)
 
 
 LOLLIPOP = {

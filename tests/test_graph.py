@@ -177,9 +177,9 @@ def test_colon_in_ids_accepted():
 
 def test_loop_at_the_root_lies_in_level_zero():
     ex = build_exhaustion(load_graph(LOLLIPOP), "a", 1)
-    assert ex.levels[0] == {"loop"}
+    assert set(ex.level(0)) == {"loop"}
     assert ex.halo_radius == 0.0  # the stick's nearer end is the root
-    assert ex.levels[1] == {"loop", "stick"}
+    assert set(ex.level(1)) == {"loop", "stick"}
 
 
 def test_loop_matches_periodic_assembly():
@@ -287,22 +287,22 @@ def test_metric_axioms_random_points(rng):
 def test_exhaustion_two_edge_path():
     g = load_graph(path(2))
     ex = build_exhaustion(g, "v00", 2)
-    assert ex.levels[1] == {"e01"}
+    assert set(ex.level(1)) == {"e01"}
     assert ex.halo_radius == 1.0  # e02's nearer end is at distance 1
 
 
 def test_exhaustion_level_zero_degenerate():
     g = load_graph(star(3))
     ex = build_exhaustion(g, "c", 1)
-    assert ex.levels[0] == frozenset()
+    assert set(ex.level(0)) == set()
     assert ex.halo_radius == 0.0  # every arm has the centre as an end
 
 
 def test_exhaustion_binary_tree_level_two():
     g = load_graph(tree(3))
     ex = build_exhaustion(g, "n0", 3)
-    assert len(ex.levels[2]) == 6
-    assert len(ex.levels[3]) == len(g.edges)
+    assert len(ex.level(2)) == 6
+    assert len(ex.level(3)) == len(g.edges)
 
 
 @pytest.mark.parametrize("doc", [tree(3), ladder(4), cycle(7)], ids=["tree3", "ladder4", "cycle7"])
@@ -311,7 +311,8 @@ def test_exhaustion_nesting(doc):
     max_level = 4
     ex = build_exhaustion(g, g.root, max_level)
     for n in range(ex.max_level):
-        assert ex.levels[n] <= ex.levels[n + 1]
+        assert set(ex.level(n)) <= set(ex.level(n + 1))
+        assert set(ex.annulus(n, n + 1)) == set(ex.level(n + 1)) - set(ex.level(n))
     # all-pairs reference; unit lengths put vertices exactly on level boundaries
     n_v = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
@@ -323,10 +324,13 @@ def test_exhaustion_nesting(doc):
         inside = [
             (dist[idx[e.src]] <= n + 1e-12, dist[idx[e.dst]] <= n + 1e-12) for e in g.edges
         ]
-        assert ex.levels[n] == {e.id for e, ins in zip(g.edges, inside) if all(ins)}
+        assert set(ex.level(n)) == {e.id for e, ins in zip(g.edges, inside) if all(ins)}
         # every edge has an endpoint within n exactly when the halo radius is at most n
         assert (ex.halo_radius <= n + 1e-12) == all(map(any, inside))
     assert ex.halo_radius == max(min(dist[idx[e.src]], dist[idx[e.dst]]) for e in g.edges)
+    # one order for every level: by the farther end's distance, graph order among equals
+    reach = [max(dist[idx[e.src]], dist[idx[e.dst]]) for e in g.edges]
+    assert ex.edges == tuple(g.edges[k].id for k in sorted(range(len(g.edges)), key=reach.__getitem__))
 
 
 def test_exhaustion_memory_is_linear_in_edges():
@@ -342,11 +346,11 @@ def test_exhaustion_memory_is_linear_in_edges():
 
 def test_exhaustion_unknown_root():
     g = load_graph(path(2))
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="root 'ghost' is not a vertex"):
         build_exhaustion(g, "ghost", 1)
 
 
 def test_level_vertices():
     g = load_graph(path(3))
     ex = build_exhaustion(g, "v00", 2)
-    assert subgraph_vertices(g, ex.levels[2]) == {"v00", "v01", "v02"}
+    assert subgraph_vertices(g, ex.level(2)) == {"v00", "v01", "v02"}

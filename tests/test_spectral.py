@@ -81,7 +81,7 @@ def test_interval_bottom_approximates_pi_squared(star3):
 
 def test_empty_levels_are_skipped(star3):
     g, ex = star3
-    assert ex.levels[0] == frozenset()
+    assert set(ex.level(0)) == set()
     report = inf_spectrum(g, load_coefficients({}, g), ex, h=0.05)
     assert [row.level for row in report.rows] == [1]
     assert report.error_proxy == math.inf
@@ -218,7 +218,8 @@ def test_cosh_profile_on_unit_segment(halfline):
 def _on_level(cert, ex, m):
     """The certificate's nodal values on the edges of level ``m``."""
     mesh = cert.mesh
-    on_level = np.repeat([eid in ex.levels[m] for eid in mesh.edge_ids], np.diff(mesh.start))
+    level = set(ex.level(m))
+    on_level = np.repeat([eid in level for eid in mesh.edge_ids], np.diff(mesh.start))
     return cert.values[mesh.dof[on_level]]
 
 
@@ -290,9 +291,9 @@ CERT_MULTIGRAPH = {
 def test_certificate_boundary_on_a_multigraph_level():
     g = load_graph(CERT_MULTIGRAPH)
     ex = build_exhaustion(g, "r", 2)
-    assert ex.levels[2] == {"e1", "loop", "p1", "p2", "mb", "stub"}
+    assert set(ex.level(2)) == {"e1", "loop", "p1", "p2", "mb", "stub"}
     cert = positive_solution(g, load_coefficients({}, g), ex, lam=-1.0, level=2, h=0.05)
-    boundary = dirichlet_vertices(g, ex.levels[2], True)
+    boundary = dirichlet_vertices(g, ex.level(2), True)
     assert boundary == {"r", "l", "b"}
     assert cert.boundary_vertices == boundary
     # the root is a boundary vertex, so the unit data survive the normalization exactly
@@ -340,19 +341,19 @@ def test_ap_check_frees_the_union_before_the_eigensolve(monkeypatch, lam, kind):
 
     g = load_graph(tree(4))
     ex = build_exhaustion(g, "n0", 4)
-    unions, alive = [], []
-    real_union, real_solve = spectral._assemble_union, spectral.smallest_eigenpair
+    assembled, alive = [], []
+    real_assemble, real_solve = spectral.assemble, spectral.smallest_eigenpair
 
-    def assemble_union(*args, **kwargs):
-        forms = real_union(*args, **kwargs)
-        unions.append(weakref.ref(forms))
+    def assemble(*args, **kwargs):
+        forms = real_assemble(*args, **kwargs)
+        assembled.append(weakref.ref(forms))
         return forms
 
     def solve(*args, **kwargs):
-        alive.extend(ref() is not None for ref in unions)
+        alive.extend(ref() is not None for ref in assembled)
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_assemble_union", assemble_union)
+    monkeypatch.setattr(spectral, "assemble", assemble)
     monkeypatch.setattr(spectral, "smallest_eigenpair", solve)
     result = ap_check(g, load_coefficients({}, g), ex, lam, 3, h=0.1)
     assert result.kind == kind
@@ -380,7 +381,8 @@ def test_ap_check_rejects_a_nonfinite_trial_value_before_any_work(monkeypatch, s
     def refuse(*args, **kwargs):
         raise AssertionError("assembled for a non-finite trial value")
 
-    monkeypatch.setattr(spectral, "_assemble_union", refuse)
+    monkeypatch.setattr(spectral, "build_mesh", refuse)
+    monkeypatch.setattr(spectral, "assemble", refuse)
     g, ex = star3
     field = load_coefficients({}, g)
     for check in (ap_check, positive_solution):
