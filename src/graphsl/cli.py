@@ -12,9 +12,8 @@ block from ``_preamble``: the tool version and the command, then an echo
 of the command's options sufficient to reproduce the run and the
 hypothesis-check summary.  ``validate`` has no hypothesis line; ``verify``
 has only the seed of its suite.  No timestamps: identical options give
-byte-identical output at a fixed BLAS thread count.  Machine output goes
-to the ``--out`` path or standard output; progress and warnings go to
-standard error.
+byte-identical output.  Machine output goes to the ``--out`` path or
+standard output; progress and warnings go to standard error.
 
 Exit codes: 0 success; 2 usage errors, unreadable inputs, and hypothesis
 failures without ``--override``; 3 solver failures (non-convergence,

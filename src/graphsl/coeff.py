@@ -428,9 +428,6 @@ def validate_hypotheses(
         # no compact choice bounds a weight whose infimum is unknown
         details[2] = [f"{ids[k]}: w not evaluable" for k in np.flatnonzero(np.isnan(w_min))]
         best_cw = math.nan
-    elif best_cw == -math.inf:
-        # every candidate swallowed the whole graph; vacuously positive
-        best_cw = math.inf
     flags[2] = best_cw > 0
 
     flags[3] = g.min_edge_length > 0

@@ -7,7 +7,8 @@ full reorthogonalization, a second Gram-Schmidt pass only when the first
 cancels most of the new vector, one solve with F per application, started
 from the all-ones vector.  The Ritz value of S of largest modulus, theta,
 gives the pencil's Ritz value shift + 1/theta; with the shift below
-lambda_1 it is an upper end by Courant-Fischer.  The basis holds at most
+lambda_1 it is an upper end by Courant-Fischer.  The basis is a list of
+rows, appended as the loop fills them, and holds at most
 ``_BASIS_ROWS`` rows; past that, and on every new factor, the loop
 restarts from its current Ritz vector.  It stops once the error estimate
 beta |s_k| / theta^2 (s the unit Ritz vector of the tridiagonal T;
@@ -18,6 +19,12 @@ max(1, |value|), which is that stop at tol <= 1e-12.  If the polished pair
 then misses the residual check or the proof, the same loop steps on to
 the floor before any error path runs, so a pair that a loop run straight
 to the floor would give is never lost.
+
+Every reduction of a solve (the loop's dots, its Gram-Schmidt sums and
+Ritz vector, the polish's Rayleigh quotient and the reported norms) runs
+in numpy's own summation loops (``_dot``, ``_combine``), never in BLAS,
+whose sum order follows its thread count; so a solve gives the same bytes
+at every BLAS thread count.
 
 The shift is placed by inertia counts, and the loop's own steps supply
 the upper end.  A count of 0 proves a shift lo just below a Gershgorin
@@ -496,6 +503,28 @@ def _inertia(pencil: Pencil, sigma: float):
     return int(np.count_nonzero(~(lu.U.diagonal() > 0))), factor
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two vectors by numpy's own summation loop.
+
+    ``a @ b`` calls BLAS, whose sum order follows its thread count; this
+    sum does not, so a solve prints the same bytes at every thread count.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a vector by ``_dot``."""
+    return float(np.sqrt(_dot(v, v)))
+
+
+def _combine(coefficients, rows: list) -> np.ndarray:
+    """The sum of c * row over paired coefficients and rows, added in place one row at a time."""
+    total = coefficients[0] * rows[0]
+    for c, row in zip(coefficients[1:], rows[1:]):
+        total += c * row
+    return total
+
+
 def _window(lo: float, hi: float) -> bool:
     """Whether the bracket [lo, hi] is still wider than max(1, |hi|) / 4."""
     return hi - lo > 0.25 * max(1.0, abs(hi))
@@ -504,14 +533,16 @@ def _window(lo: float, hi: float) -> bool:
 class _Lanczos:
     """Shift-inverted Lanczos on S = F^{-1} M in the M inner product.
 
-    F is the factor of K - sigma*M that ``attach`` hands in.  The rows of
-    ``Q`` are an M-orthonormal basis of a Krylov space of S, and
+    F is the factor of K - sigma*M that ``attach`` hands in.  ``Q`` is a
+    list of 1-D rows, an M-orthonormal basis of a Krylov space of S, and
     T = Q M S Q^T is tridiagonal.  A step makes one solve with F,
     the three-term recurrence and classical Gram-Schmidt against every row
-    of Q.  A second pass is made only when the first cut ||w||_M below
-    ``_DGKS`` = 1/sqrt(2) of its value (Daniel, Gragg, Kaufman and
-    Stewart, Math. Comp. 30, 1976): then w was nearly in the span of Q, and
-    the pass's rounding errors are no longer small next to what is left.
+    of Q: one ``_dot`` per row, then the rows' combination subtracted at
+    once, with no BLAS product.  A second pass is made only when the first
+    cut ||w||_M below ``_DGKS`` = 1/sqrt(2) of its value (Daniel, Gragg,
+    Kaufman and Stewart, Math. Comp. 30, 1976): then w was nearly in the
+    span of Q, and the pass's rounding errors are no longer small next to
+    what is left.
     The pass's input is w after the recurrence, so the errors of that
     subtraction are removed with the rest.  Each pass's M w gives the next
     pass's projection or beta, so a step makes two products with M, three
@@ -521,14 +552,14 @@ class _Lanczos:
     estimates its distance to an eigenvalue of the pencil (Parlett, *The
     Symmetric Eigenvalue Problem*, ch. 13).  The loop has ``converged``
     once ``error`` <= ``stop`` * max(1, |value|); the solve sets ``stop``,
-    and may lower it to the floor ``_STOP`` and step on.  A step stores the
+    and may lower it to the floor ``_STOP`` and step on.  A step makes the
     next basis row whenever there is room for it, converged or not, and the
-    next step counts it, so a loop that stopped early goes on exactly as if
-    it had not stopped.  Each step appends (apply index, value) to
-    ``history``, the solve's one row per application, which
-    ``_MAX_APPLIES`` caps.  Past ``_BASIS_ROWS`` rows the loop restarts
-    from its Ritz vector, and ``detach`` keeps only that vector, so the
-    basis never grows with the applications.
+    next step appends it to ``Q``, so a loop that stopped early goes on
+    exactly as if it had not stopped, and only counted rows are held.  Each
+    step appends (apply index, value) to ``history``, the solve's one row
+    per application, which ``_MAX_APPLIES`` caps.  Past ``_BASIS_ROWS`` rows
+    the loop restarts from its Ritz vector, and ``detach`` keeps only that
+    vector, so the basis never grows with the applications.
     """
 
     def __init__(self, K, M, history: list, start=None, stop: float = _STOP):
@@ -548,20 +579,18 @@ class _Lanczos:
     def attach(self, sigma: float, lu) -> None:
         """Restart from the Ritz vector on the factor ``lu`` of K - sigma*M."""
         self.sigma, self.lu = sigma, lu
-        self.Q = np.empty((_BASIS_ROWS, self.K.shape[0]))
         self._restart(self.x)
 
     def detach(self) -> None:
         """Keep the Ritz vector; free the basis and the factor."""
         self.x = self.ritz_vector()
-        self.lu = self.Q = self.s = None
+        self.lu = self.Q = self.s = self.next_q = self.next_mq = None
 
     def _restart(self, x: np.ndarray) -> None:
         mx = self.M @ x
-        norm = np.sqrt(x @ mx)
-        self.Q[0] = x / norm
+        norm = np.sqrt(_dot(x, mx))
+        self.Q = [x / norm]
         self.mq = mx / norm  # M times the newest row of Q
-        self.rows = 1
         self.beta = 0.0
         self.s = None
         self.value = np.inf
@@ -570,7 +599,7 @@ class _Lanczos:
         """The Ritz vector of ``value``, or the start vector before any step."""
         if self.s is None:
             return self.x
-        return self.Q[: self.s.size].T @ self.s
+        return _combine(self.s, self.Q)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """F^{-1} b with one solve; ``history`` has a row for each earlier one."""
@@ -582,27 +611,28 @@ class _Lanczos:
 
     def step(self) -> bool:
         """One Lanczos step; returns ``converged``."""
+        Q, T = self.Q, self.T
         if self.s is not None:  # go on from the last step's next row, or restart from a full basis
             if self.s.size == _BASIS_ROWS:
                 self._restart(self.ritz_vector())
+                Q = self.Q
             else:
-                k = self.rows - 1
-                self.T[k, k + 1] = self.T[k + 1, k] = self.beta
+                k = len(Q) - 1
+                T[k, k + 1] = T[k + 1, k] = self.beta
+                Q.append(self.next_q)
                 self.mq = self.next_mq
-                self.rows += 1
-        k = self.rows - 1
-        Q, T = self.Q[: k + 1], self.T
+        k = len(Q) - 1
         w = self.apply(self.mq)
-        T[k, k] = w @ self.mq
+        T[k, k] = _dot(w, self.mq)
         w -= T[k, k] * Q[k]
         if k:
             w -= self.beta * Q[k - 1]
         mw = self.M @ w
-        norm = float(np.sqrt(w @ mw))
+        norm = float(np.sqrt(_dot(w, mw)))
         for _ in range(2):
-            w -= Q.T @ (Q @ mw)
+            w -= _combine([_dot(q, mw) for q in Q], Q)
             mw = self.M @ w
-            self.beta = float(np.sqrt(w @ mw))
+            self.beta = float(np.sqrt(_dot(w, mw)))
             if self.beta >= _DGKS * norm:
                 break
         thetas, vecs = np.linalg.eigh(T[: k + 1, : k + 1])
@@ -611,10 +641,11 @@ class _Lanczos:
         self.value = self.sigma + 1.0 / theta
         self.error = self.beta * abs(self.s[-1]) / theta**2
         self.history.append((len(self.history) + 1, self.value))
-        if self.beta > 0 and self.rows < _BASIS_ROWS:
+        if self.beta > 0 and len(Q) < _BASIS_ROWS:
             # the next row, counted only when the loop steps on
-            self.Q[self.rows] = w / self.beta
-            self.next_mq = mw / self.beta
+            w /= self.beta
+            mw /= self.beta
+            self.next_q, self.next_mq = w, mw
         return self.converged
 
 
@@ -706,7 +737,7 @@ def eigsh(pencil: Pencil, seed: float, loop: _Lanczos, lower: float, tol: float)
         # one inverse-iteration step with the shift's factor lowers the
         # residual's rounding floor below that of the raw Ritz pair
         vector = loop.apply(M @ loop.ritz_vector())
-        value = float(vector @ (K @ vector)) / float(vector @ (M @ vector))
+        value = _dot(vector, K @ vector) / _dot(vector, M @ vector)
         history = loop.history
         history.append((len(history) + 1, value))
         result = _measured(pencil, value, vector, tol, iterations=len(history), shift=loop.sigma, history=history)
@@ -720,7 +751,7 @@ def _measured(pencil: Pencil, value: float, vector: np.ndarray, tol: float, **fi
     """The pair M-normalized with its largest entry positive, and its accuracy."""
     K, M = pencil.K, pencil.M
     mx = M @ vector
-    norm = float(np.sqrt(vector @ mx))
+    norm = float(np.sqrt(_dot(vector, mx)))
     if norm <= 0 or not np.isfinite(norm):
         raise SolverError("eigenvector has nonpositive mass norm")
     vector = vector / norm
@@ -729,10 +760,10 @@ def _measured(pencil: Pencil, value: float, vector: np.ndarray, tol: float, **fi
         vector = -vector
     mx = M @ vector
     residual_vec = K @ vector - value * mx
-    residual_norm = float(np.linalg.norm(residual_vec))
-    residual = residual_norm / float(np.linalg.norm(mx))
+    residual_norm = _norm(residual_vec)
+    residual = residual_norm / _norm(mx)
     _, _, _, norm_k, norm_m = pencil.bounds
-    backward_error = residual_norm / ((norm_k + abs(value) * norm_m) * float(np.linalg.norm(vector)))
+    backward_error = residual_norm / ((norm_k + abs(value) * norm_m) * _norm(vector))
     return EigenResult(
         value=value,
         vector=vector,

@@ -182,7 +182,14 @@ class AssembledForms:
         both matrices share.  The piece's eigensolve and certificate solve
         share this one analysis.
         """
-        kept = self.mesh.free_dofs(edge_ids, host_boundary=host_boundary)
+        return self.cut(self.mesh.free_dofs(edge_ids, host_boundary=host_boundary))
+
+    def cut(self, kept: np.ndarray) -> Pencil:
+        """The analysed pencil of the principal submatrices on the increasing dofs ``kept``.
+
+        ``restrict`` with the dofs already found, for a caller that holds
+        the piece's :meth:`GraphMesh.free_dofs` anyway.
+        """
         return Pencil.on_pattern(*_principal(self.K, self.M, kept))
 
 

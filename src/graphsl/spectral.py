@@ -262,14 +262,14 @@ def ap_check(
     refutation when above by more than ``tol``, and indeterminate inside
     the band.
 
-    The level's pencil is cut from the level's assembly, and the lifted
+    :meth:`GraphMesh.free_dofs` finds the level's dofs once.  The level's
+    pencil is cut from the level's assembly on them, and the lifted
     right-hand side of the certificate is formed from it at once,
     whatever the outcome; only the mesh is kept, so the level's K and M are
     freed before the eigensolve, whose working set then reuses their memory.
     The level's Dirichlet vertices, which carry the unit boundary data and
-    leave the Kirchhoff check, are the vertex dofs that
-    :meth:`GraphMesh.free_dofs` does not keep.  A trial value that is not
-    finite raises SolverError before any work.
+    leave the Kirchhoff check, are the vertex dofs not kept.  A trial value
+    that is not finite raises SolverError before any work.
     """
     if not math.isfinite(lam):
         raise SolverError(f"trial value must be finite, got {lam!r}")
@@ -278,10 +278,10 @@ def ap_check(
     if not edge_ids:
         raise SolverError(f"exhaustion level {level} contains no edges")
     forms = assemble(build_mesh(g, h, edges=edge_ids), field)
-    piece = forms.restrict(edge_ids, host_boundary=True)
     mesh = forms.mesh
-    # the unit boundary data: one at every dof the piece does not keep, all of them vertex dofs
     kept = mesh.free_dofs(edge_ids, host_boundary=True)
+    piece = forms.cut(kept)
+    # the unit boundary data: one at every dof the piece does not keep, all of them vertex dofs
     e_b = np.ones(mesh.n_free)
     e_b[kept] = 0.0
     lifted = (lam * (forms.M @ e_b) - forms.K @ e_b)[kept]

@@ -83,8 +83,6 @@ def compact_search(g: MetricGraph, field: CoefficientField, exhaustion=None):
     if np.isnan(w_min).any():
         details = [f"{ids[k]}: w not evaluable" for k in np.flatnonzero(np.isnan(w_min))]
         best_cw = math.nan
-    elif best_cw == -math.inf:
-        best_cw = math.inf
     return best_compact, best_cw, best_cw > 0, details
 
 

@@ -699,6 +699,27 @@ def test_import_leaves_matrix_market_io_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the eigensolve's reductions bypass BLAS, whose sums follow its thread count
+    import os
+    import subprocess
+    import sys
+
+    from graphsl.families import tree
+
+    graph = tmp_path / "tree7.json"
+    graph.write_text(json.dumps(tree(7)))
+    outputs = []
+    for threads in ("1", "2"):
+        target = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(graphsl.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+        argv = ["spectrum", "--graph", str(graph), "--h", "0.01", "--levels", "1,7", "--tol", "1e-10", "--out", str(target)]
+        subprocess.run([sys.executable, "-m", "graphsl.cli", *argv], env=env, capture_output=True, check=True)
+        outputs.append(target.read_bytes())
+    assert b"# estimate: " in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 # --- verify ------------------------------------------------------------------------
 
 

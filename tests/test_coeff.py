@@ -242,6 +242,16 @@ def test_unevaluable_weight_fails_clause_two_with_edges_named():
     assert report.details[2] == [f"{e.id}: w not evaluable" for e in g.edges]
 
 
+def test_weight_with_minimum_minus_inf_fails_clause_two():
+    # 1e400 reads as inf, so w = -inf on every edge; the empty compact leaves
+    # every edge outside, so clause 2 sees that minimum
+    g = load_graph(path(3))
+    report = validate_hypotheses(g, load_coefficients({"default": {"w": {"expr": "x-x-1e400"}}}, g))
+    assert report.essinf_w_outside == -math.inf
+    assert report.flags[2] is False
+    assert 2 in report.failures()
+
+
 @pytest.mark.parametrize("doc", [path(9), tree(3), ladder(5), star(4)], ids=["path9", "tree3", "ladder5", "star4"])
 def test_compact_search_matches_the_direct_search(doc):
     # random weights with zero edges and edges where w cannot be evaluated,

@@ -360,6 +360,23 @@ def test_ap_check_frees_the_union_before_the_eigensolve(monkeypatch, lam, kind):
     assert alive == [False]
 
 
+def test_ap_check_finds_the_level_dofs_once(monkeypatch):
+    from graphsl.fem import GraphMesh
+
+    g = load_graph(tree(4))
+    calls = []
+    real = GraphMesh.free_dofs
+
+    def free_dofs(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphMesh, "free_dofs", free_dofs)
+    result = ap_check(g, load_coefficients({}, g), build_exhaustion(g, "n0", 4), -1.0, 3, h=0.1)
+    assert result.kind == "certificate"
+    assert len(calls) == 1
+
+
 def test_ap_check_on_a_level_without_boundary():
     """On a closed cycle the whole graph has no Dirichlet vertex: only a certificate needs one."""
     g = load_graph(cycle(4))
