@@ -1,57 +1,40 @@
 """Smallest eigenpair of the generalized pencil K x = lambda M x.
 
-Every pencil, from one unknown up, is solved by one shift-inverted
-Lanczos loop (``_Lanczos``) on S = F^{-1} M in the M inner product, where
-F is a sparse factorization of K - shift*M: the three-term recurrence with
-full reorthogonalization, a second Gram-Schmidt pass only when the first
-cancels most of the new vector, one solve with F per application, started
-from the all-ones vector.  The Ritz value of S of largest modulus, theta,
-gives the pencil's Ritz value shift + 1/theta; with the shift below
-lambda_1 it is an upper end by Courant-Fischer.  The basis is a list of
-rows, appended as the loop fills them, and holds at most
-``_BASIS_ROWS`` rows; past that, and on every new factor, the loop
-restarts from its current Ritz vector.  It stops once the error estimate
-beta |s_k| / theta^2 (s the unit Ritz vector of the tridiagonal T;
-Parlett, *The Symmetric Eigenvalue Problem*, ch. 13) is at most
-``_MARGIN`` = 1/100 of what the proof below needs, delta = max(tol, 1e-12)
-* max(1, |value|), and never later than at the floor ``_STOP`` = 1e-14 *
-max(1, |value|), which is that stop at tol <= 1e-12.  If the polished pair
-then misses the residual check or the proof, the same loop steps on to
-the floor before any error path runs, so a pair that a loop run straight
-to the floor would give is never lost.
+Every pencil, from one unknown up, is solved by inverse iteration at
+shifts that inertia counts prove (``eigsh``; Parlett, *The Symmetric
+Eigenvalue Problem*, ch. 3-4; Demmel, *Applied Numerical Linear
+Algebra*, section 5.3, the bisection and inverse iteration of LAPACK's
+``dstebz`` and ``dstein``).  A count of 0 at a shift lo proves that no
+eigenvalue lies at or below it, and the iteration only ever runs on such
+a shift's factor F_lo: y = F_lo^{-1} M x, M-normalized, from the
+all-ones vector.  Its Rayleigh quotient rho = x^T K x is an upper end of
+lambda_1 by Courant-Fischer.  With delta = max(tol, 1e-12) * max(1,
+|rho|) and s = rho - delta, each application either finds s at or below
+lo, so lo lies within delta of lambda_1, or counts one probe: s itself
+once the residual estimate says x has converged, otherwise a point
+between lo and rho.  A count above 0 lowers the upper end and bisects
+toward lo; a count of 0 raises lo and its factor replaces F_lo.  A count
+of 0 at s is the proof: one more application on F_s, the polish, gives
+the returned pair, whose value is its Rayleigh quotient and whose
+``certified_lower`` is value - delta.  The polish is needed: the pair
+before it can miss ``tol``.  The proof needs no factorization of its own.
 
-Every reduction of a solve (the loop's dots, its Gram-Schmidt sums and
-Ritz vector, the polish's Rayleigh quotient and the reported norms) runs
-in numpy's own summation loops (``_dot``, ``_combine``), never in BLAS,
-whose sum order follows its thread count; so a solve gives the same bytes
-at every BLAS thread count.
+A caller may pass a candidate lower bound ``lower`` of lambda_1 (for a
+Dirichlet piece, the proved lower bound of a solved piece that contains
+it: by Cauchy interlacing a principal sub-pencil's lambda_1 is no
+smaller than the whole pencil's; or a guess, such as an extrapolation
+along a sweep of nested pieces).  The first lo is then the larger of a
+Gershgorin lower bound less 1 % of its scale (the seed) and ``lower``.
+The hint is checked, never trusted: its count must be 0, and if it is
+not, or SuperLU refuses symmetric pivoting there, the solve starts from
+the seed, so a wrong hint costs one factorization and never a wrong
+answer.  There is no other start: a count that cannot be read, or that
+is above 0, at the seed raises SolverError.
 
-The shift is placed by inertia counts, and the loop's own steps supply
-the upper end.  A count of 0 proves a shift lo just below a Gershgorin
-lower bound of the pencil spectrum; the loop starts on lo's factor, and
-after each step its Ritz value hi is an upper end.  Once hi - lo <=
-max(1, |hi|) / 4 placement ends, and the same basis goes on to
-convergence on that factor.  If the window is still open after
-``_PLACEMENT_STEPS`` steps, or when the loop converges with the window
-open (a Krylov space that runs out, as in a pencil of n unknowns at step
-n), the basis and the factor are freed and
-the first probe goes to hi - max(1, |hi|) / 16: a count of 0 there places
-the shift, otherwise bisection takes over, and the loop restarts from its
-Ritz vector on the placed shift's LDL^T factor.  A caller may pass a
-candidate lower bound ``lower`` of lambda_1 (for a Dirichlet piece, the
-proved lower bound of a solved piece that contains it: by Cauchy
-interlacing a principal sub-pencil's lambda_1 is no smaller than the
-whole pencil's; or a guess, such as an extrapolation along a sweep of
-nested pieces).  Placement then starts at the larger of the Gershgorin
-seed and ``lower``.  The hint is checked, never trusted: its
-factorization's count must be 0, and if it is not, or SuperLU refuses
-symmetric pivoting there, placement runs again from the Gershgorin seed,
-so a wrong hint costs one factorization and never a wrong answer.  There
-is no other shift: a count that cannot be read, or that is above 0, at
-the Gershgorin seed raises SolverError.  The converged Ritz vector x is
-polished by one inverse-iteration step with the shift's factor, y =
-(K - shift*M)^{-1} M x, and the returned value is the Rayleigh quotient
-of y.
+Every reduction of a solve (the Rayleigh quotients, the M-norms, the
+residual estimate and the reported norms) runs in numpy's own summation
+loop (``_dot``), never in BLAS, whose sum order follows its thread
+count; so a solve gives the same bytes at every BLAS thread count.
 
 A sparse direct solve splits into a symbolic analysis, which depends only
 on where the entries are, and a numeric factorization (Davis, *Direct
@@ -61,9 +44,9 @@ come on one; only a caller's pencil is spread onto the union), the head
 size, the chains, and the Schur complement's pattern with the map that
 sums its values.  ``Condensed`` is the numeric factor at one shift:
 K.data - shift*M.data, LAPACK on the chains, one bincount and SuperLU.  Every
-factorization of a solve (the Gershgorin count, the probes, the
-shift-invert factor and the proof) reuses the one analysis, so a new
-shift only refactors values.
+factorization of a solve (the seed's or the hint's count and every probe,
+the proof among them) reuses the one analysis, so a new shift only
+refactors values.
 
 Every factorization condenses the edge interiors out.  In the dof order
 of ``fem.build_mesh``, free vertices first and then each edge's interior
@@ -81,34 +64,30 @@ solve plus one solve with S_V.
 No solve gets a refinement pass.  The count of 0 at the shift proves
 K - shift*M positive definite, and LDL^T without pivoting is backward
 stable on positive definite matrices (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 10), for A_EE and S_V alike; the polish lowers
-the residual's floor further.
+Numerical Algorithms*, ch. 10), for A_EE and S_V alike.
 
-That the returned value is the *smallest* eigenvalue is then proved, not
-assumed from where the shift was put.  With delta = max(tol, 1e-12) *
-max(1, |value|), K - (value - delta) M is factored once: A_EE as L D L^T
-by LAPACK and S_V as P^T L D L^T P by SuperLU restricted to diagonal
-pivots.  By Haynsworth's inertia additivity, In(A) = In(A_EE) + In(S_V),
-and Sylvester's law of inertia, the number of nonpositive pivots of S_V
-is then the number of eigenvalues at or below value - delta, so all
-pivots positive proves that none lies there.  A count above 0 means the
-all-ones start vector missed lambda_1 (it can be M-orthogonal to a
-sign-changing ground state, which graph pencils with a positive ground
-state never have), and the solve runs once more from a seeded random
-start vector; if that count is above 0 too, the solve raises
-SolverError.  Placement and this proof share one counting routine, and
-every factor is released before the next one is made, so two factors are
-never alive at once: the loop's basis outlives its factor through the
-proof, and a loop that steps on after a failed proof gets its factor made
-again at its own shift.
+That the returned value is the *smallest* eigenvalue is proved, not
+assumed from where the shift was put.  A count factors K - sigma*M once:
+A_EE as L D L^T by LAPACK and S_V as P^T L D L^T P by SuperLU restricted
+to diagonal pivots.  By Haynsworth's inertia additivity, In(A) = In(A_EE)
++ In(S_V), and Sylvester's law of inertia, the number of nonpositive
+pivots of S_V is then the number of eigenvalues at or below sigma, so
+all pivots positive proves that none lies there.  Inverse iteration from
+a shift below lambda_1 finds lambda_1 unless x is M-orthogonal to the
+ground state, as the all-ones vector can be to a sign-changing one
+(graph pencils with a positive ground state never are).  Then a
+converged x keeps failing the count at its s, the run gives up, and the
+solve runs once more from a seeded random start vector; if that run's
+pair cannot be proved either, the solve raises SolverError.  At most two
+factors are alive at once, F_lo and the probe being counted.
 
 Two accuracy measures are reported.  The residual ||K x - lambda M x|| /
 ||M x|| is unscaled: with unit roundoff u its floor is about
 u ||K|| ||x|| / ||M x||, which grows like h^-2 on a P1 mesh of width h,
-and it is what ``tol`` is checked against.  With the loop stopped at a
-fraction of delta it typically lies a few orders of magnitude below tol,
-not at the floor.  The normwise backward error ||K x - lambda M x|| /
-((||K||_1 + |lambda| ||M||_1) ||x||) is scale-free.  Its 1-norms come
+and it is what ``tol`` is checked against.  After the polish on a
+factor within delta of lambda_1 it typically lies near that floor.  The
+normwise backward error ||K x - lambda M x|| / ((||K||_1 + |lambda|
+||M||_1) ||x||) is scale-free.  Its 1-norms come
 with the Gershgorin bound from K's and M's absolute row sums, worked out
 once per pencil (``Pencil.bounds``).
 
@@ -136,13 +115,8 @@ _SYMMETRIC = {
     "options": {"SymmetricMode": True},
     "panel_size": 1,
 }
-_PLACEMENT_STEPS = 8  # Lanczos steps on the Gershgorin factor before the first probe
-_BASIS_ROWS = 20  # Lanczos basis rows; past them the loop restarts from its Ritz vector
 _MAX_APPLIES = 2000  # applications of the inverted operator one solve may make
-_STOP = 1e-14  # the loop's floor: a Ritz-value error estimate, relative to max(1, |value|), that ends it
-_MARGIN = 1e-2  # the loop stops at this fraction of the proof's delta (the floor once tol <= 1e-12)
 _MASS_HALVINGS = 64  # tries at proving a lower bound of M below its smallest diagonal entry
-_DGKS = 1.0 / np.sqrt(2.0)  # a Gram-Schmidt pass that keeps less of ||w||_M than this is repeated
 _START_SEED = 0  # the seeded start vector of the one rerun after a failed proof
 
 
@@ -150,27 +124,20 @@ _START_SEED = 0  # the seeded start vector of the one rerun after a failed proof
 class EigenResult:
     """Converged smallest eigenpair with diagnostics.
 
-    ``vector`` is the Ritz vector after one inverse-iteration polish with
-    the shift's factor, and ``value`` is its Rayleigh quotient.  The loop
-    stops once its error estimate is 1/100 of delta (below), so the pair
-    is as accurate as the proof needs, not as the arithmetic allows.
-    ``residual`` is ||K x - value * M x|| / ||M x|| recomputed from the
-    returned pair, at most max(tol, 1e-12); it is unscaled, with a rounding
-    floor that grows like h^-2.  ``backward_error`` is the scale-free
-    ||K x - value * M x|| / ((||K||_1 + |value| ||M||_1) ||x||).
+    ``vector`` is the polished iterate, and ``value`` is its Rayleigh
+    quotient.  ``residual`` is ||K x - value * M x|| / ||M x|| recomputed
+    from the returned pair, at most max(tol, 1e-12); it is unscaled, with a
+    rounding floor that grows like h^-2.  ``backward_error`` is the
+    scale-free ||K x - value * M x|| / ((||K||_1 + |value| ||M||_1) ||x||).
     ``certified_lower`` is value - delta with delta = max(tol, 1e-12) *
     max(1, |value|): no eigenvalue of the pencil lies below it, proved by
     an inertia count.  ``iterations`` counts applications of the inverted
-    operator: the Lanczos steps on every factor, those that placed the
-    shift included, and each polish (one more for a pair that a failed
-    check sent on to the floor).  ``shift`` is the Lanczos shift, placed
-    by inertia counts: a count of 0 proves that no eigenvalue lies at or
-    below it, so, like ``certified_lower``, it is a proved lower bound of
-    the spectrum; it also lies below ``certified_lower`` unless a ``lower``
-    hint or a bisection step lands within delta of lambda_1.  ``history``
-    holds one (apply index, value) row per application: the Ritz value
-    after each Lanczos step, and each polish's Rayleigh quotient, so it has
-    ``iterations`` rows.
+    operator, the polish included, over both runs when the seeded rerun
+    was made.  ``shift`` is the last shift the solve proved by a count of
+    0: the polish's, or value - delta when that was counted after it, so
+    ``certified_lower`` <= ``shift`` < ``value``.  ``history`` holds one
+    (apply index, Rayleigh quotient) row per application, so it has
+    ``iterations`` rows and ends with ``value``.
     """
 
     value: float
@@ -222,9 +189,9 @@ def pencil_lower_bound(pencil: Pencil) -> float:
     at least alpha divided by the upper Gershgorin bound of M when alpha
     is nonnegative, and alpha divided by a positive lower bound of M's
     spectrum otherwise.  It reads the pencil's ``bounds``, worked out once
-    per pencil; it seeds the lower end of the bracket in which
-    ``solve_pencil`` places its default shift, and ``solve_pencil`` proves
-    the smallest eigenvalue by an inertia count.
+    per pencil; ``solve_pencil`` starts its shifts just below it unless a
+    proved hint lies higher, and proves the smallest eigenvalue by an
+    inertia count.
     """
     mass_diagonal, alpha, mass_upper, _, _ = pencil.bounds
     if mass_diagonal <= 0:
@@ -517,234 +484,115 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(_dot(v, v)))
 
 
-def _combine(coefficients, rows: list) -> np.ndarray:
-    """The sum of c * row over paired coefficients and rows, added in place one row at a time."""
-    total = coefficients[0] * rows[0]
-    for c, row in zip(coefficients[1:], rows[1:]):
-        total += c * row
-    return total
+def _delta(value: float, tol: float) -> float:
+    """The proof's margin below ``value``: max(tol, 1e-12) * max(1, |value|)."""
+    return max(tol, 1e-12) * max(1.0, abs(value))
 
 
-def _window(lo: float, hi: float) -> bool:
-    """Whether the bracket [lo, hi] is still wider than max(1, |hi|) / 4."""
-    return hi - lo > 0.25 * max(1.0, abs(hi))
+def _proved_start(pencil: Pencil, seed: float, lower: float):
+    """The first shift lo and its factor: ``lower`` if it lies above ``seed`` and counts 0, else ``seed``.
 
-
-class _Lanczos:
-    """Shift-inverted Lanczos on S = F^{-1} M in the M inner product.
-
-    F is the factor of K - sigma*M that ``attach`` hands in.  ``Q`` is a
-    list of 1-D rows, an M-orthonormal basis of a Krylov space of S, and
-    T = Q M S Q^T is tridiagonal.  A step makes one solve with F,
-    the three-term recurrence and classical Gram-Schmidt against every row
-    of Q: one ``_dot`` per row, then the rows' combination subtracted at
-    once, with no BLAS product.  A second pass is made only when the first
-    cut ||w||_M below ``_DGKS`` = 1/sqrt(2) of its value (Daniel, Gragg,
-    Kaufman and Stewart, Math. Comp. 30, 1976): then w was nearly in the
-    span of Q, and the pass's rounding errors are no longer small next to
-    what is left.
-    The pass's input is w after the recurrence, so the errors of that
-    subtraction are removed with the rest.  Each pass's M w gives the next
-    pass's projection or beta, so a step makes two products with M, three
-    with a second pass.  ``value`` is sigma + 1/theta for the eigenvalue
-    theta of T of largest modulus, and ``error`` = beta |s_k| / theta^2 (s
-    the unit eigenvector of theta, beta the norm of the next residual)
-    estimates its distance to an eigenvalue of the pencil (Parlett, *The
-    Symmetric Eigenvalue Problem*, ch. 13).  The loop has ``converged``
-    once ``error`` <= ``stop`` * max(1, |value|); the solve sets ``stop``,
-    and may lower it to the floor ``_STOP`` and step on.  A step makes the
-    next basis row whenever there is room for it, converged or not, and the
-    next step appends it to ``Q``, so a loop that stopped early goes on
-    exactly as if it had not stopped, and only counted rows are held.  Each
-    step appends (apply index, value) to ``history``, the solve's one row
-    per application, which ``_MAX_APPLIES`` caps.  Past ``_BASIS_ROWS`` rows
-    the loop restarts from its Ritz vector, and ``detach`` keeps only that
-    vector, so the basis never grows with the applications.
+    A hint that counts above 0, or at which SuperLU refuses symmetric
+    pivoting, costs its one factorization, which is freed before the seed's
+    is made.  Raises SolverError when the seed counts above 0.
     """
-
-    def __init__(self, K, M, history: list, start=None, stop: float = _STOP):
-        self.K, self.M = K, M
-        self.history = history
-        self.stop = stop
-        # the start vector, then the last Ritz vector
-        self.x = np.ones(K.shape[0]) if start is None else start
-        self.sigma = 0.0
-        self.lu = self.Q = self.s = None
-        self.T = np.zeros((_BASIS_ROWS, _BASIS_ROWS))  # entries past the current basis are never read
-
-    @property
-    def converged(self) -> bool:
-        return self.s is not None and self.error <= self.stop * max(1.0, abs(self.value))
-
-    def attach(self, sigma: float, lu) -> None:
-        """Restart from the Ritz vector on the factor ``lu`` of K - sigma*M."""
-        self.sigma, self.lu = sigma, lu
-        self._restart(self.x)
-
-    def detach(self) -> None:
-        """Keep the Ritz vector; free the basis and the factor."""
-        self.x = self.ritz_vector()
-        self.lu = self.Q = self.s = self.next_q = self.next_mq = None
-
-    def _restart(self, x: np.ndarray) -> None:
-        mx = self.M @ x
-        norm = np.sqrt(_dot(x, mx))
-        self.Q = [x / norm]
-        self.mq = mx / norm  # M times the newest row of Q
-        self.beta = 0.0
-        self.s = None
-        self.value = np.inf
-
-    def ritz_vector(self) -> np.ndarray:
-        """The Ritz vector of ``value``, or the start vector before any step."""
-        if self.s is None:
-            return self.x
-        return _combine(self.s, self.Q)
-
-    def apply(self, b: np.ndarray) -> np.ndarray:
-        """F^{-1} b with one solve; ``history`` has a row for each earlier one."""
-        if len(self.history) >= _MAX_APPLIES:
-            raise ConvergenceError(
-                f"eigensolve did not converge within {_MAX_APPLIES} applications"
-            )
-        return self.lu.solve(b)
-
-    def step(self) -> bool:
-        """One Lanczos step; returns ``converged``."""
-        Q, T = self.Q, self.T
-        if self.s is not None:  # go on from the last step's next row, or restart from a full basis
-            if self.s.size == _BASIS_ROWS:
-                self._restart(self.ritz_vector())
-                Q = self.Q
-            else:
-                k = len(Q) - 1
-                T[k, k + 1] = T[k + 1, k] = self.beta
-                Q.append(self.next_q)
-                self.mq = self.next_mq
-        k = len(Q) - 1
-        w = self.apply(self.mq)
-        T[k, k] = _dot(w, self.mq)
-        w -= T[k, k] * Q[k]
-        if k:
-            w -= self.beta * Q[k - 1]
-        mw = self.M @ w
-        norm = float(np.sqrt(_dot(w, mw)))
-        for _ in range(2):
-            w -= _combine([_dot(q, mw) for q in Q], Q)
-            mw = self.M @ w
-            self.beta = float(np.sqrt(_dot(w, mw)))
-            if self.beta >= _DGKS * norm:
-                break
-        thetas, vecs = np.linalg.eigh(T[: k + 1, : k + 1])
-        top = int(np.argmax(np.abs(thetas)))
-        theta, self.s = float(thetas[top]), vecs[:, top]
-        self.value = self.sigma + 1.0 / theta
-        self.error = self.beta * abs(self.s[-1]) / theta**2
-        self.history.append((len(self.history) + 1, self.value))
-        if self.beta > 0 and len(Q) < _BASIS_ROWS:
-            # the next row, counted only when the loop steps on
-            w /= self.beta
-            mw /= self.beta
-            self.next_q, self.next_mq = w, mw
-        return self.converged
-
-
-def _place_shift(loop: _Lanczos, pencil: Pencil, lo: float) -> None:
-    """Raise the shift ``lo`` by inertia counts, attaching ``loop``.
-
-    A count of 0 proves ``lo``, and the loop runs on lo's factor; its Ritz
-    value after each step is the upper end hi.  Placement ends as soon as
-    hi - lo <= max(1, |hi|) / 4, with the loop still attached.  After
-    ``_PLACEMENT_STEPS`` steps, or as soon as the loop converges with the
-    window still open, the loop is detached and the first probe goes close
-    below hi, at hi - max(1, |hi|) / 16: a count of 0 there ends
-    placement, since a Ritz upper end is usually close to lambda_1.
-    Otherwise hi drops to the probe and midpoint counts move lo up (0) or
-    hi down (above 0) until the window closes.  A factor is dropped before
-    the next one is made, the final lo is factored again if its factor was
-    dropped, and the loop restarts on it.  Raises SolverError when ``lo``
-    counts above 0 or a count cannot be read, and ConvergenceError when the
-    solve spends ``_MAX_APPLIES``.
-    """
-    count, lu = _inertia(pencil, lo)
+    if lower > seed:
+        try:
+            count, factor = _inertia(pencil, lower)
+            if not count:
+                return lower, factor
+        except SolverError:  # a wrong hint: start over from the seed
+            pass
+        factor = None
+    count, factor = _inertia(pencil, seed)
     if count:
-        raise SolverError(f"K - {lo!r}*M has {count} nonpositive pivot(s): the shift is not below the spectrum")
-    loop.attach(lo, lu)
-    lu = None  # the loop owns the factor now, so detaching frees it
-    for _ in range(_PLACEMENT_STEPS):
-        loop.step()
-        if not _window(lo, loop.value):
-            return
-        if loop.converged:
-            break
-    hi = loop.value
-    loop.detach()
-    mid = hi - max(1.0, abs(hi)) / 16
-    while _window(lo, hi):
-        lu = None
-        count, lu = _inertia(pencil, mid)
-        if count:
-            hi, lu = mid, None
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    if lu is None:
-        lu = _inertia(pencil, lo)[1]
-    loop.attach(lo, lu)
+        raise SolverError(f"K - {seed!r}*M has {count} nonpositive pivot(s): the shift is not below the spectrum")
+    return seed, factor
 
 
-def eigsh(pencil: Pencil, seed: float, loop: _Lanczos, lower: float, tol: float) -> EigenResult:
-    """Run ``loop`` to a polished, measured pair (``EigenResult``) that is not yet proved.
+def eigsh(pencil: Pencil, seed: float, lower: float, tol: float, x: np.ndarray, history: list) -> EigenResult:
+    """Inverse iteration from ``x`` at shifts that inertia counts prove, to a measured pair.
 
-    A new loop has its shift placed first: ``_place_shift`` raises it from
-    the candidate lower bound ``lower`` when that lies above the Gershgorin
-    ``seed``.  When that fails, by a count above 0 at ``lower`` or a count
-    that cannot be read, placement starts over from ``seed``, where the
-    same failures raise SolverError; a spent ``_MAX_APPLIES`` raises
-    ConvergenceError at once.  A loop handed back after a failed proof
-    gets its factor again, made at its own shift, so it goes on with the
-    same basis.  The loop steps until it has converged at its ``stop``, and
-    one inverse-iteration step with the shift's factor, y = (K -
-    shift*M)^{-1} M x, polishes the Ritz vector x; the value is the
-    Rayleigh quotient of y.  When that pair's residual is above
-    max(tol, 1e-12), the same loop steps on to the floor ``_STOP`` and is
-    polished again.  The factor is released on return, so the caller's
-    proof factors with none alive; the basis stays with the loop.  Every
-    application happens inside this call, and each appends its row to the
-    loop's ``history``.  The name is kept because the benchmark's
-    ``eig.lanczos`` span wraps ``graphsl.eig.eigsh`` (``perfbench/child.py``),
-    until the library's own instrumentation (ROADMAP item 6) replaces that
-    wrap.
+    lo starts at ``_proved_start``'s shift.  Every application is y =
+    F_lo^{-1} M x, M-normalized, with rho = x^T K x, and appends (apply
+    index, rho) to ``history``.  hi is the least rho so far or a probe
+    that counted above 0, so lambda_1 <= hi.  With s = rho - ``_delta``:
+
+    - s <= lo ends the run: F_lo lies within delta of lambda_1, so this
+      application on it was the polish, and lo's count of 0 proves
+      ``certified_lower`` = s.
+    - Otherwise one probe t is counted: t = s when eta = ||K x - rho M x||
+      in the diag(M)^{-1} norm is at most 10 delta (x has converged), else
+      max(rho - eta, (lo + hi) / 2).  A probe at or above hi, whose count
+      is known to be above 0, is not made.  A count above 0 sets hi = t,
+      and t bisects toward lo until a count of 0 or until [lo, hi] is at
+      most delta wide.  A count of 0 makes t the new lo, its factor
+      replacing F_lo; at t = s the next application is the polish.  When
+      the polish raised rho by a rounding error, so that its own s lies
+      above lo, the count of 0 at that s ends the run with no further
+      application.
+    - A converged x whose s counts above 0, or lies at or above hi, in two
+      applications in a row has missed the ground state: its pair is
+      returned unproved, with ``certified_lower`` above ``shift``, and the
+      caller runs again from another start vector.
+
+    Each application makes at most one probe that counts 0 and one that
+    counts above 0 without halving [lo, hi]; every other probe halves it,
+    and bisection stops once it is at most delta wide.  So a run of A
+    applications makes at most 2 + 2A + log2((rho_1 - lo) / delta)
+    factorizations, the 2 being a rejected hint and the first lo, with no
+    budget of its own.  At most two factors are alive, F_lo and the probe
+    being counted.  Raises ConvergenceError when the solve would make more
+    than ``_MAX_APPLIES`` applications, before it counts any probe past
+    them.  The name is kept because the benchmark's ``eig.lanczos`` span
+    wraps ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the
+    library's own instrumentation (ROADMAP item 6) replaces that wrap.
     """
     K, M = pencil.K, pencil.M
-    if loop.Q is None:
-        placed = False
-        if lower > seed:
-            try:
-                _place_shift(loop, pencil, lower)
-                placed = True
-            except ConvergenceError:
-                raise
-            except SolverError:  # a wrong hint: start over from the seed
-                loop.detach()
-        if not placed:
-            _place_shift(loop, pencil, seed)
-    elif loop.lu is None:
-        loop.lu = _inertia(pencil, loop.sigma)[1]
+    weights = 1.0 / M.diagonal()
+    lo, factor = _proved_start(pencil, seed, lower)
+    hi, polish, struck = np.inf, False, False
+    mx = M @ x
     while True:
-        while not loop.converged:
-            loop.step()
-        # one inverse-iteration step with the shift's factor lowers the
-        # residual's rounding floor below that of the raw Ritz pair
-        vector = loop.apply(M @ loop.ritz_vector())
-        value = _dot(vector, K @ vector) / _dot(vector, M @ vector)
-        history = loop.history
-        history.append((len(history) + 1, value))
-        result = _measured(pencil, value, vector, tol, iterations=len(history), shift=loop.sigma, history=history)
-        if result.residual <= max(tol, 1e-12) or loop.stop <= _STOP:
-            loop.lu = None
-            return result
-        loop.stop = _STOP
+        x = factor.solve(mx)
+        mx = M @ x
+        norm = np.sqrt(_dot(x, mx))
+        x /= norm
+        mx /= norm
+        kx = K @ x
+        rho = _dot(x, kx)
+        history.append((len(history) + 1, rho))
+        hi = min(hi, rho)
+        delta = _delta(rho, tol)
+        s = rho - delta
+        if s <= lo:
+            break
+        if len(history) >= _MAX_APPLIES:
+            raise ConvergenceError(f"eigensolve did not converge within {_MAX_APPLIES} applications")
+        residual = kx - rho * mx
+        eta = np.sqrt(_dot(residual * weights, residual))
+        converged = eta <= 10.0 * delta
+        t = s if converged else max(rho - eta, 0.5 * (lo + hi))
+        probe = None
+        while True:
+            if t < hi:
+                count, probe = _inertia(pencil, t)
+                if not count:
+                    break
+                hi, probe = t, None
+            if hi - lo <= delta:
+                break
+            t = 0.5 * (lo + hi)
+        strike = converged and (probe is None or t != s)  # a converged x whose s counts above 0
+        if strike and struck:
+            break
+        struck = strike
+        if probe is not None:
+            if polish and t == s:  # the polished pair's own s counts 0
+                lo = t
+                break
+            lo, factor, polish = t, probe, t == s
+    return _measured(pencil, rho, x, tol, iterations=len(history), shift=lo, history=history)
 
 
 def _measured(pencil: Pencil, value: float, vector: np.ndarray, tol: float, **fields) -> EigenResult:
@@ -769,7 +617,7 @@ def _measured(pencil: Pencil, value: float, vector: np.ndarray, tol: float, **fi
         vector=vector,
         residual=residual,
         backward_error=backward_error,
-        certified_lower=value - max(tol, 1e-12) * max(1.0, abs(value)),
+        certified_lower=value - _delta(value, tol),
         converged=True,
         **fields,
     )
@@ -791,26 +639,24 @@ def solve_pencil(
 
     ``lower`` is a candidate lower bound of the smallest eigenvalue, such
     as the ``certified_lower`` of a solved pencil of which this one is a
-    principal sub-pencil.  Shift placement starts there instead of at the
+    principal sub-pencil.  The shifts start there instead of at the
     Gershgorin bound when it is larger; an inertia count of 0 must confirm
-    it, otherwise placement starts over from the Gershgorin bound, so a
-    wrong value costs one factorization but never changes the answer.
+    it, otherwise they start from the Gershgorin bound, so a wrong value
+    costs one factorization but never changes the answer.
 
-    The Lanczos loop stops once its error estimate is ``_MARGIN`` of the
-    proof's delta = max(tol, 1e-12) * max(1, |value|), which at tol <=
-    1e-12 is the floor ``_STOP``.  When the polished pair misses the residual
-    check or the proof, the same loop goes on to the floor before any
-    error path runs, so the pair is then the one a loop run straight to
-    the floor gives.  A count above 0 at value - delta after that means
-    the loop's all-ones start vector missed lambda_1 (it can be
-    M-orthogonal to a sign-changing ground state), and the solve runs once
-    more from a seeded random start vector before it gives up;
-    ``iterations`` and ``history`` then cover both runs.
+    ``eigsh`` runs from the all-ones vector.  When it returns a pair that
+    its counts did not prove, one count at value - delta decides: above 0,
+    the start vector missed lambda_1 (it can be M-orthogonal to a
+    sign-changing ground state), and the solve runs once more from a
+    seeded random start vector before it gives up; ``iterations`` and
+    ``history`` then cover both runs.  Every pair, proved or not, must
+    first pass the residual check.
 
     Raises SolverError for a ``tol`` that is not positive and finite, when
-    no shift can be placed (the Gershgorin seed counts above 0 or SuperLU
-    refuses symmetric pivoting there) or the inertia count cannot prove
-    that the returned value is the smallest eigenvalue; ConvergenceError
+    no shift can be started (the Gershgorin seed counts above 0 or SuperLU
+    refuses symmetric pivoting there), a count cannot be read, or the
+    inertia count cannot prove that the returned value is the smallest
+    eigenvalue; ConvergenceError
     when the residual stays above ``tol`` or the solve needs more than
     ``_MAX_APPLIES`` applications of the inverted operator.
     """
@@ -822,20 +668,16 @@ def solve_pencil(
     seed = lb - 0.01 * max(1.0, abs(lb))
     history: list = []
     for attempt in range(2):
-        start = np.random.default_rng(_START_SEED).standard_normal(pencil.n) if attempt else None
-        loop = _Lanczos(pencil.K, pencil.M, history, start, max(_STOP, _MARGIN * tol))
-        while True:
-            result = eigsh(pencil, seed, loop, lower, tol)
-            if not result.residual <= max(tol, 1e-12):
-                raise ConvergenceError(
-                    f"eigensolve residual {result.residual:.3e} above tolerance {tol:.3e}"
-                )
-            nonpositive = _inertia(pencil, result.certified_lower)[0]
-            if not nonpositive:
-                return result
-            if loop.stop <= _STOP:
-                break
-            loop.stop = _STOP  # the same loop goes on to the floor
+        start = np.random.default_rng(_START_SEED).standard_normal(pencil.n) if attempt else np.ones(pencil.n)
+        result = eigsh(pencil, seed, lower, tol, start, history)
+        if not result.residual <= max(tol, 1e-12):
+            raise ConvergenceError(f"eigensolve residual {result.residual:.3e} above tolerance {tol:.3e}")
+        if result.certified_lower <= result.shift:
+            return result
+        nonpositive = _inertia(pencil, result.certified_lower)[0]
+        if not nonpositive:
+            result.shift = result.certified_lower  # the last shift a count proved
+            return result
     raise SolverError(
         f"K - {result.certified_lower!r}*M has {nonpositive} nonpositive pivot(s): "
         "the eigensolve did not find the smallest eigenvalue"

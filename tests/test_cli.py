@@ -363,7 +363,7 @@ def test_persson_halfline_applies_budget(capsys, monkeypatch):
         capsys, "persson", "--graph", HALFLINE, "--levels", "1,2,4,8", "--outer", "10,20,30,40", "--h", "0.05"
     )
     assert code == 0
-    # 86 applications over 16 annuli; 122 when every loop ran to the 1e-14 floor
+    # 60 applications over 16 annuli
     assert len(applies) == 16
     assert sum(applies) <= 95
     assert all(float(row.split(",")[3]) <= 1e-6 for row in data_rows(out)[1:])

@@ -135,7 +135,7 @@ def three_dof_pencil():
     return dirichlet_pencil(load_graph(path(2)), 0.5, {"default": {"q": {"expr": "-1+0.3*sin(2*x)"}}})
 
 
-def test_tiny_pencil_goes_through_lanczos():
+def test_tiny_pencil_is_solved_like_any_other():
     pencil = tiny_pencil()
     assert pencil.n == 1
     res = smallest_eigenpair(pencil)
@@ -152,9 +152,8 @@ def test_tiny_pencil_goes_through_lanczos():
     + [pytest.param(n, 0.01, id=f"{n}-ill-conditioned-mass") for n in (1, 2, 3, 4, 5)],
 )
 def test_random_small_pencils_match_lapack(n, ridge):
-    # a Krylov space of n steps is the whole space: the loop converges
-    # within n steps, often on the Gershgorin factor with the window open;
-    # the smaller ridge makes M ill-conditioned
+    # tiny pencils whose Gershgorin seed lies far below lambda_1; the smaller
+    # ridge makes M ill-conditioned
     rng = np.random.default_rng(n)
     for _ in range(40):
         A = rng.standard_normal((n, n))
@@ -169,8 +168,7 @@ def test_random_small_pencils_match_lapack(n, ridge):
         assert eig._inertia(pencil, res.shift)[0] == 0
         assert eig._inertia(pencil, res.certified_lower)[0] == 0
         assert len(res.history) == res.iterations
-        # a loop that converged with the window open was not accepted there:
-        # the window was closed by counts first
+        # the solve ended at a shift within a quarter of the scale of the value
         lb = pencil_lower_bound(pencil)
         start = lb - 0.01 * max(1.0, abs(lb))
         scale = 0.25 * max(1.0, abs(res.value))
@@ -192,7 +190,7 @@ def test_history_tracks_ritz_values():
     assert len(res.history) == res.iterations
     assert [idx for idx, _ in res.history] == list(range(1, res.iterations + 1))
     values = [value for _, value in res.history]
-    # every Ritz value sits above the minimum; the best one gets close to it
+    # every Rayleigh quotient sits above the minimum; the best one gets close to it
     assert all(value >= res.value - 1e-9 for value in values)
     assert min(values) == pytest.approx(res.value, rel=1e-2)
     assert values[-1] == res.value   # the polish's Rayleigh quotient
@@ -200,7 +198,7 @@ def test_history_tracks_ritz_values():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
 def test_tolerance_must_be_positive_and_finite(tol):
-    # the loop's stop and the proof's delta both read tol
+    # the convergence test and the proof's delta both read tol
     identity = sp.identity(3, format="csr")
     with pytest.raises(SolverError, match="tolerance must be positive and finite"):
         solve_pencil(identity, identity, tol=tol)
@@ -233,21 +231,22 @@ def star_pencil():
 def test_certificate_rejects_a_non_smallest_pair(monkeypatch):
     K, M, vals, vecs = star_pencil()
     real_measured, real_eigsh = eig._measured, eig.eigsh
-    stops = []
+    starts = []
 
     def measured(pencil, value, vector, *args, **kwargs):
-        return real_measured(pencil, vals[1], vecs[:, 1], *args, **kwargs)   # the loop's pair swapped for lambda_2's
+        return real_measured(pencil, vals[1], vecs[:, 1], *args, **kwargs)   # the solve's pair swapped for lambda_2's
 
-    def eigsh(pencil, seed, loop, *args, **kwargs):
-        stops.append(loop.stop)
-        return real_eigsh(pencil, seed, loop, *args, **kwargs)
+    def eigsh(pencil, seed, lower, tol, x, history):
+        starts.append(x.copy())
+        return real_eigsh(pencil, seed, lower, tol, x, history)
 
     monkeypatch.setattr(eig, "_measured", measured)
     monkeypatch.setattr(eig, "eigsh", eigsh)
     with pytest.raises(SolverError, match="1 nonpositive pivot"):
         solve_pencil(K, M)
-    # each start vector's loop goes on to the floor before the error path runs
-    assert stops == [eig._MARGIN * 1e-8, eig._STOP] * 2
+    # the all-ones start vector, then the seeded one, before the error path runs
+    assert len(starts) == 2
+    assert np.array_equal(starts[0], np.ones(K.shape[0])) and not np.array_equal(starts[1], starts[0])
 
 
 def refusing_splu(monkeypatch, refusing):
@@ -268,16 +267,16 @@ def refusing_splu(monkeypatch, refusing):
 
 def test_certificate_raises_when_symmetric_pivoting_is_refused(monkeypatch):
     K, M = km(tree5_level())   # its vertex Schur complement has 31 rows, so the roll moves perm_c
+    proof = solve_pencil(K, M).shift   # the count that proves the pair
     refusing = [False]
     calls = refusing_splu(monkeypatch, refusing)
-    real_eigsh = eig.eigsh
+    real_inertia = eig._inertia
 
-    def eigsh(*args, **kwargs):
-        out = real_eigsh(*args, **kwargs)
-        refusing[0] = True                         # from here on: the proof at value - delta
-        return out
+    def inertia(pencil, sigma):
+        refusing[0] = sigma == proof
+        return real_inertia(pencil, sigma)
 
-    monkeypatch.setattr(eig, "eigsh", eigsh)
+    monkeypatch.setattr(eig, "_inertia", inertia)
     with pytest.raises(SolverError, match="symmetric pivoting was refused"):
         solve_pencil(K, M)
     assert calls[-1] and calls.count(True) == 1
@@ -371,7 +370,7 @@ def test_inertia_agrees_with_lapack(make_pencil):
     assert delta > 0
     assert np.count_nonzero(dense < res.certified_lower) == 0
     assert np.count_nonzero(dense < res.value + delta) == 1
-    # the placed shift is a lower bound, and within a quarter of the scale
+    # the last shift is a lower bound, and within a quarter of the scale
     # of the value whenever the Gershgorin start was further away
     assert np.count_nonzero(dense < res.shift) == 0
     lb = pencil_lower_bound(pencil)
@@ -406,7 +405,7 @@ class Counted:
         self._live[0] -= 1
 
 
-def test_one_factorization_alive_at_a_time(monkeypatch):
+def test_at_most_two_factorizations_alive(monkeypatch):
     live = [0]
     alive_at_call = []
     real = eig.splu
@@ -420,24 +419,18 @@ def test_one_factorization_alive_at_a_time(monkeypatch):
     lb = pencil_lower_bound(pencil)
     res = smallest_eigenpair(pencil, tol=1e-10)
     assert res.shift > lb + 0.25 * max(1.0, abs(res.value))   # the shift was raised
-    assert len(alive_at_call) == 3                  # Gershgorin, first probe, proof
-    assert alive_at_call == [0] * len(alive_at_call)
+    # F_lo and the probe being made; the seed's factor has none beside it
+    assert alive_at_call[0] == 0 and max(alive_at_call) == 1
 
-    # a first probe that counts above 0 sends placement into bisection
+    # in the leaf well, first probes count above 0 and send the shift into bisection
     alive_at_call.clear()
-    real_inertia = eig._inertia
-    calls = []
-
-    def inertia(pencil, sigma):
-        count, lu = real_inertia(pencil, sigma)
-        calls.append(sigma)
-        return (count + 1 if len(calls) == 2 else count), lu
-
-    monkeypatch.setattr(eig, "_inertia", inertia)
-    bisected = smallest_eigenpair(pencil, tol=1e-10)
-    assert bisected.value == pytest.approx(res.value, rel=1e-10)
+    counts = recorded_inertia(monkeypatch)
+    well = leaf_well_level()
+    bisected = smallest_eigenpair(well, tol=1e-10)
+    assert bisected.value == pytest.approx(dense_reference(well)[0], rel=1e-10)
+    assert any(count for _, count in counts)
     assert len(alive_at_call) >= 4
-    assert alive_at_call == [0] * len(alive_at_call)
+    assert max(alive_at_call) == 1
 
 
 @pytest.mark.parametrize("make_pencil", [tree5_level, restricted_annulus])
@@ -458,7 +451,7 @@ def test_one_triangular_solve_per_apply(monkeypatch, make_pencil):
     monkeypatch.setattr(eig, "splu", splu)
     monkeypatch.setattr(eig, "eigsh", eigsh)
     res = smallest_eigenpair(make_pencil(), tol=1e-10)
-    # placement steps, the loop and the polish all apply inside eigsh
+    # every application, the polish's too, happens inside eigsh
     assert during_eigsh[0] == res.iterations == solves[0]
 
 
@@ -474,12 +467,15 @@ def test_placement_budget(monkeypatch, make_pencil):
 
     monkeypatch.setattr(eig, "_inertia", inertia)
     res = smallest_eigenpair(pencil, tol=1e-10)
-    # the Gershgorin count, one probe below the Krylov upper end, the proof
-    assert len(counts) <= 3
-    assert counts[-1] == res.certified_lower
+    # the bound of eigsh's docstring: the first lo, two probes per application
+    # and the halvings of [lo, rho_1] down to delta
+    delta = res.value - res.certified_lower
+    halvings = math.log2((res.history[0][1] - counts[0]) / delta)
+    assert len(counts) <= 1 + 2 * res.iterations + halvings
+    assert counts[-1] == res.shift   # the last count proves the pair
 
 
-# --- the Lanczos loop ------------------------------------------------------------
+# --- the iteration ---------------------------------------------------------------
 
 
 def test_apply_budget_caps_the_applies(monkeypatch):
@@ -495,121 +491,35 @@ def test_spent_budget_during_placement_factors_no_more(monkeypatch, hinted):
     dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
     lb = pencil_lower_bound(eig.Pencil(K, M))
     seed = lb - 0.01 * max(1.0, abs(lb))
-    factors, spent = [], []
-    real = eig.splu
+    events = []
+    real_splu, real_solve = eig.splu, eig.Condensed.solve
 
     def splu(A, **kwargs):
-        factors.append(A.shape)
-        return real(A, **kwargs)
+        events.append("factor")
+        return real_splu(A, **kwargs)
 
-    class Recorded(eig._Lanczos):
-        def apply(self, b):
-            try:
-                return super().apply(b)
-            except ConvergenceError:
-                spent.append(len(factors))
-                raise
+    def solve(self, b):
+        events.append("apply")
+        return real_solve(self, b)
 
     monkeypatch.setattr(eig, "splu", splu)
-    monkeypatch.setattr(eig, "_Lanczos", Recorded)
-    monkeypatch.setattr(eig, "_MAX_APPLIES", 5)
-    # a proved hint halfway up from the seed leaves the placement window open past 5 steps
+    monkeypatch.setattr(eig.Condensed, "solve", solve)
+    monkeypatch.setattr(eig, "_MAX_APPLIES", 2)
+    counts = recorded_inertia(monkeypatch)
+    # a proved hint halfway up from the seed is not within delta of lambda_1 after 2 applications
     lower = 0.5 * (seed + dense[0]) if hinted else -np.inf
-    with pytest.raises(ConvergenceError, match="within 5 applications"):
+    with pytest.raises(ConvergenceError, match="within 2 applications"):
         solve_pencil(K, M, lower=lower)
-    # one factorization (the hint's or the seed's), and none once the budget ran out
-    assert spent == [1] and len(factors) == 1
+    # the hint's or the seed's factor, then one probe between the two
+    # applications, and none once the budget is spent
+    assert counts[0] == (lower if hinted else seed, 0)
+    assert events == ["factor", "apply", "factor", "apply"]
 
 
-def far_shift(monkeypatch):
-    """Keep the shift at the seed below a Gershgorin bound of -20: the placement window is always closed."""
-    monkeypatch.setattr(eig, "pencil_lower_bound", lambda pencil: -20.0)
-    monkeypatch.setattr(eig, "_window", lambda lo, hi: False)
-
-
-def test_loop_restarts_past_the_basis_cap(monkeypatch):
-    K, M = km(tree5_level())
-    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    rows = []
-
-    class Recorded(eig._Lanczos):
-        def step(self):
-            converged = super().step()
-            rows.append(len(self.Q))
-            return converged
-
-    monkeypatch.setattr(eig, "_Lanczos", Recorded)
-    # far below lambda_1 = -0.51 the loop needs more steps than one basis holds
-    far_shift(monkeypatch)
-    res = solve_pencil(K, M, tol=1e-10)
-    assert res.shift == -20.2
-    assert len(rows) > eig._BASIS_ROWS
-    assert rows[: eig._BASIS_ROWS] == list(range(1, eig._BASIS_ROWS + 1))   # one row appended per step
-    assert max(rows) == eig._BASIS_ROWS == 20                              # never more rows than the cap
-    assert rows[eig._BASIS_ROWS] == 1                     # a new basis: the Ritz vector alone
-    assert res.value == pytest.approx(dense[0], rel=1e-10)
-    assert np.count_nonzero(dense < res.certified_lower) == 0
-
-
-class MassProducts:
-    """M behind ``@``, counting the products."""
-
-    def __init__(self, M, products):
-        self._M, self._products = M, products
-
-    def __matmul__(self, x):
-        self._products[0] += 1
-        return self._M @ x
-
-
-def test_lanczos_basis_stays_m_orthonormal(monkeypatch):
-    worst, steps, products, restarts = [], [0], [0], [0]
-
-    class Recorded(eig._Lanczos):
-        def __init__(self, K, M, *args):
-            super().__init__(K, MassProducts(M, products), *args)
-            self.plain_M = M
-
-        def _restart(self, x):
-            restarts[0] += 1   # one product with M
-            super()._restart(x)
-
-        def step(self):
-            converged = super().step()
-            steps[0] += 1
-            Q = np.stack(self.Q)
-            worst.append(np.linalg.norm(Q @ (self.plain_M @ Q.T) - np.eye(len(self.Q))))
-            return converged
-
-    monkeypatch.setattr(eig, "_Lanczos", Recorded)
-
-    def second_passes():
-        # two products with M per step and one per restart; the rest are second passes
-        return products[0] - restarts[0] - 2 * steps[0]
-
-    for make_pencil, far in ((tree5_level, False), (tree5_level, True), (restricted_annulus, False), (ladder6_level, False)):
-        K, M = km(make_pencil())
-        with monkeypatch.context() as patch:
-            if far:
-                far_shift(patch)
-            res = solve_pencil(K, M, tol=1e-10)
-        dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-        assert res.value == pytest.approx(dense[0], rel=1e-10)
-    # the restarts past the basis cap included
-    assert steps[0] > 2 * eig._BASIS_ROWS
-    assert second_passes() < steps[0]
-    # from all-ones, the 6x6 pencil's Krylov space is invariant after three
-    # steps: the first pass cancels w, and a second one is made
-    before = second_passes()
-    solve_pencil(*sign_changing_ground_state(), tol=1e-10)
-    assert second_passes() > before
-    assert max(worst) <= 1e-12
-
-
-def test_solve_allocates_only_the_basis_rows_it_fills():
-    # 25,245 dofs, 14 applications: a basis allocated as one block of
-    # _BASIS_ROWS rows peaks at 33 vectors of the pencil's size, rows
-    # appended as they fill at 19
+def test_solve_allocates_a_fixed_number_of_vectors():
+    # 25,245 dofs, 8 applications: F_lo and a probe, the transients of the
+    # factor being made and the iteration's vectors peak at about 17 vectors
+    # of the pencil's size, however many applications the solve makes
     piece = tree_level(8, 0.02)
     tracemalloc.start()
     try:
@@ -617,27 +527,15 @@ def test_solve_allocates_only_the_basis_rows_it_fills():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 27 * 8 * piece.n
-
-
-def sign_changing_ground_state():
-    """6x6 pencil whose ground state is odd under reversal, so M-orthogonal to the all-ones vector.
-
-    K = tridiag(1, 2, 1), M = I: eigenvalues 2 + 2 cos(k pi / 7), and the
-    smallest, k = 6, has an alternating eigenvector.
-    """
-    n = 6
-    K = sp.diags([np.ones(n - 1), 2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
-    return K, sp.identity(n, format="csr")
+    assert peak < 20 * 8 * piece.n
 
 
 def odd_ground_state_next_to_an_even_one():
     """2x2 pencil whose ground state (1, -1) lies 1e-3 below the all-ones eigenvector (1, 1).
 
     K = [[1, b], [b, 1]] with b = 5e-4, M = I.  The all-ones start vector
-    is an eigenvector, and every shift lies at least 0.01 below both
-    eigenvalues, so the rounding of a solve grows the ground state's share
-    by at most about 10 % per step: no loop from all-ones finds it.
+    is an eigenvector, so inverse iteration from it stays on lambda_2: its
+    converged s counts above 0 twice in a row, and the run gives up.
     """
     b = 5e-4
     return sp.csr_matrix(np.array([[1.0, b], [b, 1.0]])), sp.identity(2, format="csr")
@@ -650,71 +548,30 @@ def test_start_vector_that_misses_the_ground_state_is_rerun(monkeypatch):
     runs = []
     real = eig.eigsh
 
-    def eigsh(pencil, seed, loop, *args, **kwargs):
-        stop = loop.stop
-        out = real(pencil, seed, loop, *args, **kwargs)
-        runs.append((stop, out.value, len(loop.history)))   # and the solve's history rows so far
+    def eigsh(pencil, seed, lower, tol, x, history):
+        out = real(pencil, seed, lower, tol, x, history)
+        runs.append((np.array_equal(x, np.ones(2)), out.value, len(history)))   # and the solve's history rows so far
         return out
 
     monkeypatch.setattr(eig, "eigsh", eigsh)
     res = solve_pencil(K, M, tol=1e-10)
-    # from all-ones the loop finds lambda_2; the proof catches it, the same
-    # loop goes on to the floor and still has lambda_2, and the seeded start
-    # vector finds lambda_1
-    loose = eig._MARGIN * 1e-10
-    assert [(stop, value) for stop, value, _ in runs] == [
-        (loose, pytest.approx(vals[1], rel=1e-12)),
-        (eig._STOP, pytest.approx(vals[1], rel=1e-12)),
-        (loose, pytest.approx(vals[0], rel=1e-12)),
+    # from all-ones the run finds lambda_2; the proof catches it, and the
+    # seeded start vector finds lambda_1
+    assert [(ones, value) for ones, value, _ in runs] == [
+        (True, pytest.approx(vals[1], rel=1e-12)),
+        (False, pytest.approx(vals[0], rel=1e-12)),
     ]
     assert res.value == pytest.approx(vals[0], rel=1e-12)
     assert np.count_nonzero(vals < res.certified_lower) == 0
     rows = [rows for *_, rows in runs]
-    assert 0 < rows[0] < rows[1] < rows[2] == res.iterations   # every run's applications count
+    assert 0 < rows[0] < rows[1] == res.iterations   # every run's applications count
     assert [idx for idx, _ in res.history] == list(range(1, res.iterations + 1))
 
 
 def test_restricted_annulus_applies_budget():
-    # every apply counts: the placement steps, the loop and the polish
+    # every apply counts, the polish's too
     res = smallest_eigenpair(restricted_annulus(), tol=1e-10)
     assert res.iterations <= 14
-
-
-def interval_400():
-    """Dirichlet path(1) at h = 1/400 (399 dofs), whose residual floor lies near 3e-11."""
-    return dirichlet_pencil(load_graph(path(1)), 1.0 / 400)
-
-
-@pytest.mark.parametrize(
-    "make_pencil, misses", [(interval_400, 0), (leaf_well_level, 1)], ids=["interval-400", "leaf-well"]
-)
-def test_a_pair_that_misses_the_residual_check_steps_on_to_the_floor(monkeypatch, make_pencil, misses):
-    pencil = make_pencil()
-    events = []
-    real_measured, real_inertia = eig._measured, eig._inertia
-
-    def measured(*args, **kwargs):
-        out = real_measured(*args, **kwargs)
-        events.append(("pair", out.residual))
-        return out
-
-    def inertia(pencil, sigma):
-        events.append(("count", sigma))
-        return real_inertia(pencil, sigma)
-
-    monkeypatch.setattr(eig, "_measured", measured)
-    monkeypatch.setattr(eig, "_inertia", inertia)
-    res = smallest_eigenpair(pencil, tol=1e-10)
-    assert res.residual <= 1e-10
-    dense = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
-    assert res.value == pytest.approx(dense[0], rel=1e-10)
-    assert np.count_nonzero(dense < res.certified_lower) == 0
-    # a polished pair above tol sends the same loop on, on the same factor:
-    # no count comes between it and the next pair, and only the last pair is proved
-    pairs = [i for i, (kind, _) in enumerate(events) if kind == "pair"]
-    assert [events[i][1] > 1e-10 for i in pairs] == [True] * misses + [False]
-    assert pairs == list(range(pairs[0], pairs[0] + misses + 1))
-    assert events[pairs[-1] + 1 :] == [("count", res.certified_lower)]
 
 
 @pytest.mark.parametrize("make_pencil", [restricted_annulus, tree5_level, leaf_well_level])
@@ -798,9 +655,11 @@ def test_proved_lower_bound_starts_the_shift(monkeypatch):
     hint = dense[0] - 1e-3 * max(1.0, abs(dense[0]))
     counts = recorded_inertia(monkeypatch)
     res = smallest_eigenpair(pencil, tol=1e-10, lower=hint)
-    # one count proves the hint and the window is closed there: no probe
-    assert counts == [(hint, 0), (res.certified_lower, 0)]
-    assert res.shift == hint
+    # one count proves the hint, every later shift lies above it, and the
+    # last count proves the pair
+    assert counts[0] == (hint, 0)
+    assert all(sigma > hint for sigma, _ in counts[1:])
+    assert counts[-1] == (res.shift, 0)
     assert res.iterations < cold.iterations
     assert res.value == pytest.approx(cold.value, rel=1e-12)
 
@@ -1018,6 +877,25 @@ def test_superlu_sees_one_row_per_free_vertex(monkeypatch):
 # --- every shift is proved --------------------------------------------------------
 
 
+def recorded_solves(monkeypatch):
+    """Record the count of every factor a solve is made with: one entry per ``Condensed.solve``."""
+    counted, solved = [], []
+    real_inertia, real_solve = eig._inertia, eig.Condensed.solve
+
+    def inertia(pencil, sigma):
+        count, factor = real_inertia(pencil, sigma)
+        counted.append((factor, count))
+        return count, factor
+
+    def solve(self, b):
+        solved.append(next(count for factor, count in counted if factor is self))
+        return real_solve(self, b)
+
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    monkeypatch.setattr(eig.Condensed, "solve", solve)
+    return solved
+
+
 def star3_fine():
     return dirichlet_pencil(load_graph(star(3)), 0.05)
 
@@ -1040,9 +918,14 @@ def star3_fine():
         three_dof_pencil,
     ],
 )
-def test_every_lanczos_shift_counts_zero(make_pencil):
+def test_every_lanczos_shift_counts_zero(monkeypatch, make_pencil):
     pencil = make_pencil()
+    solved = recorded_solves(monkeypatch)
     res = smallest_eigenpair(pencil, tol=1e-10)
-    assert eig._inertia(pencil, res.shift)[0] == 0   # the shift is proved
-    # and no bisection step came within delta of lambda_1
-    assert res.shift < res.certified_lower < res.value
+    # every application ran on a factor whose count was 0
+    assert solved == [0] * res.iterations
+    monkeypatch.undo()
+    assert eig._inertia(pencil, res.shift)[0] == 0   # the last shift is proved
+    # and it proves certified_lower = value - delta
+    assert res.certified_lower == res.value - 1e-10 * max(1.0, abs(res.value))
+    assert res.certified_lower <= res.shift < res.value
