@@ -78,8 +78,10 @@ ground state, as the all-ones vector can be to a sign-changing one
 (graph pencils with a positive ground state never are).  Then a
 converged x keeps failing the count at its s, the run gives up, and the
 solve runs once more from a seeded random start vector; if that run's
-pair cannot be proved either, the solve raises SolverError.  At most two
-factors are alive at once, F_lo and the probe being counted.
+pair cannot be proved either, the solve raises SolverError.  One factor
+is alive at a time: F_lo is freed before each probe is made, a round
+whose probes all count above 0 refactors at lo (the same values, so the
+same factor), and the last factor is freed before the pair is measured.
 
 Two accuracy measures are reported.  The residual ||K x - lambda M x|| /
 ||M x|| is unscaled: with unit roundoff u its floor is about
@@ -518,9 +520,13 @@ def eigsh(pencil: Pencil, seed: float, lower: float, tol: float, x: np.ndarray, 
     index, rho) to ``history``.  hi is the least rho so far or a probe
     that counted above 0, so lambda_1 <= hi.  With s = rho - ``_delta``:
 
-    - s <= lo ends the run: F_lo lies within delta of lambda_1, so this
-      application on it was the polish, and lo's count of 0 proves
-      ``certified_lower`` = s.
+    - s <= lo puts F_lo within delta of lambda_1.  When x came into this
+      application converged, as a count of 0 at s makes it, the
+      application was the polish and ends the run, and lo's count of 0
+      proves ``certified_lower`` = s.  Otherwise (the run's first
+      application, from a hint or seed within delta of lambda_1, or lo
+      raised by a probe below s) the next application on F_lo is made
+      with no probe, and is the polish once x has converged.
     - Otherwise one probe t is counted: t = s when eta = ||K x - rho M x||
       in the diag(M)^{-1} norm is at most 10 delta (x has converged), else
       max(rho - eta, (lo + hi) / 2).  A probe at or above hi, whose count
@@ -541,10 +547,13 @@ def eigsh(pencil: Pencil, seed: float, lower: float, tol: float, x: np.ndarray, 
     and bisection stops once it is at most delta wide.  So a run of A
     applications makes at most 2 + 2A + log2((rho_1 - lo) / delta)
     factorizations, the 2 being a rejected hint and the first lo, with no
-    budget of its own.  At most two factors are alive, F_lo and the probe
-    being counted.  Raises ConvergenceError when the solve would make more
-    than ``_MAX_APPLIES`` applications, before it counts any probe past
-    them.  The name is kept because the benchmark's ``eig.lanczos`` span
+    budget of its own.  One factor is alive at a time: F_lo is freed before
+    each probe is made, and the last factor before ``_measured``.  A round
+    that made probes but none that counted 0 therefore refactors at lo, bit
+    for bit the factor it freed; that refactorization takes the place of
+    the count-0 probe the round did not make, so the bound holds.  Raises
+    ConvergenceError when the solve would make more than ``_MAX_APPLIES``
+    applications, before it counts any probe past them.  The name is kept because the benchmark's ``eig.lanczos`` span
     wraps ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the
     library's own instrumentation (ROADMAP item 6) replaces that wrap.
     """
@@ -565,17 +574,21 @@ def eigsh(pencil: Pencil, seed: float, lower: float, tol: float, x: np.ndarray, 
         hi = min(hi, rho)
         delta = _delta(rho, tol)
         s = rho - delta
-        if s <= lo:
+        if s <= lo and polish:
             break
         if len(history) >= _MAX_APPLIES:
             raise ConvergenceError(f"eigensolve did not converge within {_MAX_APPLIES} applications")
         residual = kx - rho * mx
         eta = np.sqrt(_dot(residual * weights, residual))
         converged = eta <= 10.0 * delta
+        if s <= lo:  # F_lo is within delta of lambda_1, but x came in unconverged: no probe
+            polish = converged
+            continue
         t = s if converged else max(rho - eta, 0.5 * (lo + hi))
         probe = None
         while True:
             if t < hi:
+                factor = None  # one factor at a time: F_lo goes before the probe is made
                 count, probe = _inertia(pencil, t)
                 if not count:
                     break
@@ -592,6 +605,9 @@ def eigsh(pencil: Pencil, seed: float, lower: float, tol: float, x: np.ndarray, 
                 lo = t
                 break
             lo, factor, polish = t, probe, t == s
+        elif factor is None:  # lo's values again, so lo's factor again, bit for bit
+            factor = Condensed(pencil, lo, splu)
+    factor = probe = None
     return _measured(pencil, rho, x, tol, iterations=len(history), shift=lo, history=history)
 
 

@@ -405,32 +405,81 @@ class Counted:
         self._live[0] -= 1
 
 
-def test_at_most_two_factorizations_alive(monkeypatch):
+def test_one_factorization_alive_at_a_time(monkeypatch):
     live = [0]
     alive_at_call = []
-    real = eig.splu
+    measured_with = []
+    events = []   # "factor", "apply" and (sigma, count), in the order they happen
+    real_condensed, real_inertia, real_measured = eig.Condensed, eig._inertia, eig._measured
 
-    def splu(A, **kwargs):
-        alive_at_call.append(live[0])
-        return Counted(real(A, **kwargs), live, [0])
+    class Logged(real_condensed):
+        """A factor that logs its making and its solves; its lifetime counts as a live factor."""
 
-    monkeypatch.setattr(eig, "splu", splu)
+        def __init__(self, *args):
+            alive_at_call.append(live[0])
+            events.append("factor")
+            live[0] += 1
+            super().__init__(*args)
+
+        def __del__(self):
+            live[0] -= 1
+
+        def solve(self, b):
+            events.append("apply")
+            return super().solve(b)
+
+    def inertia(pencil, sigma):
+        count, factor = real_inertia(pencil, sigma)
+        events.append((sigma, count))
+        return count, factor
+
+    def measured(*args, **kwargs):
+        measured_with.append(live[0])
+        return real_measured(*args, **kwargs)
+
+    def solved(solve, *args, **kwargs):
+        """The pair, the factorizations made outside a count, and the rounds whose probes all counted above 0."""
+        alive_at_call.clear()
+        measured_with.clear()
+        events.clear()
+        res = solve(*args, **kwargs)
+        # F_lo is freed before every probe is made, and the last factor before the pair is measured
+        assert len(alive_at_call) >= 4 and max(alive_at_call) == 0
+        assert measured_with == [0] and live == [0]
+        counts = [e for e in events if isinstance(e, tuple)]
+        applies = [k for k, e in enumerate(events) if e == "apply"]
+        rounds = [[e for e in events[a + 1 : b] if isinstance(e, tuple)] for a, b in zip(applies, applies[1:])]
+        zeroless = sum(1 for r in rounds if r and all(count for _, count in r))
+        return res, events.count("factor") - len(counts), zeroless
+
+    monkeypatch.setattr(eig, "Condensed", Logged)
+    monkeypatch.setattr(eig, "_inertia", inertia)
+    monkeypatch.setattr(eig, "_measured", measured)
     pencil = tree8_level()
     lb = pencil_lower_bound(pencil)
-    res = smallest_eigenpair(pencil, tol=1e-10)
+    res, refactored, zeroless = solved(smallest_eigenpair, pencil, tol=1e-10)
     assert res.shift > lb + 0.25 * max(1.0, abs(res.value))   # the shift was raised
-    # F_lo and the probe being made; the seed's factor has none beside it
-    assert alive_at_call[0] == 0 and max(alive_at_call) == 1
+    assert refactored == zeroless == 0
 
-    # in the leaf well, first probes count above 0 and send the shift into bisection
-    alive_at_call.clear()
-    counts = recorded_inertia(monkeypatch)
+    # in the leaf well, first probes count above 0 and send the shift into
+    # bisection, and every round still ends at a count of 0
     well = leaf_well_level()
-    bisected = smallest_eigenpair(well, tol=1e-10)
+    bisected, refactored, zeroless = solved(smallest_eigenpair, well, tol=1e-10)
     assert bisected.value == pytest.approx(dense_reference(well)[0], rel=1e-10)
-    assert any(count for _, count in counts)
-    assert len(alive_at_call) >= 4
-    assert max(alive_at_call) == 1
+    assert any(count for _, count in (e for e in events if isinstance(e, tuple)))
+    assert refactored == zeroless == 0
+
+    # from a hint 0.1 delta below lambda_1, the all-ones start (lambda_2's
+    # eigenvector) converges at once, its s counts above 0, and bisection
+    # reaches delta with no count of 0: that round refactors lo, once
+    K, M = odd_ground_state_next_to_an_even_one()
+    lam = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
+    hint = lam - 0.1 * eig._delta(lam, 1e-10)
+    res, refactored, zeroless = solved(solve_pencil, K, M, tol=1e-10, lower=hint)
+    assert res.value == pytest.approx(lam, rel=1e-12)
+    assert refactored == zeroless == 1
+    refactor = next(k for k, e in enumerate(events) if e == "factor" and not isinstance(events[k + 1], tuple))
+    assert events[refactor + 1] == "apply" and events[0] == "factor" and events[1] == (hint, 0)
 
 
 @pytest.mark.parametrize("make_pencil", [tree5_level, restricted_annulus])
@@ -517,9 +566,10 @@ def test_spent_budget_during_placement_factors_no_more(monkeypatch, hinted):
 
 
 def test_solve_allocates_a_fixed_number_of_vectors():
-    # 25,245 dofs, 8 applications: F_lo and a probe, the transients of the
-    # factor being made and the iteration's vectors peak at about 17 vectors
-    # of the pencil's size, however many applications the solve makes
+    # 25,245 dofs, 8 applications: one factor at a time, the transients of
+    # the factor being made and the iteration's vectors peak at about 13
+    # vectors of the pencil's size (17 with F_lo kept beside each probe),
+    # however many applications the solve makes
     piece = tree_level(8, 0.02)
     tracemalloc.start()
     try:
@@ -527,7 +577,7 @@ def test_solve_allocates_a_fixed_number_of_vectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 8 * piece.n
+    assert peak < 15 * 8 * piece.n
 
 
 def odd_ground_state_next_to_an_even_one():
@@ -662,6 +712,24 @@ def test_proved_lower_bound_starts_the_shift(monkeypatch):
     assert counts[-1] == (res.shift, 0)
     assert res.iterations < cold.iterations
     assert res.value == pytest.approx(cold.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.9])
+def test_hint_within_delta_of_the_bottom_polishes_a_converged_vector(monkeypatch, frac):
+    well = leaf_well_level()
+    lam = dense_reference(well)[0]
+    hint = lam - frac * eig._delta(lam, 1e-10)
+    counts = recorded_inertia(monkeypatch)
+    res = smallest_eigenpair(well, tol=1e-10, lower=hint)
+    # the all-ones vector puts almost no mass in the well, so the first
+    # application on F_hint is no polish (its residual is near 1e-7): the
+    # run applies F_hint again, with no probe, until x has converged, and
+    # once more
+    assert counts == [(hint, 0)]
+    assert res.iterations >= 2
+    assert res.shift == hint
+    assert res.value == pytest.approx(lam, rel=1e-12)
+    assert res.residual <= 1e-10
 
 
 # --- the condensed factorization ---------------------------------------------------
