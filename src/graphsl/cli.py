@@ -391,27 +391,19 @@ def _certificate_edge_text(cert):
     Each edge id is quoted once through ``csv.writer``; offsets and values
     are float reprs, which never need quoting, so every row is the edge's
     prefix plus ``x!r,v!r``, the bytes ``csv.writer`` would write for it.
-    The offsets' reprs are made once per distinct run of interior offsets:
-    edges of equal length and cell count share their ``mesh.x`` run bit for
-    bit, so a tree of a few edge lengths makes only a few.
     """
     mesh, values = cert.mesh, cert.values
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    offsets = {}  # the bytes of an interior offset run -> its reprs
     for k, eid in enumerate(mesh.edge_ids):
         buf.seek(0)
         buf.truncate()
         writer.writerow(("edge", eid, ""))
         prefix = buf.getvalue()[:-1]  # "edge,<quoted id>," without the line end
         inner = slice(mesh.start[k] + 1, mesh.start[k + 1] - 1)
-        run = mesh.x[inner]
-        key = run.tobytes()
-        if key not in offsets:
-            offsets[key] = [repr(x) for x in run.tolist()]
         yield "".join(
-            f"{prefix}{x},{v!r}\n"
-            for x, v in zip(offsets[key], values[mesh.dof[inner]].tolist())
+            f"{prefix}{x!r},{v!r}\n"
+            for x, v in zip(mesh.x[inner].tolist(), values[mesh.dof[inner]].tolist())
         )
 
 

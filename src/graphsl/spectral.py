@@ -267,9 +267,6 @@ def ap_check(
     right-hand side of the certificate is formed from it at once,
     whatever the outcome; only the mesh is kept, so the level's K and M are
     freed before the eigensolve, whose working set then reuses their memory.
-    The eigensolve takes ``lam`` as its ``lower`` hint: below the bottom,
-    where a certificate is possible, its count of 0 starts the shifts
-    there; elsewhere the hint costs at most one factorization.
     The level's Dirichlet vertices, which carry the unit boundary data and
     leave the Kirchhoff check, are the vertex dofs not kept.  A trial value
     that is not finite raises SolverError before any work.
@@ -290,7 +287,7 @@ def ap_check(
     lifted = (lam * (forms.M @ e_b) - forms.K @ e_b)[kept]
     dirichlet = np.flatnonzero(e_b)
     del forms, e_b, kept
-    bottom = smallest_eigenpair(piece, tol=tol, lower=lam).value
+    bottom = smallest_eigenpair(piece, tol=tol).value
     margin = lam - bottom
     if lam < bottom - tol:
         cert = _certificate(field, exhaustion, mesh, piece, dirichlet, lifted, lam, level, bottom)

@@ -8,10 +8,7 @@ from pathlib import Path
 import pytest
 
 import graphsl
-from graphsl.cli import _certificate_edge_text, build_parser, main
-from graphsl.coeff import load_coefficients
-from graphsl.graph import build_exhaustion, load_graph
-from graphsl.spectral import positive_solution
+from graphsl.cli import build_parser, main
 
 FIXTURES = Path(graphsl.__file__).parent / "fixtures"
 
@@ -579,30 +576,6 @@ def test_certificate_rows_are_what_csv_writer_writes(tmp_path, capsys):
     csv.writer(rewritten, lineterminator="\n").writerows(rows)
     assert rewritten.getvalue() == text
     assert '\nedge,"e,""1",' in text
-
-
-def test_certificate_edge_text_is_what_csv_writer_writes():
-    # two edges of length 1.0 share their offset run; 0.7 and 1.3 have their own
-    lengths = {'e,"1': 1.0, "e2": 0.7, "e3": 1.0, "e4": 1.3}
-    names = ["r", "a", "b", "c", "d"]
-    g = load_graph({
-        "vertices": names,
-        "edges": [
-            {"id": eid, "from": names[k], "to": names[k + 1], "length": length}
-            for k, (eid, length) in enumerate(lengths.items())
-        ],
-        "root": "r",
-    })
-    cert = positive_solution(g, load_coefficients({}, g), build_exhaustion(g, "r", 4), -1.0, 4, h=0.1)
-    mesh = cert.mesh
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    for k, eid in enumerate(mesh.edge_ids):
-        for node in range(mesh.start[k] + 1, mesh.start[k + 1] - 1):
-            writer.writerow(("edge", eid, repr(float(mesh.x[node])), repr(float(cert.values[mesh.dof[node]]))))
-    text = "".join(_certificate_edge_text(cert))
-    assert text == expected.getvalue()
-    assert '\nedge,"e,""1",0.1,' in "\n" + text
 
 
 # --- sobolev -----------------------------------------------------------------------

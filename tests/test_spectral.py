@@ -302,38 +302,6 @@ def test_certificate_boundary_on_a_multigraph_level():
     assert cert.min_value > 0
 
 
-def test_ap_check_hints_the_eigensolve_with_the_trial_value(star3, monkeypatch):
-    import graphsl.eig as eig
-
-    g, ex = star3
-    field = load_coefficients({}, g)
-    counts = []
-    real = eig._inertia
-
-    def inertia(pencil, sigma):
-        count, factor = real(pencil, sigma)
-        counts.append((sigma, count))
-        return count, factor
-
-    monkeypatch.setattr(eig, "_inertia", inertia)
-    # a trial value below the Gershgorin seed is no hint: the unhinted solve
-    unhinted = ap_check(g, field, ex, lam=-0.5, level=1, h=0.02).dirichlet_bottom
-    assert all(sigma > -0.5 for sigma, _ in counts)
-
-    counts.clear()
-    cert = ap_check(g, field, ex, lam=1.0, level=1, h=0.02)
-    assert cert.kind == "certificate"
-    assert counts[0] == (1.0, 0)   # the first count is at the trial value, and proves it
-    assert cert.dirichlet_bottom == pytest.approx(unhinted, rel=1e-12)
-
-    # a refutation's trial value counts above 0 and is dropped, bit for bit
-    counts.clear()
-    refut = ap_check(g, field, ex, lam=3.0, level=1, h=0.02)
-    assert refut.kind == "refutation"
-    assert counts[0][0] == 3.0 and counts[0][1] > 0
-    assert refut.dirichlet_bottom == unhinted
-
-
 def test_ap_check_three_outcomes(star3):
     g, ex = star3
     field = load_coefficients({}, g)
