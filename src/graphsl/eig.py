@@ -553,9 +553,10 @@ def eigsh(pencil: Pencil, seed: float, lower: float, tol: float, x: np.ndarray, 
     for bit the factor it freed; that refactorization takes the place of
     the count-0 probe the round did not make, so the bound holds.  Raises
     ConvergenceError when the solve would make more than ``_MAX_APPLIES``
-    applications, before it counts any probe past them.  The name is kept because the benchmark's ``eig.lanczos`` span
-    wraps ``graphsl.eig.eigsh`` (``perfbench/child.py``), until the
-    library's own instrumentation (ROADMAP item 6) replaces that wrap.
+    applications, before it counts any probe past them.  The name is kept
+    because the benchmark's ``eig.lanczos`` span wraps ``graphsl.eig.eigsh``
+    (``perfbench/child.py``), until the library's own instrumentation
+    (ROADMAP item 6) replaces that wrap.
     """
     K, M = pencil.K, pencil.M
     weights = 1.0 / M.diagonal()
